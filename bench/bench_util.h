@@ -103,9 +103,19 @@ inline HopBreakdown BreakdownRoots(const trace::TraceCollector& collector,
     double seq_ns = 0;
     uint64_t osd_start = UINT64_MAX;
     uint64_t osd_end = 0;
-    for (const trace::Span* child : collector.ChildrenOf(span.span_id)) {
-      if (child->open) {
-        continue;
+    // A batch that shared a grant group follows its link to the RPCs the
+    // group's first batch issued; only those inside its own extent count.
+    std::vector<const trace::Span*> children = collector.ChildrenOf(span.span_id);
+    if (span.link_span_id != 0) {
+      for (const trace::Span* shared : collector.ChildrenOf(span.link_span_id)) {
+        if (shared->start_ns >= span.start_ns && shared->end_ns <= span.end_ns) {
+          children.push_back(shared);
+        }
+      }
+    }
+    for (const trace::Span* child : children) {
+      if (child->open || child->name.rfind("queue:", 0) == 0) {
+        continue;  // a queue:* wait is part of queue_us below
       }
       first_child = std::min(first_child, child->start_ns);
       if (child->name.find(":mds.") != std::string::npos) {

@@ -8,8 +8,13 @@
 // in flight — the cross-layer optimization programmable storage enables.
 //
 // Both paths run on identical cluster and network parameters; results go
-// to stdout and BENCH_zlog.json (appends/sec + latency percentiles).
+// to stdout and BENCH_zlog.json (appends/sec + latency percentiles). A last
+// batched config puts 8 clients on 2 MDS ranks, where busy sequencers make
+// each log coalesce its ready batches into shared grants.
 #include <functional>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "src/cluster/cluster.h"
@@ -36,6 +41,8 @@ struct RunResult {
   double appends_per_sec = 0;
   Histogram latency_us;  // per-append (seed) or per-batch (batched)
   HopBreakdown hops;     // trace-derived: queue vs sequencer vs OSD commit
+  uint64_t grants = 0;   // sequencer grant RPCs sent (zlog.grants)
+  uint64_t batches = 0;  // AppendBatch calls (zlog.batches)
 };
 
 // Seed path: one Append at a time, each a full sequencer RPC + a
@@ -123,6 +130,75 @@ RunResult RunBatched(int total, int batch_size, uint32_t window,
   result.appends_per_sec =
       elapsed_sec > 0 ? static_cast<double>(batches * batch_size) / elapsed_sec : 0;
   result.hops = BreakdownRoots(collector, "zlog.AppendBatch");
+  result.grants = client->perf.counter("zlog.grants");
+  result.batches = client->perf.counter("zlog.batches");
+  return result;
+}
+
+// Contended sequencers: `clients` clients drive one log each, `total`
+// entries apiece, with the sequencers spread over two MDS ranks (odd logs
+// move to rank 1). Every rank serves several clients at once, so grant
+// replies carry the contention hint and each log coalesces its ready
+// batches into shared grants.
+RunResult RunContended(int clients, int total, int batch_size, uint32_t window) {
+  cluster::ClusterOptions options = BenchCluster();
+  options.num_mds = 2;
+  options.mds.seq_ownership = true;
+  cluster::Cluster cluster(options);
+  cluster.Boot();
+  std::vector<cluster::Client*> handles;
+  std::vector<std::unique_ptr<zlog::Log>> logs;
+  int opened = 0;
+  for (int c = 0; c < clients; ++c) {
+    handles.push_back(cluster.NewClient());
+    zlog::LogOptions log_options;
+    log_options.name = "contended" + std::to_string(c);
+    log_options.max_inflight = window;
+    logs.push_back(handles.back()->OpenLog(log_options));
+    logs.back()->Open([&](Status) { ++opened; });
+  }
+  cluster.RunUntil([&] { return opened == clients; });
+  int migrated = 0;
+  for (int c = 1; c < clients; c += 2) {
+    cluster.mds(0).MigrateSequencer(logs[c]->sequencer_path(), 1,
+                                    [&](Status) { ++migrated; });
+  }
+  cluster.RunUntil([&] { return migrated == clients / 2; }, 60 * sim::kSecond);
+  cluster.RunFor(2 * sim::kSecond);  // let the ownership publishes commit
+
+  RunResult result;
+  trace::TraceCollector collector;
+  trace::ScopedCollector scoped(&collector);
+  Buffer payload = Buffer::FromString(std::string(kPayloadBytes, 'x'));
+  int batches = (total + batch_size - 1) / batch_size;
+  int completed = 0;
+  sim::Time begin = cluster.simulator().Now();
+  for (auto& log : logs) {
+    for (int b = 0; b < batches; ++b) {
+      std::vector<Buffer> entries(batch_size, payload);
+      sim::Time issued = cluster.simulator().Now();
+      log->AppendBatch(std::move(entries),
+                       [&, issued](Status s, const std::vector<uint64_t>&) {
+                         if (s.ok()) {
+                           result.latency_us.Add(
+                               static_cast<double>(cluster.simulator().Now() - issued) /
+                               1e3);
+                         }
+                         ++completed;
+                       });
+    }
+  }
+  cluster.RunUntil([&] { return completed >= clients * batches; }, 600 * sim::kSecond);
+  double elapsed_sec =
+      static_cast<double>(cluster.simulator().Now() - begin) / 1e9;
+  result.appends_per_sec =
+      elapsed_sec > 0 ? static_cast<double>(clients * batches * batch_size) / elapsed_sec
+                      : 0;
+  result.hops = BreakdownRoots(collector, "zlog.AppendBatch");
+  for (cluster::Client* client : handles) {
+    result.grants += client->perf.counter("zlog.grants");
+    result.batches += client->perf.counter("zlog.batches");
+  }
   return result;
 }
 
@@ -134,20 +210,24 @@ int main() {
               "per-stripe write_batch transactions, in-flight window). "
               "Identical cluster/network parameters; 2048 appends each.");
   PrintColumns({"config", "appends_per_sec", "lat_p50_us", "lat_p99_us",
-                "queue_us", "seq_wait_us", "osd_commit_us"});
+                "queue_us", "seq_wait_us", "osd_commit_us", "grants", "batches"});
 
   JsonReporter json("zlog");
   auto report = [&json](const std::string& name, const RunResult& r,
                         double batch_size, double window) {
-    std::printf("%s\t%.0f\t%.1f\t%.1f\t%.1f\t%.1f\t%.1f\n", name.c_str(),
+    std::printf("%s\t%.0f\t%.1f\t%.1f\t%.1f\t%.1f\t%.1f\t%llu\t%llu\n", name.c_str(),
                 r.appends_per_sec, r.latency_us.Quantile(0.50),
                 r.latency_us.Quantile(0.99), r.hops.queue_us.mean(),
-                r.hops.seq_us.mean(), r.hops.osd_us.mean());
+                r.hops.seq_us.mean(), r.hops.osd_us.mean(),
+                static_cast<unsigned long long>(r.grants),
+                static_cast<unsigned long long>(r.batches));
     std::vector<std::pair<std::string, double>> metrics = {
         {"appends_per_sec", r.appends_per_sec},
         {"batch_size", batch_size},
         {"window", window},
         {"entries", kTotalEntries},
+        {"grants", static_cast<double>(r.grants)},
+        {"batches", static_cast<double>(r.batches)},
     };
     JsonReporter::AppendLatency(&metrics, r.latency_us, "latency_us");
     AppendBreakdown(&metrics, r.hops);
@@ -175,6 +255,11 @@ int main() {
   // append re-copies the ever-growing stripe object and the ratio explodes.
   // Runs on its own cluster, so the simulated metrics of the configs above
   // are untouched.
+  // 8 clients x one log each on 2 MDS ranks: the contention-aware grant
+  // coalescing path.
+  RunResult contended = RunContended(8, kTotalEntries, 16, 4);
+  report("contended(8x1,b=16,w=4)", contended, 16, 4);
+
   WallTimer big_timer;
   RunResult big = RunBatched(kTotalEntries, 64, 8, /*payload_bytes=*/16 << 10);
   double big_wall = big_timer.Seconds();
@@ -187,6 +272,10 @@ int main() {
   bool ok = true;
   ok &= ShapeCheck("batched(b=16,w=4) >= 5x per-append simulated throughput",
                    speedup >= 5.0);
+  ok &= ShapeCheck("single client: one grant RPC per batch (uncontended path unchanged)",
+                   batched.grants == batched.batches);
+  ok &= ShapeCheck("contended: grant RPCs <= 0.9x batches",
+                   contended.batches > 0 && 10 * contended.grants <= 9 * contended.batches);
   std::printf("wall: batched(b=64,w=8) 64B=%.3fs, 16KiB=%.3fs (%.1fx for 256x bytes)\n",
               wide_wall, big_wall, wide_wall > 0 ? big_wall / wide_wall : 0);
   ok &= ShapeCheck("16KiB-payload wall grows >=8x slower than byte volume (<=32x)",

@@ -7,7 +7,6 @@
 namespace mal::cls {
 namespace {
 
-constexpr char kZlogEpochXattr[] = "zlog.epoch";
 constexpr char kZlogMaxPosXattr[] = "zlog.max_pos";
 constexpr char kLockOwnerXattr[] = "lock.owner";
 constexpr char kRefcountXattr[] = "refcount";
@@ -31,7 +30,7 @@ mal::Buffer U64Out(uint64_t v) {
 mal::Result<uint64_t> CheckEpoch(ClsContext& ctx, uint64_t request_epoch) {
   uint64_t stored = 0;
   if (ctx.Exists()) {
-    auto e = ctx.XattrGet(kZlogEpochXattr);
+    auto e = ctx.XattrGet(ZlogOps::kEpochXattr);
     if (e.ok()) {
       stored = ParseU64(e.value());
     }
@@ -61,7 +60,7 @@ mal::Result<mal::Buffer> ZlogSeal(ClsContext& ctx, const mal::Buffer& input) {
   }
   uint64_t stored = 0;
   if (ctx.Exists()) {
-    auto e = ctx.XattrGet(kZlogEpochXattr);
+    auto e = ctx.XattrGet(ZlogOps::kEpochXattr);
     if (e.ok()) {
       stored = ParseU64(e.value());
     }
@@ -74,7 +73,7 @@ mal::Result<mal::Buffer> ZlogSeal(ClsContext& ctx, const mal::Buffer& input) {
   if (!s.ok()) {
     return s;
   }
-  s = ctx.XattrSet(kZlogEpochXattr, U64ToString(epoch));
+  s = ctx.XattrSet(ZlogOps::kEpochXattr, U64ToString(epoch));
   if (!s.ok()) {
     return s;
   }
@@ -589,8 +588,15 @@ mal::Buffer ZlogOps::MakeTrim(uint64_t epoch, uint64_t pos) { return MakeRead(ep
 mal::Buffer ZlogOps::MakeMaxPos(uint64_t epoch) { return MakeSeal(epoch); }
 
 std::string ZlogOps::EntryKey(uint64_t pos) {
-  char key[32];
-  std::snprintf(key, sizeof(key), "entry.%020" PRIu64, pos);
+  // Digits in ASCII order, so byte-wise key order is position order.
+  static constexpr char kDigits[] =
+      "-0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ_abcdefghijklmnopqrstuvwxyz";
+  static_assert(sizeof(kDigits) == 65);
+  std::string key(12, 'e');  // 'e' + 11 digits of 6 bits: 66 >= 64 bits
+  for (size_t i = key.size() - 1; i > 0; --i) {
+    key[i] = kDigits[pos & 63];
+    pos >>= 6;
+  }
   return key;
 }
 

@@ -64,10 +64,15 @@ struct ZlogOps {
   static mal::Buffer MakeTrim(uint64_t epoch, uint64_t pos);
   static mal::Buffer MakeMaxPos(uint64_t epoch);
 
+  // Object xattr holding the epoch the object is sealed at (absent = 0).
+  static constexpr char kEpochXattr[] = "zlog.epoch";
+
   // Decodes a write_batch output into per-entry codes (entry order).
   static mal::Result<std::vector<mal::Code>> ParseWriteBatchResult(const mal::Buffer& out);
 
-  // Key layout inside the log object's omap (zero-padded for ordering).
+  // Key of a position inside the log object's omap: "e" plus 11
+  // order-preserving base-64 digits. Keys sort like positions, and at 12
+  // bytes they fit the short-string buffer (no heap allocation).
   static std::string EntryKey(uint64_t pos);
 };
 

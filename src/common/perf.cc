@@ -52,6 +52,23 @@ Histogram BoundedHistogram::ToHistogram() const {
   return h;
 }
 
+void ExportScriptCounters(PerfRegistry* perf, const std::string& daemon,
+                          const ScriptCounters& delta) {
+  const std::pair<const char*, uint64_t> kFields[] = {
+      {".script.instructions", delta.instructions},
+      {".script.vm_runs", delta.vm_runs},
+      {".script.oracle_runs", delta.oracle_runs},
+      {".script.ic_hits", delta.ic_hits},
+      {".script.ic_misses", delta.ic_misses},
+      {".script.print_dropped", delta.print_dropped},
+  };
+  for (const auto& [suffix, value] : kFields) {
+    if (value != 0) {
+      perf->Inc(daemon + suffix, value);
+    }
+  }
+}
+
 PerfSnapshot PerfRegistry::Snapshot(const std::string& entity,
                                     uint64_t time_ns) const {
   PerfSnapshot snap;

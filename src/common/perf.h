@@ -116,6 +116,24 @@ class PerfRegistry {
   std::map<std::string, BoundedHistogram> histograms_;
 };
 
+// Script-engine execution counters (MalScript VM and tree-walker), plain
+// numbers so every daemon exports them without depending on the script
+// runtime.
+struct ScriptCounters {
+  uint64_t instructions = 0;   // budget units consumed (AST nodes or bytecode ops)
+  uint64_t vm_runs = 0;        // top-level entries executed by the bytecode VM
+  uint64_t oracle_runs = 0;    // top-level entries executed by the tree-walker
+  uint64_t ic_hits = 0;        // inline-cache hits (field + global sites)
+  uint64_t ic_misses = 0;      // inline-cache misses
+  uint64_t print_dropped = 0;  // print() lines dropped by the output cap
+};
+
+// Adds `delta` to the "<daemon>.script.*" counters (see
+// docs/observability.md). Counters are created lazily and zero fields are
+// skipped, so script-free runs keep identical perf dumps.
+void ExportScriptCounters(PerfRegistry* perf, const std::string& daemon,
+                          const ScriptCounters& delta);
+
 // Sums counters and merges histogram samples across snapshots. Gauges are
 // point-in-time per entity and are intentionally dropped from the aggregate
 // (a sum of map epochs means nothing); read them per entity instead.

@@ -115,6 +115,13 @@ void TraceCollector::EndSpan(const TraceContext& ctx, uint64_t now_ns,
   span.status = status;
 }
 
+void TraceCollector::Link(const TraceContext& ctx, const TraceContext& to) {
+  auto it = index_.find(ctx.span_id);
+  if (it != index_.end() && to.valid() && to.span_id != ctx.span_id) {
+    spans_[it->second].link_span_id = to.span_id;
+  }
+}
+
 const Span* TraceCollector::Find(uint64_t span_id) const {
   auto it = index_.find(span_id);
   return it == index_.end() ? nullptr : &spans_[it->second];
@@ -227,8 +234,19 @@ bool StartsWith(const std::string& s, const char* prefix) {
 
 using ChildIndex = std::unordered_map<uint64_t, std::vector<const Span*>>;
 
-// parent span id -> finished children, sorted by end_ns descending (ties:
-// later start first, then span id for determinism).
+// Critical-path child order: end_ns descending (ties: later start first, then
+// span id for determinism).
+bool EndsLater(const Span* a, const Span* b) {
+  if (a->end_ns != b->end_ns) {
+    return a->end_ns > b->end_ns;
+  }
+  if (a->start_ns != b->start_ns) {
+    return a->start_ns > b->start_ns;
+  }
+  return a->span_id > b->span_id;
+}
+
+// parent span id -> finished children, sorted by EndsLater.
 ChildIndex BuildChildIndex(const TraceCollector& collector) {
   ChildIndex index;
   for (const Span& span : collector.spans()) {
@@ -239,15 +257,7 @@ ChildIndex BuildChildIndex(const TraceCollector& collector) {
     index[span.parent_span_id].push_back(&span);
   }
   for (auto& [parent, children] : index) {
-    std::sort(children.begin(), children.end(), [](const Span* a, const Span* b) {
-      if (a->end_ns != b->end_ns) {
-        return a->end_ns > b->end_ns;
-      }
-      if (a->start_ns != b->start_ns) {
-        return a->start_ns > b->start_ns;
-      }
-      return a->span_id > b->span_id;
-    });
+    std::sort(children.begin(), children.end(), EndsLater);
   }
   return index;
 }
@@ -258,23 +268,39 @@ ChildIndex BuildChildIndex(const TraceCollector& collector) {
 void WalkCriticalPath(const ChildIndex& index, const Span& span,
                       uint64_t clip_start, uint64_t clip_end,
                       std::map<std::string, uint64_t>* segments) {
+  static const std::vector<const Span*> kNoChildren;
+  auto own = index.find(span.span_id);
+  const std::vector<const Span*>* children =
+      own == index.end() ? &kNoChildren : &own->second;
+  std::vector<const Span*> merged;
+  // Follows-from: the linked span's children did (part of) this span's work;
+  // the clip window keeps only the ones inside this span. Linked children
+  // that carry links themselves are skipped, so a walk never cycles through
+  // two members linked to each other's leader. No span has id 0.
+  if (auto link = index.find(span.link_span_id); link != index.end()) {
+    merged = *children;
+    for (const Span* child : link->second) {
+      if (child->link_span_id == 0) {
+        merged.push_back(child);
+      }
+    }
+    std::sort(merged.begin(), merged.end(), EndsLater);
+    children = &merged;
+  }
   uint64_t cursor = clip_end;
   uint64_t self_ns = 0;
-  auto it = index.find(span.span_id);
-  if (it != index.end()) {
-    for (const Span* child : it->second) {  // end_ns descending
-      if (child->end_ns > cursor) {
-        continue;  // overlaps work already on the path; hidden latency
-      }
-      if (child->end_ns <= clip_start || cursor <= clip_start) {
-        break;
-      }
-      self_ns += cursor - child->end_ns;  // gap above the child: span's own work
-      uint64_t child_start = std::max(child->start_ns, clip_start);
-      WalkCriticalPath(index, *child, child_start,
-                       std::max(child->end_ns, child_start), segments);
-      cursor = child_start;
+  for (const Span* child : *children) {  // EndsLater order
+    if (child->end_ns > cursor) {
+      continue;  // overlaps work already on the path; hidden latency
     }
+    if (child->end_ns <= clip_start || cursor <= clip_start) {
+      break;
+    }
+    self_ns += cursor - child->end_ns;  // gap above the child: span's own work
+    uint64_t child_start = std::max(child->start_ns, clip_start);
+    WalkCriticalPath(index, *child, child_start,
+                     std::max(child->end_ns, child_start), segments);
+    cursor = child_start;
   }
   if (cursor > clip_start) {
     self_ns += cursor - clip_start;
@@ -287,6 +313,9 @@ void WalkCriticalPath(const ChildIndex& index, const Span& span,
 }  // namespace
 
 const char* ClassifySpanSelf(const Span& span) {
+  if (StartsWith(span.name, "queue:")) {
+    return "queue";
+  }
   if (StartsWith(span.name, "rpc:")) {
     return "network";
   }

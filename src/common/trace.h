@@ -36,6 +36,9 @@ struct Span {
   uint64_t trace_id = 0;
   uint64_t span_id = 0;
   uint64_t parent_span_id = 0;
+  // Follows-from link: a span (possibly in another trace) whose children did
+  // this span's work, e.g. the RPCs a ZLog grant group shares. 0 = none.
+  uint64_t link_span_id = 0;
   std::string name;    // e.g. "zlog.AppendBatch", "rpc:mds.0:mds.client_request"
   std::string entity;  // node that ran the span, e.g. "client.0"
   uint64_t start_ns = 0;
@@ -62,6 +65,9 @@ class TraceCollector {
                          uint64_t now_ns, const TraceContext& parent = {});
   void EndSpan(const TraceContext& ctx, uint64_t now_ns,
                const std::string& status = "ok");
+  // Records that `to`'s children do `ctx`'s work (Span::link_span_id); the
+  // last link wins.
+  void Link(const TraceContext& ctx, const TraceContext& to);
 
   const std::vector<Span>& spans() const { return spans_; }
   const Span* Find(uint64_t span_id) const;
@@ -92,10 +98,12 @@ class TraceCollector {
 //
 // A finished span tree is an exact record of where a request's wall-clock
 // went; the critical path walks it backward from the root's end, always
-// descending into the child whose completion gated progress, and attributes
+// descending into the child whose completion gated progress (a span's
+// children include those of its follows-from link), and attributes
 // every nanosecond of the root's duration to the *self time* of some span on
 // that path. Self time is classified by what the span represents:
-//   queue      — root-span self (client-side batching/pipeline wait)
+//   queue      — root-span and queue:* span self (client-side
+//                batching/pipeline wait)
 //   network    — rpc:* self (flight time + remote inbox wait)
 //   seq_wait   — handle:* self on an mds.* entity (sequencer service)
 //   osd_commit — handle:* self on an osd.* entity (storage commit)

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/perf.h"
 #include "src/common/status.h"
 #include "src/mds/types.h"
 
@@ -34,17 +35,9 @@ struct BalancerContext {
 // rank -> amount of load (requests/sec) to export there.
 using MigrationTargets = std::map<uint32_t, double>;
 
-// Script-engine counters for script-driven policies (Mantle). Plain struct
-// so the mechanism layer stays decoupled from the script runtime; native
+// Script-engine counters for script-driven policies (Mantle); native
 // policies report all-zeros.
-struct PolicyScriptStats {
-  uint64_t instructions = 0;
-  uint64_t vm_runs = 0;
-  uint64_t oracle_runs = 0;
-  uint64_t ic_hits = 0;
-  uint64_t ic_misses = 0;
-  uint64_t print_dropped = 0;
-};
+using PolicyScriptStats = mal::ScriptCounters;
 
 class BalancerPolicy {
  public:

@@ -115,6 +115,8 @@ void MdsDaemon::Crash() {
   // below is in-memory state a restarted MDS would not have.
   load_table_.clear();
   window_requests_ = 0;
+  queued_by_sender_.clear();  // the queued work died with us
+  queued_total_ = 0;
   for (auto& [path, hosted] : inodes_) {
     hosted.window_requests = 0;
     hosted.cap.waiters.clear();  // the queued rpcs died with us
@@ -390,7 +392,14 @@ void MdsDaemon::HandleClientRequest(const sim::Envelope& request, ClientRequest 
   }
   sim::Envelope req_envelope = request;
   sim::Time arrival = Now();
+  ++queued_by_sender_[request.from];
+  ++queued_total_;
   AfterCpu(cost, [this, req_envelope, req, forwarded, arrival] {
+    auto queued = queued_by_sender_.find(req_envelope.from);
+    if (--queued->second == 0) {
+      queued_by_sender_.erase(queued);
+    }
+    --queued_total_;
     // Work-queue time (queueing + service) for requests we serve ourselves.
     perf_.Observe("mds.queue_us", static_cast<double>(Now() - arrival) / 1e3);
     if (config_.seq_ownership &&
@@ -401,6 +410,11 @@ void MdsDaemon::HandleClientRequest(const sim::Envelope& request, ClientRequest 
     }
     ExecuteRequest(req_envelope, req, forwarded);
   });
+}
+
+bool MdsDaemon::OthersQueued(const sim::EntityName& from) const {
+  auto own = queued_by_sender_.find(from);
+  return queued_total_ > (own == queued_by_sender_.end() ? 0 : own->second);
 }
 
 void MdsDaemon::ReplyWithInode(const sim::Envelope& request, const MdsReply& reply) {
@@ -516,6 +530,14 @@ void MdsDaemon::ExecuteRequest(const sim::Envelope& request, const ClientRequest
         hosted.inode.seq_tail += count;
         hosted.inode.params["last_grant"] =
             std::to_string(reply.seq_value) + "+" + std::to_string(count);
+        if (OthersQueued(request.from)) {
+          // Storage-to-application hint: other clients wait behind this
+          // grant, so the log should fold its ready batches into one grant.
+          // Grant replies carry an otherwise empty inode, so uncontended
+          // replies stay byte-identical.
+          perf_.Inc("mds.seq.contended_grants");
+          reply.inode.params["contended"] = "1";
+        }
       } else {
         reply.seq_value = hosted.inode.seq_tail;
       }
@@ -1047,20 +1069,7 @@ void MdsDaemon::BalanceTick() {
   auto targets = policy_->Decide(ctx);
   // Script-engine counters from this tick (all-zero for native policies;
   // zero deltas skipped so native runs keep identical perf dumps).
-  const PolicyScriptStats sstats = policy_->ConsumeScriptStats();
-  const std::pair<const char*, uint64_t> kScriptCounters[] = {
-      {"mds.script.instructions", sstats.instructions},
-      {"mds.script.vm_runs", sstats.vm_runs},
-      {"mds.script.oracle_runs", sstats.oracle_runs},
-      {"mds.script.ic_hits", sstats.ic_hits},
-      {"mds.script.ic_misses", sstats.ic_misses},
-      {"mds.script.print_dropped", sstats.print_dropped},
-  };
-  for (const auto& [cname, delta] : kScriptCounters) {
-    if (delta != 0) {
-      perf_.Inc(cname, delta);
-    }
-  }
+  mal::ExportScriptCounters(&perf_, "mds", policy_->ConsumeScriptStats());
   if (!targets.ok()) {
     MAL_WARN(name().ToString()) << "balancer error: " << targets.status();
     mon_client_.Log("ERROR", "balancer: " + targets.status().ToString());

@@ -141,6 +141,8 @@ class MdsDaemon : public sim::Actor {
   std::vector<SubtreeLoad> HostedSubtrees() const;
   const std::map<uint32_t, LoadMetrics>& load_table() const { return load_table_; }
   uint64_t requests_handled() const { return requests_handled_; }
+  // Client requests in the work queue (charged CPU, not yet executed).
+  uint64_t queued_requests() const { return queued_total_; }
   const mon::MdsMap& mds_map() const { return mds_map_; }
   mon::MonClient& mon_client() { return mon_client_; }
   rados::RadosClient& rados_client() { return rados_; }
@@ -212,6 +214,10 @@ class MdsDaemon : public sim::Actor {
   void ResumeSeqWaiters(const std::string& path);
   void UpdateOwnedLogsGauge();
 
+  // True while a request from a sender other than `from` waits in the work
+  // queue: the contention hint put on sequencer grants.
+  bool OthersQueued(const sim::EntityName& from) const;
+
   void GrantCap(const std::string& path, HostedInode& hosted, const sim::Envelope& to);
   void MaybeRevoke(const std::string& path, HostedInode& hosted);
   void ReplyWithInode(const sim::Envelope& request, const MdsReply& reply);
@@ -246,6 +252,9 @@ class MdsDaemon : public sim::Actor {
   mal::Rng rng_{1};
   uint64_t next_ino_ = 1;
   uint64_t requests_handled_ = 0;
+  // Work-queue occupancy per sender (volatile: cleared by Crash()).
+  std::map<sim::EntityName, uint64_t> queued_by_sender_;
+  uint64_t queued_total_ = 0;
   uint64_t window_requests_ = 0;
   sim::Time window_start_ = 0;
   double smoothed_req_rate_ = 0;

@@ -151,14 +151,15 @@ void MdsClient::SeqNext(const std::string& path,
   });
 }
 
-void MdsClient::SeqNextBatch(const std::string& path, uint64_t count,
-                             std::function<void(mal::Status, uint64_t)> on_first) {
+void MdsClient::SeqNextBatch(
+    const std::string& path, uint64_t count,
+    std::function<void(mal::Status, uint64_t first, bool contended)> on_grant) {
   ClientRequest req;
   req.op = MdsOp::kSeqNextBatch;
   req.path = path;
   req.seq_value = count;
-  Request(req, [on_first = std::move(on_first)](mal::Status s, const MdsReply& reply) {
-    on_first(s, reply.seq_value);
+  Request(req, [on_grant = std::move(on_grant)](mal::Status s, const MdsReply& reply) {
+    on_grant(s, reply.seq_value, reply.inode.params.count("contended") != 0);
   });
 }
 

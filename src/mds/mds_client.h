@@ -59,10 +59,12 @@ class MdsClient {
   void SeqNext(const std::string& path, std::function<void(mal::Status, uint64_t)> on_pos);
   void SeqRead(const std::string& path, std::function<void(mal::Status, uint64_t)> on_pos);
   // Reserves `count` contiguous positions in one round-trip; yields the
-  // first. The MDS records the advanced tail in the inode, so sequencer
-  // recovery seals at or past every granted position.
+  // first, and whether the MDS had other clients' requests queued behind
+  // this one (the contention hint). The MDS records the advanced tail in
+  // the inode, so sequencer recovery seals at or past every granted
+  // position.
   void SeqNextBatch(const std::string& path, uint64_t count,
-                    std::function<void(mal::Status, uint64_t)> on_first);
+                    std::function<void(mal::Status, uint64_t first, bool contended)> on_grant);
 
   // -- sequencer: cached (capability) mode ----------------------------------------
   // Requests the exclusive cap; on grant the client increments locally via

@@ -415,22 +415,8 @@ void Monitor::TelemetryTick() {
   }
   perf_.Set("mon.health.status", static_cast<double>(health_.Overall()));
   perf_.Set("mon.telemetry.series", static_cast<double>(series_.series_count()));
-  // Health-rule script-engine counters and the process-wide compile cache,
-  // lazily created so rule-free clusters keep identical perf dumps.
-  const script::EngineStats sstats = health_.ConsumeScriptStats();
-  const std::pair<const char*, uint64_t> kScriptCounters[] = {
-      {"mon.script.instructions", sstats.instructions},
-      {"mon.script.vm_runs", sstats.vm_runs},
-      {"mon.script.oracle_runs", sstats.oracle_runs},
-      {"mon.script.ic_hits", sstats.ic_hits},
-      {"mon.script.ic_misses", sstats.ic_misses},
-      {"mon.script.print_dropped", sstats.print_dropped},
-  };
-  for (const auto& [cname, delta] : kScriptCounters) {
-    if (delta != 0) {
-      perf_.Inc(cname, delta);
-    }
-  }
+  // Health-rule script-engine counters (absent while no rule runs).
+  mal::ExportScriptCounters(&perf_, "mon", health_.ConsumeScriptStats());
 }
 
 mal::Status Monitor::InstallHealthRule(const std::string& rule_name,

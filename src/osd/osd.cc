@@ -269,22 +269,8 @@ mal::Status Osd::ExpandTransaction(const OsdOpRequest& req, std::vector<OpResult
       cls::ClsContext ctx(req.oid, &staged, &effects);
       script::EngineStats sstats;
       auto out = registry_.Execute(op.cls_name, op.method, ctx, op.data, 1'000'000, &sstats);
-      // Script-method engine counters, lazily created (absent for native
-      // methods and zero deltas, so script-free workloads keep identical
-      // perf dumps).
-      const std::pair<const char*, uint64_t> kScriptCounters[] = {
-          {"osd.script.instructions", sstats.instructions},
-          {"osd.script.vm_runs", sstats.vm_runs},
-          {"osd.script.oracle_runs", sstats.oracle_runs},
-          {"osd.script.ic_hits", sstats.ic_hits},
-          {"osd.script.ic_misses", sstats.ic_misses},
-          {"osd.script.print_dropped", sstats.print_dropped},
-      };
-      for (const auto& [name, delta] : kScriptCounters) {
-        if (delta != 0) {
-          perf_.Inc(name, delta);
-        }
-      }
+      // Script-method engine counters (absent for native methods).
+      mal::ExportScriptCounters(&perf_, "osd", sstats);
       perf_.Inc("osd.cls." + op.cls_name + "." + op.method + ".count");
       // Charged execution cost of this method call (the CPU-model share
       // attributable to it: per-byte decode plus script surcharge).

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/perf.h"
 #include "src/common/status.h"
 #include "src/script/ast.h"
 #include "src/script/value.h"
@@ -123,16 +124,9 @@ struct CompileCacheStats {
 };
 CompileCacheStats GetCompileCacheStats();
 
-// Per-interpreter execution statistics, exported through PerfRegistry by the
-// daemons that run scripts (see docs/observability.md).
-struct EngineStats {
-  uint64_t instructions = 0;   // budget units consumed (AST nodes or bytecode ops)
-  uint64_t vm_runs = 0;        // top-level entries executed by the bytecode VM
-  uint64_t oracle_runs = 0;    // top-level entries executed by the tree-walker
-  uint64_t ic_hits = 0;        // inline-cache hits (field + global sites)
-  uint64_t ic_misses = 0;      // inline-cache misses
-  uint64_t print_dropped = 0;  // print() lines dropped by the output cap
-};
+// Per-interpreter execution statistics, exported through
+// mal::ExportScriptCounters by the daemons that run scripts.
+using EngineStats = mal::ScriptCounters;
 
 class Interpreter {
  public:

@@ -169,31 +169,34 @@ void Log::GetPosition(PositionHandler on_position) {
                    });
 }
 
-void Log::GetPositionBatch(uint64_t count, PositionHandler on_first) {
+void Log::GetPositionBatch(uint64_t count, GrantHandler on_grant) {
   if (options_.sequencer_mode == SequencerMode::kRoundTrip) {
-    mds_->SeqNextBatch(sequencer_path_, count, std::move(on_first));
+    if (perf_ != nullptr) {
+      perf_->Inc("zlog.grants");
+    }
+    mds_->SeqNextBatch(sequencer_path_, count, std::move(on_grant));
     return;
   }
   if (mds_->HasCap(sequencer_path_)) {
     auto first = mds_->LocalNextBatch(sequencer_path_, count);
     if (first.ok()) {
-      on_first(mal::Status::Ok(), first.value());
+      on_grant(mal::Status::Ok(), first.value(), false);
       return;
     }
     // Cap slipped away between the check and the increment; fall through.
   }
   mds_->AcquireCap(sequencer_path_,
-                   [this, count, on_first = std::move(on_first)](mal::Status status) {
+                   [this, count, on_grant = std::move(on_grant)](mal::Status status) {
                      if (!status.ok()) {
-                       on_first(status, 0);
+                       on_grant(status, 0, false);
                        return;
                      }
                      auto first = mds_->LocalNextBatch(sequencer_path_, count);
                      if (!first.ok()) {
-                       on_first(first.status(), 0);
+                       on_grant(first.status(), 0, false);
                        return;
                      }
-                     on_first(mal::Status::Ok(), first.value());
+                     on_grant(mal::Status::Ok(), first.value(), false);
                    });
 }
 
@@ -259,6 +262,7 @@ void Log::PumpBatchQueue() {
          !batch_queue_.empty()) {
     std::shared_ptr<Batch> batch = batch_queue_.front();
     batch_queue_.pop_front();
+    RecordQueueWait(batch->span, "queue:zlog.window", batch->start_ns);
     ++inflight_;
     if (perf_ != nullptr) {
       perf_->Set("zlog.inflight", inflight_);
@@ -288,150 +292,228 @@ void Log::FinishBatch(std::shared_ptr<Batch> batch, mal::Status status) {
 
 void Log::BatchAttempt(std::shared_ptr<Batch> batch, std::vector<size_t> indices,
                        svc::Backoff backoff) {
-  // Every hop of this batch — sequencer grant, per-object OSD transactions,
-  // recovery — attributes to the batch's root span. PumpBatchQueue may call
-  // us from another batch's completion context, so pin (or clear) the
-  // ambient context explicitly.
-  trace::ScopedContext scope(batch->span);
   if (backoff.attempt() > 0 && perf_ != nullptr) {
     perf_->Inc("zlog.batch_retries");
   }
   if (backoff.Exhausted()) {
+    trace::ScopedContext scope(batch->span);
     FinishBatch(std::move(batch), mal::Status::Unavailable("append retries exhausted"));
     return;
   }
-  // Retry continuation: consumes one attempt from the backoff schedule,
-  // waits out its (zero, at the default policy) delay, and re-enters with
-  // fresh positions for the named entries.
-  auto reattempt = [this, batch, backoff](std::vector<size_t> which) mutable {
-    // Consume the attempt before building the continuation so the lambda
-    // captures the advanced backoff.
-    sim::Time delay = backoff.NextDelay(&retry_rng_);
-    svc::RunAfter(owner_->simulator(), delay,
-                  [this, batch, backoff, which = std::move(which)] {
-                    BatchAttempt(batch, which, backoff);
-                  });
+  grant_queue_.push_back(Member{std::move(batch), std::move(indices), backoff, owner_->Now()});
+  PumpGrants();
+}
+
+void Log::PumpGrants() {
+  if (grant_queue_.empty() || (contended_ && grants_inflight_ > 0)) {
+    return;
+  }
+  auto group = std::make_shared<Group>();
+  group->swap(grant_queue_);
+  uint64_t count = 0;
+  for (const Member& member : *group) {
+    count += member.indices.size();
+  }
+  // Every hop of the group — sequencer grant, per-object OSD transactions,
+  // recovery — hangs under the leader's root span; the other members get a
+  // follows-from link to it so their critical paths still see the work. A
+  // member's wait for the log's previous grant is client-side queueing.
+  // We may run from another batch's completion context, so pin the ambient
+  // context explicitly.
+  const trace::TraceContext& leader = group->front().batch->span;
+  if (trace::TraceCollector* collector = trace::Collector()) {
+    for (size_t m = 0; m < group->size(); ++m) {
+      const Member& member = (*group)[m];
+      if (m > 0) {
+        collector->Link(member.batch->span, leader);
+      }
+      RecordQueueWait(member.batch->span, "queue:zlog.grant", member.ready_ns);
+    }
+  }
+  trace::ScopedContext scope(leader);
+  ++grants_inflight_;
+  GetPositionBatch(count, [this, group](mal::Status status, uint64_t first,
+                                        bool contended) {
+    if (status.ok()) {
+      contended_ = contended;
+    }
+    OnGroupGrant(group, status, first);
+  });
+}
+
+void Log::RecordQueueWait(const trace::TraceContext& span, const char* name,
+                          sim::Time since) {
+  trace::TraceCollector* collector = trace::Collector();
+  if (collector != nullptr && span.valid() && since < owner_->Now()) {
+    collector->EndSpan(collector->StartSpan(name, owner_->name().ToString(), since, span),
+                       owner_->Now());
+  }
+}
+
+void Log::ReleaseGrant() {
+  --grants_inflight_;
+  PumpGrants();
+}
+
+void Log::Reattempt(Member member) {
+  // Consume the attempt before building the continuation so it carries the
+  // advanced backoff.
+  sim::Time delay = member.backoff.NextDelay(&retry_rng_);
+  svc::RunAfter(owner_->simulator(), delay, [this, member = std::move(member)] {
+    BatchAttempt(member.batch, member.indices, member.backoff);
+  });
+}
+
+void Log::OnGroupGrant(std::shared_ptr<Group> group, mal::Status status, uint64_t first) {
+  // Sequencer failures are the group's, not a member's: run recovery or
+  // takeover once, then every member retries with fresh positions. The
+  // grant stays in flight until then, so under contention the batches
+  // queued meanwhile wait for the recovered sequencer instead of chasing
+  // the failed one.
+  auto retry_all = [this, group] {
+    for (const Member& member : *group) {
+      Reattempt(member);
+    }
+    ReleaseGrant();
   };
-  // Take the count before the lambda capture moves `indices` (argument
-  // evaluation order is unspecified).
-  const uint64_t count = indices.size();
-  GetPositionBatch(
-      count,
-      [this, batch, indices = std::move(indices), reattempt](mal::Status status,
-                                                             uint64_t first) {
-        if (status.code() == mal::Code::kAborted) {
-          // Sequencer lost its state: run CORFU recovery, then retry these
-          // entries under the new epoch (fresh positions).
-          Recover([this, batch, indices, reattempt](mal::Status recover_status,
-                                                    uint64_t) mutable {
-            if (!recover_status.ok()) {
-              if (ShouldTakeover(recover_status)) {
-                MaybeTakeover([this, batch, indices, reattempt,
-                               recover_status](mal::Status t) mutable {
-                  if (t.ok()) {
-                    reattempt(indices);
-                  } else {
-                    FinishBatch(batch, recover_status);
-                  }
-                });
-                return;
-              }
-              FinishBatch(batch, recover_status);
-              return;
-            }
-            reattempt(indices);
-          });
-          return;
-        }
-        if (!status.ok()) {
-          if (ShouldTakeover(status)) {
-            // The owning rank is gone (or lost the inode): attempt the
-            // sharded-sequencer takeover, then retry with fresh positions
-            // from the new owner.
-            MaybeTakeover([this, batch, indices, reattempt, status](mal::Status t) mutable {
-              if (t.ok()) {
-                reattempt(indices);
-              } else {
-                FinishBatch(batch, status);
-              }
-            });
-            return;
+  auto fail_all = [this, group](const mal::Status& failure) {
+    for (const Member& member : *group) {
+      FinishBatch(member.batch, failure);
+    }
+    ReleaseGrant();
+  };
+  auto takeover_or_fail = [this, retry_all, fail_all](const mal::Status& failure) {
+    if (!ShouldTakeover(failure)) {
+      fail_all(failure);
+      return;
+    }
+    // The owning rank is gone (or lost the inode): attempt the
+    // sharded-sequencer takeover, then retry with fresh positions from
+    // the new owner.
+    MaybeTakeover([retry_all, fail_all, failure](mal::Status t) {
+      if (t.ok()) {
+        retry_all();
+      } else {
+        fail_all(failure);
+      }
+    });
+  };
+  if (status.code() == mal::Code::kAborted) {
+    // Sequencer lost its state: run CORFU recovery, then retry under the
+    // new epoch.
+    Recover([retry_all, takeover_or_fail](mal::Status recover_status, uint64_t) {
+      if (recover_status.ok()) {
+        retry_all();
+      } else {
+        takeover_or_fail(recover_status);
+      }
+    });
+    return;
+  }
+  if (!status.ok()) {
+    takeover_or_fail(status);
+    return;
+  }
+  WriteGroup(std::move(group), first);
+  ReleaseGrant();
+}
+
+void Log::WriteGroup(std::shared_ptr<Group> group, uint64_t first) {
+  // Assign the grant [first, first+n) member by member, and group entries
+  // by stripe object: each OSD receives ONE transaction carrying all of
+  // the group's entries for it.
+  struct Slot {
+    size_t member;
+    size_t index;
+  };
+  std::map<std::string, std::vector<cls::ZlogOps::BatchEntry>> per_object;
+  std::map<std::string, std::vector<Slot>> object_slots;
+  uint64_t pos = first;
+  for (size_t m = 0; m < group->size(); ++m) {
+    Batch& batch = *(*group)[m].batch;
+    for (size_t index : (*group)[m].indices) {
+      batch.positions[index] = pos;
+      std::string oid = ObjectFor(pos);
+      per_object[oid].push_back({pos, batch.entries[index]});
+      object_slots[oid].push_back({m, index});
+      ++pos;
+    }
+  }
+  std::vector<rados::RadosClient::TargetedOp> ops;
+  std::vector<std::vector<Slot>> op_slots;  // parallel to ops
+  ops.reserve(per_object.size());
+  for (auto& [oid, batch_entries] : per_object) {
+    ops.push_back({oid, rados::RadosClient::MakeExecOp(
+                            "zlog", "write_batch",
+                            cls::ZlogOps::MakeWriteBatch(epoch_, batch_entries))});
+    op_slots.push_back(std::move(object_slots[oid]));
+  }
+  rados_->ExecuteTargeted(
+      std::move(ops), [this, group, op_slots = std::move(op_slots)](
+                          std::vector<osd::OpResult> results) {
+        // Collect, per member, entries that failed and must retry with
+        // fresh positions: whole targets that were fenced (stale epoch) or
+        // unreachable, and individual write-once collisions.
+        std::vector<std::vector<size_t>> retry(group->size());
+        bool fenced = false;
+        for (size_t j = 0; j < results.size(); ++j) {
+          const osd::OpResult& r = results[j];
+          auto retry_slot = [&retry](const Slot& slot) {
+            retry[slot.member].push_back(slot.index);
+          };
+          if (!r.status.ok()) {
+            // Whole-target failure: fenced by a newer epoch, or the target
+            // was unreachable/aborted. Every entry retries.
+            fenced = fenced || r.status.code() == mal::Code::kStaleEpoch;
+            std::for_each(op_slots[j].begin(), op_slots[j].end(), retry_slot);
+            continue;
           }
-          FinishBatch(batch, status);
+          auto codes = cls::ZlogOps::ParseWriteBatchResult(r.out);
+          if (!codes.ok() || codes.value().size() != op_slots[j].size()) {
+            std::for_each(op_slots[j].begin(), op_slots[j].end(), retry_slot);
+            continue;
+          }
+          for (size_t k = 0; k < codes.value().size(); ++k) {
+            // Per-entry invalidation: a collision (position consumed by
+            // recovery) retries alone; committed siblings stand.
+            if (codes.value()[k] != mal::Code::kOk) {
+              retry_slot(op_slots[j][k]);
+            }
+          }
+        }
+        // Members whose entries all landed finish now; the rest retry just
+        // the entries that failed.
+        auto retrying = std::make_shared<Group>();
+        for (size_t m = 0; m < group->size(); ++m) {
+          Member& member = (*group)[m];
+          if (retry[m].empty()) {
+            FinishBatch(member.batch, mal::Status::Ok());
+            continue;
+          }
+          std::sort(retry[m].begin(), retry[m].end());
+          member.indices = std::move(retry[m]);
+          retrying->push_back(std::move(member));
+        }
+        if (retrying->empty()) {
           return;
         }
-        // Assign the grant [first, first+n) and group entries by stripe
-        // object: each OSD receives ONE transaction carrying all of its
-        // entries for this batch.
-        std::map<std::string, std::vector<cls::ZlogOps::BatchEntry>> per_object;
-        std::map<std::string, std::vector<size_t>> object_indices;
-        for (size_t i = 0; i < indices.size(); ++i) {
-          uint64_t pos = first + i;
-          batch->positions[indices[i]] = pos;
-          std::string oid = ObjectFor(pos);
-          per_object[oid].push_back({pos, batch->entries[indices[i]]});
-          object_indices[oid].push_back(indices[i]);
+        if (!fenced) {
+          for (Member& member : *retrying) {
+            Reattempt(std::move(member));
+          }
+          return;
         }
-        std::vector<rados::RadosClient::TargetedOp> ops;
-        std::vector<std::vector<size_t>> op_entries;  // parallel to ops
-        ops.reserve(per_object.size());
-        for (auto& [oid, batch_entries] : per_object) {
-          ops.push_back({oid, rados::RadosClient::MakeExecOp(
-                                  "zlog", "write_batch",
-                                  cls::ZlogOps::MakeWriteBatch(epoch_, batch_entries))});
-          op_entries.push_back(object_indices[oid]);
-        }
-        rados_->ExecuteTargeted(
-            std::move(ops),
-            [this, batch, reattempt, op_entries = std::move(op_entries)](
-                std::vector<osd::OpResult> results) mutable {
-              // Collect entries that failed and must retry with fresh
-              // positions: whole targets that were fenced (stale epoch) or
-              // unreachable, and individual write-once collisions.
-              std::vector<size_t> retry;
-              bool fenced = false;
-              for (size_t j = 0; j < results.size(); ++j) {
-                const osd::OpResult& r = results[j];
-                if (!r.status.ok()) {
-                  // Whole-target failure: fenced by a newer epoch, or the
-                  // target was unreachable/aborted. Every entry retries.
-                  fenced = fenced || r.status.code() == mal::Code::kStaleEpoch;
-                  retry.insert(retry.end(), op_entries[j].begin(), op_entries[j].end());
-                  continue;
-                }
-                auto codes = cls::ZlogOps::ParseWriteBatchResult(r.out);
-                if (!codes.ok() || codes.value().size() != op_entries[j].size()) {
-                  retry.insert(retry.end(), op_entries[j].begin(), op_entries[j].end());
-                  continue;
-                }
-                for (size_t k = 0; k < codes.value().size(); ++k) {
-                  // Per-entry invalidation: a collision (position consumed
-                  // by recovery) retries alone; committed siblings stand.
-                  if (codes.value()[k] != mal::Code::kOk) {
-                    retry.push_back(op_entries[j][k]);
-                  }
-                }
-              }
-              if (retry.empty()) {
-                FinishBatch(batch, mal::Status::Ok());
-                return;
-              }
-              std::sort(retry.begin(), retry.end());
-              if (fenced) {
-                // We were sealed mid-batch: learn the new epoch, then retry
-                // the invalidated entries with fresh positions.
-                RefreshEpoch([this, batch, retry = std::move(retry),
-                              reattempt](mal::Status refresh_status) mutable {
-                  if (!refresh_status.ok()) {
-                    FinishBatch(batch, refresh_status);
-                    return;
-                  }
-                  reattempt(retry);
-                });
-                return;
-              }
-              reattempt(std::move(retry));
-            });
+        // We were sealed mid-group: learn the new epoch once for the whole
+        // group, then retry the invalidated entries with fresh positions.
+        RefreshEpoch([this, retrying](mal::Status refresh_status) {
+          for (Member& member : *retrying) {
+            if (refresh_status.ok()) {
+              Reattempt(std::move(member));
+            } else {
+              FinishBatch(member.batch, refresh_status);
+            }
+          }
+        });
       });
 }
 
@@ -706,8 +788,47 @@ void Log::Recover(PositionHandler on_recovered) {
       on_recovered(status, 0);
       return;
     }
-    SealAndInstall(epoch_ + 1, std::nullopt, std::move(on_recovered));
+    RecoverAt(epoch_ + 1, /*tries_left=*/4, std::move(on_recovered));
   });
+}
+
+void Log::RecoverAt(uint64_t new_epoch, int tries_left, PositionHandler on_recovered) {
+  SealAndInstall(new_epoch, std::nullopt,
+                 [this, new_epoch, tries_left, on_recovered](mal::Status status,
+                                                             uint64_t tail) {
+                   if (status.code() == mal::Code::kStaleEpoch && tries_left > 0) {
+                     // Some object is sealed at or past new_epoch: a racing
+                     // recovery, or one that sealed part of the stripe and
+                     // never installed its epoch. Outbid it.
+                     ReadSealedEpoch([this, new_epoch, tries_left, on_recovered](
+                                         mal::Status, uint64_t sealed) {
+                       RecoverAt(std::max(new_epoch, sealed) + 1, tries_left - 1,
+                                 on_recovered);
+                     });
+                     return;
+                   }
+                   on_recovered(status, tail);
+                 });
+}
+
+void Log::ReadSealedEpoch(PositionHandler on_epoch) {
+  std::vector<std::string> objects = AllObjects();
+  auto sealed = std::make_shared<uint64_t>(0);
+  auto pending = std::make_shared<size_t>(objects.size());
+  for (const std::string& oid : objects) {
+    osd::Op op;
+    op.type = osd::Op::Type::kXattrGet;
+    op.key = ZlogOps::kEpochXattr;
+    rados_->Execute(oid, {op}, [sealed, pending, on_epoch](mal::Status status,
+                                                          const osd::OsdOpReply& reply) {
+      if (status.ok() && !reply.results.empty()) {
+        *sealed = std::max(*sealed, ParseU64(reply.results.front().out.ToString()));
+      }
+      if (--*pending == 0) {
+        on_epoch(mal::Status::Ok(), *sealed);
+      }
+    });
+  }
 }
 
 void Log::Reconfigure(uint32_t new_width, PositionHandler on_done) {

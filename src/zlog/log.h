@@ -93,13 +93,19 @@ class Log {
   // write-once collisions after recovery) are retried with fresh positions
   // without stalling the other entries or the rest of the window. On
   // success, positions[i] is where entries[i] landed.
+  //
+  // Contention-aware grant coalescing: while the MDS reports that other
+  // clients are queued behind this log's grants, at most one grant is in
+  // flight; batches that become ready meanwhile share the next grant (split
+  // in FIFO order) and one write_batch per stripe object. Uncontended, every
+  // batch sends its own grant at once.
   void AppendBatch(std::vector<mal::Buffer> entries, BatchHandler on_done);
 
   // Batches currently on the wire (diagnostics/bench).
   uint32_t inflight_batches() const { return inflight_; }
 
   // Optional counter sink owned by the embedding client. When set, the log
-  // records zlog.appends / zlog.batches / zlog.entries /
+  // records zlog.appends / zlog.batches / zlog.entries / zlog.grants /
   // zlog.epoch_refreshes / zlog.batch_retries plus the zlog.inflight gauge
   // and a zlog.batch_us latency histogram.
   void set_perf(mal::PerfRegistry* perf) { perf_ = perf; }
@@ -116,6 +122,8 @@ class Log {
 
   // CORFU sequencer recovery: seal all stripe objects at a higher epoch,
   // compute the tail, install it into the inode, clear the recovery flag.
+  // Objects already sealed past the inode's epoch (a recovery that sealed
+  // some objects but never installed) are outbid with a higher epoch.
   void Recover(PositionHandler on_recovered);
 
   // CORFU view change: seals the log at a new epoch and installs a view
@@ -134,19 +142,47 @@ class Log {
 
  private:
   struct Batch;  // in-flight AppendBatch state (defined in log.cc)
+  // A batch waiting for positions: the entries still to place (fresh
+  // positions each attempt) and the batch's retry schedule.
+  struct Member {
+    std::shared_ptr<Batch> batch;
+    std::vector<size_t> indices;
+    svc::Backoff backoff;
+    sim::Time ready_ns = 0;  // when it joined the grant queue
+  };
+  // Batches sharing one grant, in FIFO order; the first is the leader whose
+  // span parents the shared RPCs.
+  using Group = std::vector<Member>;
+  using GrantHandler = std::function<void(mal::Status, uint64_t first, bool contended)>;
 
   void GetPosition(PositionHandler on_position);
   // Reserves `count` contiguous positions (one round-trip or one local
-  // increment) and yields the first.
-  void GetPositionBatch(uint64_t count, PositionHandler on_first);
+  // increment) and yields the first plus the MDS contention hint (local
+  // grants are never contended).
+  void GetPositionBatch(uint64_t count, GrantHandler on_grant);
   void AppendAttempt(std::shared_ptr<mal::Buffer> data, PositionHandler on_done,
                      svc::Backoff backoff);
   // Launches queued batches while the in-flight window has room.
   void PumpBatchQueue();
-  // Writes the batch entries named by `indices` (fresh positions each
-  // attempt), retrying per-entry failures until the retry budget runs out.
+  // Queues the batch entries named by `indices` for the next grant, unless
+  // the retry budget is spent.
   void BatchAttempt(std::shared_ptr<Batch> batch, std::vector<size_t> indices,
                     svc::Backoff backoff);
+  // Sends every queued member one shared grant, unless the last grant was
+  // contended and a grant is still in flight.
+  void PumpGrants();
+  // Sequencer failures run recovery or takeover once for the whole group.
+  void OnGroupGrant(std::shared_ptr<Group> group, mal::Status status, uint64_t first);
+  // Ends a grant (after any recovery it needed) and sends the next one.
+  void ReleaseGrant();
+  // Traces [since, now) as a `name` child of `span`: a client-side wait the
+  // critical path counts as queueing.
+  void RecordQueueWait(const trace::TraceContext& span, const char* name, sim::Time since);
+  // Splits [first, first + n) across the members in order and ships one
+  // write_batch per stripe object; failed entries retry per member.
+  void WriteGroup(std::shared_ptr<Group> group, uint64_t first);
+  // Re-queues the member's entries after its next backoff delay.
+  void Reattempt(Member member);
   void FinishBatch(std::shared_ptr<Batch> batch, mal::Status status);
   void RefreshEpoch(DoneHandler on_done);
   // Every object of every view (the set recovery must seal).
@@ -167,6 +203,12 @@ class Log {
   // a surviving rank. Calls on_done(ok) when a new owner is serving.
   void MaybeTakeover(DoneHandler on_done);
   void TakeoverInstall(uint32_t rank, int tries_left, DoneHandler on_done);
+  // Recover() at `new_epoch`; a seal found stale is retried just past the
+  // stripe's highest sealed epoch, up to `tries_left` times.
+  void RecoverAt(uint64_t new_epoch, int tries_left, PositionHandler on_recovered);
+  // Highest epoch any stripe object is sealed at (unreachable objects and
+  // unsealed ones count as 0).
+  void ReadSealedEpoch(PositionHandler on_epoch);
   static std::string EncodeViews(const std::vector<View>& views);
   static std::vector<View> DecodeViews(const std::string& encoded, uint32_t default_width);
 
@@ -183,6 +225,10 @@ class Log {
   // Windowed pipeline state.
   std::deque<std::shared_ptr<Batch>> batch_queue_;
   uint32_t inflight_ = 0;
+  // Grant coalescing state.
+  Group grant_queue_;  // members ready for positions
+  uint32_t grants_inflight_ = 0;
+  bool contended_ = false;  // the last grant's contention hint
   // Rotates the surviving-rank pick across repeated takeover attempts.
   uint64_t takeover_round_ = 0;
 };

@@ -165,6 +165,33 @@ TEST(ClsZlogTest, RecoveryProtocolComputesTail) {
 
 // ---- other builtins ------------------------------------------------------------
 
+TEST(ClsZlogTest, EntryKeysAreCompactAndSortLikePositions) {
+  std::vector<uint64_t> positions = {0,         1,          63,         64,
+                                     4095,      4096,       1ULL << 32, (1ULL << 32) + 1,
+                                     1ULL << 63, UINT64_MAX - 1, UINT64_MAX};
+  uint64_t x = 0x9e3779b97f4a7c15ULL;
+  for (int i = 0; i < 2000; ++i) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    positions.push_back(x >> (x % 64));  // spread over every magnitude
+  }
+  for (uint64_t a : positions) {
+    std::string key_a = ZlogOps::EntryKey(a);
+    EXPECT_LE(key_a.size(), 15u) << a;  // fits libstdc++'s short-string buffer
+    for (uint64_t b : {positions[0], positions[3], positions[6], positions[10], x, a + 1}) {
+      std::string key_b = ZlogOps::EntryKey(b);
+      EXPECT_EQ(key_a < key_b, a < b) << a << " vs " << b;
+      EXPECT_EQ(key_a == key_b, a == b) << a << " vs " << b;
+    }
+  }
+  for (size_t i = 1; i < positions.size(); ++i) {
+    uint64_t a = positions[i - 1];
+    uint64_t b = positions[i];
+    EXPECT_EQ(ZlogOps::EntryKey(a) < ZlogOps::EntryKey(b), a < b) << a << " vs " << b;
+  }
+}
+
 TEST(ClsLockTest, AcquireReleaseCycle) {
   ClsHarness h;
   ASSERT_TRUE(h.Call("lock", "acquire", mal::Buffer::FromString("alice")).ok());

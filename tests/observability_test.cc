@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -157,6 +158,91 @@ TEST(ObservabilityTest, AppendBatchYieldsPerfDumpAndSpanTree) {
       });
   ASSERT_TRUE(cluster.RunUntil([&got_dump] { return got_dump; }));
   EXPECT_NE(rpc_json.find("\"entities\""), std::string::npos);
+}
+
+// Four clients contend for one MDS rank, so each log shares grants and
+// stripe writes across its ready batches. The shared RPC spans hang under
+// each group's first batch; every other member follows its link to them.
+// Under an application root per call (as malbench opens), the critical
+// path of every root must still telescope exactly, with next to nothing
+// left unattributed ("other").
+TEST(ObservabilityTest, SharedGrantCriticalPathsFollowLinks) {
+  cluster::ClusterOptions options;
+  options.num_mons = 1;
+  options.num_osds = 4;
+  options.num_mds = 1;
+  options.osd.replicas = 2;
+  cluster::Cluster cluster(options);
+  cluster.Boot();
+  constexpr int kClients = 4;
+  constexpr int kBatches = 16;
+  std::vector<cluster::Client*> clients;
+  std::vector<std::unique_ptr<zlog::Log>> logs;
+  for (int c = 0; c < kClients; ++c) {
+    clients.push_back(cluster.NewClient());
+    zlog::LogOptions log_options;
+    log_options.name = "traced" + std::to_string(c);
+    log_options.max_inflight = 4;
+    logs.push_back(clients.back()->OpenLog(log_options));
+    bool opened = false;
+    logs.back()->Open([&opened](mal::Status status) {
+      ASSERT_TRUE(status.ok()) << status.ToString();
+      opened = true;
+    });
+    ASSERT_TRUE(cluster.RunUntil([&opened] { return opened; }));
+  }
+
+  trace::TraceCollector collector;
+  trace::ScopedCollector scoped(&collector);
+  int done = 0;
+  for (int c = 0; c < kClients; ++c) {
+    for (int b = 0; b < kBatches; ++b) {
+      trace::TraceContext root = collector.StartSpan(
+          "app.append", clients[c]->name().ToString(), cluster.simulator().Now());
+      trace::ScopedContext scope(root);
+      std::vector<mal::Buffer> entries(8, mal::Buffer::FromString("payload"));
+      logs[c]->AppendBatch(std::move(entries), [&, root](mal::Status status,
+                                                         const std::vector<uint64_t>&) {
+        EXPECT_TRUE(status.ok()) << status.ToString();
+        collector.EndSpan(root, cluster.simulator().Now());
+        ++done;
+      });
+    }
+  }
+  ASSERT_TRUE(cluster.RunUntil([&done] { return done == kClients * kBatches; }));
+  uint64_t grants = 0;
+  for (cluster::Client* client : clients) {
+    grants += client->perf.counter("zlog.grants");
+  }
+  ASSERT_LT(grants, static_cast<uint64_t>(kClients * kBatches)) << "no batches shared a grant";
+
+  int roots = 0;
+  int linked = 0;
+  for (const trace::Span& span : collector.spans()) {
+    if (span.name == "zlog.AppendBatch") {
+      linked += span.link_span_id != 0 ? 1 : 0;
+    }
+    if (span.name != "app.append") {
+      continue;
+    }
+    ASSERT_FALSE(span.open);
+    ++roots;
+    trace::CriticalPath path = trace::AnalyzeCriticalPath(collector, span);
+    uint64_t sum = 0;
+    for (const auto& [segment, ns] : path.segment_ns) {
+      sum += ns;
+    }
+    EXPECT_EQ(sum, path.total_ns) << "segments do not telescope";
+    uint64_t other = path.segment_ns.count("other") != 0 ? path.segment_ns.at("other") : 0;
+    EXPECT_LE(other * 20, path.total_ns)
+        << "more than 5% unattributed: " << other << " of " << path.total_ns << " ns";
+    // The shared sequencer grant and stripe commits are on every member's
+    // own path, not just its leader's.
+    EXPECT_GT(path.segment_ns.count("seq_wait"), 0u);
+    EXPECT_GT(path.segment_ns.count("osd_commit"), 0u);
+  }
+  EXPECT_EQ(roots, kClients * kBatches);
+  EXPECT_GT(linked, 0) << "no batch followed a shared grant";
 }
 
 }  // namespace

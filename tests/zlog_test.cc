@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 
 #include "src/cluster/cluster.h"
 
@@ -81,6 +82,53 @@ class ZlogFixture : public ::testing::Test {
                      });
     EXPECT_TRUE(cluster->RunUntil([&] { return result.has_value(); }, timeout));
     return result.value_or(BatchResult{Status::TimedOut("append batch")});
+  }
+
+  // Issues `batches` AppendBatch calls of `size` entries on `log` at once
+  // (the in-flight window queues the excess). Batch b, entry i carries
+  // prefix + (b * size + i); results land in `out` by batch index.
+  void IssueBatches(Log* log, const std::string& prefix, int batches, int size,
+                    std::vector<std::optional<BatchResult>>* out) {
+    out->assign(batches, std::nullopt);
+    for (int b = 0; b < batches; ++b) {
+      std::vector<Buffer> entries;
+      for (int i = 0; i < size; ++i) {
+        entries.push_back(Buffer::FromString(prefix + std::to_string(b * size + i)));
+      }
+      log->AppendBatch(std::move(entries),
+                       [out, b](Status s, const std::vector<uint64_t>& positions) {
+                         ASSERT_FALSE((*out)[b].has_value()) << "batch " << b << " twice";
+                         (*out)[b] = BatchResult{s, positions};
+                       });
+    }
+  }
+
+  static bool AllDone(const std::vector<std::optional<BatchResult>>& results) {
+    return std::all_of(results.begin(), results.end(),
+                       [](const auto& r) { return r.has_value(); });
+  }
+
+  // Every batch succeeded, no position was acked twice, and every entry
+  // reads back exactly. Returns the acked positions.
+  std::set<uint64_t> ExpectBatchesLanded(
+      Log* log, const std::string& prefix, int size,
+      const std::vector<std::optional<BatchResult>>& results) {
+    std::set<uint64_t> acked;
+    for (size_t b = 0; b < results.size(); ++b) {
+      EXPECT_TRUE(results[b]->status.ok()) << "batch " << b << ": " << results[b]->status;
+      if (!results[b]->status.ok()) {
+        continue;
+      }
+      EXPECT_EQ(results[b]->positions.size(), static_cast<size_t>(size));
+      for (size_t i = 0; i < results[b]->positions.size(); ++i) {
+        uint64_t pos = results[b]->positions[i];
+        EXPECT_TRUE(acked.insert(pos).second) << "position " << pos << " acked twice";
+        ReadResult r = Read(log, pos);
+        EXPECT_TRUE(r.status.ok()) << "pos " << pos << ": " << r.status;
+        EXPECT_EQ(r.data, prefix + std::to_string(b * size + i)) << "pos " << pos;
+      }
+    }
+    return acked;
   }
 
   std::vector<std::string> Payloads(const std::string& prefix, int n) {
@@ -762,6 +810,255 @@ TEST_F(ZlogFixture, RecoveryWithInFlightBatchesLeaksHolesNotData) {
           << "phantom data at pos " << pos << ": " << r.data;
     }
   }
+}
+
+TEST_F(ZlogFixture, RecoveryOutbidsHalfAppliedSeal) {
+  // A recovery that sealed part of the stripe and never installed its
+  // epoch (an object was unreachable, then the recoverer gave up) leaves
+  // objects sealed past the inode's epoch. The next recovery must seal past
+  // them instead of failing on the stale seal forever.
+  Start();
+  auto* client = cluster->NewClient();
+  LogOptions options;
+  options.name = "halfsealed";
+  auto log = OpenLog(client, options);
+  ASSERT_TRUE(Append(log.get(), "before").ok());
+  int sealed = 0;
+  for (uint64_t pos = 0; pos + 1 < options.stripe_width; ++pos) {
+    client->rados.Exec(log->ObjectFor(pos), "zlog", "seal", cls::ZlogOps::MakeSeal(5),
+                       [&](Status s, const Buffer&) {
+                         EXPECT_TRUE(s.ok()) << s;
+                         ++sealed;
+                       });
+  }
+  ASSERT_TRUE(cluster->RunUntil(
+      [&] { return sealed == static_cast<int>(options.stripe_width) - 1; }));
+
+  std::optional<Status> recovered;
+  log->Recover([&](Status s, uint64_t) { recovered = s; });
+  ASSERT_TRUE(cluster->RunUntil([&] { return recovered.has_value(); }));
+  ASSERT_TRUE(recovered->ok()) << *recovered;
+  EXPECT_EQ(log->epoch(), 6u);
+  auto pos = Append(log.get(), "after");
+  ASSERT_TRUE(pos.ok()) << pos.status();
+  EXPECT_EQ(Read(log.get(), pos.value()).data, "after");
+  EXPECT_EQ(Read(log.get(), 0).data, "before");
+}
+
+// -- contention-aware grant coalescing ------------------------------------------
+
+TEST_F(ZlogFixture, UncontendedGrantsOnePerBatch) {
+  // One client on an idle rank: its own queued grants are no contention,
+  // so every batch keeps its own grant, exactly as without coalescing.
+  Start();
+  auto* client = cluster->NewClient();
+  LogOptions options;
+  options.name = "solo";
+  options.max_inflight = 4;
+  auto log = OpenLog(client, options);
+  const uint64_t grants_before = cluster->mds(0).perf().counter("mds.seq.batch_grants");
+
+  constexpr int kBatches = 12;
+  constexpr int kSize = 8;
+  std::vector<std::optional<BatchResult>> results;
+  IssueBatches(log.get(), "solo-", kBatches, kSize, &results);
+  ASSERT_TRUE(cluster->RunUntil([&] { return AllDone(results); }));
+  ExpectBatchesLanded(log.get(), "solo-", kSize, results);
+
+  EXPECT_EQ(cluster->mds(0).perf().counter("mds.seq.batch_grants") - grants_before,
+            static_cast<uint64_t>(kBatches));
+  EXPECT_EQ(cluster->mds(0).perf().counter("mds.seq.contended_grants"), 0u);
+  EXPECT_EQ(client->perf.counter("zlog.grants"), static_cast<uint64_t>(kBatches));
+}
+
+TEST_F(ZlogFixture, ContendedClientsCoalesceGrants) {
+  // Four clients, one log each, all on one rank: the rank reports
+  // contention, and each log folds its ready batches into shared grants.
+  Start();
+  constexpr int kClients = 4;
+  constexpr int kBatches = 16;
+  constexpr int kSize = 8;
+  std::vector<cluster::Client*> clients;
+  std::vector<std::unique_ptr<Log>> logs;
+  for (int c = 0; c < kClients; ++c) {
+    clients.push_back(cluster->NewClient());
+    LogOptions options;
+    options.name = "busy" + std::to_string(c);
+    options.max_inflight = 4;
+    logs.push_back(OpenLog(clients.back(), options));
+  }
+  const uint64_t grants_before = cluster->mds(0).perf().counter("mds.seq.batch_grants");
+  std::vector<std::vector<std::optional<BatchResult>>> results(kClients);
+  for (int c = 0; c < kClients; ++c) {
+    IssueBatches(logs[c].get(), "c" + std::to_string(c) + "-", kBatches, kSize, &results[c]);
+  }
+  ASSERT_TRUE(cluster->RunUntil([&] {
+    return std::all_of(results.begin(), results.end(), AllDone);
+  }));
+
+  const uint64_t grants =
+      cluster->mds(0).perf().counter("mds.seq.batch_grants") - grants_before;
+  EXPECT_LT(grants, static_cast<uint64_t>(kClients * kBatches));
+  EXPECT_GT(cluster->mds(0).perf().counter("mds.seq.contended_grants"), 0u);
+  for (int c = 0; c < kClients; ++c) {
+    SCOPED_TRACE("client " + std::to_string(c));
+    EXPECT_LT(clients[c]->perf.counter("zlog.grants"),
+              clients[c]->perf.counter("zlog.batches"));
+    std::set<uint64_t> acked =
+        ExpectBatchesLanded(logs[c].get(), "c" + std::to_string(c) + "-", kSize, results[c]);
+    // Fault-free, so the FIFO split leaves no holes: positions 0..n-1, and
+    // each batch holds a contiguous ascending run.
+    ASSERT_EQ(acked.size(), static_cast<size_t>(kBatches * kSize));
+    EXPECT_EQ(*acked.begin(), 0u);
+    EXPECT_EQ(*acked.rbegin(), static_cast<uint64_t>(kBatches * kSize - 1));
+    for (const auto& r : results[c]) {
+      for (size_t i = 1; i < r->positions.size(); ++i) {
+        EXPECT_EQ(r->positions[i], r->positions[i - 1] + 1);
+      }
+    }
+  }
+}
+
+TEST_F(ZlogFixture, ContendedGroupSealedMidGroupRetriesEveryMember) {
+  // A recovery from another client seals the log while grouped batches are
+  // on the wire: every fenced member retries with fresh positions, nothing
+  // is acked twice, and each fenced group refreshes the epoch once (so
+  // fewer refreshes than retried members).
+  Start();
+  constexpr int kClients = 4;
+  constexpr int kBatches = 24;
+  constexpr int kSize = 8;
+  std::vector<cluster::Client*> clients;
+  std::vector<std::unique_ptr<Log>> logs;
+  for (int c = 0; c < kClients; ++c) {
+    clients.push_back(cluster->NewClient());
+    LogOptions options;
+    options.name = "sealed" + std::to_string(c);
+    options.max_inflight = 4;
+    options.max_append_retries = 8;
+    logs.push_back(OpenLog(clients.back(), options));
+  }
+  std::vector<std::vector<std::optional<BatchResult>>> results(kClients);
+  for (int c = 0; c < kClients; ++c) {
+    IssueBatches(logs[c].get(), "s" + std::to_string(c) + "-", kBatches, kSize, &results[c]);
+  }
+  // Seal log 0 once coalescing is under way.
+  ASSERT_TRUE(cluster->RunUntil([&] {
+    return clients[0]->perf.counter("zlog.grants") + 4 <
+           clients[0]->perf.counter("zlog.batches");
+  }));
+  const uint64_t refreshes_before = clients[0]->perf.counter("zlog.epoch_refreshes");
+  const uint64_t retries_before = clients[0]->perf.counter("zlog.batch_retries");
+  auto* sealer = cluster->NewClient();
+  LogOptions sealer_options;
+  sealer_options.name = "sealed0";
+  auto sealer_log = OpenLog(sealer, sealer_options);
+  std::optional<Status> recovered;
+  sealer_log->Recover([&](Status s, uint64_t) { recovered = s; });
+  ASSERT_TRUE(cluster->RunUntil(
+      [&] {
+        return recovered.has_value() &&
+               std::all_of(results.begin(), results.end(), AllDone);
+      },
+      120 * sim::kSecond));
+  ASSERT_TRUE(recovered->ok()) << *recovered;
+  EXPECT_GE(logs[0]->epoch(), 1u);
+
+  const uint64_t refreshes =
+      clients[0]->perf.counter("zlog.epoch_refreshes") - refreshes_before;
+  const uint64_t retries = clients[0]->perf.counter("zlog.batch_retries") - retries_before;
+  EXPECT_GE(refreshes, 1u) << "the seal never fenced a write";
+  EXPECT_LT(refreshes, retries) << "fenced members refreshed one by one";
+  for (int c = 0; c < kClients; ++c) {
+    SCOPED_TRACE("client " + std::to_string(c));
+    std::set<uint64_t> acked =
+        ExpectBatchesLanded(logs[c].get(), "s" + std::to_string(c) + "-", kSize, results[c]);
+    EXPECT_EQ(acked.size(), static_cast<size_t>(kBatches * kSize));
+  }
+}
+
+TEST_F(ZlogFixture, ContendedGroupSurvivesRankCrash) {
+  // Sharded sequencers on two ranks, four contending logs on rank 0. Rank
+  // 0 crashes with grouped grants queued: every member of every group
+  // retries through one takeover per group and lands exactly once.
+  ClusterOptions options;
+  options.num_osds = 4;
+  options.num_mds = 2;
+  options.osd.replicas = 2;
+  options.mds.seq_ownership = true;
+  options.mon.proposal_interval = 200 * sim::kMillisecond;
+  cluster = std::make_unique<Cluster>(options);
+  cluster->Boot();
+  constexpr int kClients = 4;
+  constexpr int kBatches = 24;
+  constexpr int kSize = 8;
+  std::vector<cluster::Client*> clients;
+  std::vector<std::unique_ptr<Log>> logs;
+  for (int c = 0; c < kClients; ++c) {
+    clients.push_back(cluster->NewClient());
+    LogOptions log_options;
+    log_options.name = "crash" + std::to_string(c);
+    log_options.max_inflight = 4;
+    log_options.max_append_retries = 8;
+    logs.push_back(OpenLog(clients.back(), log_options));
+  }
+  cluster->RunFor(2 * sim::kSecond);  // let the ownership publishes commit
+  std::vector<std::vector<std::optional<BatchResult>>> results(kClients);
+  for (int c = 0; c < kClients; ++c) {
+    IssueBatches(logs[c].get(), "k" + std::to_string(c) + "-", kBatches, kSize, &results[c]);
+  }
+  // Crash once the start-up burst (every window slot sending its own grant)
+  // has drained and each log runs one shared grant at a time.
+  ASSERT_TRUE(cluster->RunUntil(
+      [&] { return cluster->mds(0).perf().counter("mds.seq.batch_grants") >= 24; }));
+  ASSERT_GT(cluster->mds(0).perf().counter("mds.seq.contended_grants"), 0u);
+  cluster->mds(0).Crash();
+  ASSERT_TRUE(cluster->RunUntil(
+      [&] { return std::all_of(results.begin(), results.end(), AllDone); },
+      300 * sim::kSecond));
+
+  for (int c = 0; c < kClients; ++c) {
+    SCOPED_TRACE("client " + std::to_string(c));
+    // One grant in flight per contended log: one takeover covers the group.
+    EXPECT_EQ(clients[c]->perf.counter("zlog.takeovers"), 1u);
+    EXPECT_GT(clients[c]->perf.counter("zlog.batch_retries"), 0u);
+    std::set<uint64_t> acked =
+        ExpectBatchesLanded(logs[c].get(), "k" + std::to_string(c) + "-", kSize, results[c]);
+    EXPECT_EQ(acked.size(), static_cast<size_t>(kBatches * kSize));
+  }
+}
+
+TEST_F(ZlogFixture, MdsCrashClearsContentionCounts) {
+  // Requests queued at a crash die with it; their contention counts must
+  // too, or every later grant would report phantom contention.
+  Start();
+  auto* a = cluster->NewClient();
+  auto* b = cluster->NewClient();
+  LogOptions options;
+  options.name = "qa";
+  auto log_a = OpenLog(a, options);
+  options.name = "qb";
+  auto log_b = OpenLog(b, options);
+  for (int i = 0; i < 4; ++i) {
+    a->mds.SeqNextBatch(log_a->sequencer_path(), 4, [](Status, uint64_t, bool) {});
+    b->mds.SeqNextBatch(log_b->sequencer_path(), 4, [](Status, uint64_t, bool) {});
+  }
+  mds::MdsDaemon& mds = cluster->mds(0);
+  ASSERT_TRUE(cluster->RunUntil([&] { return mds.queued_requests() >= 6; }));
+  mds.Crash();
+  EXPECT_EQ(mds.queued_requests(), 0u);
+  mds.Recover();
+  cluster->RunFor(2 * sim::kSecond);
+  EXPECT_EQ(mds.queued_requests(), 0u);
+
+  std::optional<bool> contended;
+  a->mds.SeqNextBatch(log_a->sequencer_path(), 4,
+                      [&](Status s, uint64_t, bool c) {
+                        EXPECT_TRUE(s.ok()) << s;
+                        contended = c;
+                      });
+  ASSERT_TRUE(cluster->RunUntil([&] { return contended.has_value(); }));
+  EXPECT_FALSE(*contended);
 }
 
 }  // namespace
