@@ -281,6 +281,10 @@ int main(int argc, char** argv) {
                      r.reads_failed == 0);
     ok &= ShapeCheck(name + ": degraded reads decoded around the loss",
                      r.degraded_reads > 0);
+    // A degraded shard costs its new home one round of pulls to every up
+    // OSD (all miss), not one round trip per OSD.
+    ok &= ShapeCheck(name + ": degraded read p50 <= 2.5x healthy p50",
+                     r.degraded_read_us.Quantile(0.50) <= 2.5 * r.read_us.Quantile(0.50));
     ok &= ShapeCheck(name + ": scrub restored full redundancy",
                      r.missing_after == 0 && r.rebuild_ms > 0);
     ok &= ShapeCheck(name + ": every lost shard rebuilt",

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 
 #include "src/common/log.h"
 #include "src/common/trace.h"
@@ -388,7 +389,7 @@ void Osd::HandleOsdOp(const sim::Envelope& request, OsdOpRequest req) {
           candidates.push_back(id);
         }
       }
-      PullThenExecute(request, req, candidates, 0);
+      PullThenExecute(request, req, candidates);
       return;
     }
   }
@@ -396,29 +397,74 @@ void Osd::HandleOsdOp(const sim::Envelope& request, OsdOpRequest req) {
 }
 
 void Osd::PullThenExecute(const sim::Envelope& request, const OsdOpRequest& req,
-                          const std::vector<uint32_t>& candidates, size_t index) {
-  std::vector<uint32_t> acting = ActingSetForOid(req.oid, osd_map_, config_.replicas);
-  if (index >= candidates.size()) {
-    ExecuteOsdOp(request, req, acting);  // nobody has it; proceed (NotFound)
+                          const std::vector<uint32_t>& candidates) {
+  if (candidates.empty()) {
+    ExecuteOsdOp(request, req, ActingSetForOid(req.oid, osd_map_, config_.replicas));
     return;
   }
-  PullObjectRequest pull{req.oid};
-  SendRequest(sim::EntityName::Osd(candidates[index]), kMsgPullObject, mal::Encode(pull),
-              [this, request, req, candidates, index, acting](
-                  mal::Status status, const sim::Envelope& reply) {
-                if (status.ok()) {
-                  mal::Decoder dec(reply.payload);
-                  Object pulled = Object::Decode(&dec);
-                  if (AdoptableObject(req.oid, pulled)) {
-                    store_.Put(req.oid, std::move(pulled));
-                    ExecuteOsdOp(request, req, acting);
-                    return;
-                  }
-                  // Corrupt shard offered: keep sweeping for a clean copy.
-                }
-                PullThenExecute(request, req, candidates, index + 1);
-              },
-              config_.pull_timeout);
+  // One round of pulls: every candidate is asked at once, and answers are
+  // settled in candidate order, so the copy adopted is the one a serial
+  // sweep would have found first (acting-set peers keep precedence). A
+  // crashed candidate still marked up holds the decision for pull_timeout.
+  struct Sweep {
+    sim::Envelope request;
+    OsdOpRequest req;
+    sim::Time start = 0;
+    std::vector<bool> answered;
+    std::vector<std::optional<Object>> offers;  // adoptable copies only
+    size_t next = 0;       // first candidate not yet settled
+    bool decided = false;  // the op ran; later replies are dropped
+  };
+  auto sweep = std::make_shared<Sweep>();
+  sweep->request = request;
+  sweep->req = req;
+  sweep->start = Now();
+  sweep->answered.resize(candidates.size());
+  sweep->offers.resize(candidates.size());
+  perf_.Inc("osd.pull.sweeps");
+
+  mal::Buffer payload = mal::Encode(PullObjectRequest{req.oid});
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    SendRequest(
+        sim::EntityName::Osd(candidates[i]), kMsgPullObject, payload,
+        [this, sweep, i](mal::Status status, const sim::Envelope& reply) {
+          // After a local crash every pending pull fails here at once; the
+          // op died with the daemon, so neither adopt nor execute.
+          if (sweep->decided || !alive()) {
+            return;
+          }
+          sweep->answered[i] = true;
+          if (status.ok()) {
+            mal::Decoder dec(reply.payload);
+            Object pulled = Object::Decode(&dec);
+            // A corrupt shard counts as no copy: keep looking for a clean one.
+            if (AdoptableObject(sweep->req.oid, pulled)) {
+              sweep->offers[i] = std::move(pulled);
+            }
+          }
+          size_t n = sweep->answered.size();
+          while (sweep->next < n && sweep->answered[sweep->next] &&
+                 !sweep->offers[sweep->next].has_value()) {
+            ++sweep->next;
+          }
+          if (sweep->next < n && !sweep->answered[sweep->next]) {
+            return;  // an earlier candidate may still offer a copy
+          }
+          sweep->decided = true;
+          // A write or scrub push that landed meanwhile is newer than any
+          // pulled copy; only fill a hole.
+          if (sweep->next < n && !store_.Exists(sweep->req.oid)) {
+            store_.Put(sweep->req.oid, std::move(*sweep->offers[sweep->next]));
+            perf_.Inc("osd.pull.adopted");
+          }
+          sweep->offers.clear();
+          perf_.Observe("osd.pull.sweep_us",
+                        static_cast<double>(Now() - sweep->start) / 1e3);
+          ExecuteOsdOp(sweep->request, sweep->req,
+                       ActingSetForOid(sweep->req.oid, osd_map_, config_.replicas));
+        },
+        config_.pull_timeout);
+  }
 }
 
 void Osd::ExecuteOsdOp(const sim::Envelope& request, const OsdOpRequest& req_in,

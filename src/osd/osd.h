@@ -56,7 +56,9 @@ struct OsdConfig {
   sim::Time replication_timeout = 2 * sim::kSecond;
   // When a primary receives an op for an object it does not hold (e.g. the
   // acting set changed after a failure or a placement-group split), it
-  // first tries to pull the object from the other acting-set members.
+  // first tries to pull the object from every other up OSD, acting-set
+  // peers first. All candidates are asked at once; each pull waits at most
+  // `pull_timeout`.
   bool pull_on_miss = true;
   sim::Time pull_timeout = 1 * sim::kSecond;
   // Background scrub: every interval, the primary of one random local
@@ -125,9 +127,10 @@ class Osd : public sim::Actor {
   void HandleOsdOp(const sim::Envelope& request, OsdOpRequest req);
   void ExecuteOsdOp(const sim::Envelope& request, const OsdOpRequest& req,
                     const std::vector<uint32_t>& acting);
-  // Tries peers[index..] for a copy of req.oid, then executes the op.
+  // Asks every candidate for a copy of req.oid in one round, adopts the
+  // first adoptable copy in candidate order, then executes the op once.
   void PullThenExecute(const sim::Envelope& request, const OsdOpRequest& req,
-                       const std::vector<uint32_t>& acting, size_t index);
+                       const std::vector<uint32_t>& candidates);
   void HandleRepOp(const sim::Envelope& request, OsdOpRequest req);
   void HandleGossip(const sim::Envelope& request);
   void HandleWatch(const sim::Envelope& request, WatchRequest req);

@@ -27,6 +27,9 @@ void DedupWindow::Reset() {
 }
 
 bool DedupWindow::Insert(uint64_t a, uint64_t b) {
+  if (table_.empty()) {
+    Reset();
+  }
   size_t i = Hash(a, b);
   size_t insert_at = kTableSize;  // first tombstone seen, if any
   while (true) {

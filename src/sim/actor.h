@@ -36,7 +36,9 @@ class DedupWindow {
  public:
   static constexpr size_t kWindow = 4096;
 
-  DedupWindow() { Reset(); }
+  // The table and ring (~450 KB) are allocated by the first Insert, so an
+  // actor that never serves an rpc (a client, the scrub agent) holds none.
+  DedupWindow() = default;
 
   // Returns true if (a, b) was newly recorded; false if it was already in
   // the window (a replay). Inserting a fresh key evicts the oldest one once

@@ -279,6 +279,62 @@ TEST(EcPoolTest, SealedObjectFencesStaleEpochWriters) {
   EXPECT_EQ(reread.value(), "generation two");
 }
 
+TEST(EcPoolTest, DegradedReadCostsOnePullRound) {
+  cluster::ClusterOptions options;
+  options.num_osds = 6;
+  options.mon.proposal_interval = 200 * sim::kMillisecond;
+  cluster::Cluster cluster(options);
+  cluster.Boot();
+  auto* client = cluster.NewClient();
+  client->rados.set_perf(&client->perf);
+
+  Pool pool = CreatePool(&cluster, client, "ecpool", /*k=*/3);
+  std::string payload = "read around a shard whose only copy is gone";
+  ASSERT_TRUE(PoolWrite(&cluster, &pool, "obj", payload).ok());
+
+  // Virtual-time latency of one read, measured at its completion.
+  auto timed_read = [&](sim::Time* latency) {
+    sim::Time start = cluster.simulator().Now();
+    std::optional<Status> read;
+    pool.Read("obj", [&](Status s, const Buffer& data) {
+      read = s.ok() && data.ToString() != payload ? Status::DataLoss("mismatch") : s;
+      *latency = cluster.simulator().Now() - start;
+    });
+    EXPECT_TRUE(cluster.RunUntil([&] { return read.has_value(); }, 60 * sim::kSecond));
+    return read.value_or(Status::TimedOut("no callback"));
+  };
+  sim::Time healthy = 0;
+  ASSERT_TRUE(timed_read(&healthy).ok());
+
+  // Permanently lose the home of shard 0 and commit the loss to the map.
+  auto victim_set = osd::ActingSetForOid(pool.ShardOid("obj", 0), client->rados.osd_map(),
+                                         options.osd.replicas);
+  ASSERT_EQ(victim_set.size(), 1u);
+  cluster.osd(victim_set[0]).Crash();
+  cluster.osd(victim_set[0]).store().Clear();
+  mon::Transaction fail;
+  fail.op = mon::Transaction::Op::kOsdFail;
+  fail.daemon_id = victim_set[0];
+  std::optional<Status> committed;
+  client->rados.mon_client().SubmitTransaction(fail, [&](Status s) { committed = s; });
+  ASSERT_TRUE(cluster.RunUntil([&] { return committed.has_value(); }));
+  ASSERT_TRUE(committed->ok()) << *committed;
+  std::optional<Status> refreshed;
+  client->rados.RefreshMap([&](Status s) { refreshed = s; });
+  ASSERT_TRUE(cluster.RunUntil([&] { return refreshed.has_value(); }));
+  cluster.RunFor(1 * sim::kSecond);  // every OSD adopts the new map
+
+  // The shard's new home misses it and sweeps every other up OSD for a
+  // copy. No OSD has one, and the sweep costs one pull round trip, not
+  // one per OSD, so the degraded read stays within 2x of a healthy one.
+  uint64_t degraded_before = client->perf.counter("rados.ec.degraded_reads");
+  sim::Time degraded = 0;
+  ASSERT_TRUE(timed_read(&degraded).ok());
+  EXPECT_EQ(client->perf.counter("rados.ec.degraded_reads"), degraded_before + 1);
+  EXPECT_LT(degraded, 2 * healthy) << "healthy " << healthy << " ns, degraded " << degraded
+                                   << " ns";
+}
+
 // -- Scrub/rebuild -----------------------------------------------------------
 
 TEST(ScrubTest, RebuildsFullRedundancyAfterOsdLoss) {

@@ -3,7 +3,9 @@
 // Service Metadata interface, map gossip, failure recovery, and scrub.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <optional>
 
 #include "src/mon/monitor.h"
 #include "src/osd/osd.h"
@@ -100,6 +102,29 @@ class OsdClusterFixture : public ::testing::Test {
       return Status::TimedOut("no callback");
     }
     return *result;
+  }
+
+  // Acting set of `oid` (primary first) and, in `others`, the OSDs outside
+  // it in id order: the tail of the primary's pull-sweep candidate list.
+  std::vector<uint32_t> ActingAndOthers(const std::string& oid,
+                                        std::vector<uint32_t>* others) {
+    auto acting = osd::ActingSetForOid(oid, osds[0]->osd_map(), replicas_);
+    for (auto& daemon : osds) {
+      uint32_t id = daemon->name().id;
+      if (std::find(acting.begin(), acting.end(), id) == acting.end()) {
+        others->push_back(id);
+      }
+    }
+    return acting;
+  }
+
+  // Installs a copy of `oid` on one OSD directly, as if left by a re-peer.
+  void PlantCopy(uint32_t osd_id, const std::string& oid, const std::string& data,
+                 uint64_t version) {
+    osd::Object object;
+    object.data = Buffer::FromString(data);
+    object.version = version;
+    osds[osd_id]->store().Put(oid, std::move(object));
   }
 
   // OSDs holding a copy of `oid`, per the stores themselves.
@@ -440,6 +465,114 @@ TEST_F(OsdClusterFixture, PgSplitRemapsAndPullsOnMiss) {
     ASSERT_TRUE(data.ok()) << oids[i] << ": " << data.status();
     EXPECT_EQ(data.value(), "data" + std::to_string(i));
   }
+}
+
+// The pull sweep asks every candidate at once but settles answers in
+// candidate order. Network latency grows with payload size, so a large
+// copy on an early candidate answers after a small copy on a later one.
+constexpr size_t kSlowCopyBytes = 256 * 1024;
+
+TEST_F(OsdClusterFixture, PullSweepAdoptsEarliestCandidateNotFirstAnswer) {
+  Start(4, /*replicas=*/2);
+  std::vector<uint32_t> others;
+  auto acting = ActingAndOthers("pick.obj", &others);
+  ASSERT_EQ(acting.size(), 2u);
+  ASSERT_EQ(others.size(), 2u);
+  // Diverged copies: the acting-set peer holds an older, larger version;
+  // the last candidate a newer, small one that answers first.
+  std::string peer_copy(kSlowCopyBytes, 'p');
+  PlantCopy(acting[1], "pick.obj", peer_copy, /*version=*/3);
+  PlantCopy(others.back(), "pick.obj", "later-candidate", /*version=*/7);
+
+  auto data = ReadBack("pick.obj");
+  ASSERT_TRUE(data.ok()) << data.status();
+  EXPECT_TRUE(data.value() == peer_copy) << "adopted the copy of a later candidate";
+  Osd& primary = *osds[acting[0]];
+  EXPECT_EQ(primary.store().Get("pick.obj").value()->version, 3u);
+  EXPECT_EQ(primary.perf().counter("osd.pull.sweeps"), 1u);
+  EXPECT_EQ(primary.perf().counter("osd.pull.adopted"), 1u);
+}
+
+TEST_F(OsdClusterFixture, PullSweepDropsRepliesAfterDecision) {
+  Start(4, /*replicas=*/2);
+  std::vector<uint32_t> others;
+  auto acting = ActingAndOthers("late.obj", &others);
+  ASSERT_EQ(others.size(), 2u);
+  // The acting-set peer answers first with an adoptable copy; the large
+  // copy on the last candidate arrives after the op has already run.
+  PlantCopy(acting[1], "late.obj", "peer-copy", /*version=*/2);
+  PlantCopy(others.back(), "late.obj", std::string(kSlowCopyBytes, 'x'), /*version=*/9);
+
+  Osd& primary = *osds[acting[0]];
+  uint64_t served_before = primary.ops_served();
+  auto data = ReadBack("late.obj");  // settles well past every pull reply
+  ASSERT_TRUE(data.ok()) << data.status();
+  EXPECT_EQ(data.value(), "peer-copy");
+  EXPECT_EQ(primary.ops_served(), served_before + 1);
+  EXPECT_EQ(primary.store().Get("late.obj").value()->version, 2u);
+  EXPECT_EQ(primary.perf().counter("osd.pull.adopted"), 1u);
+  const auto* sweep_us = primary.perf().histogram("osd.pull.sweep_us");
+  ASSERT_NE(sweep_us, nullptr);
+  EXPECT_EQ(sweep_us->observed(), 1u);
+}
+
+TEST_F(OsdClusterFixture, PullSweepWaitsOutCrashedCandidateOnce) {
+  Start(4, /*replicas=*/2);
+  std::vector<uint32_t> others;
+  auto acting = ActingAndOthers("crash.obj", &others);
+  ASSERT_EQ(others.size(), 2u);
+  PlantCopy(others.back(), "crash.obj", "survivor-copy", /*version=*/4);
+  // The acting-set peer dies without the monitor hearing of it: it stays
+  // up in every map, so its pull can only end by timeout.
+  osds[acting[1]]->Crash();
+
+  Osd& primary = *osds[acting[0]];
+  uint64_t served_before = primary.ops_served();
+  sim::Time start = simulator.Now();
+  std::optional<Result<std::string>> read;
+  sim::Time read_at = 0;
+  client->rados.Read("crash.obj", [&](Status s, const Buffer& out) {
+    read = s.ok() ? Result<std::string>(out.ToString()) : Result<std::string>(s);
+    read_at = simulator.Now();
+  });
+  Settle(5 * sim::kSecond);
+  ASSERT_TRUE(read.has_value());
+  ASSERT_TRUE(read->ok()) << read->status();
+  EXPECT_EQ(read->value(), "survivor-copy");
+  sim::Time pull_timeout = primary.config().pull_timeout;
+  EXPECT_GE(read_at - start, pull_timeout);
+  EXPECT_LT(read_at - start, pull_timeout + 10 * sim::kMillisecond);
+  EXPECT_EQ(primary.ops_served(), served_before + 1);
+  EXPECT_EQ(primary.perf().counter("osd.pull.sweeps"), 1u);
+  EXPECT_EQ(primary.perf().counter("osd.pull.adopted"), 1u);
+}
+
+TEST_F(OsdClusterFixture, PullSweepKeepsWriteThatLandedMidSweep) {
+  Start(4, /*replicas=*/2);
+  std::vector<uint32_t> others;
+  auto acting = ActingAndOthers("race.obj", &others);
+  ASSERT_EQ(others.size(), 2u);
+  PlantCopy(others.back(), "race.obj", "stale-copy", /*version=*/1);
+  // The crashed peer holds the sweep open for pull_timeout; a write
+  // commits on the primary meanwhile.
+  osds[acting[1]]->Crash();
+  std::optional<Result<std::string>> read;
+  client->rados.Read("race.obj", [&](Status s, const Buffer& out) {
+    read = s.ok() ? Result<std::string>(out.ToString()) : Result<std::string>(s);
+  });
+  Settle(100 * sim::kMillisecond);
+  std::optional<Status> written;
+  client->rados.WriteFull("race.obj", Buffer::FromString("fresh-write"),
+                          [&](Status s) { written = s; });
+  Settle(5 * sim::kSecond);
+  ASSERT_TRUE(written.has_value());
+  EXPECT_TRUE(written->ok()) << *written;
+  ASSERT_TRUE(read.has_value());
+  ASSERT_TRUE(read->ok()) << read->status();
+  // The stale copy the sweep found must not roll the acked write back.
+  EXPECT_EQ(read->value(), "fresh-write");
+  EXPECT_EQ(osds[acting[0]]->store().Get("race.obj").value()->data.ToString(),
+            "fresh-write");
 }
 
 TEST_F(OsdClusterFixture, SnapshotOpsWorkEndToEnd) {
