@@ -32,7 +32,7 @@
 #include "src/cluster/cluster.h"
 #include "src/cluster/workload.h"
 #include "src/common/rng.h"
-#include "src/sim/legacy_simulator.h"
+#include "tests/legacy_simulator.h"
 
 namespace {
 

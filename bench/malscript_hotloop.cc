@@ -1,5 +1,5 @@
 // MalScript engine hot-loop microbench: register-bytecode VM vs the
-// tree-walking oracle on identical sources.
+// tree-walking oracle (tests/script_oracle.h) on identical sources.
 //
 // Storage-facing scripts (cls methods, Mantle policies, health rules) are
 // dominated by four shapes of hot loop: pure arithmetic on locals, repeated
@@ -20,6 +20,8 @@
 
 #include "bench/bench_util.h"
 #include "src/script/interpreter.h"
+#include "src/script/parser.h"
+#include "tests/script_oracle.h"
 
 namespace {
 
@@ -76,25 +78,21 @@ struct EngineRun {
 
 constexpr int kReps = 7;
 
-script::Interpreter MakeInterp(script::Interpreter::Engine engine) {
-  script::Interpreter interp;
-  interp.set_engine(engine);
-  // Warmup happens with an effectively-unbounded budget so the instruction
-  // count is observable; timed runs disable the budget so per-op bookkeeping
-  // stays out of the measurement.
-  interp.set_instruction_budget(uint64_t{1} << 60);
-  return interp;
-}
+// Warmup happens with an effectively-unbounded budget so the instruction
+// count is observable; timed runs disable the budget so per-op bookkeeping
+// stays out of the measurement.
+constexpr uint64_t kWarmupBudget = uint64_t{1} << 60;
 
 // Seconds per run, measured over `runs` back-to-back executions in one
 // timing window. Batching matters: the VM finishes a chunk ~10x sooner than
 // the oracle, and on a shared single-core box a 3 ms window and a 40 ms
 // window can see different CPU frequency states. Comparable window lengths
 // make the ratio stable.
-double TimedRun(script::Interpreter& interp, const script::Block& chunk, int runs) {
+template <typename Engine, typename Chunk>
+double TimedRun(Engine& engine, const Chunk& chunk, int runs) {
   WallTimer timer;
   for (int i = 0; i < runs; ++i) {
-    mal::Status s = interp.Run(chunk);
+    mal::Status s = engine.Run(chunk);
     if (!s.ok()) {
       std::fprintf(stderr, "malscript_hotloop: run failed: %s\n", s.ToString().c_str());
       std::abort();
@@ -106,12 +104,16 @@ double TimedRun(script::Interpreter& interp, const script::Block& chunk, int run
 // Measures both engines on one chunk with their timed repetitions
 // interleaved: this box can be a single busy core, so back-to-back pairs see
 // the same machine state and min-of-N discards preemption outliers.
-void RunWorkload(const script::Block& chunk, EngineRun* vm, EngineRun* oracle) {
-  script::Interpreter vmi = MakeInterp(script::Interpreter::Engine::kVm);
-  script::Interpreter ori = MakeInterp(script::Interpreter::Engine::kOracle);
+// The VM runs the workload's bytecode, the oracle its AST.
+void RunWorkload(const std::shared_ptr<const script::CompiledChunk>& bytecode,
+                 const script::Block& ast, EngineRun* vm, EngineRun* oracle) {
+  script::Interpreter vmi;
+  script::ScriptOracle ori;
+  vmi.set_instruction_budget(kWarmupBudget);
+  ori.set_instruction_budget(kWarmupBudget);
   // Warmup: populates inline caches, touches every allocation path once,
   // and yields the (deterministic) instruction counts.
-  if (!vmi.Run(chunk).ok() || !ori.Run(chunk).ok()) {
+  if (!vmi.Run(bytecode).ok() || !ori.Run(ast).ok()) {
     std::fprintf(stderr, "malscript_hotloop: warmup run failed\n");
     std::abort();
   }
@@ -122,25 +124,23 @@ void RunWorkload(const script::Block& chunk, EngineRun* vm, EngineRun* oracle) {
   // be machine-dependent (the determinism CI job diffs these fields).
   vm->ic_hits = vmi.stats().ic_hits;
   vm->ic_misses = vmi.stats().ic_misses;
-  oracle->ic_hits = ori.stats().ic_hits;
-  oracle->ic_misses = ori.stats().ic_misses;
   vmi.set_instruction_budget(0);
   ori.set_instruction_budget(0);
   // Size each engine's batch so one timing window covers ~30 ms.
-  double vm_once = TimedRun(vmi, chunk, 1);
-  double oracle_once = TimedRun(ori, chunk, 1);
+  double vm_once = TimedRun(vmi, bytecode, 1);
+  double oracle_once = TimedRun(ori, ast, 1);
   int vm_batch = static_cast<int>(std::max(1.0, 0.03 / std::max(vm_once, 1e-9)));
   int oracle_batch = static_cast<int>(std::max(1.0, 0.03 / std::max(oracle_once, 1e-9)));
   double vm_wall = 1e30;
   double oracle_wall = 1e30;
   for (int rep = 0; rep < kReps; ++rep) {
-    vm_wall = std::min(vm_wall, TimedRun(vmi, chunk, vm_batch));
-    oracle_wall = std::min(oracle_wall, TimedRun(ori, chunk, oracle_batch));
+    vm_wall = std::min(vm_wall, TimedRun(vmi, bytecode, vm_batch));
+    oracle_wall = std::min(oracle_wall, TimedRun(ori, ast, oracle_batch));
   }
   vm->ns_per_iter = vm_wall * 1e9 / kIters;
   oracle->ns_per_iter = oracle_wall * 1e9 / kIters;
   vm->result = vmi.GetGlobal("result").as_number();
-  oracle->result = ori.GetGlobal("result").as_number();
+  oracle->result = ori.interp().GetGlobal("result").as_number();
 }
 
 }  // namespace
@@ -157,14 +157,15 @@ int main() {
   JsonReporter json("malscript");
   bool ok = true;
   for (const Workload& w : MakeWorkloads()) {
-    auto chunk = script::Compile(w.source);
-    if (!chunk.ok() || chunk.value()->compiled == nullptr) {
-      std::fprintf(stderr, "malscript_hotloop: %s did not compile to bytecode\n", w.name);
+    auto bytecode = script::Compile(w.source);
+    auto ast = script::Parse(w.source);
+    if (!bytecode.ok() || !ast.ok()) {
+      std::fprintf(stderr, "malscript_hotloop: %s did not compile\n", w.name);
       return 1;
     }
     EngineRun vm;
     EngineRun oracle;
-    RunWorkload(*chunk.value(), &vm, &oracle);
+    RunWorkload(bytecode.value(), *ast.value(), &vm, &oracle);
     // Shared box: a measurement taken while a co-tenant holds the core can
     // read low on both engines but skew the ratio. A sub-threshold reading
     // gets up to two fresh measurements (capability, not average, is what
@@ -173,7 +174,7 @@ int main() {
          ++retry) {
       EngineRun vm2;
       EngineRun oracle2;
-      RunWorkload(*chunk.value(), &vm2, &oracle2);
+      RunWorkload(bytecode.value(), *ast.value(), &vm2, &oracle2);
       if (oracle2.ns_per_iter * vm.ns_per_iter >
           oracle.ns_per_iter * vm2.ns_per_iter) {
         vm = vm2;

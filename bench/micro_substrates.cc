@@ -57,7 +57,7 @@ void BM_ScriptMantlePolicyTick(benchmark::State& state) {
     return;
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(interp.Run(*chunk.value()));
+    benchmark::DoNotOptimize(interp.Run(chunk.value()));
   }
 }
 BENCHMARK(BM_ScriptMantlePolicyTick);

@@ -235,7 +235,7 @@ mal::Status ClassRegistry::InstallScript(const std::string& cls, const std::stri
   Interpreter scratch;
   BindContext(&scratch, &scratch_ctx);
   std::vector<std::string> before = scratch.globals()->LocalNames();
-  mal::Status s = scratch.Run(*chunk.value());
+  mal::Status s = scratch.Run(chunk.value());
   if (!s.ok()) {
     return s;
   }
@@ -288,7 +288,7 @@ mal::Result<mal::Buffer> ClassRegistry::Execute(const std::string& cls,
   interp.set_instruction_budget(budget);
   BindContext(&interp, &ctx);
   auto out = [&]() -> mal::Result<mal::Buffer> {
-    mal::Status s = interp.Run(*it->second.chunk);
+    mal::Status s = interp.Run(it->second.chunk);
     if (!s.ok()) {
       return s;
     }
@@ -310,7 +310,6 @@ mal::Result<mal::Buffer> ClassRegistry::Execute(const std::string& cls,
     const script::EngineStats& st = interp.stats();
     script_stats->instructions += st.instructions;
     script_stats->vm_runs += st.vm_runs;
-    script_stats->oracle_runs += st.oracle_runs;
     script_stats->ic_hits += st.ic_hits;
     script_stats->ic_misses += st.ic_misses;
     script_stats->print_dropped += st.print_dropped;

@@ -76,7 +76,7 @@ class ClassRegistry {
     std::string version;
     std::string source;
     Category category = Category::kOther;
-    std::shared_ptr<script::Block> chunk;
+    std::shared_ptr<const script::CompiledChunk> chunk;
     std::vector<std::string> methods;  // global function names in the chunk
   };
 

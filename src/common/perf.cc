@@ -57,7 +57,6 @@ void ExportScriptCounters(PerfRegistry* perf, const std::string& daemon,
   const std::pair<const char*, uint64_t> kFields[] = {
       {".script.instructions", delta.instructions},
       {".script.vm_runs", delta.vm_runs},
-      {".script.oracle_runs", delta.oracle_runs},
       {".script.ic_hits", delta.ic_hits},
       {".script.ic_misses", delta.ic_misses},
       {".script.print_dropped", delta.print_dropped},

@@ -116,13 +116,11 @@ class PerfRegistry {
   std::map<std::string, BoundedHistogram> histograms_;
 };
 
-// Script-engine execution counters (MalScript VM and tree-walker), plain
-// numbers so every daemon exports them without depending on the script
-// runtime.
+// MalScript VM execution counters, plain numbers so every daemon exports
+// them without depending on the script runtime.
 struct ScriptCounters {
-  uint64_t instructions = 0;   // budget units consumed (AST nodes or bytecode ops)
-  uint64_t vm_runs = 0;        // top-level entries executed by the bytecode VM
-  uint64_t oracle_runs = 0;    // top-level entries executed by the tree-walker
+  uint64_t instructions = 0;   // budget units consumed (bytecode ops)
+  uint64_t vm_runs = 0;        // top-level chunk runs and closure calls
   uint64_t ic_hits = 0;        // inline-cache hits (field + global sites)
   uint64_t ic_misses = 0;      // inline-cache misses
   uint64_t print_dropped = 0;  // print() lines dropped by the output cap

@@ -10,7 +10,8 @@ using script::Table;
 using script::TableKey;
 using script::Value;
 
-MantleBalancer::MantleBalancer(std::string version, std::shared_ptr<script::Block> chunk)
+MantleBalancer::MantleBalancer(std::string version,
+                               std::shared_ptr<const script::CompiledChunk> chunk)
     : version_(std::move(version)), chunk_(std::move(chunk)) {
   interp_.set_instruction_budget(1'000'000);
   interp_.SetGlobal("state", Value(Table::Make()));
@@ -37,7 +38,6 @@ mds::PolicyScriptStats MantleBalancer::ConsumeScriptStats() {
   mds::PolicyScriptStats out;
   out.instructions = st.instructions - exported_.instructions;
   out.vm_runs = st.vm_runs - exported_.vm_runs;
-  out.oracle_runs = st.oracle_runs - exported_.oracle_runs;
   out.ic_hits = st.ic_hits - exported_.ic_hits;
   out.ic_misses = st.ic_misses - exported_.ic_misses;
   out.print_dropped = st.print_dropped - exported_.print_dropped;
@@ -80,7 +80,7 @@ mal::Result<mds::MigrationTargets> MantleBalancer::Decide(const mds::BalancerCon
 
   // Run the chunk: statement-style policies fill `targets` right here;
   // callback-style policies (re)define when()/where().
-  mal::Status run = interp_.Run(*chunk_);
+  mal::Status run = interp_.Run(chunk_);
   if (!run.ok()) {
     return run;
   }

@@ -56,10 +56,10 @@ class MantleBalancer : public mds::BalancerPolicy {
   mds::PolicyScriptStats ConsumeScriptStats() override;
 
  private:
-  MantleBalancer(std::string version, std::shared_ptr<script::Block> chunk);
+  MantleBalancer(std::string version, std::shared_ptr<const script::CompiledChunk> chunk);
 
   std::string version_;
-  std::shared_ptr<script::Block> chunk_;
+  std::shared_ptr<const script::CompiledChunk> chunk_;
   script::Interpreter interp_;  // persistent: `state` survives across ticks
   script::EngineStats exported_;  // stats() snapshot at last ConsumeScriptStats
 };

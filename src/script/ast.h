@@ -1,5 +1,5 @@
 // Abstract syntax tree for MalScript. Plain structs with owning unique_ptrs;
-// the interpreter walks the tree directly.
+// the compiler (src/script/compiler.cc) translates it to register bytecode.
 #ifndef MALACOLOGY_SCRIPT_AST_H_
 #define MALACOLOGY_SCRIPT_AST_H_
 
@@ -11,7 +11,6 @@ namespace mal::script {
 
 struct Expr;
 struct Stmt;
-struct CompiledChunk;  // src/script/bytecode.h
 using ExprPtr = std::unique_ptr<Expr>;
 using StmtPtr = std::unique_ptr<Stmt>;
 
@@ -24,10 +23,6 @@ enum class UnOp { kNeg, kNot, kLen };
 
 struct Block {
   std::vector<StmtPtr> stmts;
-
-  // Register-bytecode translation, attached by Compile() when the chunk
-  // compiles cleanly; null means the tree-walking interpreter runs it.
-  std::shared_ptr<const CompiledChunk> compiled;
 };
 
 struct Expr {
@@ -63,7 +58,7 @@ struct Expr {
   // kFunction
   std::vector<std::string> params;
   bool is_vararg = false;
-  std::shared_ptr<Block> body;  // shared so closures can hold it cheaply
+  std::shared_ptr<Block> body;
 
   // kTableCtor: array_items become [1..n]; fields are explicit keys
   std::vector<ExprPtr> array_items;

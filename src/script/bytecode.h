@@ -3,8 +3,8 @@
 //
 // A CompiledChunk is produced once per source by the compiler
 // (src/script/compiler.cc) and executed by the dispatch-loop VM
-// (src/script/vm.cc). The tree-walking interpreter remains as a
-// differential-testing oracle (MAL_SCRIPT_ORACLE=1 forces it).
+// (src/script/vm.cc), the only engine. A tree-walking reference interpreter
+// lives in tests/script_oracle.{h,cc} for differential testing.
 //
 // Design notes:
 //  - Register machine: every function body (Proto) declares how many value
@@ -12,8 +12,7 @@
 //    variable access never touches an Environment map.
 //  - Captured locals live in heap cells (shared_ptr<Value>) so closures see
 //    mutations; a fresh cell is created each time the declaring scope is
-//    entered, which reproduces the tree-walker's fresh-Environment-per-
-//    iteration capture semantics.
+//    entered, which gives each loop iteration its own captured variables.
 //  - Globals are resolved to interned per-chunk name slots; the VM caches a
 //    pointer to the Environment's map node after first lookup (map nodes are
 //    stable and globals are never erased), making monomorphic global reads a
@@ -23,7 +22,7 @@
 //    only); an IC entry caches {shape id, slot pointer} and hits while the
 //    table's shape is unchanged.
 //  - Every instruction carries its source line so runtime errors and budget
-//    aborts render exactly like the tree-walker's.
+//    aborts name the line they come from.
 #ifndef MALACOLOGY_SCRIPT_BYTECODE_H_
 #define MALACOLOGY_SCRIPT_BYTECODE_H_
 
@@ -50,7 +49,7 @@ enum class Op : uint8_t {
   kGetCell,    // R[a] = *cells[b]
   kSetCell,    // *cells[b] = R[a]
 
-  kAdd,     // R[a] = R[b] + R[c]   (numbers only, like the walker)
+  kAdd,     // R[a] = R[b] + R[c]   (numbers only)
   kSub,     // R[a] = R[b] - R[c]
   kMul,     // R[a] = R[b] * R[c]
   kDiv,     // R[a] = R[b] / R[c]

@@ -14,8 +14,9 @@
 namespace mal::script {
 namespace {
 
-// Registers/cells/iterator slots are uint16 operands; stay well clear of the
-// ceiling so arithmetic on windows (call bases, control triples) cannot wrap.
+// Registers/cells/iterator/upvalue slots are uint16 operands; stay well clear
+// of the ceiling so arithmetic on windows (call bases, control triples)
+// cannot wrap. A program past these limits is a compile error.
 constexpr int kMaxRegs = 60000;
 constexpr int kMaxSlots = 60000;
 constexpr size_t kMaxFieldKeys = 65000;
@@ -27,7 +28,7 @@ uint64_t DoubleBits(double d) {
 }
 
 // Names declared by `local` statements directly in a block's statement list
-// (not nested blocks). This is the walker's "whole scope" declaration set:
+// (not nested blocks). This is the oracle's "whole scope" declaration set:
 // a nested function referencing one of these resolves to this scope no
 // matter where in the block the declaration sits.
 std::set<std::string> TopLocals(const Block& b) {
@@ -593,34 +594,35 @@ class Compiler {
   }
 
   // Field-key pool id for a folded constant key, or nullopt when the key must
-  // go through the dynamic path (NaN keys break TableKey ordering the same
-  // way they do in the walker, so we leave them to the shared Table code).
+  // go through the dynamic path: NaN keys (they break TableKey ordering the
+  // same way they do in the oracle, so we leave them to the shared Table
+  // code) and new keys once the pool is full.
   std::optional<uint16_t> FieldKeyId(const Value& key) {
     if (key.is_string()) {
-      auto [it, inserted] = str_field_keys_.try_emplace(key.as_string(), 0);
-      if (inserted) {
-        if (out_->field_keys.size() >= kMaxFieldKeys) {
-          Fail("field key overflow");
-          return std::nullopt;
-        }
-        it->second = static_cast<uint16_t>(out_->field_keys.size());
-        out_->field_keys.push_back(TableKey(key.as_string()));
-      }
-      return it->second;
+      return PoolFieldKey(str_field_keys_, key.as_string(), TableKey(key.as_string()));
     }
     if (key.is_number() && !std::isnan(key.as_number())) {
-      auto [it, inserted] = num_field_keys_.try_emplace(DoubleBits(key.as_number()), 0);
-      if (inserted) {
-        if (out_->field_keys.size() >= kMaxFieldKeys) {
-          Fail("field key overflow");
-          return std::nullopt;
-        }
-        it->second = static_cast<uint16_t>(out_->field_keys.size());
-        out_->field_keys.push_back(TableKey(key.as_number()));
-      }
-      return it->second;
+      return PoolFieldKey(num_field_keys_, DoubleBits(key.as_number()),
+                          TableKey(key.as_number()));
     }
     return std::nullopt;
+  }
+
+  // The size check comes before the insert: a full pool must not remember
+  // the key, or a later use of it would resolve to a bogus id.
+  template <typename K>
+  std::optional<uint16_t> PoolFieldKey(std::map<K, uint16_t>& ids, const K& k, TableKey key) {
+    auto it = ids.find(k);
+    if (it != ids.end()) {
+      return it->second;
+    }
+    if (out_->field_keys.size() >= kMaxFieldKeys) {
+      return std::nullopt;
+    }
+    uint16_t id = static_cast<uint16_t>(out_->field_keys.size());
+    out_->field_keys.push_back(std::move(key));
+    ids.emplace(k, id);
+    return id;
   }
 
   int32_t AllocIc() { return static_cast<int32_t>(out_->num_field_ics++); }
@@ -629,7 +631,7 @@ class Compiler {
 
   // Returns the value `e` evaluates to when that is knowable at compile time
   // without side effects or errors; identical arithmetic expressions to the
-  // walker so folded results are bit-for-bit what the oracle computes.
+  // oracle so folded results are bit-for-bit what it computes.
   std::optional<Value> Fold(const Expr& e) {
     switch (e.kind) {
       case Expr::Kind::kNil:
@@ -652,7 +654,7 @@ class Compiler {
             if (v->is_number()) {
               return Value(-v->as_number());
             }
-            return std::nullopt;  // runtime error; keep the walker's message
+            return std::nullopt;  // runtime error; keep the oracle's message
           case UnOp::kNot:
             return Value(!v->Truthy());
           case UnOp::kLen:
@@ -802,7 +804,7 @@ class Compiler {
       for (const std::string& n : cap->second) {
         if (fs.next_cell >= kMaxSlots) {
           Fail("cell overflow");
-          return;
+          break;  // still push the scope: callers pair it with CloseScope
         }
         uint16_t slot = static_cast<uint16_t>(fs.next_cell++);
         s.cell_slots[n] = slot;
@@ -859,6 +861,10 @@ class Compiler {
           Fail("capture analysis missed '" + name + "'");
           return -1;
         }
+        if (fs.proto->upvals.size() >= static_cast<size_t>(kMaxSlots)) {
+          Fail("upvalue overflow");
+          return -1;
+        }
         uint16_t idx = static_cast<uint16_t>(fs.proto->upvals.size());
         fs.proto->upvals.push_back(
             UpvalDesc{UpvalDesc::Src::kParentCell, slot->second});
@@ -868,6 +874,10 @@ class Compiler {
     }
     int32_t up = ResolveUpval(*p, name);
     if (up < 0) {
+      return -1;
+    }
+    if (fs.proto->upvals.size() >= static_cast<size_t>(kMaxSlots)) {
+      Fail("upvalue overflow");
       return -1;
     }
     uint16_t idx = static_cast<uint16_t>(fs.proto->upvals.size());
@@ -1060,7 +1070,7 @@ class Compiler {
     int mark = fs.next_reg;
     // Arithmetic with a constant-number RHS fuses the constant into the
     // instruction (K-variant): one dispatch instead of LoadK + arith, and
-    // the VM can skip the RHS type check. Error parity with the walker
+    // the VM can skip the RHS type check. Error parity with the oracle
     // holds because both report the LHS type when the LHS is not a number,
     // and a number constant can never be the offending operand.
     switch (e.bin_op) {
@@ -1174,12 +1184,15 @@ class Compiler {
     for (size_t i = 0; i < e.array_items.size(); ++i) {
       int mark = fs.next_reg;
       uint16_t v = ExprAny(fs, *e.array_items[i]);
-      std::optional<uint16_t> fk = FieldKeyId(Value(static_cast<double>(i + 1)));
-      if (!fk.has_value()) {
-        Fail("table constructor too large");
-        return;
+      Value key(static_cast<double>(i + 1));
+      std::optional<uint16_t> fk = FieldKeyId(key);
+      if (fk.has_value()) {
+        Emit(fs, Op::kSetFieldRaw, dst, v, *fk, 0, e.array_items[i]->line);
+      } else {
+        uint16_t kr = AllocReg(fs);
+        LoadConstVal(fs, kr, key, e.array_items[i]->line);
+        Emit(fs, Op::kSetIndex, dst, kr, v, 0, e.array_items[i]->line);
       }
-      Emit(fs, Op::kSetFieldRaw, dst, v, *fk, 0, e.array_items[i]->line);
       FreeTo(fs, mark);
     }
     for (const auto& [key_expr, value_expr] : e.fields) {
@@ -1193,7 +1206,7 @@ class Compiler {
         uint16_t v = ExprAny(fs, *value_expr);
         Emit(fs, Op::kSetFieldRaw, dst, v, *fk, 0, value_expr->line);
       } else {
-        // Dynamic (or non-number/string) key: the walker evaluates key then
+        // Dynamic (or non-number/string) key: the oracle evaluates key then
         // value, and only then rejects bad key types — kSetIndex preserves
         // that by validating after both operands exist.
         uint16_t kr = ExprAny(fs, *key_expr);
@@ -1227,7 +1240,7 @@ class Compiler {
     Scope& top = fs.scopes.back();
 
     // Parameters occupy registers 0..n-1 (the calling convention). Later
-    // duplicates win, like repeated Define in the walker's frame.
+    // duplicates win, like repeated Define in the oracle's frame.
     for (size_t i = 0; i < e.params.size(); ++i) {
       uint16_t r = AllocReg(fs);
       auto cell = top.cell_slots.find(e.params[i]);
@@ -1319,7 +1332,7 @@ class Compiler {
         return;
       }
       case Stmt::Kind::kBreak:
-        // `break` outside any loop unwinds the whole call in the walker
+        // `break` outside any loop unwinds the whole call in the oracle
         // (Flow::kBreak propagates to the frame boundary); return nil does
         // exactly that.
         if (fs.loops.empty()) {
@@ -1336,7 +1349,7 @@ class Compiler {
 
   void CompileAssign(FuncState& fs, const Stmt& s) {
     int mark = fs.next_reg;
-    // All values first (walker semantics: `a, b = b, a` swaps).
+    // All values first (oracle semantics: `a, b = b, a` swaps).
     std::vector<uint16_t> vals;
     vals.reserve(s.values.size());
     for (const ExprPtr& v : s.values) {
@@ -1396,7 +1409,7 @@ class Compiler {
       vals.push_back(t);
     }
     if (sc.is_globals) {
-      // Top-level chunk: `local` defines a global (the walker runs the chunk
+      // Top-level chunk: `local` defines a global (the oracle runs the chunk
       // directly in the globals environment; class-method discovery relies
       // on this).
       int32_t nil_tmp = -1;

@@ -11,8 +11,10 @@
 
 namespace mal::script {
 
-// Compiles a parsed chunk. Fails only on internal limits (register/constant
-// pool overflow); callers fall back to the tree-walking oracle in that case.
+// Compiles a parsed chunk. Every parsed program either compiles or fails
+// with InvalidArgument("bytecode compile: ..."): a function needing more than
+// 60,000 registers, captured cells, iterator slots or upvalues is rejected.
+// Constant field keys past the pool limit take the dynamic-key path instead.
 Result<std::shared_ptr<const CompiledChunk>> CompileToBytecode(const Block& chunk);
 
 }  // namespace mal::script

@@ -10,8 +10,8 @@ namespace mal::script {
 
 namespace {
 
-// Identical rendering to the tree-walker's RuntimeError so differential
-// tests can compare raw status messages.
+// "runtime error at line N: ..." — the one rendering every script error
+// uses, so hosts and tests can match on it.
 Status RuntimeError(int line, const std::string& msg) {
   return Status::InvalidArgument("runtime error at line " + std::to_string(line) + ": " + msg);
 }
@@ -99,32 +99,17 @@ Status Vm::CallCompiled(const Closure* closure, size_t child_base, size_t nargs,
   return s;
 }
 
-// Invokes whatever callable sits in the caller's call window (arguments are
-// at [argbase, argbase + nargs) on the stack). Host functions get a copied
-// argument vector; AST-form closures are handed to the tree-walker with the
-// shared budget and depth counters.
-Result<Value> Vm::DispatchCall(const Value& callee, size_t argbase, size_t nargs,
-                               int line) {
-  if (callee.is_host_function()) {
-    std::vector<Value> args(stack_.begin() + static_cast<long>(argbase),
-                            stack_.begin() + static_cast<long>(argbase + nargs));
-    return callee.as_host_function()->fn(*interp_, args);
-  }
-  if (!callee.is_closure()) {
+// Calls a non-closure sitting in the caller's call window (arguments are at
+// [argbase, argbase + nargs) on the stack): host functions get a copied
+// argument vector, anything else is a runtime error.
+Result<Value> Vm::CallHost(const Value& callee, size_t argbase, size_t nargs, int line) {
+  if (!callee.is_host_function()) {
     return RuntimeError(line,
                         std::string("attempt to call a ") + callee.TypeName() + " value");
   }
-  if (callee.as_closure()->is_compiled()) {
-    Value ret;
-    Status s = CallCompiled(callee.as_closure().get(), argbase, nargs, line, &ret);
-    if (!s.ok()) {
-      return s;
-    }
-    return ret;
-  }
   std::vector<Value> args(stack_.begin() + static_cast<long>(argbase),
                           stack_.begin() + static_cast<long>(argbase + nargs));
-  return interp_->CallAstClosureFromVm(callee, args, line);
+  return callee.as_host_function()->fn(*interp_, args);
 }
 
 // Token-threaded dispatch: on GCC/Clang every opcode body ends in its own
@@ -157,8 +142,8 @@ Result<Value> Vm::DispatchCall(const Value& callee, size_t argbase, size_t nargs
 // Executes `proto` and, via an inline frame stack, every compiled closure it
 // (transitively) calls — compiled-to-compiled calls are a frame push/pop
 // inside this one dispatch loop, never a C++ recursion. Only host functions
-// and AST-form closures leave the loop (DispatchCall), and those may recurse
-// back in through CallClosure.
+// leave the loop (CallHost), and those may recurse back in through
+// CallClosure.
 Status Vm::Execute(const std::shared_ptr<const CompiledChunk>& chunk_sp,
                    ChunkState& cs, const Proto& proto, const Closure* closure,
                    size_t base, size_t nargs, Value* out) {
@@ -200,8 +185,8 @@ Status Vm::Execute(const std::shared_ptr<const CompiledChunk>& chunk_sp,
   size_t nframes = 0;
 
   // High-water mark of register use across this activation's inline frames.
-  // top_ itself is only synced before control can leave the loop (host or
-  // AST callees), so plain compiled-to-compiled calls never touch it.
+  // top_ itself is only synced before control can leave the loop (host
+  // callees), so plain compiled-to-compiled calls never touch it.
   size_t water = top_;
 
   // Current-frame state, rebound on inline call/return.
@@ -215,8 +200,8 @@ Status Vm::Execute(const std::shared_ptr<const CompiledChunk>& chunk_sp,
   std::vector<std::shared_ptr<Value>> cells(protop->num_cells);
   std::vector<IterState> iters(protop->num_iters);
 
-  // Refreshed after anything that may resize the stack (host functions and
-  // AST closures can re-enter the VM through the interpreter).
+  // Refreshed after anything that may resize the stack (host functions can
+  // re-enter the VM through the interpreter).
   Value* regs = stack_.data() + base;
 
   size_t pc = 0;
@@ -618,76 +603,74 @@ Status Vm::Execute(const std::shared_ptr<const CompiledChunk>& chunk_sp,
         const Value& cv = regs[in->a];
         if (cv.is_closure()) {
           const Closure* ncl = cv.as_closure().get();
-          if (ncl->is_compiled()) {
-            // Inline frame push: the call never leaves this dispatch loop.
-            // Taking the Closure raw is safe — the caller's register pins it
-            // until the result overwrites that register after the return, and
-            // a stack_ resize moves the register's Value, not the Closure.
-            if (interp_->call_depth_ + 1 > kMaxScriptCallDepth) {
-              return Unwind(RuntimeError(in->line, "call stack overflow"));
-            }
-            ++interp_->call_depth_;
-            const CompiledChunk* nchunk = ncl->chunk().get();
-            const Proto* nproto = nchunk->protos[ncl->proto_index()].get();
-            size_t child_base = base + in->a + 1;
-            size_t call_nargs = in->b;
-            size_t frame_size = std::max<size_t>(nproto->num_regs, call_nargs);
-            size_t need = child_base + frame_size;
-            if (stack_.size() < need) {
-              stack_.resize(need + 64);
-            }
-            for (size_t i = call_nargs; i < nproto->num_params; ++i) {
-              stack_[child_base + i] = Value::Nil();  // missing args arrive as nil
-            }
-            if (nframes == frames.size()) {
-              frames.emplace_back();
-            }
-            Frame& f = frames[nframes++];
-            f.chunk = chunkp;
-            f.cs = csp;
-            f.proto = protop;
-            f.closure = closure;
-            f.code = code;
-            f.pc = pc;
-            f.base = base;
-            f.nargs = nargs;
-            f.ret_reg = in->c;
-            // Leaf functions (no captured cells, no generic-for state) skip
-            // the vector shuffles entirely — the common case.
-            f.has_cells = !cells.empty() || nproto->num_cells != 0;
-            if (f.has_cells) {
-              f.cells = std::move(cells);
-              cells = std::vector<std::shared_ptr<Value>>(nproto->num_cells);
-            }
-            f.has_iters = !iters.empty() || nproto->num_iters != 0;
-            if (f.has_iters) {
-              f.iters = std::move(iters);
-              iters = std::vector<IterState>(nproto->num_iters);
-            }
-            if (nchunk != chunkp) {  // cross-chunk call: switch IC state
-              csp = &StateFor(ncl->chunk());
-              chunkp = nchunk;
-            }
-            protop = nproto;
-            closure = ncl;
-            code = nproto->code.data();
-            pc = 0;
-            base = child_base;
-            nargs = call_nargs;
-            if (need > water) {
-              water = need;
-            }
-            regs = stack_.data() + base;
-            VM_NEXT();
+          // Inline frame push: the call never leaves this dispatch loop.
+          // Taking the Closure raw is safe — the caller's register pins it
+          // until the result overwrites that register after the return, and
+          // a stack_ resize moves the register's Value, not the Closure.
+          if (interp_->call_depth_ + 1 > kMaxScriptCallDepth) {
+            return Unwind(RuntimeError(in->line, "call stack overflow"));
           }
+          ++interp_->call_depth_;
+          const CompiledChunk* nchunk = ncl->chunk().get();
+          const Proto* nproto = nchunk->protos[ncl->proto_index()].get();
+          size_t child_base = base + in->a + 1;
+          size_t call_nargs = in->b;
+          size_t frame_size = std::max<size_t>(nproto->num_regs, call_nargs);
+          size_t need = child_base + frame_size;
+          if (stack_.size() < need) {
+            stack_.resize(need + 64);
+          }
+          for (size_t i = call_nargs; i < nproto->num_params; ++i) {
+            stack_[child_base + i] = Value::Nil();  // missing args arrive as nil
+          }
+          if (nframes == frames.size()) {
+            frames.emplace_back();
+          }
+          Frame& f = frames[nframes++];
+          f.chunk = chunkp;
+          f.cs = csp;
+          f.proto = protop;
+          f.closure = closure;
+          f.code = code;
+          f.pc = pc;
+          f.base = base;
+          f.nargs = nargs;
+          f.ret_reg = in->c;
+          // Leaf functions (no captured cells, no generic-for state) skip
+          // the vector shuffles entirely — the common case.
+          f.has_cells = !cells.empty() || nproto->num_cells != 0;
+          if (f.has_cells) {
+            f.cells = std::move(cells);
+            cells = std::vector<std::shared_ptr<Value>>(nproto->num_cells);
+          }
+          f.has_iters = !iters.empty() || nproto->num_iters != 0;
+          if (f.has_iters) {
+            f.iters = std::move(iters);
+            iters = std::vector<IterState>(nproto->num_iters);
+          }
+          if (nchunk != chunkp) {  // cross-chunk call: switch IC state
+            csp = &StateFor(ncl->chunk());
+            chunkp = nchunk;
+          }
+          protop = nproto;
+          closure = ncl;
+          code = nproto->code.data();
+          pc = 0;
+          base = child_base;
+          nargs = call_nargs;
+          if (need > water) {
+            water = need;
+          }
+          regs = stack_.data() + base;
+          VM_NEXT();
         }
-        // Host functions and AST-form closures leave the loop; pin the
-        // callee in a temporary since those paths can outlive a stack_
-        // resize while still holding references. Sync top_ so re-entrant
-        // CallClosure frames land above every live register.
+        // Host functions leave the loop; pin the callee in a temporary
+        // since that path can outlive a stack_ resize while still holding
+        // references. Sync top_ so re-entrant CallClosure frames land above
+        // every live register.
         top_ = water;
         FlushIc();  // host callees may observe engine stats
-        Result<Value> r = DispatchCall(Value(cv), base + in->a + 1, in->b, in->line);
+        Result<Value> r = CallHost(Value(cv), base + in->a + 1, in->b, in->line);
         if (!r.ok()) {
           return Unwind(r.status());
         }
@@ -720,7 +703,7 @@ Status Vm::Execute(const std::shared_ptr<const CompiledChunk>& chunk_sp,
         const Value& iv = regs[in->a];
         const Value& lim = regs[in->a + 1];
         const Value& st = regs[in->a + 2];
-        // Error precedence matches the walker: explicit-step type first,
+        // Error precedence: explicit-step type first,
         // then bounds, then zero step.
         if (in->c != 0 && !st.is_number()) {
           return Unwind(RuntimeError(in->line, "for step must be a number"));

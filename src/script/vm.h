@@ -3,8 +3,8 @@
 //
 // One Vm per Interpreter: it owns the shared value stack (frames are base
 // offsets into it) and the per-chunk inline-cache state. Budget and call-
-// depth accounting share the interpreter's counters with the tree-walking
-// oracle, so mixed-engine call chains keep the same sandbox limits.
+// depth accounting use the interpreter's counters, so host-reentrant call
+// chains keep the same sandbox limits.
 #ifndef MALACOLOGY_SCRIPT_VM_H_
 #define MALACOLOGY_SCRIPT_VM_H_
 
@@ -26,8 +26,8 @@ class Vm {
   // Executes a chunk's top-level proto against the interpreter's globals.
   Status RunChunk(const std::shared_ptr<const CompiledChunk>& chunk);
 
-  // Calls a compiled-form closure with already-evaluated arguments (host
-  // bridges and the tree-walker enter compiled code through this).
+  // Calls a closure with already-evaluated arguments (the host-side entry
+  // into compiled code).
   Result<Value> CallClosure(const Value& callee, const std::vector<Value>& args,
                             int line);
 
@@ -69,9 +69,9 @@ class Vm {
   Status CallCompiled(const Closure* closure, size_t child_base, size_t nargs,
                       int line, Value* out);
 
-  // Routes a kCall to the right engine (host fn / compiled closure / AST
-  // closure via the tree-walker).
-  Result<Value> DispatchCall(const Value& callee, size_t argbase, size_t nargs, int line);
+  // A kCall whose callee is not a closure: runs a host function outside the
+  // dispatch loop, or reports a non-callable value.
+  Result<Value> CallHost(const Value& callee, size_t argbase, size_t nargs, int line);
 
   Status Execute(const std::shared_ptr<const CompiledChunk>& chunk_sp,
                  ChunkState& cs, const Proto& proto, const Closure* closure,

@@ -15,7 +15,7 @@
 // unchanged: events run in strict (when, seq) order, where seq is the
 // schedule order — byte-identical trajectories to the original
 // priority-queue implementation (tests/sim_test.cc checks this against the
-// retained oracle in legacy_simulator.h).
+// retained oracle in tests/legacy_simulator.h).
 #ifndef MALACOLOGY_SIM_SIMULATOR_H_
 #define MALACOLOGY_SIM_SIMULATOR_H_
 

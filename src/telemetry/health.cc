@@ -239,7 +239,7 @@ std::vector<HealthEngine::Transition> HealthEngine::Evaluate(uint64_t now_ns) {
     }
     rule->interp->SetGlobal("params", Value(params));
     rule->interp->SetGlobal("now", Value(static_cast<double>(now_ns) / 1e9));
-    Status run = rule->interp->Run(*rule->chunk);
+    Status run = rule->interp->Run(rule->chunk);
     rule->interp->print_output().clear();
     if (!run.ok()) {
       // A broken rule must be visible, not silent: surface the runtime
@@ -308,7 +308,6 @@ script::EngineStats HealthEngine::ConsumeScriptStats() {
     const script::EngineStats& st = rule->interp->stats();
     out.instructions += st.instructions - rule->exported.instructions;
     out.vm_runs += st.vm_runs - rule->exported.vm_runs;
-    out.oracle_runs += st.oracle_runs - rule->exported.oracle_runs;
     out.ic_hits += st.ic_hits - rule->exported.ic_hits;
     out.ic_misses += st.ic_misses - rule->exported.ic_misses;
     out.print_dropped += st.print_dropped - rule->exported.print_dropped;

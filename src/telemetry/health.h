@@ -96,7 +96,7 @@ class HealthEngine {
  private:
   struct Rule {
     std::string name;
-    std::shared_ptr<script::Block> chunk;
+    std::shared_ptr<const script::CompiledChunk> chunk;
     std::unique_ptr<script::Interpreter> interp;
     std::map<std::string, double> params;
     script::EngineStats exported;  // stats() snapshot at last consume

@@ -355,6 +355,22 @@ TEST(ScriptClassTest, CompileErrorRejectedAtInstall) {
   EXPECT_EQ(registry.ScriptVersion("bad"), "");
 }
 
+TEST(ScriptClassTest, OverLargeScriptRejectedAtInstall) {
+  // 60,001 live locals in one function: past the bytecode compiler's
+  // register limit.
+  std::string source = "function big(input)\n";
+  for (int i = 0; i <= 60000; ++i) {
+    source += "local v" + std::to_string(i) + " = 0\n";
+  }
+  source += "return input\nend";
+  ClassRegistry registry;
+  mal::Status s = registry.InstallScript("big", "v1", source);
+  EXPECT_EQ(s.code(), mal::Code::kInvalidArgument);
+  EXPECT_EQ(s.message().rfind("bytecode compile: ", 0), 0u) << s.ToString();
+  EXPECT_EQ(registry.ScriptVersion("big"), "");
+  EXPECT_FALSE(registry.HasMethod("big", "big"));
+}
+
 TEST(ScriptClassTest, TypedErrorsPropagate) {
   ClsHarness h;
   ASSERT_TRUE(h.registry

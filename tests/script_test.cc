@@ -1,17 +1,20 @@
 // Unit tests for the MalScript engine: lexer, parser, interpreter semantics,
-// stdlib, sandboxing, and the host-function bridge.
+// stdlib, sandboxing, the host-function bridge, compiler limits, and the
+// differential tests of the bytecode VM against the tree-walking oracle
+// (tests/script_oracle.h).
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <map>
 #include <random>
 #include <string>
 #include <vector>
 
+#include "src/script/bytecode.h"
 #include "src/script/interpreter.h"
 #include "src/script/lexer.h"
 #include "src/script/parser.h"
+#include "tests/script_oracle.h"
 
 namespace mal::script {
 namespace {
@@ -476,8 +479,8 @@ INSTANTIATE_TEST_SUITE_P(RandomizedExpressions, ArithmeticPropertyTest,
                          ::testing::Range(0, 40));
 
 // ===========================================================================
-// Bytecode VM: engine selection, inline caches, compile cache, print cap,
-// cross-engine calls, and the differential fuzz harness (VM vs tree-walker).
+// Bytecode VM: inline caches, compile cache, print cap, compiler limits, and
+// the differential fuzz harness (VM vs the tree-walking oracle).
 // ===========================================================================
 
 // Everything externally observable about one engine's execution of a chunk.
@@ -486,29 +489,26 @@ struct EngineOutcome {
   std::vector<std::string> prints;
   std::map<std::string, std::string> scalars;  // scalar globals, rendered
   uint64_t instructions = 0;
-
-  bool operator==(const EngineOutcome& o) const {
-    return status.ToString() == o.status.ToString() && prints == o.prints &&
-           scalars == o.scalars;
-  }
 };
 
-EngineOutcome RunOnEngine(const std::string& source, Interpreter::Engine engine,
-                          uint64_t budget = 0) {
-  Interpreter interp;
-  interp.set_engine(engine);
-  if (budget != 0) {
-    interp.set_instruction_budget(budget);
-  }
+enum class Engine { kVm, kOracle };
+
+// Budget units differ by engine (one per bytecode op vs one per AST node and
+// loop iteration); everything else in EngineOutcome must agree.
+EngineOutcome RunOnEngine(const std::string& source, Engine engine, uint64_t budget = 0) {
+  Interpreter vm;
+  ScriptOracle oracle;
+  Interpreter& interp = engine == Engine::kVm ? vm : oracle.interp();
   EngineOutcome out;
-  Result<std::shared_ptr<Block>> chunk = Compile(source);
-  if (!chunk.ok()) {
-    out.status = chunk.status();
-    return out;
-  }
-  out.status = interp.Run(*chunk.value());
+  auto run = [&](auto& runner) {
+    if (budget != 0) {
+      runner.set_instruction_budget(budget);
+    }
+    out.status = runner.RunSource(source);
+    out.instructions = runner.instructions_executed();
+  };
+  engine == Engine::kVm ? run(vm) : run(oracle);
   out.prints = interp.print_output();
-  out.instructions = interp.instructions_executed();
   for (const auto& [name, v] : interp.globals()->local_vars()) {
     // Tables render with their heap address and closures carry no printable
     // identity, so the differential comparison sticks to scalars.
@@ -520,8 +520,8 @@ EngineOutcome RunOnEngine(const std::string& source, Interpreter::Engine engine,
 }
 
 void ExpectEnginesAgree(const std::string& source) {
-  EngineOutcome vm = RunOnEngine(source, Interpreter::Engine::kVm);
-  EngineOutcome oracle = RunOnEngine(source, Interpreter::Engine::kOracle);
+  EngineOutcome vm = RunOnEngine(source, Engine::kVm);
+  EngineOutcome oracle = RunOnEngine(source, Engine::kOracle);
   EXPECT_EQ(vm.status.ToString(), oracle.status.ToString()) << source;
   EXPECT_EQ(vm.prints, oracle.prints) << source;
   EXPECT_EQ(vm.scalars, oracle.scalars) << source;
@@ -531,28 +531,6 @@ TEST(VmTest, DefaultEngineRunsBytecode) {
   Interpreter interp;
   ASSERT_TRUE(interp.RunSource("result = 2 + 3").ok());
   EXPECT_EQ(interp.GetGlobal("result").as_number(), 5);
-  EXPECT_EQ(interp.stats().vm_runs, 1u);
-  EXPECT_EQ(interp.stats().oracle_runs, 0u);
-}
-
-TEST(VmTest, OracleKnobPinsTreeWalker) {
-  Interpreter interp;
-  interp.set_engine(Interpreter::Engine::kOracle);
-  ASSERT_TRUE(interp.RunSource("result = 2 + 3").ok());
-  EXPECT_EQ(interp.GetGlobal("result").as_number(), 5);
-  EXPECT_EQ(interp.stats().vm_runs, 0u);
-  EXPECT_EQ(interp.stats().oracle_runs, 1u);
-}
-
-TEST(VmTest, OracleEnvVarForcesTreeWalker) {
-  ASSERT_EQ(setenv("MAL_SCRIPT_ORACLE", "1", 1), 0);
-  Interpreter interp;
-  ASSERT_TRUE(interp.RunSource("result = 7 * 6").ok());
-  EXPECT_EQ(interp.GetGlobal("result").as_number(), 42);
-  EXPECT_EQ(interp.stats().vm_runs, 0u);
-  EXPECT_EQ(interp.stats().oracle_runs, 1u);
-  ASSERT_EQ(unsetenv("MAL_SCRIPT_ORACLE"), 0);
-  ASSERT_TRUE(interp.RunSource("result = 7 * 6").ok());
   EXPECT_EQ(interp.stats().vm_runs, 1u);
 }
 
@@ -642,34 +620,76 @@ TEST(VmTest, CompileCacheSharesChunksBySource) {
   CompileCacheStats after = GetCompileCacheStats();
   EXPECT_EQ(after.misses, before.misses + 1);
   EXPECT_GE(after.hits, before.hits + 1);
-  EXPECT_NE(first.value()->compiled, nullptr);  // bytecode attached
+  EXPECT_FALSE(first.value()->protos.empty());
 }
 
-TEST(VmTest, CrossEngineCallsBothDirections) {
-  // AST-form closure (created by the walker) called from VM code, and
-  // compiled-form closure called from walker code.
+// A program with more distinct constant field keys than the compiler's key
+// pool holds (65,000). Keys past the limit take the dynamic-key path; a key
+// first seen after the pool filled must still resolve to itself when reused.
+TEST(VmTest, FieldKeyPoolOverflowTakesDynamicKeyPath) {
+  std::string source = "t = {}\n";
+  for (int i = 0; i < 65000; ++i) {
+    source += "t.k" + std::to_string(i) + " = " + std::to_string(i) + "\n";
+  }
+  source += "t.last = 'last'\nresult = t.last .. ':' .. t.k0 .. ':' .. t.k64999";
   Interpreter interp;
-  interp.set_engine(Interpreter::Engine::kOracle);
-  ASSERT_TRUE(interp.RunSource("function ast_double(x) return x * 2 end").ok());
-  interp.set_engine(Interpreter::Engine::kVm);
-  ASSERT_TRUE(interp.RunSource("function vm_inc(x) return x + 1 end\n"
-                               "result = ast_double(20) + vm_inc(0)")  // VM -> walker
-                  .ok());
-  EXPECT_EQ(interp.GetGlobal("result").as_number(), 41);
-  interp.set_engine(Interpreter::Engine::kOracle);
-  ASSERT_TRUE(interp.RunSource("result = vm_inc(ast_double(10))").ok());  // walker -> VM
-  EXPECT_EQ(interp.GetGlobal("result").as_number(), 21);
+  Status s = interp.RunSource(source);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(interp.stats().vm_runs, 1u);
+  EXPECT_EQ(interp.GetGlobal("result").as_string(), "last:0:64999");
 }
 
-TEST(VmTest, SharedBudgetAcrossEngines) {
-  // A walker-hosted loop calling a compiled closure must burn one shared
-  // budget, not one per engine.
+TEST(VmTest, TableConstructorPastFieldKeyPool) {
+  std::string source = "t = {";
+  for (int i = 0; i < 65000; ++i) {
+    source += "0, ";
+  }
+  source += "'end'}\nresult = #t .. ':' .. t[65001]";
   Interpreter interp;
-  ASSERT_TRUE(interp.RunSource("function step(x) return x + 1 end").ok());
-  interp.set_engine(Interpreter::Engine::kOracle);
-  interp.set_instruction_budget(500);
-  Status s = interp.RunSource("x = 0 while true do x = step(x) end");
-  EXPECT_EQ(s.code(), Code::kAborted);
+  Status s = interp.RunSource(source);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(interp.stats().vm_runs, 1u);
+  EXPECT_EQ(interp.GetGlobal("result").as_string(), "65001:end");
+}
+
+// `function f() local v0 = 0 ... end` with n locals, all live at the end of
+// the body. With `captured`, a nested function reads every one of them, so
+// they need heap cells instead of registers.
+std::string FunctionWithLocals(int n, bool captured) {
+  std::string source = "function f()\n";
+  for (int i = 0; i < n; ++i) {
+    source += "local v" + std::to_string(i) + " = " + std::to_string(i) + "\n";
+  }
+  if (captured) {
+    source += "return function()\nlocal s = 0\n";
+    for (int i = 0; i < n; ++i) {
+      source += "s = v" + std::to_string(i) + "\n";
+    }
+    source += "return s\nend\n";
+  }
+  return source + "end\nresult = 1";
+}
+
+// Script sources come from clients: a program past the compiler's limits is
+// rejected with a compile error, like a parse error, and never runs.
+TEST(VmTest, OverLargeFunctionIsACompileError) {
+  for (bool captured : {false, true}) {
+    std::string source = FunctionWithLocals(60001, captured);
+    Result<std::shared_ptr<const CompiledChunk>> chunk = Compile(source);
+    ASSERT_FALSE(chunk.ok()) << "captured=" << captured;
+    EXPECT_EQ(chunk.status().code(), Code::kInvalidArgument);
+    const char* want =
+        captured ? "bytecode compile: cell overflow" : "bytecode compile: register overflow";
+    EXPECT_EQ(chunk.status().message(), want);
+    Interpreter interp;
+    EXPECT_EQ(interp.RunSource(source).code(), Code::kInvalidArgument);
+    EXPECT_EQ(interp.stats().vm_runs, 0u);
+    EXPECT_TRUE(interp.GetGlobal("result").is_nil());
+  }
+  // Just under the limit compiles and runs.
+  Interpreter interp;
+  ASSERT_TRUE(interp.RunSource(FunctionWithLocals(59000, false)).ok());
+  EXPECT_EQ(interp.GetGlobal("result").as_number(), 1);
 }
 
 TEST(VmTest, ClosureCapturesFreshCellPerIteration) {
@@ -793,6 +813,10 @@ TEST(VmDifferentialTest, HandwrittenCorpusAgrees) {
       "result = math.floor(2.7) + math.max(1, 9, 4) + math.abs(-2)",
       "result = string.len('abc') + string.find('hello', 'll')",
       "result = math.sqrt(-1) == math.sqrt(-1)",
+      // Function values: type, rendering and identity.
+      "local f = function() end local g = f print(f, type(f), tostring(f)) "
+      "result = tostring(f == g) .. tostring(f == function() end) .. type(assert(f))",
+      "error(function() end)",
   };
   for (const char* source : corpus) {
     ExpectEnginesAgree(source);
@@ -1039,8 +1063,8 @@ TEST(VmDifferentialTest, FuzzedProgramsAgree) {
   for (uint32_t seed = 0; seed < 512; ++seed) {
     ProgramGen gen(seed);
     std::string source = gen.Generate();
-    EngineOutcome vm = RunOnEngine(source, Interpreter::Engine::kVm);
-    EngineOutcome oracle = RunOnEngine(source, Interpreter::Engine::kOracle);
+    EngineOutcome vm = RunOnEngine(source, Engine::kVm);
+    EngineOutcome oracle = RunOnEngine(source, Engine::kOracle);
     ASSERT_EQ(vm.status.ToString(), oracle.status.ToString())
         << "seed " << seed << "\n" << source;
     ASSERT_EQ(vm.prints, oracle.prints) << "seed " << seed << "\n" << source;
@@ -1049,8 +1073,7 @@ TEST(VmDifferentialTest, FuzzedProgramsAgree) {
       ++error_programs;
     }
     if (seed % 16 == 0 && vm.status.ok()) {
-      for (Interpreter::Engine engine :
-           {Interpreter::Engine::kVm, Interpreter::Engine::kOracle}) {
+      for (Engine engine : {Engine::kVm, Engine::kOracle}) {
         EngineOutcome full = RunOnEngine(source, engine);
         ASSERT_GT(full.instructions, 0u) << "seed " << seed;
         EngineOutcome exact = RunOnEngine(source, engine, full.instructions);

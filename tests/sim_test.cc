@@ -6,9 +6,9 @@
 
 #include "src/common/rng.h"
 #include "src/sim/actor.h"
-#include "src/sim/legacy_simulator.h"
 #include "src/sim/network.h"
 #include "src/sim/simulator.h"
+#include "tests/legacy_simulator.h"
 
 namespace mal::sim {
 namespace {
