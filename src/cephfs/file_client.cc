@@ -6,7 +6,7 @@ void FileClient::WriteFile(const std::string& path, mal::Buffer data,
                            DoneHandler on_done) {
   // Arm the op's end-to-end budget: every hop below (lookup/create, striped
   // writes, size record) inherits the shrinking deadline ambiently.
-  svc::ScopedOpDeadline budget(rados_->owner(), options_.op_deadline);
+  ScopedOpDeadline budget(rados_->owner()->Now(), options_.op_deadline);
   auto shared = std::make_shared<mal::Buffer>(std::move(data));
   // Resolve or create the inode first.
   mds_->Lookup(path, [this, path, shared, on_done = std::move(on_done)](
@@ -83,7 +83,7 @@ void FileClient::WriteData(uint64_t ino, std::shared_ptr<mal::Buffer> data,
 }
 
 void FileClient::ReadFile(const std::string& path, DataHandler on_data) {
-  svc::ScopedOpDeadline budget(rados_->owner(), options_.op_deadline);
+  ScopedOpDeadline budget(rados_->owner()->Now(), options_.op_deadline);
   mds_->Lookup(path, [this, on_data = std::move(on_data)](mal::Status status,
                                                           const mds::MdsReply& reply) {
     if (!status.ok()) {
@@ -142,7 +142,7 @@ void FileClient::ReadFile(const std::string& path, DataHandler on_data) {
 }
 
 void FileClient::Stat(const std::string& path, StatHandler on_stat) {
-  svc::ScopedOpDeadline budget(rados_->owner(), options_.op_deadline);
+  ScopedOpDeadline budget(rados_->owner()->Now(), options_.op_deadline);
   mds_->Lookup(path, [on_stat = std::move(on_stat)](mal::Status status,
                                                     const mds::MdsReply& reply) {
     on_stat(status, reply.inode);
@@ -150,7 +150,7 @@ void FileClient::Stat(const std::string& path, StatHandler on_stat) {
 }
 
 void FileClient::Unlink(const std::string& path, DoneHandler on_done) {
-  svc::ScopedOpDeadline budget(rados_->owner(), options_.op_deadline);
+  ScopedOpDeadline budget(rados_->owner()->Now(), options_.op_deadline);
   mds::ClientRequest req;
   req.op = mds::MdsOp::kUnlink;
   req.path = path;

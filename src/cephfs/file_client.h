@@ -8,10 +8,10 @@
 #include <functional>
 #include <string>
 
+#include "src/common/deadline.h"
 #include "src/mds/mds_client.h"
 #include "src/rados/client.h"
 #include "src/rados/striper.h"
-#include "src/svc/deadline.h"
 
 namespace mal::cephfs {
 
@@ -19,7 +19,7 @@ struct FileClientOptions {
   uint64_t object_size = 64 * 1024;  // file data stripe unit
   // End-to-end budget for each public operation (0 = none). The deadline
   // rides every hop the op fans out into — MDS lookups, striped OSD
-  // writes, retries — shrinking as simulated time passes; see svc/.
+  // writes, retries — shrinking as simulated time passes; see common/deadline.h.
   sim::Time op_deadline = 0;
 };
 
@@ -34,7 +34,7 @@ class FileClient {
       : mds_(mds), rados_(rados), options_(options) {}
 
   void Mkdir(const std::string& path, DoneHandler on_done) {
-    svc::ScopedOpDeadline budget(rados_->owner(), options_.op_deadline);
+    ScopedOpDeadline budget(rados_->owner()->Now(), options_.op_deadline);
     mds_->Mkdir(path, std::move(on_done));
   }
 

@@ -14,6 +14,7 @@
 #ifndef MALACOLOGY_COMMON_DEADLINE_H_
 #define MALACOLOGY_COMMON_DEADLINE_H_
 
+#include <algorithm>
 #include <cstdint>
 
 namespace mal {
@@ -36,6 +37,25 @@ class ScopedDeadline {
 
  private:
   uint64_t prev_;
+};
+
+// Arms the deadline at an operation's edge (a cephfs call, a bench loop
+// body): `budget_ns` after `now_ns`, tightening-only, so an earlier outer
+// deadline wins. A zero budget keeps whatever is in force.
+class ScopedOpDeadline : public ScopedDeadline {
+ public:
+  ScopedOpDeadline(uint64_t now_ns, uint64_t budget_ns)
+      : ScopedDeadline(Resolve(now_ns, budget_ns)) {}
+
+ private:
+  static uint64_t Resolve(uint64_t now_ns, uint64_t budget_ns) {
+    uint64_t ambient = CurrentDeadline();
+    if (budget_ns == 0) {
+      return ambient;
+    }
+    uint64_t mine = now_ns + budget_ns;
+    return ambient == 0 ? mine : std::min(ambient, mine);
+  }
 };
 
 }  // namespace mal

@@ -79,138 +79,4 @@ uint64_t Checksum(const mal::Buffer& data) {
   return h;
 }
 
-namespace {
-
-mal::Buffer EpochInput(uint64_t epoch) {
-  return mal::Encode([epoch](mal::Encoder* enc) { enc->PutU64(epoch); });
-}
-
-}  // namespace
-
-void EcObject::Write(mal::Buffer data, DoneHandler on_done) {
-  std::vector<mal::Buffer> shards = Encode(data, k_);
-  uint64_t stamp = Checksum(data);
-  auto pending = std::make_shared<size_t>(shards.size());
-  auto first_error = std::make_shared<mal::Status>();
-  for (uint32_t i = 0; i < shards.size(); ++i) {
-    std::vector<osd::Op> ops;
-    ops.reserve(5);
-    // Guard first: a stale epoch aborts the whole shard transaction.
-    ops.push_back(rados::RadosClient::MakeExecOp("ec", "check_epoch", EpochInput(epoch_)));
-    osd::Op write;
-    write.type = osd::Op::Type::kWriteFull;
-    write.data = shards[i];
-    ops.push_back(std::move(write));
-    osd::Op size_attr;
-    size_attr.type = osd::Op::Type::kXattrSet;
-    size_attr.key = kShardSizeXattr;
-    size_attr.value = std::to_string(data.size());
-    ops.push_back(std::move(size_attr));
-    osd::Op cksum_attr;
-    cksum_attr.type = osd::Op::Type::kXattrSet;
-    cksum_attr.key = kShardCksumXattr;
-    cksum_attr.value = std::to_string(Checksum(shards[i]));
-    ops.push_back(std::move(cksum_attr));
-    osd::Op stamp_attr;
-    stamp_attr.type = osd::Op::Type::kXattrSet;
-    stamp_attr.key = kShardStampXattr;
-    stamp_attr.value = std::to_string(stamp);
-    ops.push_back(std::move(stamp_attr));
-    rados_->Execute(ShardOid(i), std::move(ops),
-                    [pending, first_error, on_done](mal::Status status,
-                                                    const osd::OsdOpReply& reply) {
-                      mal::Status op_status = status;
-                      if (status.ok()) {
-                        for (const osd::OpResult& result : reply.results) {
-                          if (!result.status.ok()) {
-                            op_status = result.status;
-                          }
-                        }
-                      }
-                      if (!op_status.ok() && first_error->ok()) {
-                        *first_error = op_status;
-                      }
-                      if (--*pending == 0) {
-                        on_done(*first_error);
-                      }
-                    });
-  }
-}
-
-void EcObject::Seal(uint64_t epoch, DoneHandler on_done) {
-  auto pending = std::make_shared<size_t>(num_shards());
-  auto first_error = std::make_shared<mal::Status>();
-  for (uint32_t i = 0; i < num_shards(); ++i) {
-    std::vector<osd::Op> ops;
-    ops.push_back(rados::RadosClient::MakeExecOp("ec", "seal", EpochInput(epoch)));
-    rados_->Execute(ShardOid(i), std::move(ops),
-                    [this, epoch, pending, first_error, on_done](
-                        mal::Status status, const osd::OsdOpReply& reply) {
-                      mal::Status op_status = status;
-                      if (status.ok()) {
-                        for (const osd::OpResult& result : reply.results) {
-                          if (!result.status.ok()) {
-                            op_status = result.status;
-                          }
-                        }
-                      }
-                      if (!op_status.ok() && first_error->ok()) {
-                        *first_error = op_status;
-                      }
-                      if (--*pending == 0) {
-                        if (first_error->ok()) {
-                          epoch_ = epoch;
-                        }
-                        on_done(*first_error);
-                      }
-                    });
-  }
-}
-
-void EcObject::Read(DataHandler on_data) {
-  uint32_t total = num_shards();
-  auto shards = std::make_shared<std::vector<std::optional<mal::Buffer>>>(total);
-  auto sizes = std::make_shared<std::vector<uint64_t>>(total, 0);
-  auto pending = std::make_shared<uint32_t>(total);
-  for (uint32_t i = 0; i < total; ++i) {
-    std::vector<osd::Op> ops(2);
-    ops[0].type = osd::Op::Type::kRead;
-    ops[1].type = osd::Op::Type::kXattrGet;
-    ops[1].key = "ec.size";
-    rados_->Execute(
-        ShardOid(i), std::move(ops),
-        [shards, sizes, pending, on_data, i](mal::Status status,
-                                             const osd::OsdOpReply& reply) {
-          if (status.ok() && reply.results.size() == 2 && reply.results[0].status.ok() &&
-              reply.results[1].status.ok()) {
-            (*shards)[i] = reply.results[0].out;
-            (*sizes)[i] = std::strtoull(reply.results[1].out.ToString().c_str(), nullptr, 10);
-          }
-          if (--*pending != 0) {
-            return;
-          }
-          // All replies in: find the logical size from any present shard.
-          uint64_t size = 0;
-          bool any = false;
-          for (uint32_t s = 0; s < shards->size(); ++s) {
-            if ((*shards)[s].has_value()) {
-              size = (*sizes)[s];
-              any = true;
-              break;
-            }
-          }
-          if (!any) {
-            on_data(mal::Status::NotFound("all shards missing"), mal::Buffer());
-            return;
-          }
-          auto decoded = Decode(*shards, size);
-          if (!decoded.ok()) {
-            on_data(decoded.status(), mal::Buffer());
-            return;
-          }
-          on_data(mal::Status::Ok(), decoded.value());
-        });
-  }
-}
-
 }  // namespace mal::ec

@@ -6,23 +6,17 @@
 // is the classic RAID-5 construction — the m=1 member of the Reed-Solomon
 // family Ceph configures — chosen so the math stays auditable while
 // exercising the same code paths (shard placement, partial reads,
-// reconstruction after daemon loss).
-//
-// EcObject stores one logical object as k+1 shard objects, each placed
-// independently by the normal placement function, so shards land on
-// distinct OSDs with high probability; pools can then run with
-// replicas = 1 and still survive a daemon loss.
+// reconstruction after daemon loss). ec::Pool (pool.h) stores objects
+// with it.
 #ifndef MALACOLOGY_EC_CODEC_H_
 #define MALACOLOGY_EC_CODEC_H_
 
-#include <functional>
+#include <cstdint>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "src/common/buffer.h"
 #include "src/common/status.h"
-#include "src/rados/client.h"
 
 namespace mal::ec {
 
@@ -46,46 +40,6 @@ uint64_t Checksum(const mal::Buffer& data);
 inline constexpr char kShardSizeXattr[] = "ec.size";    // logical object size
 inline constexpr char kShardCksumXattr[] = "ec.cksum";  // Checksum(shard bytes)
 inline constexpr char kShardStampXattr[] = "ec.stamp";  // Checksum(whole object)
-
-// A logical object erasure-coded across shard objects "<name>.shard<i>".
-class EcObject {
- public:
-  using DoneHandler = std::function<void(mal::Status)>;
-  using DataHandler = std::function<void(mal::Status, const mal::Buffer&)>;
-
-  EcObject(rados::RadosClient* rados, std::string name, uint32_t k = 2)
-      : rados_(rados), name_(std::move(name)), k_(k) {}
-
-  // Encodes and writes all k+1 shards (each tagged with the logical size).
-  // Every shard transaction is guarded by cls ec.check_epoch with the
-  // object's current epoch: after a Seal at a higher epoch, in-flight
-  // writes from this handle fail with kStaleEpoch instead of splitting the
-  // object across generations (the zlog.write_batch fencing discipline).
-  void Write(mal::Buffer data, DoneHandler on_done);
-
-  // Seals every shard at `epoch` (cls ec.seal). Once any shard is sealed,
-  // writes tagged with a lower epoch lose. On success this handle adopts
-  // the epoch so its own subsequent writes pass the guard.
-  void Seal(uint64_t epoch, DoneHandler on_done);
-
-  uint64_t epoch() const { return epoch_; }
-  void set_epoch(uint64_t epoch) { epoch_ = epoch; }
-
-  // Reads all shards; tolerates one missing/unreachable shard by
-  // reconstructing it from the parity.
-  void Read(DataHandler on_data);
-
-  std::string ShardOid(uint32_t index) const {
-    return name_ + ".shard" + std::to_string(index);
-  }
-  uint32_t num_shards() const { return k_ + 1; }
-
- private:
-  rados::RadosClient* rados_;
-  std::string name_;
-  uint32_t k_;
-  uint64_t epoch_ = 0;
-};
 
 }  // namespace mal::ec
 

@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <map>
+#include <memory>
 
 namespace mal::ec {
 
@@ -126,11 +127,42 @@ void Pool::Write(const std::string& object, mal::Buffer data, DoneHandler on_don
   });
 }
 
-void Pool::GatherShards(const std::string& object, GatherHandler on_done) {
-  uint32_t total = num_shards();
-  auto shards = std::make_shared<std::vector<ShardInfo>>(total);
-  auto pending = std::make_shared<uint32_t>(total);
-  for (uint32_t i = 0; i < total; ++i) {
+namespace {
+
+// True once the valid shards sharing one stamp are at least k and a strict
+// majority of the k+1: no reply still missing can then change the
+// generation SelectGeneration picks, nor the bytes it decodes to.
+bool Settled(const std::vector<ShardInfo>& shards, uint32_t k) {
+  for (const ShardInfo& a : shards) {
+    uint32_t agree = 0;
+    for (const ShardInfo& b : shards) {
+      agree += a.valid && b.valid && b.stamp == a.stamp ? 1 : 0;
+    }
+    if (agree >= k && 2 * agree > shards.size()) {
+      return true;
+    }
+  }
+  return false;
+}
+
+}  // namespace
+
+void Pool::Gather(const std::string& object, ShardsPredicate done, GatherHandler on_done,
+                  GatherHandler on_last) const {
+  struct State {
+    std::vector<ShardInfo> shards;
+    uint32_t pending = 0;
+    ShardsPredicate done;
+    GatherHandler on_done;  // cleared once it has run
+    GatherHandler on_last;
+  };
+  auto state = std::make_shared<State>();
+  state->shards.resize(num_shards());
+  state->pending = num_shards();
+  state->done = std::move(done);
+  state->on_done = std::move(on_done);
+  state->on_last = std::move(on_last);
+  for (uint32_t i = 0; i < num_shards(); ++i) {
     std::vector<osd::Op> ops(4);
     ops[0].type = osd::Op::Type::kRead;
     ops[1].type = osd::Op::Type::kXattrGet;
@@ -140,31 +172,43 @@ void Pool::GatherShards(const std::string& object, GatherHandler on_done) {
     ops[3].type = osd::Op::Type::kXattrGet;
     ops[3].key = kShardStampXattr;
     rados_->Execute(ShardOid(object, i), std::move(ops),
-                    [shards, pending, on_done, i](mal::Status status,
-                                                  const osd::OsdOpReply& reply) {
+                    [state, i](mal::Status status, const osd::OsdOpReply& reply) {
                       bool complete = status.ok() && reply.results.size() == 4;
                       for (size_t r = 0; complete && r < reply.results.size(); ++r) {
                         complete = reply.results[r].status.ok();
                       }
                       if (complete) {
-                        ShardInfo info;
+                        ShardInfo& info = state->shards[i];
                         info.present = true;
                         info.data = reply.results[0].out;
                         info.size = ParseU64(reply.results[1].out.ToString());
                         uint64_t cksum = ParseU64(reply.results[2].out.ToString());
                         info.stamp = ParseU64(reply.results[3].out.ToString());
                         info.valid = Checksum(info.data) == cksum;
-                        (*shards)[i] = std::move(info);
                       }
-                      if (--*pending == 0) {
-                        on_done(std::move(*shards));
+                      bool last = --state->pending == 0;
+                      if (last && state->on_last) {
+                        state->on_last(state->shards);
+                      }
+                      bool decide = last || (state->done && state->done(state->shards));
+                      if (decide && state->on_done) {
+                        GatherHandler handler = std::move(state->on_done);
+                        state->on_done = nullptr;
+                        handler(state->shards);
                       }
                     });
   }
 }
 
+void Pool::GatherShards(const std::string& object, GatherHandler on_done) {
+  Gather(object, nullptr, std::move(on_done), nullptr);
+}
+
 void Pool::Read(const std::string& object, DataHandler on_data) {
-  GatherShards(object, [this, on_data](std::vector<ShardInfo> shards) {
+  auto settled = [k = k_](const std::vector<ShardInfo>& shards) {
+    return Settled(shards, k);
+  };
+  auto decode = [on_data](const std::vector<ShardInfo>& shards) {
     uint64_t size = 0;
     uint32_t missing = 0;
     auto generation = SelectGeneration(shards, &size, &missing);
@@ -172,16 +216,23 @@ void Pool::Read(const std::string& object, DataHandler on_data) {
       on_data(mal::Status::NotFound("no readable shards"), mal::Buffer());
       return;
     }
-    if (missing > 0 && rados_->perf() != nullptr) {
-      rados_->perf()->Inc("rados.ec.degraded_reads");
-    }
     auto decoded = Decode(generation, size);
     if (!decoded.ok()) {
       on_data(decoded.status(), mal::Buffer());
       return;
     }
     on_data(mal::Status::Ok(), decoded.value());
-  });
+  };
+  // Judged on all k+1 replies, also when the read answered early.
+  auto count_degraded = [rados = rados_](const std::vector<ShardInfo>& shards) {
+    uint64_t size = 0;
+    uint32_t missing = 0;
+    SelectGeneration(shards, &size, &missing);
+    if (missing > 0 && missing < shards.size() && rados->perf() != nullptr) {
+      rados->perf()->Inc("rados.ec.degraded_reads");
+    }
+  };
+  Gather(object, std::move(settled), std::move(decode), std::move(count_degraded));
 }
 
 void Pool::Seal(const std::string& object, uint64_t epoch, DoneHandler on_done) {

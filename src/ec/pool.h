@@ -17,9 +17,10 @@
 //              into a decode with shards of a different write)
 // plus a cls ec.check_epoch guard so sealed objects fence stale writers.
 //
-// Reads gather all shards, discard checksum mismatches, decode around a
-// single loss (counting rados.ec.degraded_reads), and report kDataLoss
-// when the code's tolerance is exceeded. The scrub agent (src/scrub/)
+// Reads send all k+1 shard reads but decide on the first k that agree
+// (see Read), discard checksum mismatches, decode around a single loss
+// (counting rados.ec.degraded_reads), and report kDataLoss when the code's
+// tolerance is exceeded. The scrub agent (src/scrub/) gathers all k+1,
 // walks the pool's object index and re-encodes lost shards back to full
 // redundancy.
 #ifndef MALACOLOGY_EC_POOL_H_
@@ -60,7 +61,7 @@ class Pool {
   using DoneHandler = std::function<void(mal::Status)>;
   using DataHandler = std::function<void(mal::Status, const mal::Buffer&)>;
   using ListHandler = std::function<void(mal::Status, std::vector<std::string>)>;
-  using GatherHandler = std::function<void(std::vector<ShardInfo>)>;
+  using GatherHandler = std::function<void(const std::vector<ShardInfo>&)>;
 
   // Binds to a pool the map already knows about. `k` must match the
   // registered layout (Bind() looks it up instead).
@@ -81,9 +82,16 @@ class Pool {
   // therefore survives any single subsequent shard loss.
   void Write(const std::string& object, mal::Buffer data, DoneHandler on_done);
 
-  // Gathers all shards, drops corrupt ones, decodes around a single loss
-  // (incrementing rados.ec.degraded_reads on the owning client's perf
-  // registry), and fails with kDataLoss beyond the code's tolerance.
+  // Sends all k+1 shard reads and decides as soon as the checksum-valid
+  // shards sharing one ec.stamp are at least k and a strict majority of
+  // k+1: no missing reply could then change the generation picked (for
+  // k >= 2 that is "k agree"; a k=1 pool waits for both). Unanswered
+  // slots decode as holes; a corrupt or foreign shard makes the read wait
+  // for the rest. Fails with kDataLoss beyond the code's tolerance.
+  // rados.ec.degraded_reads on the owning client's perf registry counts a
+  // read whose k+1 replies held a hole (missing, corrupt or foreign),
+  // once, when its last reply or rpc failure lands, even if the read
+  // already answered.
   void Read(const std::string& object, DataHandler on_data);
 
   // Seals every shard of `object` at `epoch` (cls ec.seal); writes tagged
@@ -96,7 +104,7 @@ class Pool {
   void ListObjects(ListHandler on_list);
 
   // Reads every shard of `object` with checksum verification but no
-  // decode: the raw material for both Read and the scrub agent.
+  // decode, waiting for all k+1 replies: the scrub agent's raw material.
   void GatherShards(const std::string& object, GatherHandler on_done);
 
   const std::string& name() const { return name_; }
@@ -118,6 +126,17 @@ class Pool {
   static constexpr char kIndexKeyPrefix[] = "obj.";
 
  private:
+  using ShardsPredicate = std::function<bool(const std::vector<ShardInfo>&)>;
+
+  // The one gather behind Read and GatherShards: sends the k+1 shard
+  // reads. `on_done` runs once, at the first reply after which `done`
+  // holds (null: never early) or else at the last reply; unanswered slots
+  // are holes. `on_last` (may be null) runs when the last reply or rpc
+  // failure lands, before a pending `on_done`. Later replies touch only
+  // the gather's own shared state, never this handle, which may be gone.
+  void Gather(const std::string& object, ShardsPredicate done, GatherHandler on_done,
+              GatherHandler on_last) const;
+
   rados::RadosClient* rados_;
   std::string name_;
   uint32_t k_;

@@ -31,28 +31,84 @@ uint32_t PgForObject(const std::string& oid, uint32_t pg_count) {
   return static_cast<uint32_t>(StableHash(oid) % pg_count);
 }
 
-std::vector<uint32_t> PgToOsds(uint32_t pg, const mon::OsdMap& map, uint32_t replicas) {
-  // Rendezvous hashing: score every up OSD against the PG, take the top R.
-  std::vector<std::pair<double, uint32_t>> scored;
+namespace {
+
+struct RankedOsd {
+  double score;
+  uint32_t id;
+  bool up;
+};
+
+// Weighted rendezvous ranking of the map's OSDs (weight > 0) against `pg`,
+// best first. Down OSDs are ranked only when `include_down` is set.
+std::vector<RankedOsd> RankOsds(uint32_t pg, const mon::OsdMap& map, bool include_down) {
+  std::vector<RankedOsd> ranked;
+  ranked.reserve(map.osds.size());
   for (const auto& [id, info] : map.osds) {
-    if (!info.up || info.weight <= 0) {
+    if ((!info.up && !include_down) || info.weight <= 0) {
       continue;
     }
     uint64_t h = StableHash64(pg, id);
     // Weighted rendezvous: -w / ln(u) ordering, u in (0,1].
     double u = (static_cast<double>(h >> 11) + 1.0) / 9007199254740993.0;
-    double score = -info.weight / std::log(u);
-    scored.emplace_back(score, id);
+    ranked.push_back({-info.weight / std::log(u), id, info.up});
   }
-  std::sort(scored.begin(), scored.end(), [](const auto& a, const auto& b) {
-    if (a.first != b.first) {
-      return a.first > b.first;
+  std::sort(ranked.begin(), ranked.end(), [](const RankedOsd& a, const RankedOsd& b) {
+    if (a.score != b.score) {
+      return a.score > b.score;
     }
-    return a.second < b.second;
+    return a.id < b.id;
   });
+  return ranked;
+}
+
+// The OSD holding EC shard position `index` of a (width)-wide object whose
+// logical oid hashes to `pg`; nullopt when no OSD is up.
+std::optional<uint32_t> EcShardHome(uint32_t pg, const mon::OsdMap& map, uint32_t width,
+                                    uint32_t index) {
+  std::vector<RankedOsd> ranked = RankOsds(pg, map, /*include_down=*/true);
+  size_t up = 0;
+  for (const RankedOsd& osd : ranked) {
+    up += osd.up ? 1 : 0;
+  }
+  if (up == 0) {
+    return std::nullopt;
+  }
+  // Which up OSD (counted in rank order from `from`) takes the position.
+  size_t nth_up = 0;
+  size_t from = 0;
+  if (up < width) {
+    // Too few OSDs up to separate the shards: wrap over the up ones so the
+    // pool stays writable; the scrub agent re-separates shards once
+    // membership recovers.
+    nth_up = index % up;
+  } else if (ranked[index].up) {
+    return ranked[index].id;
+  } else {
+    // A down position takes the first up OSD ranked below the top `width`
+    // that no earlier down position took.
+    for (uint32_t p = 0; p < index; ++p) {
+      nth_up += ranked[p].up ? 0 : 1;
+    }
+    from = width;
+  }
+  for (size_t i = from; i < ranked.size(); ++i) {
+    if (ranked[i].up && nth_up-- == 0) {
+      return ranked[i].id;
+    }
+  }
+  return std::nullopt;  // unreachable: enough up OSDs were counted above
+}
+
+}  // namespace
+
+std::vector<uint32_t> PgToOsds(uint32_t pg, const mon::OsdMap& map, uint32_t replicas) {
+  std::vector<RankedOsd> ranked = RankOsds(pg, map, /*include_down=*/false);
+  size_t n = std::min<size_t>(ranked.size(), replicas);
   std::vector<uint32_t> acting;
-  for (size_t i = 0; i < scored.size() && i < replicas; ++i) {
-    acting.push_back(scored[i].second);
+  acting.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    acting.push_back(ranked[i].id);
   }
   return acting;
 }
@@ -92,15 +148,12 @@ std::vector<uint32_t> ActingSetForOid(const std::string& oid, const mon::OsdMap&
       if (layout->kind == mon::PoolLayout::Kind::kErasure) {
         auto ref = ParseEcShardOid(oid);
         if (ref.has_value() && ref->index < layout->num_shards()) {
-          // Shard i lives (unreplicated) at member i of the logical object's
-          // full-width set. When fewer OSDs are up than shards, wrap so the
-          // pool stays writable; the scrub agent re-separates shards once
-          // membership recovers.
-          auto set = OsdsForObject(ref->logical_oid, map, layout->num_shards());
-          if (set.empty()) {
+          auto home = EcShardHome(PgForObject(ref->logical_oid, map.pg_count), map,
+                                  layout->num_shards(), ref->index);
+          if (!home.has_value()) {
             return {};
           }
-          return {set[ref->index % set.size()]};
+          return {*home};
         }
         // Non-shard metadata in an EC pool (the object index): replicate it.
         return OsdsForObject(oid, map, 3);

@@ -48,13 +48,18 @@ struct EcShardRef {
 std::optional<EcShardRef> ParseEcShardOid(const std::string& oid);
 
 // The acting set for an oid, consulting the map's pool table. Replicated
-// pools use the pool's width. EC shard objects store exactly one copy at
-// member `index` of the *logical* object's (k+1)-wide rendezvous set, which
-// guarantees the shards of one object land on distinct OSDs (while enough
-// are up). Non-shard objects in an EC pool (e.g. the pool's object index)
-// are replicated 3-wide. Oids outside any registered pool — everything that
-// existed before pools — keep the legacy `default_replicas` placement, so
-// pool-free clusters place byte-identically.
+// pools use the pool's width. EC shard objects store exactly one copy, at
+// a stable *position* of the logical object's rendezvous ranking (CRUSH's
+// "indep" mode): every OSD with weight > 0, up or down, is ranked, and
+// shard i lives at rank i. A position whose OSD is down takes the
+// next-ranked up OSD outside the top k+1 (down positions served in index
+// order), so losing an OSD moves only the shards homed on it, and its
+// return moves them back. With fewer than k+1 OSDs up the shards wrap
+// over the up ones, so the pool stays writable. Non-shard objects in an EC
+// pool (e.g. the pool's object index) are replicated 3-wide. Oids outside
+// any registered pool — everything that existed before pools — keep the
+// legacy `default_replicas` placement, so pool-free clusters place
+// byte-identically.
 std::vector<uint32_t> ActingSetForOid(const std::string& oid, const mon::OsdMap& map,
                                       uint32_t default_replicas);
 

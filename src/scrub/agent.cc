@@ -131,7 +131,7 @@ void Agent::ScrubOne(const WorkItem& item, uint32_t budget) {
   std::string object = item.object;
   pool.GatherShards(
       object, [this, pool_name = item.pool, k = item.k, object, attempts = item.attempts,
-               budget](std::vector<ec::ShardInfo> shards) mutable {
+               budget](const std::vector<ec::ShardInfo>& shards) mutable {
         perf_.Inc("scrub.objects_scanned");
         uint64_t size = 0;
         uint32_t missing = 0;

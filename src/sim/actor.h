@@ -102,7 +102,7 @@ class Actor : public MessageSink {
   // kTimedOut after `timeout`, or kUnavailable if this actor crashed.
   //
   // Deadline propagation: when an ambient deadline is set (mal::CurrentDeadline,
-  // usually via svc::ScopedOpDeadline at the operation edge), the per-hop
+  // usually via mal::ScopedOpDeadline at the operation edge), the per-hop
   // timeout is clamped to the remaining budget — a clamped hop that expires
   // fails with kDeadlineExceeded rather than kTimedOut — the deadline is
   // stamped into the envelope so the server can drop expired work, and an

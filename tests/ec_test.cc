@@ -1,7 +1,7 @@
 // Erasure-coding tests: codec properties (round-trip, single-shard
-// reconstruction, double-loss detection, padding), end-to-end shard loss
-// on a live cluster, EC pools (placement, degraded reads, epoch fencing)
-// and the scrub agent's self-healing rebuild.
+// reconstruction, double-loss detection, padding), positional shard
+// placement, EC pools (degraded reads, shard loss on a live cluster, epoch
+// fencing), first-k reads, and the scrub agent's self-healing rebuild.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -100,45 +100,69 @@ TEST_P(EcCodecPropertyTest, RandomDataSurvivesRandomShardLoss) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EcCodecPropertyTest, ::testing::Range(0, 30));
 
-TEST(EcObjectTest, SurvivesOsdLossWithoutReplication) {
-  // Pool with replicas = 1: only erasure coding protects the data.
-  cluster::ClusterOptions options;
-  options.num_osds = 6;
-  options.osd.replicas = 1;
-  options.osd.pull_on_miss = false;  // nothing to pull: no replicas exist
-  options.mon.proposal_interval = 200 * sim::kMillisecond;
-  cluster::Cluster cluster(options);
-  cluster.Boot();
-  auto* client = cluster.NewClient();
+// -- EC placement --------------------------------------------------------------
 
-  EcObject object(&client->rados, "precious", /*k=*/3);
-  std::string payload = "erasure-coded and replication-free";
-  std::optional<Status> written;
-  object.Write(Buffer::FromString(payload), [&](Status s) { written = s; });
-  ASSERT_TRUE(cluster.RunUntil([&] { return written.has_value(); }));
-  ASSERT_TRUE(written->ok()) << *written;
+TEST(EcPlacementTest, LosingAnOsdMovesOnlyTheShardsHomedOnIt) {
+  mon::OsdMap map;
+  for (uint32_t id = 0; id < 6; ++id) {
+    map.osds[id].up = true;
+  }
+  map.service_metadata[mon::PoolKey("ecp")] = mon::PoolLayout::Erasure(3).Format();
+  const uint32_t shards = 4;
+  const int objects = 256;
+  auto homes_of = [&](int object) {
+    std::vector<uint32_t> homes;
+    for (uint32_t i = 0; i < shards; ++i) {
+      std::string oid = osd::EcShardOid(osd::PoolOid("ecp", "o" + std::to_string(object)), i);
+      auto acting = osd::ActingSetForOid(oid, map, /*default_replicas=*/3);
+      EXPECT_EQ(acting.size(), 1u) << oid;
+      homes.push_back(acting.empty() ? ~0u : acting[0]);
+    }
+    return homes;
+  };
+  std::vector<std::vector<uint32_t>> before;
+  for (int o = 0; o < objects; ++o) {
+    before.push_back(homes_of(o));
+    EXPECT_EQ(std::set<uint32_t>(before[o].begin(), before[o].end()).size(), shards);
+  }
+  for (uint32_t victim = 0; victim < 6; ++victim) {
+    map.osds[victim].up = false;
+    int moved = 0;
+    for (int o = 0; o < objects; ++o) {
+      std::vector<uint32_t> after = homes_of(o);
+      std::set<uint32_t> set(before[o].begin(), before[o].end());
+      for (uint32_t i = 0; i < shards; ++i) {
+        if (before[o][i] != victim) {
+          EXPECT_EQ(after[i], before[o][i]) << "object " << o << " shard " << i;
+          continue;
+        }
+        ++moved;
+        EXPECT_EQ(set.count(after[i]), 0u) << "object " << o << " shard " << i;
+      }
+    }
+    EXPECT_GT(moved, 0) << "osd." << victim;
+    map.osds[victim].up = true;
+    for (int o = 0; o < objects; ++o) {
+      EXPECT_EQ(homes_of(o), before[o]) << "object " << o;
+    }
+  }
+}
 
-  // Find the OSD holding shard 1 and kill it.
-  std::string victim_oid = object.ShardOid(1);
-  auto acting = osd::OsdsForObject(victim_oid, client->rados.osd_map(), 1);
-  ASSERT_FALSE(acting.empty());
-  cluster.osd(acting[0]).Crash();
-  mon::Transaction fail;
-  fail.op = mon::Transaction::Op::kOsdFail;
-  fail.daemon_id = acting[0];
-  bool marked = false;
-  client->rados.mon_client().SubmitTransaction(fail, [&](Status) { marked = true; });
-  ASSERT_TRUE(cluster.RunUntil([&] { return marked; }));
-  cluster.RunFor(1 * sim::kSecond);
-
-  // The shard is gone (its only copy died), but the object still reads.
-  std::optional<Result<std::string>> read;
-  object.Read([&](Status s, const Buffer& data) {
-    read = s.ok() ? Result<std::string>(data.ToString()) : Result<std::string>(s);
-  });
-  ASSERT_TRUE(cluster.RunUntil([&] { return read.has_value(); }, 60 * sim::kSecond));
-  ASSERT_TRUE(read->ok()) << read->status();
-  EXPECT_EQ(read->value(), payload);
+TEST(EcPlacementTest, TooFewUpOsdsWrapShardsOverTheUpOnes) {
+  mon::OsdMap map;
+  for (uint32_t id = 0; id < 6; ++id) {
+    map.osds[id].up = id % 2 == 0;  // 3 up, fewer than the 4 shards
+  }
+  map.service_metadata[mon::PoolKey("ecp")] = mon::PoolLayout::Erasure(3).Format();
+  for (int o = 0; o < 64; ++o) {
+    std::string logical = osd::PoolOid("ecp", "o" + std::to_string(o));
+    auto up_ranked = osd::OsdsForObject(logical, map, 4);
+    ASSERT_EQ(up_ranked.size(), 3u);
+    for (uint32_t i = 0; i < 4; ++i) {
+      auto acting = osd::ActingSetForOid(osd::EcShardOid(logical, i), map, 3);
+      EXPECT_EQ(acting, std::vector<uint32_t>{up_ranked[i % 3]}) << logical << " shard " << i;
+    }
+  }
 }
 
 // -- EC pools ----------------------------------------------------------------
@@ -172,6 +196,45 @@ Result<std::string> PoolRead(cluster::Cluster* cluster, Pool* pool,
   });
   EXPECT_TRUE(cluster->RunUntil([&] { return read.has_value(); }, 60 * sim::kSecond));
   return *read;
+}
+
+// Permanently loses the home of `shard_oid`: crash, wipe the store, commit
+// the loss to the map, and give every party time to adopt the new map.
+void LoseShardHome(cluster::Cluster* cluster, cluster::Client* client,
+                   const std::string& shard_oid, uint32_t* victim) {
+  auto victim_set = osd::ActingSetForOid(shard_oid, client->rados.osd_map(),
+                                         cluster->options().osd.replicas);
+  ASSERT_EQ(victim_set.size(), 1u);
+  *victim = victim_set[0];
+  cluster->osd(*victim).Crash();
+  cluster->osd(*victim).store().Clear();
+  mon::Transaction fail;
+  fail.op = mon::Transaction::Op::kOsdFail;
+  fail.daemon_id = *victim;
+  std::optional<Status> committed;
+  client->rados.mon_client().SubmitTransaction(fail, [&](Status s) { committed = s; });
+  ASSERT_TRUE(cluster->RunUntil([&] { return committed.has_value(); }));
+  ASSERT_TRUE(committed->ok()) << *committed;
+  std::optional<Status> refreshed;
+  client->rados.RefreshMap([&](Status s) { refreshed = s; });
+  ASSERT_TRUE(cluster->RunUntil([&] { return refreshed.has_value(); }));
+  cluster->RunFor(1 * sim::kSecond);  // every OSD adopts the new map
+}
+
+// Virtual-time latency of one read of `object`, measured at its completion;
+// the read must return `payload`.
+sim::Time TimedRead(cluster::Cluster* cluster, Pool* pool, const std::string& object,
+                    const std::string& payload) {
+  sim::Time start = cluster->simulator().Now();
+  sim::Time latency = 0;
+  std::optional<Status> read;
+  pool->Read(object, [&](Status s, const Buffer& data) {
+    read = s.ok() && data.ToString() != payload ? Status::DataLoss("mismatch") : s;
+    latency = cluster->simulator().Now() - start;
+  });
+  EXPECT_TRUE(cluster->RunUntil([&] { return read.has_value(); }, 60 * sim::kSecond));
+  EXPECT_TRUE(read.has_value() && read->ok()) << object;
+  return latency;
 }
 
 TEST(EcPoolTest, CreateWriteReadAndListObjects) {
@@ -291,48 +354,262 @@ TEST(EcPoolTest, DegradedReadCostsOnePullRound) {
   Pool pool = CreatePool(&cluster, client, "ecpool", /*k=*/3);
   std::string payload = "read around a shard whose only copy is gone";
   ASSERT_TRUE(PoolWrite(&cluster, &pool, "obj", payload).ok());
-
-  // Virtual-time latency of one read, measured at its completion.
-  auto timed_read = [&](sim::Time* latency) {
-    sim::Time start = cluster.simulator().Now();
-    std::optional<Status> read;
-    pool.Read("obj", [&](Status s, const Buffer& data) {
-      read = s.ok() && data.ToString() != payload ? Status::DataLoss("mismatch") : s;
-      *latency = cluster.simulator().Now() - start;
-    });
-    EXPECT_TRUE(cluster.RunUntil([&] { return read.has_value(); }, 60 * sim::kSecond));
-    return read.value_or(Status::TimedOut("no callback"));
-  };
-  sim::Time healthy = 0;
-  ASSERT_TRUE(timed_read(&healthy).ok());
+  sim::Time healthy = TimedRead(&cluster, &pool, "obj", payload);
 
   // Permanently lose the home of shard 0 and commit the loss to the map.
-  auto victim_set = osd::ActingSetForOid(pool.ShardOid("obj", 0), client->rados.osd_map(),
-                                         options.osd.replicas);
-  ASSERT_EQ(victim_set.size(), 1u);
-  cluster.osd(victim_set[0]).Crash();
-  cluster.osd(victim_set[0]).store().Clear();
-  mon::Transaction fail;
-  fail.op = mon::Transaction::Op::kOsdFail;
-  fail.daemon_id = victim_set[0];
-  std::optional<Status> committed;
-  client->rados.mon_client().SubmitTransaction(fail, [&](Status s) { committed = s; });
-  ASSERT_TRUE(cluster.RunUntil([&] { return committed.has_value(); }));
-  ASSERT_TRUE(committed->ok()) << *committed;
-  std::optional<Status> refreshed;
-  client->rados.RefreshMap([&](Status s) { refreshed = s; });
-  ASSERT_TRUE(cluster.RunUntil([&] { return refreshed.has_value(); }));
-  cluster.RunFor(1 * sim::kSecond);  // every OSD adopts the new map
+  uint32_t victim = 0;
+  ASSERT_NO_FATAL_FAILURE(LoseShardHome(&cluster, client, pool.ShardOid("obj", 0), &victim));
 
   // The shard's new home misses it and sweeps every other up OSD for a
   // copy. No OSD has one, and the sweep costs one pull round trip, not
   // one per OSD, so the degraded read stays within 2x of a healthy one.
   uint64_t degraded_before = client->perf.counter("rados.ec.degraded_reads");
-  sim::Time degraded = 0;
-  ASSERT_TRUE(timed_read(&degraded).ok());
+  sim::Time degraded = TimedRead(&cluster, &pool, "obj", payload);
+  // The read answers on the first k agreeing shards; the hole is counted
+  // when the straggling reply lands.
+  cluster.RunFor(100 * sim::kMillisecond);
   EXPECT_EQ(client->perf.counter("rados.ec.degraded_reads"), degraded_before + 1);
   EXPECT_LT(degraded, 2 * healthy) << "healthy " << healthy << " ns, degraded " << degraded
                                    << " ns";
+}
+
+TEST(EcPoolTest, ReadAroundLostOsdCostsAboutAHealthyRead) {
+  cluster::ClusterOptions options;
+  options.num_osds = 6;
+  options.mon.proposal_interval = 200 * sim::kMillisecond;
+  cluster::Cluster cluster(options);
+  cluster.Boot();
+  auto* client = cluster.NewClient();
+
+  Pool pool = CreatePool(&cluster, client, "ecpool", /*k=*/3);
+  std::vector<std::string> objects;
+  std::map<std::string, sim::Time> healthy;
+  for (int i = 0; i < 12; ++i) {
+    std::string object = "obj" + std::to_string(i);
+    ASSERT_TRUE(PoolWrite(&cluster, &pool, object, "payload of " + object).ok());
+    objects.push_back(object);
+  }
+  for (const std::string& object : objects) {
+    healthy[object] = TimedRead(&cluster, &pool, object, "payload of " + object);
+  }
+  std::map<std::string, uint32_t> homes;  // shard oid -> home before the loss
+  for (const std::string& object : objects) {
+    for (uint32_t i = 0; i < pool.num_shards(); ++i) {
+      std::string oid = pool.ShardOid(object, i);
+      homes[oid] = osd::ActingSetForOid(oid, client->rados.osd_map(), 3).at(0);
+    }
+  }
+
+  uint32_t victim = 0;
+  ASSERT_NO_FATAL_FAILURE(LoseShardHome(&cluster, client, pool.ShardOid("obj0", 0), &victim));
+
+  // Every object that had a shard on the lost OSD decodes around it, and
+  // the read finishes on the k survivors instead of waiting for the new
+  // home's fruitless pull sweep: within 1.25x of its healthy read.
+  int degraded_objects = 0;
+  for (const std::string& object : objects) {
+    bool hit = false;
+    for (uint32_t i = 0; i < pool.num_shards(); ++i) {
+      hit = hit || homes[pool.ShardOid(object, i)] == victim;
+    }
+    if (!hit) {
+      continue;
+    }
+    ++degraded_objects;
+    sim::Time degraded = TimedRead(&cluster, &pool, object, "payload of " + object);
+    EXPECT_LE(degraded, healthy[object] * 5 / 4) << object;
+  }
+  EXPECT_GE(degraded_objects, 1);
+}
+
+TEST(EcPoolTest, SurvivesOsdLossWithoutReplication) {
+  // Cluster with replicas = 1: only erasure coding protects the data.
+  cluster::ClusterOptions options;
+  options.num_osds = 6;
+  options.osd.replicas = 1;
+  options.osd.pull_on_miss = false;  // nothing to pull: no replicas exist
+  options.mon.proposal_interval = 200 * sim::kMillisecond;
+  cluster::Cluster cluster(options);
+  cluster.Boot();
+  auto* client = cluster.NewClient();
+
+  Pool pool = CreatePool(&cluster, client, "precious", /*k=*/3);
+  std::string payload = "erasure-coded and replication-free";
+  ASSERT_TRUE(PoolWrite(&cluster, &pool, "obj", payload).ok());
+
+  // Find the OSD holding shard 1 and kill it.
+  auto acting = osd::ActingSetForOid(pool.ShardOid("obj", 1), client->rados.osd_map(),
+                                     options.osd.replicas);
+  ASSERT_EQ(acting.size(), 1u);
+  cluster.osd(acting[0]).Crash();
+  mon::Transaction fail;
+  fail.op = mon::Transaction::Op::kOsdFail;
+  fail.daemon_id = acting[0];
+  bool marked = false;
+  client->rados.mon_client().SubmitTransaction(fail, [&](Status) { marked = true; });
+  ASSERT_TRUE(cluster.RunUntil([&] { return marked; }));
+  cluster.RunFor(1 * sim::kSecond);
+
+  // The shard is gone (its only copy died), but the object still reads.
+  auto read = PoolRead(&cluster, &pool, "obj");
+  ASSERT_TRUE(read.ok()) << read.status();
+  EXPECT_EQ(read.value(), payload);
+}
+
+// -- First-k reads -------------------------------------------------------------
+// A read decides on the first k agreeing shards; these cases pin down that
+// the early decision never returns anything the full k+1 gather would not.
+
+// Delays every message between `client` and the home of `shard_oid` by up
+// to `delay`, so that shard's reply lands after the others.
+void SlowShardHome(cluster::Cluster* cluster, cluster::Client* client,
+                   const std::string& shard_oid, sim::Time delay) {
+  uint32_t home = osd::ActingSetForOid(shard_oid, client->rados.osd_map(), 3).at(0);
+  sim::FaultSpec slow;
+  slow.reorder_prob = 1.0;
+  slow.reorder_delay = delay;
+  cluster->network().SetLinkFaults(client->name(), sim::EntityName::Osd(home), slow);
+}
+
+// Replaces the shard at `to_oid` with the stored object `from_oid`: a
+// checksum-valid shard of another write generation.
+void PlantShard(cluster::Cluster* cluster, cluster::Client* client,
+                const std::string& from_oid, const std::string& to_oid) {
+  auto from = osd::ActingSetForOid(from_oid, client->rados.osd_map(), 3).at(0);
+  auto to = osd::ActingSetForOid(to_oid, client->rados.osd_map(), 3).at(0);
+  auto stored = cluster->osd(from).store().Get(from_oid);
+  ASSERT_TRUE(stored.ok()) << from_oid;
+  cluster->osd(to).store().Put(to_oid, *stored.value());
+}
+
+TEST(EcFirstKReadTest, CorruptDataShardWaitsForParity) {
+  cluster::ClusterOptions options;
+  options.num_osds = 6;
+  options.mon.proposal_interval = 200 * sim::kMillisecond;
+  cluster::Cluster cluster(options);
+  cluster.Boot();
+  auto* client = cluster.NewClient();
+  client->rados.set_perf(&client->perf);
+
+  Pool pool = CreatePool(&cluster, client, "ecpool", /*k=*/3);
+  std::string payload = "a flipped data bit must never reach the reader";
+  ASSERT_TRUE(PoolWrite(&cluster, &pool, "obj", payload).ok());
+  std::string oid = pool.ShardOid("obj", 0);
+  auto acting = osd::ActingSetForOid(oid, client->rados.osd_map(), options.osd.replicas);
+  ASSERT_TRUE(cluster.osd(acting.at(0)).store().FlipBit(oid, /*byte=*/1, /*bit=*/3));
+  // Even with the parity shard slowest, the two clean data shards are not
+  // k agreeing shards: the read must wait for parity and decode around
+  // the corrupt one.
+  SlowShardHome(&cluster, client, pool.ShardOid("obj", pool.k()), 20 * sim::kMillisecond);
+
+  auto read = PoolRead(&cluster, &pool, "obj");
+  ASSERT_TRUE(read.ok()) << read.status();
+  EXPECT_EQ(read.value(), payload);
+  EXPECT_EQ(client->perf.counter("rados.ec.degraded_reads"), 1u);
+}
+
+TEST(EcFirstKReadTest, ForeignStampStragglerIsIgnored) {
+  cluster::ClusterOptions options;
+  options.num_osds = 6;
+  options.mon.proposal_interval = 200 * sim::kMillisecond;
+  cluster::Cluster cluster(options);
+  cluster.Boot();
+  auto* client = cluster.NewClient();
+  client->rados.set_perf(&client->perf);
+
+  Pool pool = CreatePool(&cluster, client, "ecpool", /*k=*/3);
+  std::string payload = "the generation three shards agree on";
+  ASSERT_TRUE(PoolWrite(&cluster, &pool, "obj", payload).ok());
+  ASSERT_TRUE(PoolWrite(&cluster, &pool, "other", "a different write generation").ok());
+  ASSERT_NO_FATAL_FAILURE(
+      PlantShard(&cluster, client, pool.ShardOid("other", 2), pool.ShardOid("obj", 2)));
+  SlowShardHome(&cluster, client, pool.ShardOid("obj", 2), 20 * sim::kMillisecond);
+
+  // Three agreeing shards decide the read before the foreign one lands.
+  std::optional<Result<std::string>> read;
+  uint64_t degraded_at_answer = 0;
+  pool.Read("obj", [&](Status s, const Buffer& data) {
+    read = s.ok() ? Result<std::string>(data.ToString()) : Result<std::string>(s);
+    degraded_at_answer = client->perf.counter("rados.ec.degraded_reads");
+  });
+  ASSERT_TRUE(cluster.RunUntil([&] { return read.has_value(); }, 60 * sim::kSecond));
+  ASSERT_TRUE(read->ok()) << read->status();
+  EXPECT_EQ(read->value(), payload);
+  EXPECT_EQ(degraded_at_answer, 0u);
+  // The straggler is absorbed when it lands and counted as a hole.
+  cluster.RunFor(100 * sim::kMillisecond);
+  EXPECT_EQ(client->perf.counter("rados.ec.degraded_reads"), 1u);
+}
+
+TEST(EcFirstKReadTest, EarlyForeignStampShardIsNotCountedAsAgreeing) {
+  cluster::ClusterOptions options;
+  options.num_osds = 6;
+  options.mon.proposal_interval = 200 * sim::kMillisecond;
+  cluster::Cluster cluster(options);
+  cluster.Boot();
+  auto* client = cluster.NewClient();
+  client->rados.set_perf(&client->perf);
+
+  Pool pool = CreatePool(&cluster, client, "ecpool", /*k=*/3);
+  std::string payload = "the generation three shards agree on";
+  ASSERT_TRUE(PoolWrite(&cluster, &pool, "obj", payload).ok());
+  ASSERT_TRUE(PoolWrite(&cluster, &pool, "other", "a different write generation").ok());
+  ASSERT_NO_FATAL_FAILURE(
+      PlantShard(&cluster, client, pool.ShardOid("other", 2), pool.ShardOid("obj", 2)));
+  // The foreign shard lands among the first three; the slow one is the
+  // third shard of the generation the read must return.
+  SlowShardHome(&cluster, client, pool.ShardOid("obj", 0), 20 * sim::kMillisecond);
+
+  auto read = PoolRead(&cluster, &pool, "obj");
+  ASSERT_TRUE(read.ok()) << read.status();
+  EXPECT_EQ(read.value(), payload);
+  EXPECT_EQ(client->perf.counter("rados.ec.degraded_reads"), 1u);
+}
+
+TEST(EcFirstKReadTest, TwoShardPoolWaitsForBothGenerations) {
+  cluster::ClusterOptions options;
+  options.num_osds = 6;
+  options.mon.proposal_interval = 200 * sim::kMillisecond;
+  cluster::Cluster cluster(options);
+  cluster.Boot();
+  auto* client = cluster.NewClient();
+  client->rados.set_perf(&client->perf);
+
+  // k=1: shard 0 holds one generation, shard 1 another. Neither has a
+  // majority, so the pick is SelectGeneration's tie-break over both.
+  Pool pool = CreatePool(&cluster, client, "pair", /*k=*/1);
+  ASSERT_TRUE(PoolWrite(&cluster, &pool, "obj", "generation one").ok());
+  ASSERT_TRUE(PoolWrite(&cluster, &pool, "old", "generation two!").ok());
+  ASSERT_NO_FATAL_FAILURE(
+      PlantShard(&cluster, client, pool.ShardOid("old", 1), pool.ShardOid("obj", 1)));
+
+  std::optional<std::vector<ShardInfo>> gathered;
+  pool.GatherShards("obj", [&](const std::vector<ShardInfo>& shards) { gathered = shards; });
+  ASSERT_TRUE(cluster.RunUntil([&] { return gathered.has_value(); }));
+  uint64_t size = 0;
+  uint32_t missing = 0;
+  auto generation = SelectGeneration(*gathered, &size, &missing);
+  auto expected = Decode(generation, size);
+  ASSERT_TRUE(expected.ok()) << expected.status();
+  EXPECT_EQ(missing, 1u);
+
+  // Whichever shard replies first, the read waits for the other one.
+  for (uint32_t slow = 0; slow < pool.num_shards(); ++slow) {
+    SlowShardHome(&cluster, client, pool.ShardOid("obj", slow), 20 * sim::kMillisecond);
+    uint64_t degraded_before = client->perf.counter("rados.ec.degraded_reads");
+    std::optional<Result<std::string>> read;
+    uint64_t degraded_at_answer = 0;
+    pool.Read("obj", [&](Status s, const Buffer& data) {
+      read = s.ok() ? Result<std::string>(data.ToString()) : Result<std::string>(s);
+      degraded_at_answer = client->perf.counter("rados.ec.degraded_reads");
+    });
+    ASSERT_TRUE(cluster.RunUntil([&] { return read.has_value(); }, 60 * sim::kSecond));
+    ASSERT_TRUE(read->ok()) << read->status();
+    EXPECT_EQ(read->value(), expected.value().ToString()) << "slow shard " << slow;
+    // Counted at the last reply, so already in when the read answered.
+    EXPECT_EQ(degraded_at_answer, degraded_before + 1) << "slow shard " << slow;
+    cluster.network().ClearFaults();
+  }
 }
 
 // -- Scrub/rebuild -----------------------------------------------------------

@@ -12,7 +12,6 @@
 #include "src/common/deadline.h"
 #include "src/common/rng.h"
 #include "src/common/trace.h"
-#include "src/svc/deadline.h"
 #include "src/svc/dispatch.h"
 #include "src/svc/retry.h"
 
@@ -247,7 +246,7 @@ TEST(DeadlineTest, ClampedHopFailsWithDeadlineExceededNotTimedOut) {
   mal::Status with_budget;
   sim::Time budget_failed_at = 0;
   {
-    svc::ScopedOpDeadline budget(&client, 2 * sim::kSecond);
+    ScopedOpDeadline budget(client.Now(), 2 * sim::kSecond);
     client.SendRequest(server.name(), kMsgPing, EncodePing(2),
                        [&](mal::Status s, const sim::Envelope&) {
                          with_budget = s;
@@ -274,7 +273,7 @@ TEST(DeadlineTest, ExpiredWorkIsDroppedBeforeExecutionServerSide) {
   // any work.
   mal::Status status;
   {
-    svc::ScopedOpDeadline budget(&client, 20 * sim::kMicrosecond);
+    ScopedOpDeadline budget(client.Now(), 20 * sim::kMicrosecond);
     client.SendRequest(server.name(), kMsgPing, EncodePing(7),
                        [&](mal::Status s, const sim::Envelope&) { status = s; });
   }
@@ -313,7 +312,7 @@ TEST(DeadlineTest, BudgetShrinksAcrossProxyHops) {
   mal::Status status;
   sim::Time failed_at = 0;
   {
-    svc::ScopedOpDeadline budget(&client, 1 * sim::kSecond);
+    ScopedOpDeadline budget(client.Now(), 1 * sim::kSecond);
     client.SendRequest(proxy.name(), kMsgPing, EncodePing(3),
                        [&](mal::Status s, const sim::Envelope&) {
                          status = s;
