@@ -4,6 +4,8 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "src/osd/placement.h"
+
 namespace mal::cls {
 namespace {
 
@@ -42,12 +44,17 @@ mal::Result<uint64_t> CheckEpoch(ClsContext& ctx, uint64_t request_epoch) {
   return stored;
 }
 
-uint64_t MaxPos(ClsContext& ctx) {
+// The u64 in xattr `key`, or 0 when the object or the xattr is absent.
+uint64_t XattrU64(ClsContext& ctx, const char* key) {
   if (!ctx.Exists()) {
     return 0;
   }
-  auto v = ctx.XattrGet(kZlogMaxPosXattr);
+  auto v = ctx.XattrGet(key);
   return v.ok() ? ParseU64(v.value()) : 0;
+}
+
+uint64_t MaxPos(ClsContext& ctx) {
+  return XattrU64(ctx, kZlogMaxPosXattr);
 }
 
 // -- cls zlog ------------------------------------------------------------------
@@ -414,12 +421,7 @@ mal::Result<mal::Buffer> ChecksumCompute(ClsContext& ctx, const mal::Buffer& inp
   }
   char cache_key[64];
   std::snprintf(cache_key, sizeof(cache_key), "cksum.%" PRIu64 ".%" PRIu64, offset, length);
-  // FNV-1a over the extent.
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (size_t i = 0; i < data.value().size(); ++i) {
-    h ^= static_cast<unsigned char>(data.value().data()[i]);
-    h *= 0x100000001b3ULL;
-  }
+  uint64_t h = osd::StableHash(data.value().View());  // FNV-1a over the extent
   mal::Status s = ctx.XattrSet(cache_key, U64ToString(h));
   if (!s.ok()) {
     return s;
@@ -486,8 +488,13 @@ mal::Result<mal::Buffer> KvIndexGet(ClsContext& ctx, const mal::Buffer& input) {
 // arbitrate. check_epoch rides as a guard op inside each shard write
 // transaction; seal bumps the stored epoch (and creates the shard if it
 // does not exist yet, so sealing an unwritten shard still fences it).
+// check_stamp is the scrub repair's guard: it passes only while the shard's
+// ec.stamp still equals the one the repair's gather saw (0: the shard is
+// absent or unstamped, as one only a seal created is), so a repair fills
+// holes but never overwrites a write that landed after its gather.
 
 constexpr char kEcEpochXattr[] = "ec.epoch";
+constexpr char kEcStampXattr[] = "ec.stamp";
 
 mal::Result<mal::Buffer> EcCheckEpoch(ClsContext& ctx, const mal::Buffer& input) {
   mal::Decoder dec(input);
@@ -495,16 +502,24 @@ mal::Result<mal::Buffer> EcCheckEpoch(ClsContext& ctx, const mal::Buffer& input)
   if (!dec.ok()) {
     return mal::Status::InvalidArgument("bad ec.check_epoch input");
   }
-  uint64_t stored = 0;
-  if (ctx.Exists()) {
-    auto e = ctx.XattrGet(kEcEpochXattr);
-    if (e.ok()) {
-      stored = ParseU64(e.value());
-    }
-  }
+  uint64_t stored = XattrU64(ctx, kEcEpochXattr);
   if (epoch < stored) {
     return mal::Status::StaleEpoch("shard epoch " + U64ToString(epoch) +
                                    " < sealed epoch " + U64ToString(stored));
+  }
+  return mal::Buffer();
+}
+
+mal::Result<mal::Buffer> EcCheckStamp(ClsContext& ctx, const mal::Buffer& input) {
+  mal::Decoder dec(input);
+  uint64_t seen = dec.GetU64();
+  if (!dec.ok()) {
+    return mal::Status::InvalidArgument("bad ec.check_stamp input");
+  }
+  uint64_t stored = XattrU64(ctx, kEcStampXattr);
+  if (stored != seen) {
+    return mal::Status::Aborted("shard stamp " + U64ToString(stored) + " != seen " +
+                                U64ToString(seen));
   }
   return mal::Buffer();
 }
@@ -515,13 +530,7 @@ mal::Result<mal::Buffer> EcSeal(ClsContext& ctx, const mal::Buffer& input) {
   if (!dec.ok()) {
     return mal::Status::InvalidArgument("bad ec.seal input");
   }
-  uint64_t stored = 0;
-  if (ctx.Exists()) {
-    auto e = ctx.XattrGet(kEcEpochXattr);
-    if (e.ok()) {
-      stored = ParseU64(e.value());
-    }
-  }
+  uint64_t stored = XattrU64(ctx, kEcEpochXattr);
   if (epoch <= stored) {
     return mal::Status::StaleEpoch("seal epoch " + U64ToString(epoch) +
                                    " <= sealed epoch " + U64ToString(stored));
@@ -626,6 +635,7 @@ void RegisterBuiltinClasses(ClassRegistry* registry) {
   registry->RegisterNative("kvindex", "get", Category::kMetadata, KvIndexGet);
 
   registry->RegisterNative("ec", "check_epoch", Category::kManagement, EcCheckEpoch);
+  registry->RegisterNative("ec", "check_stamp", Category::kManagement, EcCheckStamp);
   registry->RegisterNative("ec", "seal", Category::kManagement, EcSeal);
 }
 

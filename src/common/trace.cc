@@ -36,10 +36,8 @@ const char* BuiltinMessageName(uint32_t type) {
     case 201: return "osd.repop";
     case 202: return "osd.gossip";
     case 203: return "osd.pull";
-    case 204: return "osd.scrub";
     case 205: return "osd.watch";
     case 206: return "osd.notify";
-    case 207: return "osd.push";
     case 300: return "mds.client_request";
     case 301: return "mds.cap_revoke";
     case 302: return "mds.migrate";

@@ -1,5 +1,7 @@
 #include "src/ec/codec.h"
 
+#include "src/osd/placement.h"
+
 namespace mal::ec {
 
 std::vector<mal::Buffer> Encode(const mal::Buffer& data, uint32_t k) {
@@ -71,12 +73,7 @@ mal::Result<mal::Buffer> Decode(const std::vector<std::optional<mal::Buffer>>& s
 }
 
 uint64_t Checksum(const mal::Buffer& data) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (size_t i = 0; i < data.size(); ++i) {
-    h ^= static_cast<unsigned char>(data.data()[i]);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
+  return osd::StableHash(data.View());
 }
 
 }  // namespace mal::ec

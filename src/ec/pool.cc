@@ -8,8 +8,8 @@ namespace mal::ec {
 
 namespace {
 
-mal::Buffer EpochInput(uint64_t epoch) {
-  return mal::Encode([epoch](mal::Encoder* enc) { enc->PutU64(epoch); });
+mal::Buffer U64Input(uint64_t value) {
+  return mal::Encode([value](mal::Encoder* enc) { enc->PutU64(value); });
 }
 
 uint64_t ParseU64(const std::string& s) {
@@ -80,42 +80,28 @@ std::optional<Pool> Pool::Bind(rados::RadosClient* rados, const std::string& nam
   return Pool(rados, name, layout->width);
 }
 
-void Pool::Write(const std::string& object, mal::Buffer data, DoneHandler on_done) {
-  std::vector<mal::Buffer> shards = Encode(data, k_);
-  uint64_t stamp = Checksum(data);
-  std::vector<rados::RadosClient::TargetedOp> ops;
-  ops.reserve(shards.size() * 5 + 1);
-  for (uint32_t i = 0; i < shards.size(); ++i) {
-    std::string oid = ShardOid(object, i);
-    ops.push_back(
-        {oid, rados::RadosClient::MakeExecOp("ec", "check_epoch", EpochInput(epoch_))});
-    osd::Op write;
-    write.type = osd::Op::Type::kWriteFull;
-    write.data = shards[i];
-    ops.push_back({oid, std::move(write)});
-    osd::Op size_attr;
-    size_attr.type = osd::Op::Type::kXattrSet;
-    size_attr.key = kShardSizeXattr;
-    size_attr.value = std::to_string(data.size());
-    ops.push_back({oid, std::move(size_attr)});
-    osd::Op cksum_attr;
-    cksum_attr.type = osd::Op::Type::kXattrSet;
-    cksum_attr.key = kShardCksumXattr;
-    cksum_attr.value = std::to_string(Checksum(shards[i]));
-    ops.push_back({oid, std::move(cksum_attr)});
-    osd::Op stamp_attr;
-    stamp_attr.type = osd::Op::Type::kXattrSet;
-    stamp_attr.key = kShardStampXattr;
-    stamp_attr.value = std::to_string(stamp);
-    ops.push_back({oid, std::move(stamp_attr)});
-  }
-  // The object index rides in the same batch: scrub discovers the object
-  // as soon as the write acks.
-  osd::Op index;
-  index.type = osd::Op::Type::kOmapSet;
-  index.key = std::string(kIndexKeyPrefix) + object;
-  index.value = std::to_string(data.size());
-  ops.push_back({IndexOid(name_), std::move(index)});
+void Pool::AppendShardWrite(std::vector<rados::RadosClient::TargetedOp>* ops,
+                            const std::string& object, uint32_t index, osd::Op guard,
+                            const mal::Buffer& shard, uint64_t size, uint64_t stamp) const {
+  std::string oid = ShardOid(object, index);
+  ops->push_back({oid, std::move(guard)});
+  osd::Op write;
+  write.type = osd::Op::Type::kWriteFull;
+  write.data = shard;
+  ops->push_back({oid, std::move(write)});
+  auto set_attr = [&](const char* key, uint64_t value) {
+    osd::Op attr;
+    attr.type = osd::Op::Type::kXattrSet;
+    attr.key = key;
+    attr.value = std::to_string(value);
+    ops->push_back({oid, std::move(attr)});
+  };
+  set_attr(kShardSizeXattr, size);
+  set_attr(kShardCksumXattr, Checksum(shard));
+  set_attr(kShardStampXattr, stamp);
+}
+
+void Pool::Submit(std::vector<rados::RadosClient::TargetedOp> ops, DoneHandler on_done) {
   rados_->ExecuteTargeted(std::move(ops), [on_done](std::vector<osd::OpResult> results) {
     mal::Status first;
     for (const osd::OpResult& result : results) {
@@ -125,6 +111,43 @@ void Pool::Write(const std::string& object, mal::Buffer data, DoneHandler on_don
     }
     on_done(first);
   });
+}
+
+void Pool::Write(const std::string& object, mal::Buffer data, DoneHandler on_done) {
+  std::vector<mal::Buffer> shards = Encode(data, k_);
+  uint64_t stamp = Checksum(data);
+  std::vector<rados::RadosClient::TargetedOp> ops;
+  ops.reserve(shards.size() * 5 + 1);
+  for (uint32_t i = 0; i < shards.size(); ++i) {
+    AppendShardWrite(&ops, object, i,
+                     rados::RadosClient::MakeExecOp("ec", "check_epoch", U64Input(epoch_)),
+                     shards[i], data.size(), stamp);
+  }
+  // The object index rides in the same batch: scrub discovers the object
+  // as soon as the write acks.
+  osd::Op index;
+  index.type = osd::Op::Type::kOmapSet;
+  index.key = std::string(kIndexKeyPrefix) + object;
+  index.value = std::to_string(data.size());
+  ops.push_back({IndexOid(name_), std::move(index)});
+  Submit(std::move(ops), std::move(on_done));
+}
+
+void Pool::Fill(const std::string& object, const mal::Buffer& data,
+                const std::vector<ShardInfo>& seen, DoneHandler on_done) {
+  std::vector<mal::Buffer> shards = Encode(data, k_);
+  uint64_t stamp = Checksum(data);
+  std::vector<rados::RadosClient::TargetedOp> ops;
+  for (uint32_t i = 0; i < shards.size(); ++i) {
+    if (seen[i].valid && seen[i].stamp == stamp) {
+      continue;  // already holds a valid copy of this generation
+    }
+    AppendShardWrite(&ops, object, i,
+                     rados::RadosClient::MakeExecOp("ec", "check_stamp",
+                                                    U64Input(seen[i].stamp)),
+                     shards[i], data.size(), stamp);
+  }
+  Submit(std::move(ops), std::move(on_done));
 }
 
 namespace {
@@ -240,7 +263,7 @@ void Pool::Seal(const std::string& object, uint64_t epoch, DoneHandler on_done) 
   auto first_error = std::make_shared<mal::Status>();
   for (uint32_t i = 0; i < num_shards(); ++i) {
     std::vector<osd::Op> ops;
-    ops.push_back(rados::RadosClient::MakeExecOp("ec", "seal", EpochInput(epoch)));
+    ops.push_back(rados::RadosClient::MakeExecOp("ec", "seal", U64Input(epoch)));
     rados_->Execute(ShardOid(object, i), std::move(ops),
                     [this, epoch, pending, first_error, on_done](
                         mal::Status status, const osd::OsdOpReply& reply) {

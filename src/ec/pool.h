@@ -21,8 +21,8 @@
 // (see Read), discard checksum mismatches, decode around a single loss
 // (counting rados.ec.degraded_reads), and report kDataLoss when the code's
 // tolerance is exceeded. The scrub agent (src/scrub/) gathers all k+1,
-// walks the pool's object index and re-encodes lost shards back to full
-// redundancy.
+// walks the pool's object index and fills lost shards back to full
+// redundancy (Fill).
 #ifndef MALACOLOGY_EC_POOL_H_
 #define MALACOLOGY_EC_POOL_H_
 
@@ -107,6 +107,16 @@ class Pool {
   // decode, waiting for all k+1 replies: the scrub agent's raw material.
   void GatherShards(const std::string& object, GatherHandler on_done);
 
+  // Scrub repair: re-encodes `data` and writes only the slots whose
+  // gathered shard in `seen` is not a valid copy of its generation. Each
+  // written slot is guarded by cls ec.check_stamp, which passes only while
+  // the slot's ec.stamp still equals the one gathered (0: absent or
+  // unstamped), so a fill never rolls back a write that landed since the
+  // gather; such a slot fails with kAborted. Carries no epoch guard and
+  // leaves a slot's seal and the object index as they are.
+  void Fill(const std::string& object, const mal::Buffer& data,
+            const std::vector<ShardInfo>& seen, DoneHandler on_done);
+
   const std::string& name() const { return name_; }
   uint32_t k() const { return k_; }
   uint32_t num_shards() const { return k_ + 1; }
@@ -127,6 +137,14 @@ class Pool {
 
  private:
   using ShardsPredicate = std::function<bool(const std::vector<ShardInfo>&)>;
+
+  // The one shard-write builder behind Write and Fill: `guard`, then the
+  // shard bytes and its ec.size / ec.cksum / ec.stamp xattrs.
+  void AppendShardWrite(std::vector<rados::RadosClient::TargetedOp>* ops,
+                        const std::string& object, uint32_t index, osd::Op guard,
+                        const mal::Buffer& shard, uint64_t size, uint64_t stamp) const;
+  // Runs `ops` and reports the first failed op's status (Ok when none).
+  void Submit(std::vector<rados::RadosClient::TargetedOp> ops, DoneHandler on_done);
 
   // The one gather behind Read and GatherShards: sends the k+1 shard
   // reads. `on_done` runs once, at the first reply after which `done`

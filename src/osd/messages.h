@@ -16,10 +16,8 @@ enum MsgType : uint32_t {
   kMsgRepOp = 201,      // primary -> replica: expanded primitive transaction
   kMsgGossipMap = 202,  // osd -> osd one-way: current OSDMap (epidemic)
   kMsgPullObject = 203, // recovery: fetch a full object from a peer
-  kMsgScrub = 204,      // anti-entropy: compare object version/digest
   kMsgWatch = 205,      // client -> primary: (un)register a watch
   kMsgNotify = 206,     // primary -> watcher (one-way): object changed
-  kMsgPushObject = 207, // scrub repair: primary -> replica full object
 };
 
 struct WatchRequest {
@@ -110,21 +108,6 @@ struct PullObjectRequest {
   std::string oid;
   void Encode(mal::Encoder* enc) const { enc->PutString(oid); }
   static PullObjectRequest Decode(mal::Decoder* dec) { return {dec->GetString()}; }
-};
-
-struct ScrubRequest {
-  std::string oid;
-  uint64_t version = 0;  // sender's version (0 = absent)
-  void Encode(mal::Encoder* enc) const {
-    enc->PutString(oid);
-    enc->PutU64(version);
-  }
-  static ScrubRequest Decode(mal::Decoder* dec) {
-    ScrubRequest req;
-    req.oid = dec->GetString();
-    req.version = dec->GetU64();
-    return req;
-  }
 };
 
 }  // namespace mal::osd

@@ -10,11 +10,10 @@
 namespace mal::osd {
 namespace {
 
-// Integrity gate on shard adoption: a pulled/recovered EC shard whose
-// ec.cksum xattr no longer matches its bytes is bit-rot, and adopting it
-// would re-home the corruption onto a healthy OSD. Refuse; the scrub agent
-// re-encodes a clean shard instead. The hash must match ec::Checksum
-// (FNV-1a over the bytestream).
+// Integrity gate on shard adoption: a pulled EC shard whose ec.cksum xattr
+// no longer matches its bytes is bit-rot, and adopting it would re-home the
+// corruption onto a healthy OSD. Refuse; the scrub agent re-encodes a clean
+// shard instead. ec::Checksum is the same StableHash.
 bool AdoptableObject(const std::string& oid, const Object& object) {
   if (!ParseEcShardOid(oid).has_value()) {
     return true;
@@ -23,12 +22,7 @@ bool AdoptableObject(const std::string& oid, const Object& object) {
   if (it == object.xattrs.end()) {
     return true;
   }
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (char c : object.data.View()) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return std::to_string(h) == it->second;
+  return std::to_string(StableHash(object.data.View())) == it->second;
 }
 
 const char* OpTypeName(Op::Type type) {
@@ -105,18 +99,13 @@ void Osd::RegisterHandlers() {
       kMsgPullObject, [this](const sim::Envelope& env, PullObjectRequest req) {
         HandlePull(env, std::move(req));
       });
-  dispatcher_.OnTyped<ScrubRequest>(
-      kMsgScrub, [this](const sim::Envelope& env, ScrubRequest req) {
-        HandleScrub(env, std::move(req));
-      });
   dispatcher_.OnTyped<WatchRequest>(
       kMsgWatch, [this](const sim::Envelope& env, WatchRequest req) {
         HandleWatch(env, std::move(req));
       });
-  // Raw handlers: gossip uses a Result-returning map decoder, push and map
-  // updates carry nested payloads with their own freshness checks.
+  // Raw handlers: gossip uses a Result-returning map decoder, map updates
+  // carry nested payloads with their own freshness checks.
   dispatcher_.On(kMsgGossipMap, [this](const sim::Envelope& env) { HandleGossip(env); });
-  dispatcher_.On(kMsgPushObject, [this](const sim::Envelope& env) { HandlePush(env); });
   dispatcher_.On(mon::kMsgMapUpdate,
                  [this](const sim::Envelope& env) { HandleMapUpdate(env); });
 }
@@ -144,9 +133,6 @@ void Osd::Boot() {
                            AdoptMap(map.value(), /*gossip=*/false);
                          }
                        });
-  }
-  if (config_.scrub_interval > 0) {
-    StartPeriodic(config_.scrub_interval, [this] { ScrubTick(); });
   }
   if (config_.perf_report_interval > 0) {
     StartPeriodic(config_.perf_report_interval, [this] {
@@ -206,19 +192,6 @@ void Osd::CatchUpMap() {
 
 void Osd::HandleRequest(const sim::Envelope& request) {
   dispatcher_.Dispatch(request);
-}
-
-void Osd::HandlePush(const sim::Envelope& request) {
-  // Scrub repair: install the primary's authoritative copy.
-  mal::Decoder dec(request.payload);
-  std::string oid = dec.GetString();
-  Object object = Object::Decode(&dec);
-  if (dec.ok()) {
-    store_.Put(oid, std::move(object));
-    Reply(request, mal::Buffer());
-  } else {
-    ReplyError(request, mal::Status::Corruption("bad push payload"));
-  }
 }
 
 void Osd::HandleMapUpdate(const sim::Envelope& request) {
@@ -451,8 +424,8 @@ void Osd::PullThenExecute(const sim::Envelope& request, const OsdOpRequest& req,
             return;  // an earlier candidate may still offer a copy
           }
           sweep->decided = true;
-          // A write or scrub push that landed meanwhile is newer than any
-          // pulled copy; only fill a hole.
+          // A write that landed meanwhile is newer than any pulled copy;
+          // only fill a hole.
           if (sweep->next < n && !store_.Exists(sweep->req.oid)) {
             store_.Put(sweep->req.oid, std::move(*sweep->offers[sweep->next]));
             perf_.Inc("osd.pull.adopted");
@@ -665,27 +638,6 @@ void Osd::HandlePull(const sim::Envelope& request, PullObjectRequest req) {
   Reply(request, mal::Encode(*object.value()));
 }
 
-void Osd::RecoverObject(uint32_t from_osd, const std::string& oid,
-                        std::function<void(mal::Status)> on_done) {
-  PullObjectRequest req{oid};
-  SendRequest(sim::EntityName::Osd(from_osd), kMsgPullObject, mal::Encode(req),
-              [this, oid, on_done = std::move(on_done)](mal::Status status,
-                                                        const sim::Envelope& reply) {
-                if (!status.ok()) {
-                  on_done(status);
-                  return;
-                }
-                mal::Decoder dec(reply.payload);
-                Object pulled = Object::Decode(&dec);
-                if (!AdoptableObject(oid, pulled)) {
-                  on_done(mal::Status::Unavailable("pulled shard failed checksum"));
-                  return;
-                }
-                store_.Put(oid, std::move(pulled));
-                on_done(mal::Status::Ok());
-              });
-}
-
 void Osd::HandleWatch(const sim::Envelope& request, WatchRequest req) {
   if (req.unwatch) {
     auto it = watchers_.find(req.oid);
@@ -715,82 +667,6 @@ void Osd::NotifyWatchers(const std::string& oid) {
   for (const sim::EntityName& watcher : it->second) {
     SendOneWay(watcher, kMsgNotify, payload);
   }
-}
-
-void Osd::PushObjectTo(uint32_t peer, const std::string& oid) {
-  auto object = store_.Get(oid);
-  if (!object.ok()) {
-    return;
-  }
-  mal::Buffer payload = mal::Encode([&](mal::Encoder* enc) {
-    enc->PutString(oid);
-    object.value()->Encode(enc);
-  });
-  SendRequest(sim::EntityName::Osd(peer), kMsgPushObject, std::move(payload),
-              [this, oid](mal::Status status, const sim::Envelope&) {
-                if (status.ok()) {
-                  ++scrub_repairs_;
-                  mon_client_.Log("WARN", "scrub repaired " + oid);
-                }
-              });
-}
-
-void Osd::ScrubTick() {
-  // Pick one random local object we are primary for and compare with every
-  // replica; on divergence, push our copy (primary is authoritative).
-  std::vector<std::string> locals = store_.List();
-  if (locals.empty()) {
-    return;
-  }
-  const std::string& oid = locals[rng_.NextBelow(locals.size())];
-  std::vector<uint32_t> acting = ActingSetForOid(oid, osd_map_, config_.replicas);
-  if (acting.empty() || acting[0] != name().id) {
-    return;
-  }
-  for (size_t i = 1; i < acting.size(); ++i) {
-    uint32_t peer = acting[i];
-    ScrubObject(peer, oid, [this, peer, oid](mal::Status status) {
-      if (status.code() == mal::Code::kCorruption) {
-        PushObjectTo(peer, oid);
-      }
-    });
-  }
-}
-
-void Osd::HandleScrub(const sim::Envelope& request, ScrubRequest req) {
-  uint64_t version = 0;
-  if (auto object = store_.Get(req.oid); object.ok()) {
-    version = object.value()->version;
-  }
-  Reply(request, mal::Encode([version](mal::Encoder* enc) { enc->PutU64(version); }));
-}
-
-void Osd::ScrubObject(uint32_t peer_osd, const std::string& oid,
-                      std::function<void(mal::Status)> on_done) {
-  ScrubRequest req;
-  req.oid = oid;
-  if (auto object = store_.Get(oid); object.ok()) {
-    req.version = object.value()->version;
-  }
-  uint64_t my_version = req.version;
-  SendRequest(sim::EntityName::Osd(peer_osd), kMsgScrub, mal::Encode(req),
-              [my_version, oid, on_done = std::move(on_done)](mal::Status status,
-                                                              const sim::Envelope& reply) {
-                if (!status.ok()) {
-                  on_done(status);
-                  return;
-                }
-                mal::Decoder dec(reply.payload);
-                uint64_t peer_version = dec.GetU64();
-                if (peer_version != my_version) {
-                  on_done(mal::Status::Corruption(
-                      "scrub mismatch on " + oid + ": local v" +
-                      std::to_string(my_version) + " vs peer v" +
-                      std::to_string(peer_version)));
-                  return;
-                }
-                on_done(mal::Status::Ok());
-              });
 }
 
 }  // namespace mal::osd

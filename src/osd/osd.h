@@ -5,7 +5,9 @@
 // cluster maps peer-to-peer (paper §4.4: "the object storage daemons use a
 // gossip protocol to efficiently propagate changes to cluster maps"), and
 // installs script interfaces referenced from the OSDMap's service metadata
-// without restarting (§4.2, §6.1.2).
+// without restarting (§4.2, §6.1.2). The OSD runs no scrub of its own: a
+// primary that misses an object pulls a copy from its peers, and the scrub
+// agent (src/scrub/) checks and repairs EC pools from the client side.
 //
 // Script interfaces ride in the map under two keys per class:
 //   cls.src.<name> = MalScript source
@@ -61,10 +63,6 @@ struct OsdConfig {
   // `pull_timeout`.
   bool pull_on_miss = true;
   sim::Time pull_timeout = 1 * sim::kSecond;
-  // Background scrub: every interval, the primary of one random local
-  // object compares versions with its replicas and repairs divergence by
-  // pushing its authoritative copy (0 = disabled).
-  sim::Time scrub_interval = 0;
   // How often the OSD pushes its perf-counter snapshot to the monitor
   // (0 = disabled).
   sim::Time perf_report_interval = 1 * sim::kSecond;
@@ -96,26 +94,17 @@ class Osd : public sim::Actor {
   // Fired when a script interface (re)install completes: (class, version).
   std::function<void(const std::string&, const std::string&)> on_interface_installed;
 
-  // Recovery: pull one object from a peer OSD and install it locally.
-  void RecoverObject(uint32_t from_osd, const std::string& oid,
-                     std::function<void(mal::Status)> on_done);
-  // Anti-entropy scrub of one object against a peer; reports kCorruption on
-  // version mismatch (the caller decides how to repair).
-  void ScrubObject(uint32_t peer_osd, const std::string& oid,
-                   std::function<void(mal::Status)> on_done);
-
   void Crash() override;
   void Recover() override;
 
   // True between Recover() and the map catch-up completing: the OSD answers
   // client ops with kUnavailable (retryable) until it has confirmed the
   // monitor's current OSDMap, so a restarted primary never serves from a
-  // stale view of the acting sets. Replication, pulls, scrubs, and gossip
+  // stale view of the acting sets. Replication, pulls, and gossip
   // keep flowing so the store stays repairable meanwhile.
   bool rejoining() const { return rejoining_; }
 
   uint64_t ops_served() const { return ops_served_; }
-  uint64_t scrub_repairs() const { return scrub_repairs_; }
   mal::PerfRegistry& perf() { return perf_; }
 
  protected:
@@ -135,11 +124,7 @@ class Osd : public sim::Actor {
   void HandleGossip(const sim::Envelope& request);
   void HandleWatch(const sim::Envelope& request, WatchRequest req);
   void NotifyWatchers(const std::string& oid);
-  void ScrubTick();
-  void PushObjectTo(uint32_t peer, const std::string& oid);
   void HandlePull(const sim::Envelope& request, PullObjectRequest req);
-  void HandleScrub(const sim::Envelope& request, ScrubRequest req);
-  void HandlePush(const sim::Envelope& request);
   void HandleMapUpdate(const sim::Envelope& request);
   // Post-restart map catch-up: fetch the monitor's current OSDMap (retrying
   // until a monitor answers) and only then clear `rejoining_`.
@@ -168,7 +153,6 @@ class Osd : public sim::Actor {
   mal::Rng rng_;
   mal::PerfRegistry perf_;
   uint64_t ops_served_ = 0;
-  uint64_t scrub_repairs_ = 0;
   bool rejoining_ = false;
   // Watchers per object (client entity names); notified on every commit.
   std::map<std::string, std::set<sim::EntityName>> watchers_;

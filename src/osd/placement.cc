@@ -5,7 +5,7 @@
 
 namespace mal::osd {
 
-uint64_t StableHash(const std::string& s) {
+uint64_t StableHash(std::string_view s) {
   uint64_t h = 0xcbf29ce484222325ULL;
   for (unsigned char c : s) {
     h ^= c;

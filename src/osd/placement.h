@@ -10,14 +10,16 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/mon/maps.h"
 
 namespace mal::osd {
 
-// Stable 64-bit hash (FNV-1a) used for all placement decisions.
-uint64_t StableHash(const std::string& s);
+// Stable 64-bit hash (FNV-1a) used for all placement decisions, and the
+// one FNV-1a behind EC shard checksums and cls checksum.compute.
+uint64_t StableHash(std::string_view s);
 uint64_t StableHash64(uint64_t a, uint64_t b);
 
 // Object id -> placement group.

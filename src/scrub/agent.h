@@ -1,6 +1,7 @@
 // Background scrub and self-healing rebuild for erasure-coded pools
 // (paper §4.4: "RADOS protects data using common techniques such as
-// erasure coding, replication, and scrubbing").
+// erasure coding, replication, and scrubbing"). This is the only scrubber;
+// replicated-layout objects have no index to walk and are not scrubbed.
 //
 // The agent is a maintenance actor (entity "scrub.<id>") that discovers EC
 // pools from the OSDMap's service metadata, walks each pool's object index
@@ -8,16 +9,23 @@
 // checksum verification. Any hole — a shard lost with its OSD, silently
 // bit-rotted, stranded on a former canonical home after membership change,
 // or stale from a torn write — is repaired by decoding the surviving
-// generation and re-writing the full stripe, which lands every shard on
-// its *current* canonical home. Whole-OSD rebuild is therefore the same
-// code path as single-shard repair, just triggered k+1 object-walks at a
-// time.
+// generation and filling only the damaged slots on their *current*
+// canonical homes (ec::Pool::Fill). Whole-OSD rebuild is therefore the
+// same code path as single-shard repair.
+//
+// Pacing: one timer fires every interval / objects_per_tick and starts the
+// queue head while fewer than objects_per_tick objects are in flight. Every
+// gather and every repair runs under its own kOpBudget deadline, so an OSD
+// that crashed but is still up in the map costs one budget, not an rpc
+// timeout per retry. A gather that cannot decode or a repair that fails is
+// requeued behind the pass, up to three attempts per object.
 //
 // Everything the agent observes flows into perf counters
 // (scrub.objects_scanned, scrub.shards_rebuilt, scrub.bytes_rebuilt,
-// scrub.repair_latency_us, and the scrub.degraded_objects /
-// scrub.objects_tracked gauges refreshed per pass) and is pushed to the
-// monitor, where the ec_degraded / scrub_stalled health rules watch them.
+// scrub.repair_failures, scrub.unrecoverable, scrub.repair_latency_us, and
+// the scrub.degraded_objects / scrub.objects_tracked gauges refreshed per
+// pass) and is pushed to the monitor, where the ec_degraded /
+// scrub_stalled health rules watch them.
 #ifndef MALACOLOGY_SCRUB_AGENT_H_
 #define MALACOLOGY_SCRUB_AGENT_H_
 
@@ -34,8 +42,8 @@
 namespace mal::scrub {
 
 struct ScrubConfig {
-  // Pacing: every `interval` the agent scrubs up to `objects_per_tick`
-  // objects (sequentially, so at most one gather/repair is in flight).
+  // Pacing: `objects_per_tick` objects are started per `interval`, evenly
+  // spaced, with at most `objects_per_tick` in flight (0 counts as 1).
   sim::Time interval = 500 * sim::kMillisecond;
   uint32_t objects_per_tick = 4;
   // Perf-report cadence to the monitor (0 disables).
@@ -47,7 +55,7 @@ class Agent : public sim::Actor {
   Agent(sim::Simulator* simulator, sim::Network* network, uint32_t id,
         std::vector<uint32_t> mons, ScrubConfig config = {});
 
-  // Connects to the monitors and starts the periodic scrub tick.
+  // Connects to the monitors and starts the paced scrub timer.
   void Boot();
 
   mal::PerfRegistry& perf() { return perf_; }
@@ -67,27 +75,31 @@ class Agent : public sim::Actor {
     std::string pool;
     uint32_t k = 0;
     std::string object;
-    // Repair attempts already made this pass: a failed repair (e.g. the
-    // map still routing a shard to a dead OSD mid-failover) requeues the
-    // object instead of leaving it degraded until the next pass.
+    // Attempts already made this pass: an undecodable gather or a failed
+    // repair (e.g. the map still routing a shard to a dead OSD) requeues
+    // the object instead of leaving it degraded until the next pass.
     uint32_t attempts = 0;
   };
 
   void Tick();
-  // Rebuilds the work queue: one index listing per EC pool in the current
-  // map, chained sequentially for determinism.
-  void Refill(std::vector<std::pair<std::string, uint32_t>> pools, size_t next);
-  void FinishPass();
-  // Scrubs the queue head, then continues the batch until `budget` runs out.
-  void ScrubNext(uint32_t budget);
-  void ScrubOne(const WorkItem& item, uint32_t budget);
+  // Opens a pass: one index listing per EC pool in the current map,
+  // chained sequentially for determinism. The listing counts as in flight.
+  void StartPass();
+  void List(std::vector<std::pair<std::string, uint32_t>> pools, size_t next);
+  void Scrub(WorkItem item);
+  void Repair(WorkItem item, const std::vector<ec::ShardInfo>& shards,
+              const mal::Buffer& data, uint32_t missing);
+  // Requeues `item` for another attempt; false once its budget is spent.
+  bool Retry(WorkItem item);
+  // One in-flight object (or the listing) finished; closes the pass when
+  // nothing is queued or in flight.
+  void Done();
 
   ScrubConfig config_;
   rados::RadosClient rados_;
   mal::PerfRegistry perf_;
   std::deque<WorkItem> queue_;
-  bool busy_ = false;        // a batch (or the refill) is in flight
-  bool pass_open_ = false;   // stats below describe the current pass
+  uint32_t in_flight_ = 0;
   uint64_t pass_degraded_ = 0;
   uint64_t pass_tracked_ = 0;
   uint64_t last_pass_degraded_ = 0;

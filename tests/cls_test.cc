@@ -254,6 +254,24 @@ TEST(ClsChecksumTest, ComputesAndCaches) {
   EXPECT_EQ(h.object->xattrs.count("cksum.0.8"), 1u);  // cached server-side
 }
 
+TEST(ClsEcTest, CheckStampPassesOnlyWhileTheStampIsUnchanged) {
+  auto stamp = [](uint64_t v) {
+    return mal::Encode([v](mal::Encoder* enc) { enc->PutU64(v); });
+  };
+  ClsHarness h;
+  // Absent: only a gather that saw no shard (0) may fill it.
+  EXPECT_TRUE(h.Call("ec", "check_stamp", stamp(0)).ok());
+  EXPECT_EQ(h.Call("ec", "check_stamp", stamp(42)).status().code(), mal::Code::kAborted);
+  // Created by a seal alone: sealed but unstamped, still a hole.
+  ASSERT_TRUE(h.Call("ec", "seal", stamp(7)).ok());
+  EXPECT_TRUE(h.Call("ec", "check_stamp", stamp(0)).ok());
+  // Stamped: passes only for the stamp the gather saw.
+  h.object->xattrs["ec.stamp"] = "42";
+  EXPECT_TRUE(h.Call("ec", "check_stamp", stamp(42)).ok());
+  EXPECT_EQ(h.Call("ec", "check_stamp", stamp(0)).status().code(), mal::Code::kAborted);
+  EXPECT_EQ(h.Call("ec", "check_stamp", stamp(41)).status().code(), mal::Code::kAborted);
+}
+
 TEST(ClsKvIndexTest, AtomicRecordPlusIndex) {
   ClsHarness h;
   auto put = [&](const std::string& k, const std::string& v) {
@@ -441,13 +459,13 @@ TEST(RegistryCensusTest, CountsClassesAndMethods) {
   RegisterBuiltinClasses(&registry);
   EXPECT_EQ(registry.NumClasses(), 7u);
   auto methods = registry.ListMethods();
-  EXPECT_EQ(methods.size(), 20u);
+  EXPECT_EQ(methods.size(), 21u);
 
   auto by_category = registry.MethodCountByCategory();
   EXPECT_EQ(by_category[Category::kLogging], 9u);   // zlog(7) + log(2)
   EXPECT_EQ(by_category[Category::kLocking], 3u);
   EXPECT_EQ(by_category[Category::kMetadata], 2u);
-  EXPECT_EQ(by_category[Category::kManagement], 3u);  // checksum(1) + ec(2)
+  EXPECT_EQ(by_category[Category::kManagement], 4u);  // checksum(1) + ec(3)
   EXPECT_EQ(by_category[Category::kOther], 3u);
 }
 

@@ -1,7 +1,8 @@
 // Erasure-coding tests: codec properties (round-trip, single-shard
 // reconstruction, double-loss detection, padding), positional shard
 // placement, EC pools (degraded reads, shard loss on a live cluster, epoch
-// fencing), first-k reads, and the scrub agent's self-healing rebuild.
+// fencing), first-k reads, and the scrub agent's self-healing rebuild
+// (paced, deadline-bounded, and filling only holes).
 #include <gtest/gtest.h>
 
 #include <map>
@@ -722,6 +723,174 @@ TEST(ScrubTest, RepairsSilentShardCorruption) {
   ASSERT_TRUE(stored.ok());
   EXPECT_EQ(stored.value()->xattrs.at(std::string(kShardCksumXattr)),
             std::to_string(Checksum(stored.value()->data)));
+  auto read = PoolRead(&cluster, &pool, "obj");
+  ASSERT_TRUE(read.ok()) << read.status();
+  EXPECT_EQ(read.value(), payload);
+}
+
+// A repair decodes generation G and then fills the holes of G. A client
+// overwrite that lands between the gather and the fill must survive it.
+TEST(ScrubTest, RepairNeverRollsBackAConcurrentOverwrite) {
+  cluster::ClusterOptions options;
+  options.num_osds = 6;
+  options.mon.proposal_interval = 200 * sim::kMillisecond;
+  cluster::Cluster cluster(options);
+  cluster.Boot();
+  auto* client = cluster.NewClient();
+
+  Pool pool = CreatePool(&cluster, client, "ecpool", /*k=*/3);
+  ASSERT_TRUE(PoolWrite(&cluster, &pool, "obj", "version one").ok());
+  uint32_t victim = 0;
+  ASSERT_NO_FATAL_FAILURE(LoseShardHome(&cluster, client, pool.ShardOid("obj", 0), &victim));
+
+  // The agent's OSD links are slow, so its repair lands after the client's
+  // overwrite, which it issues as soon as the agent has gathered.
+  sim::FaultSpec slow;
+  slow.reorder_prob = 1.0;
+  slow.reorder_delay = 20 * sim::kMillisecond;
+  for (uint32_t i = 0; i < options.num_osds; ++i) {
+    cluster.network().SetLinkFaults(sim::EntityName::Scrub(0), sim::EntityName::Osd(i), slow);
+  }
+  auto* agent = cluster.NewScrubAgent();
+  ASSERT_TRUE(cluster.RunUntil(
+      [&] { return agent->perf().counter("scrub.objects_scanned") >= 1; }, 60 * sim::kSecond));
+  ASSERT_TRUE(PoolWrite(&cluster, &pool, "obj", "version two").ok());
+
+  ASSERT_TRUE(cluster.RunUntil([&] { return agent->passes_completed() >= 2; },
+                               60 * sim::kSecond));
+  auto read = PoolRead(&cluster, &pool, "obj");
+  ASSERT_TRUE(read.ok()) << read.status();
+  EXPECT_EQ(read.value(), "version two");
+}
+
+// A seal after the loss creates the lost slot on its new home with an
+// epoch but no data or stamp. The fill must still treat it as a hole, and
+// keep its seal.
+TEST(ScrubTest, RefillsAShardThatOnlyASealCreated) {
+  cluster::ClusterOptions options;
+  options.num_osds = 6;
+  options.mon.proposal_interval = 200 * sim::kMillisecond;
+  cluster::Cluster cluster(options);
+  cluster.Boot();
+  auto* client = cluster.NewClient();
+
+  Pool pool = CreatePool(&cluster, client, "ecpool", /*k=*/3);
+  std::string payload = "sealed after its shard 0 was lost";
+  ASSERT_TRUE(PoolWrite(&cluster, &pool, "obj", payload).ok());
+  uint32_t victim = 0;
+  ASSERT_NO_FATAL_FAILURE(LoseShardHome(&cluster, client, pool.ShardOid("obj", 0), &victim));
+  std::optional<Status> sealed;
+  pool.Seal("obj", 7, [&](Status s) { sealed = s; });
+  ASSERT_TRUE(cluster.RunUntil([&] { return sealed.has_value(); }));
+  ASSERT_TRUE(sealed->ok()) << *sealed;
+
+  auto* agent = cluster.NewScrubAgent();
+  ASSERT_TRUE(cluster.RunUntil([&] { return agent->passes_completed() >= 2; },
+                               60 * sim::kSecond));
+  EXPECT_GE(agent->perf().counter("scrub.shards_rebuilt"), 1u);
+  EXPECT_EQ(agent->last_pass_degraded(), 0u);
+
+  std::string oid = pool.ShardOid("obj", 0);
+  uint32_t home = osd::ActingSetForOid(oid, client->rados.osd_map(), 3).at(0);
+  auto stored = cluster.osd(home).store().Get(oid);
+  ASSERT_TRUE(stored.ok()) << oid;
+  EXPECT_EQ(stored.value()->xattrs.at("ec.epoch"), "7");
+  auto read = PoolRead(&cluster, &pool, "obj");
+  ASSERT_TRUE(read.ok()) << read.status();
+  EXPECT_EQ(read.value(), payload);
+  Pool stale = *Pool::Bind(&client->rados, "ecpool");
+  stale.set_epoch(6);
+  Status rejected = PoolWrite(&cluster, &stale, "obj", "stale generation");
+  EXPECT_EQ(rejected.code(), Code::kStaleEpoch) << rejected;
+}
+
+// A shard home that crashed with its disk but is still up in the map: the
+// gather ends at its deadline instead of waiting out rpc timeouts, and the
+// object is refilled once the OSD is back.
+TEST(ScrubTest, GatherFromACrashedHomeStillInTheMapEndsAtTheDeadline) {
+  cluster::ClusterOptions options;
+  options.num_osds = 6;
+  options.mon.proposal_interval = 200 * sim::kMillisecond;
+  cluster::Cluster cluster(options);
+  cluster.Boot();
+  auto* client = cluster.NewClient();
+
+  Pool pool = CreatePool(&cluster, client, "ecpool", /*k=*/3);
+  std::string payload = "one shard home is gone but still in the map";
+  ASSERT_TRUE(PoolWrite(&cluster, &pool, "obj", payload).ok());
+  // Keep the index primary alive: the listing is not what is under test.
+  const mon::OsdMap& map = client->rados.osd_map();
+  uint32_t index_primary = osd::ActingSetForOid(Pool::IndexOid("ecpool"), map, 3).at(0);
+  std::string oid;
+  uint32_t victim = 0;
+  for (uint32_t i = 0; i < pool.num_shards() && oid.empty(); ++i) {
+    victim = osd::ActingSetForOid(pool.ShardOid("obj", i), map, 3).at(0);
+    if (victim != index_primary) {
+      oid = pool.ShardOid("obj", i);
+    }
+  }
+  ASSERT_FALSE(oid.empty());
+  cluster.osd(victim).Crash();
+  cluster.osd(victim).store().Clear();
+
+  scrub::ScrubConfig config;
+  config.interval = 100 * sim::kMillisecond;
+  auto* agent = cluster.NewScrubAgent(config);
+  sim::Time start = cluster.simulator().Now();
+  ASSERT_TRUE(cluster.RunUntil(
+      [&] { return agent->perf().counter("scrub.objects_scanned") >= 1; }, 60 * sim::kSecond));
+  EXPECT_LE(cluster.simulator().Now() - start, 1 * sim::kSecond);
+
+  cluster.RunFor(3 * sim::kSecond);
+  EXPECT_GE(agent->perf().counter("scrub.repair_failures"), 1u);
+  cluster.osd(victim).Recover();
+  ASSERT_TRUE(cluster.RunUntil([&] { return cluster.osd(victim).store().Exists(oid); },
+                               60 * sim::kSecond));
+  const osd::Object* refilled = cluster.osd(victim).store().Get(oid).value();
+  EXPECT_EQ(refilled->xattrs.at(std::string(kShardCksumXattr)),
+            std::to_string(Checksum(refilled->data)));
+  auto read = PoolRead(&cluster, &pool, "obj");
+  ASSERT_TRUE(read.ok()) << read.status();
+  EXPECT_EQ(read.value(), payload);
+}
+
+// Two holes, one of them a home that crashed but is still up in the map:
+// the gather cannot decode, so the object goes behind the pass and is
+// repaired on its retry once the home is back, not a pass later.
+TEST(ScrubTest, UndecodableGatherIsRetriedWithinThePass) {
+  cluster::ClusterOptions options;
+  options.num_osds = 6;
+  options.mon.proposal_interval = 200 * sim::kMillisecond;
+  cluster::Cluster cluster(options);
+  cluster.Boot();
+  auto* client = cluster.NewClient();
+
+  Pool pool = CreatePool(&cluster, client, "ecpool", /*k=*/3);
+  std::string payload = "two holes for a moment, one for good";
+  ASSERT_TRUE(PoolWrite(&cluster, &pool, "obj", payload).ok());
+  uint32_t lost = 0;
+  ASSERT_NO_FATAL_FAILURE(LoseShardHome(&cluster, client, pool.ShardOid("obj", 0), &lost));
+  const mon::OsdMap& map = client->rados.osd_map();
+  uint32_t index_primary = osd::ActingSetForOid(Pool::IndexOid("ecpool"), map, 3).at(0);
+  uint32_t crashed = index_primary;
+  for (uint32_t i = 1; i < pool.num_shards() && crashed == index_primary; ++i) {
+    crashed = osd::ActingSetForOid(pool.ShardOid("obj", i), map, 3).at(0);
+  }
+  ASSERT_NE(crashed, index_primary);
+  cluster.osd(crashed).Crash();
+
+  scrub::ScrubConfig config;
+  config.interval = 100 * sim::kMillisecond;
+  auto* agent = cluster.NewScrubAgent(config);
+  ASSERT_TRUE(cluster.RunUntil(
+      [&] { return agent->perf().counter("scrub.objects_scanned") >= 1; }, 60 * sim::kSecond));
+  EXPECT_EQ(agent->passes_completed(), 0u);
+  cluster.osd(crashed).Recover();
+
+  ASSERT_TRUE(cluster.RunUntil([&] { return agent->passes_completed() >= 1; },
+                               60 * sim::kSecond));
+  EXPECT_EQ(agent->perf().counter("scrub.unrecoverable"), 0u);
+  EXPECT_EQ(agent->perf().counter("scrub.shards_rebuilt"), 1u);
   auto read = PoolRead(&cluster, &pool, "obj");
   ASSERT_TRUE(read.ok()) << read.status();
   EXPECT_EQ(read.value(), payload);

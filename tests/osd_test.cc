@@ -1,6 +1,6 @@
 // Integration tests: monitors + OSDs + RadosClient in one simulation.
 // Covers replication, class execution, dynamic interface install via the
-// Service Metadata interface, map gossip, failure recovery, and scrub.
+// Service Metadata interface, map gossip, and failure recovery.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -322,54 +322,6 @@ TEST_F(OsdClusterFixture, PrimaryFailureRetriesToNewPrimary) {
   EXPECT_EQ(data.value(), "v1");
 }
 
-TEST_F(OsdClusterFixture, RecoverObjectPullsFromPeer) {
-  Start(4, /*replicas=*/2);
-  ASSERT_TRUE(WriteFull("heal-me", "precious").ok());
-  Settle(2 * sim::kSecond);
-  auto holders = Holders("heal-me");
-  ASSERT_EQ(holders.size(), 2u);
-
-  // Pick an OSD without the object and heal it from a holder.
-  uint32_t empty_osd = 0;
-  for (auto& daemon : osds) {
-    if (!daemon->store().Exists("heal-me")) {
-      empty_osd = daemon->name().id;
-      break;
-    }
-  }
-  std::optional<Status> healed;
-  osds[empty_osd]->RecoverObject(holders[0], "heal-me", [&](Status s) { healed = s; });
-  Settle(2 * sim::kSecond);
-  ASSERT_TRUE(healed.has_value());
-  EXPECT_TRUE(healed->ok()) << *healed;
-  EXPECT_EQ(osds[empty_osd]->store().Get("heal-me").value()->data.ToString(), "precious");
-}
-
-TEST_F(OsdClusterFixture, ScrubDetectsDivergence) {
-  Start(4, /*replicas=*/2);
-  ASSERT_TRUE(WriteFull("scrub-obj", "clean").ok());
-  Settle(2 * sim::kSecond);
-  auto holders = Holders("scrub-obj");
-  ASSERT_EQ(holders.size(), 2u);
-
-  // Matching replicas scrub clean.
-  std::optional<Status> verdict;
-  osds[holders[0]]->ScrubObject(holders[1], "scrub-obj", [&](Status s) { verdict = s; });
-  Settle(2 * sim::kSecond);
-  ASSERT_TRUE(verdict.has_value());
-  EXPECT_TRUE(verdict->ok()) << *verdict;
-
-  // Corrupt one copy out-of-band; scrub flags it.
-  osd::Object tampered = *osds[holders[1]]->store().Get("scrub-obj").value();
-  tampered.version += 7;
-  osds[holders[1]]->store().Put("scrub-obj", tampered);
-  verdict.reset();
-  osds[holders[0]]->ScrubObject(holders[1], "scrub-obj", [&](Status s) { verdict = s; });
-  Settle(2 * sim::kSecond);
-  ASSERT_TRUE(verdict.has_value());
-  EXPECT_EQ(verdict->code(), Code::kCorruption);
-}
-
 TEST_F(OsdClusterFixture, TransactionAtomicAcrossExecAndPrimitives) {
   Start(3);
   // Compose: exec(lock.acquire alice) + omap_set in one transaction.
@@ -604,52 +556,6 @@ TEST_F(OsdClusterFixture, SnapshotOpsWorkEndToEnd) {
   ASSERT_TRUE(snap_data.has_value());
   EXPECT_EQ(*snap_data, "original");
   EXPECT_EQ(ReadBack("snappy").value(), "mutated");
-}
-
-TEST_F(OsdClusterFixture, BackgroundScrubRepairsTamperedReplica) {
-  // Enable periodic scrub; tamper with a replica out-of-band; the primary's
-  // scrub detects the divergence and pushes its authoritative copy.
-  mon_config_.proposal_interval = 200 * sim::kMillisecond;
-  OsdConfig config;
-  config.replicas = 2;
-  config.scrub_interval = 1 * sim::kSecond;
-  monitor = std::make_unique<mon::Monitor>(&simulator, &network, 0,
-                                           std::vector<uint32_t>{0}, mon_config_);
-  monitor->Boot();
-  for (uint32_t i = 0; i < 4; ++i) {
-    osds.push_back(std::make_unique<Osd>(&simulator, &network, i,
-                                         std::vector<uint32_t>{0}, config));
-    osds.back()->Boot();
-  }
-  client = std::make_unique<AppClient>(&simulator, &network, 0,
-                                       std::vector<uint32_t>{0}, 2);
-  bool connected = false;
-  client->rados.Connect([&](Status s) { connected = s.ok(); });
-  Settle(3 * sim::kSecond);
-  ASSERT_TRUE(connected);
-
-  ASSERT_TRUE(WriteFull("scrubbed", "authoritative").ok());
-  Settle(2 * sim::kSecond);
-  auto holders = Holders("scrubbed");
-  ASSERT_EQ(holders.size(), 2u);
-  auto acting = osd::OsdsForObject("scrubbed", client->rados.osd_map(), 2);
-
-  // Tamper with the replica (not the primary).
-  uint32_t replica = acting[1];
-  osd::Object tampered = *osds[replica]->store().Get("scrubbed").value();
-  tampered.data = Buffer::FromString("bitrot!");
-  tampered.version += 3;
-  osds[replica]->store().Put("scrubbed", tampered);
-
-  // Scrub runs every second over random local objects; give it time.
-  bool repaired = false;
-  for (int i = 0; i < 120 && !repaired; ++i) {
-    Settle(1 * sim::kSecond);
-    const auto* object = osds[replica]->store().Get("scrubbed").value();
-    repaired = object->data.ToString() == "authoritative";
-  }
-  EXPECT_TRUE(repaired) << "scrub never repaired the tampered replica";
-  EXPECT_GT(osds[acting[0]]->scrub_repairs(), 0u);
 }
 
 TEST_F(OsdClusterFixture, RestartRejoinsAndServesReadsFromDurableStore) {
