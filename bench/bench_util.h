@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/json.h"
 #include "src/common/stats.h"
 #include "src/common/trace.h"
 
@@ -212,9 +213,9 @@ class JsonReporter {
     }
     std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"configs\": [\n", name_.c_str());
     for (size_t i = 0; i < records_.size(); ++i) {
-      std::fprintf(f, "    {\"name\": \"%s\"", Escape(records_[i].config).c_str());
+      std::fprintf(f, "    {\"name\": \"%s\"", JsonEscape(records_[i].config).c_str());
       for (const auto& [key, value] : records_[i].metrics) {
-        std::fprintf(f, ", \"%s\": %.6g", Escape(key).c_str(), value);
+        std::fprintf(f, ", \"%s\": %.6g", JsonEscape(key).c_str(), value);
       }
       std::fprintf(f, "}%s\n", i + 1 < records_.size() ? "," : "");
     }
@@ -225,18 +226,6 @@ class JsonReporter {
   }
 
  private:
-  static std::string Escape(const std::string& s) {
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-      if (c == '"' || c == '\\') {
-        out.push_back('\\');
-      }
-      out.push_back(c);
-    }
-    return out;
-  }
-
   struct Record {
     std::string config;
     std::vector<std::pair<std::string, double>> metrics;

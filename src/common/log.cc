@@ -4,6 +4,8 @@
 #include <cstdlib>
 #include <map>
 
+#include "src/common/json.h"
+
 namespace mal {
 namespace {
 
@@ -98,21 +100,7 @@ std::string FormatJsonLogLine(LogLevel level, bool has_context, uint64_t time_ns
   out += "\"component\": \"" + component + "\", \"level\": \"";
   out += LevelName(level);
   out += "\", \"msg\": \"";
-  for (char c : message) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out += c;
-    }
-  }
+  out += JsonEscape(message);
   out += "\"}";
   return out;
 }

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <sstream>
 
+#include "src/common/json.h"
+
 namespace mal {
 
 void BoundedHistogram::Observe(double v) {
@@ -164,23 +166,7 @@ PerfSnapshot AggregateSnapshots(const std::vector<PerfSnapshot>& snapshots) {
 namespace {
 
 void AppendJsonString(std::ostringstream* out, const std::string& s) {
-  *out << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out << "\\\"";
-        break;
-      case '\\':
-        *out << "\\\\";
-        break;
-      case '\n':
-        *out << "\\n";
-        break;
-      default:
-        *out << c;
-    }
-  }
-  *out << '"';
+  *out << '"' << JsonEscape(s) << '"';
 }
 
 void AppendSnapshotJson(std::ostringstream* out, const PerfSnapshot& snap,

@@ -4,6 +4,8 @@
 #include <cstring>
 #include <sstream>
 
+#include "src/common/json.h"
+
 namespace mal::trace {
 namespace {
 
@@ -401,22 +403,9 @@ std::string CriticalPathJson(const TraceCollector& collector, size_t max_exempla
   first = true;
   for (const Span* root : SlowestRoots(collector, max_exemplars)) {
     std::string tree = collector.RenderSubtree(root->span_id);
-    std::string escaped;
-    escaped.reserve(tree.size());
-    for (char c : tree) {
-      if (c == '"') {
-        escaped += "\\\"";
-      } else if (c == '\\') {
-        escaped += "\\\\";
-      } else if (c == '\n') {
-        escaped += "\\n";
-      } else {
-        escaped += c;
-      }
-    }
     out << (first ? "" : ",") << "\n      {\"name\": \"" << root->name
         << "\", \"duration_us\": " << (root->end_ns - root->start_ns) / 1000
-        << ", \"tree\": \"" << escaped << "\"}";
+        << ", \"tree\": \"" << JsonEscape(tree) << "\"}";
     first = false;
   }
   out << (first ? "" : "\n    ") << "]\n  }";

@@ -11,91 +11,32 @@
 namespace mal::sim {
 namespace {
 
-// Packs an EntityName into the DedupWindow's integer key space.
+// Packs an EntityName into the key of its ReplayWindow.
 uint64_t NameKey(EntityName name) {
   return (static_cast<uint64_t>(name.type) << 32) | name.id;
 }
 
 }  // namespace
 
-void DedupWindow::Reset() {
-  table_.assign(kTableSize, Entry{0, 0, kEmpty});
-  ring_.assign(kWindow, {0, 0});
-  ring_pos_ = 0;
-  count_ = 0;
-  tombstones_ = 0;
-}
-
-bool DedupWindow::Insert(uint64_t a, uint64_t b) {
-  if (table_.empty()) {
-    Reset();
-  }
-  size_t i = Hash(a, b);
-  size_t insert_at = kTableSize;  // first tombstone seen, if any
-  while (true) {
-    Entry& e = table_[i];
-    if (e.state == kEmpty) {
-      break;
+bool ReplayWindow::Accept(uint64_t id) {
+  const uint64_t block = id / 64;
+  if (id > top_) {
+    // Slide: clear the blocks between the old top's and the new one's (at
+    // most the whole ring) so their bits start out unseen.
+    for (uint64_t b = top_ / 64 + 1; b <= block && b <= top_ / 64 + kWords; ++b) {
+      bits_[b % kWords] = 0;
     }
-    if (e.state == kUsed && e.a == a && e.b == b) {
-      return false;  // replay
-    }
-    if (e.state == kTombstone && insert_at == kTableSize) {
-      insert_at = i;
-    }
-    i = (i + 1) & kTableMask;
+    top_ = id;
+  } else if (block + kWords <= top_ / 64) {
+    return true;  // older than the window
   }
-  if (count_ == kWindow) {
-    // Window full: evict the oldest key before recording the new one.
-    auto [old_a, old_b] = ring_[ring_pos_];
-    Erase(old_a, old_b);
+  uint64_t& word = bits_[block % kWords];
+  const uint64_t mask = uint64_t{1} << (id % 64);
+  if ((word & mask) != 0) {
+    return false;
   }
-  if (insert_at == kTableSize) {
-    insert_at = i;
-  } else {
-    --tombstones_;
-  }
-  table_[insert_at] = Entry{a, b, kUsed};
-  ++count_;
-  ring_[ring_pos_] = {a, b};
-  ring_pos_ = (ring_pos_ + 1) % kWindow;
-  if (tombstones_ > kTableSize / 4) {
-    Rebuild();
-  }
+  word |= mask;
   return true;
-}
-
-void DedupWindow::Erase(uint64_t a, uint64_t b) {
-  size_t i = Hash(a, b);
-  while (true) {
-    Entry& e = table_[i];
-    if (e.state == kEmpty) {
-      return;  // not present (cannot happen for ring-tracked keys)
-    }
-    if (e.state == kUsed && e.a == a && e.b == b) {
-      e.state = kTombstone;
-      --count_;
-      ++tombstones_;
-      return;
-    }
-    i = (i + 1) & kTableMask;
-  }
-}
-
-void DedupWindow::Rebuild() {
-  std::vector<Entry> old = std::move(table_);
-  table_.assign(kTableSize, Entry{0, 0, kEmpty});
-  tombstones_ = 0;
-  for (const Entry& e : old) {
-    if (e.state != kUsed) {
-      continue;
-    }
-    size_t i = Hash(e.a, e.b);
-    while (table_[i].state != kEmpty) {
-      i = (i + 1) & kTableMask;
-    }
-    table_[i] = Entry{e.a, e.b, kUsed};
-  }
 }
 
 Actor::Actor(Simulator* simulator, Network* network, EntityName name)
@@ -186,37 +127,24 @@ void Actor::SendOneWay(EntityName to, uint32_t type, mal::Buffer payload) {
   network_->Send(std::move(envelope));
 }
 
-void Actor::ReleaseAdmission(const Envelope& request) {
-  if (admitted_.erase({request.from, request.rpc_id}) != 0 && svc_perf_ != nullptr) {
-    svc_perf_->Set("svc.queue_depth", static_cast<double>(admitted_.size()));
-  }
-}
-
 void Actor::Reply(const Envelope& request, mal::Buffer payload) {
-  ReleaseAdmission(request);
-  auto span_it = server_spans_.find({request.from, request.rpc_id});
-  if (span_it != server_spans_.end()) {
-    if (trace::Collector() != nullptr) {
-      trace::Collector()->EndSpan(span_it->second, Now());
-    }
-    server_spans_.erase(span_it);
-  }
-  Envelope envelope;
-  envelope.from = name_;
-  envelope.to = request.from;
-  envelope.type = request.type;
-  envelope.rpc_id = request.rpc_id;
-  envelope.is_reply = true;
-  envelope.payload = std::move(payload);
-  network_->Send(std::move(envelope));
+  SendReply(request, 0, std::move(payload), "ok");
 }
 
 void Actor::ReplyError(const Envelope& request, const mal::Status& status) {
-  ReleaseAdmission(request);
+  SendReply(request, static_cast<uint32_t>(status.code()),
+            mal::Buffer::FromString(status.message()), status.message());
+}
+
+void Actor::SendReply(const Envelope& request, uint32_t error_code, mal::Buffer payload,
+                      const std::string& span_status) {
+  if (admitted_.erase({request.from, request.rpc_id}) != 0 && svc_perf_ != nullptr) {
+    svc_perf_->Set("svc.queue_depth", static_cast<double>(admitted_.size()));
+  }
   auto span_it = server_spans_.find({request.from, request.rpc_id});
   if (span_it != server_spans_.end()) {
     if (trace::Collector() != nullptr) {
-      trace::Collector()->EndSpan(span_it->second, Now(), status.message());
+      trace::Collector()->EndSpan(span_it->second, Now(), span_status);
     }
     server_spans_.erase(span_it);
   }
@@ -226,8 +154,8 @@ void Actor::ReplyError(const Envelope& request, const mal::Status& status) {
   envelope.type = request.type;
   envelope.rpc_id = request.rpc_id;
   envelope.is_reply = true;
-  envelope.error_code = static_cast<uint32_t>(status.code());
-  envelope.payload = mal::Buffer::FromString(status.message());
+  envelope.error_code = error_code;
+  envelope.payload = std::move(payload);
   network_->Send(std::move(envelope));
 }
 
@@ -252,17 +180,6 @@ Time Actor::ReserveCpu(Time cost) {
   return cpu_busy_until_ - Now();
 }
 
-void Actor::AfterCpu(Time cost, std::function<void()> fn) {
-  Time delay = ReserveCpu(cost);
-  uint64_t incarnation = incarnation_;
-  simulator_->Schedule(delay, [this, incarnation, fn = std::move(fn)]() {
-    if (alive_ && incarnation_ == incarnation) {
-      mal::ScopedLogContextRef log_scope(Now(), &name_str_);
-      fn();
-    }
-  });
-}
-
 Time Actor::ReserveDispatch(Time cost) {
   if (Profiler* profiler = Profiler::Current()) {
     profiler->RecordDispatch(name_str_, cost);
@@ -270,17 +187,6 @@ Time Actor::ReserveDispatch(Time cost) {
   Time start = std::max(Now(), dispatch_busy_until_);
   dispatch_busy_until_ = start + cost;
   return dispatch_busy_until_ - Now();
-}
-
-void Actor::AfterDispatch(Time cost, std::function<void()> fn) {
-  Time delay = ReserveDispatch(cost);
-  uint64_t incarnation = incarnation_;
-  simulator_->Schedule(delay, [this, incarnation, fn = std::move(fn)]() {
-    if (alive_ && incarnation_ == incarnation) {
-      mal::ScopedLogContextRef log_scope(Now(), &name_str_);
-      fn();
-    }
-  });
 }
 
 double Actor::CpuUtilization(Time window) const {
@@ -301,17 +207,12 @@ double Actor::CpuUtilization(Time window) const {
 }
 
 void Actor::StartPeriodic(Time period, std::function<void()> fn) {
-  uint64_t incarnation = incarnation_;
   // Periodic maintenance is not causally part of whatever request happens to
   // be executing when the timer is armed; schedule it untraced and with no
   // inherited deadline.
   trace::ScopedContext untraced(trace::TraceContext{});
   mal::ScopedDeadline no_budget(0);
-  simulator_->Schedule(period, [this, period, incarnation, fn = std::move(fn)]() {
-    if (!alive_ || incarnation_ != incarnation) {
-      return;
-    }
-    mal::ScopedLogContextRef log_scope(Now(), &name_str_);
+  ScheduleGuarded(period, [this, period, fn = std::move(fn)]() {
     fn();
     StartPeriodic(period, fn);
   });
@@ -387,10 +288,10 @@ void Actor::Deliver(Envelope envelope) {
   // would double-apply non-idempotent handlers — and for write-once storage
   // the replay's kReadOnly error reply could overtake the original's ok
   // reply, tricking the caller into a spurious fresh-position retry (a
-  // double commit). The window is bounded FIFO; in a duplicate-free run
-  // every insert succeeds and behavior is byte-identical.
+  // double commit). Every first arrival is accepted, so a duplicate-free run
+  // behaves exactly as if there were no check.
   if (envelope.rpc_id != 0 &&
-      !seen_requests_.Insert(NameKey(envelope.from), envelope.rpc_id)) {
+      !seen_requests_[NameKey(envelope.from)].Accept(envelope.rpc_id)) {
     ++duplicates_dropped_;
     MAL_DEBUG(name_str_)
         << "dropping replayed " << trace::MessageTypeName(envelope.type) << " from "

@@ -8,12 +8,14 @@
 #ifndef MALACOLOGY_SIM_ACTOR_H_
 #define MALACOLOGY_SIM_ACTOR_H_
 
+#include <array>
 #include <cstring>
 #include <deque>
 #include <functional>
 #include <map>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "src/common/buffer.h"
@@ -27,57 +29,21 @@ class PerfRegistry;
 
 namespace mal::sim {
 
-// Bounded FIFO membership window over (sender, rpc_id) pairs, used for
-// replay suppression on the delivery hot path. Semantically identical to a
-// std::set plus an eviction deque holding the last `kWindow` unique keys,
-// but backed by a flat open-addressing table and a ring buffer so the
-// per-request cost is a couple of probes instead of two node allocations.
-class DedupWindow {
+// Replay window over one sender's rpc_ids, the RFC 4303 §3.4.3 / RFC 6479
+// anti-replay scheme. A sender never reuses an rpc_id, so an id that arrives
+// twice is a network-level duplicate. `top_` is the highest id seen; the ring
+// holds one bit per id for the kWords 64-id blocks ending with top_'s block.
+class ReplayWindow {
  public:
-  static constexpr size_t kWindow = 4096;
+  static constexpr uint64_t kWords = 64;  // 4,096 bits, 512 B
 
-  // The table and ring (~450 KB) are allocated by the first Insert, so an
-  // actor that never serves an rpc (a client, the scrub agent) holds none.
-  DedupWindow() = default;
-
-  // Returns true if (a, b) was newly recorded; false if it was already in
-  // the window (a replay). Inserting a fresh key evicts the oldest one once
-  // the window is full.
-  bool Insert(uint64_t a, uint64_t b);
+  // Returns true and records `id` if it is fresh; false for a replay. An id
+  // whose block has slid out of the ring is accepted (its bit is gone).
+  bool Accept(uint64_t id);
 
  private:
-  // 4x the window keeps probe chains short; tombstones from evictions are
-  // collected by rebuilding the table when they pile up.
-  static constexpr size_t kTableSize = kWindow * 4;
-  static constexpr size_t kTableMask = kTableSize - 1;
-
-  enum : uint8_t { kEmpty = 0, kUsed = 1, kTombstone = 2 };
-
-  struct Entry {
-    uint64_t a;
-    uint64_t b;
-    uint8_t state;
-  };
-
-  static size_t Hash(uint64_t a, uint64_t b) {
-    uint64_t x = a ^ (b + 0x9e3779b97f4a7c15ULL + (a << 6) + (a >> 2));
-    x ^= x >> 30;
-    x *= 0xbf58476d1ce4e5b9ULL;
-    x ^= x >> 27;
-    x *= 0x94d049bb133111ebULL;
-    x ^= x >> 31;
-    return static_cast<size_t>(x) & kTableMask;
-  }
-
-  void Reset();
-  void Erase(uint64_t a, uint64_t b);
-  void Rebuild();
-
-  std::vector<Entry> table_;
-  std::vector<std::pair<uint64_t, uint64_t>> ring_;
-  size_t ring_pos_ = 0;   // next eviction / insertion point
-  size_t count_ = 0;      // live keys (<= kWindow)
-  size_t tombstones_ = 0;
+  uint64_t top_ = 0;
+  std::array<uint64_t, kWords> bits_{};
 };
 
 class Actor : public MessageSink {
@@ -124,13 +90,17 @@ class Actor : public MessageSink {
   Time ReserveCpu(Time cost);
 
   // Runs `fn` after the reserved CPU work completes.
-  void AfterCpu(Time cost, std::function<void()> fn);
+  void AfterCpu(Time cost, std::function<void()> fn) {
+    ScheduleGuarded(ReserveCpu(cost), std::move(fn));
+  }
 
   // Second service lane modeling a dispatch/messenger thread separate from
   // the lock-bound work queue (as in Ceph's MDS). Forwarded requests ride
   // this lane so they do not queue behind expensive local operations.
   Time ReserveDispatch(Time cost);
-  void AfterDispatch(Time cost, std::function<void()> fn);
+  void AfterDispatch(Time cost, std::function<void()> fn) {
+    ScheduleGuarded(ReserveDispatch(cost), std::move(fn));
+  }
 
   // Fraction of the last `window` that this actor's CPU was busy — the load
   // metric exported to the balancer.
@@ -199,8 +169,10 @@ class Actor : public MessageSink {
   // request and keeps its time budget.
   void FinishRpc(PendingRpc rpc, const mal::Status& status, const Envelope& reply);
 
-  // Frees the admission slot held by `request` (no-op when none is held).
-  void ReleaseAdmission(const Envelope& request);
+  // Shared by Reply/ReplyError: frees the admission slot held by `request`
+  // (if any), closes its server span with `span_status`, and sends the reply.
+  void SendReply(const Envelope& request, uint32_t error_code, mal::Buffer payload,
+                 const std::string& span_status);
 
   Simulator* simulator_;
   Network* network_;
@@ -218,14 +190,14 @@ class Actor : public MessageSink {
   std::set<std::pair<EntityName, uint64_t>> admitted_;
   uint64_t shed_total_ = 0;
   uint64_t deadline_drops_ = 0;
-  // Replay suppression: recently-seen (requester, rpc_id) pairs, bounded
-  // FIFO. SendRequest never reuses an rpc_id, so a second arrival of the
-  // same pair can only be a network-level duplicate — executing it twice
-  // would double-apply non-idempotent handlers (and its error reply could
-  // overtake the original's success reply at the caller). Like Ceph's dup
-  // op detection via osd_reqid, the duplicate is dropped; the execution of
-  // the first copy already replied (or will).
-  DedupWindow seen_requests_;
+  // Replay suppression: one ReplayWindow per requester, keyed by its packed
+  // EntityName. SendRequest never reuses an rpc_id, so a second arrival of
+  // the same (requester, rpc_id) can only be a network-level duplicate —
+  // executing it twice would double-apply non-idempotent handlers (and its
+  // error reply could overtake the original's success reply at the caller).
+  // Like Ceph's dup op detection via osd_reqid, the duplicate is dropped; the
+  // execution of the first copy already replied (or will). Survives crashes.
+  std::unordered_map<uint64_t, ReplayWindow> seen_requests_;
   uint64_t duplicates_dropped_ = 0;
   mal::PerfRegistry* svc_perf_ = nullptr;
   Time cpu_busy_until_ = 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "src/common/json.h"
 #include "src/common/stats.h"
 
 namespace mal::telemetry {
@@ -322,20 +323,21 @@ std::string HealthEngine::ToJson(uint64_t now_ns) const {
       << "    \"alerts\": [";
   bool first = true;
   for (const auto& [name, alert] : alerts_) {
-    out << (first ? "" : ",") << "\n      {\"name\": \"" << name << "\", \"severity\": \""
-        << SeverityName(alert.severity) << "\", \"rule\": \"" << alert.rule
+    out << (first ? "" : ",") << "\n      {\"name\": \"" << JsonEscape(name)
+        << "\", \"severity\": \"" << SeverityName(alert.severity) << "\", \"rule\": \""
+        << JsonEscape(alert.rule)
         << "\", \"value\": " << FormatDouble(alert.value, 3) << ", \"for_s\": "
         << FormatDouble(
                static_cast<double>(now_ns > alert.since_ns ? now_ns - alert.since_ns : 0) /
                    1e9,
                3)
-        << ", \"message\": \"" << alert.message << "\"}";
+        << ", \"message\": \"" << JsonEscape(alert.message) << "\"}";
     first = false;
   }
   out << (first ? "" : "\n    ") << "],\n    \"rules\": [";
   first = true;
   for (const auto& rule : rules_) {
-    out << (first ? "" : ", ") << "\"" << rule->name << "\"";
+    out << (first ? "" : ", ") << "\"" << JsonEscape(rule->name) << "\"";
     first = false;
   }
   out << "]\n  }";

@@ -514,6 +514,81 @@ TEST(ActorTest, DeterministicAcrossRuns) {
   EXPECT_EQ(run_once(), run_once());
 }
 
+// -- Replay suppression ------------------------------------------------------
+
+TEST(ReplayWindowTest, AcceptsAscendingIdsAndRejectsAnExactReplay) {
+  ReplayWindow window;
+  for (uint64_t id = 1; id <= 100; ++id) {
+    EXPECT_TRUE(window.Accept(id)) << id;
+  }
+  EXPECT_FALSE(window.Accept(100));
+  EXPECT_FALSE(window.Accept(42));
+}
+
+TEST(ReplayWindowTest, OutOfOrderFreshIdsInsideTheWindowAreAccepted) {
+  ReplayWindow window;
+  for (uint64_t id : {10, 7, 9, 8}) {
+    EXPECT_TRUE(window.Accept(id)) << id;
+  }
+  for (uint64_t id : {10, 7, 9, 8}) {
+    EXPECT_FALSE(window.Accept(id)) << id;
+  }
+}
+
+TEST(ReplayWindowTest, IdsOnEachSideOfAWordBoundary) {
+  ReplayWindow window;
+  for (uint64_t id : {63, 64, 65}) {
+    EXPECT_TRUE(window.Accept(id)) << id;
+  }
+  for (uint64_t id : {63, 64, 65}) {
+    EXPECT_FALSE(window.Accept(id)) << id;
+  }
+  EXPECT_TRUE(window.Accept(62));
+  EXPECT_TRUE(window.Accept(66));
+}
+
+TEST(ReplayWindowTest, JumpPastAWholeWindowClearsTheRing) {
+  ReplayWindow window;
+  for (uint64_t id = 1; id < 2 * 64; ++id) {
+    ASSERT_TRUE(window.Accept(id));
+  }
+  // Block 156 is far more than kWords blocks past block 1: every ring word
+  // is reused, including the two that held ids 1..127.
+  const uint64_t top = 156 * 64 + 16;
+  EXPECT_TRUE(window.Accept(top));
+  EXPECT_FALSE(window.Accept(top));
+  // 8197 and 8260 share ring words and bit positions with ids 5 and 68.
+  EXPECT_TRUE(window.Accept(8197));
+  EXPECT_TRUE(window.Accept(8260));
+  EXPECT_TRUE(window.Accept(top - 1));
+  EXPECT_FALSE(window.Accept(8197));
+}
+
+TEST(ReplayWindowTest, AnIdOlderThanTheWindowIsAccepted) {
+  ReplayWindow window;
+  EXPECT_TRUE(window.Accept(5));
+  EXPECT_TRUE(window.Accept(5 + ReplayWindow::kWords * 64));
+  // Id 5's block has slid out of the ring, so nothing remembers it.
+  EXPECT_TRUE(window.Accept(5));
+}
+
+TEST(ActorTest, ReplaySuppressionIsPerSender) {
+  Simulator simulator;
+  Network network(&simulator);
+  FaultSpec faults;
+  faults.dup_prob = 1.0;  // every request arrives twice
+  network.SetDefaultFaults(faults);
+  EchoActor server(&simulator, &network, EntityName::Osd(0));
+  ClientActor a(&simulator, &network, EntityName::Client(0));
+  ClientActor b(&simulator, &network, EntityName::Client(1));
+  // Both clients' first request carries rpc_id 1.
+  a.SendRequest(EntityName::Osd(0), 7, mal::Buffer(), [](mal::Status, const Envelope&) {});
+  b.SendRequest(EntityName::Osd(0), 7, mal::Buffer(), [](mal::Status, const Envelope&) {});
+  simulator.Run();
+  EXPECT_EQ(server.requests_handled, 2);
+  EXPECT_EQ(server.duplicates_dropped(), 2u);
+}
+
 // -- Timer-wheel core: regressions, differential oracle, pool stress ----------
 
 TEST(SimulatorTest, CancelAfterRunIsANoOp) {

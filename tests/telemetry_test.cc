@@ -6,6 +6,7 @@
 // including the chaos contract: crash -> HEALTH_WARN -> heal -> HEALTH_OK.
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -586,6 +587,113 @@ end
     return monitor.health().Overall() == telemetry::HealthSeverity::kErr;
   }));
   EXPECT_EQ(monitor.health().alerts().count("osd_quorum"), 1u);
+}
+
+// Minimal JSON syntax checker: Parse consumes one value starting at `i`.
+struct JsonSyntax {
+  const std::string& s;
+  size_t i = 0;
+
+  void Ws() {
+    while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i]))) {
+      ++i;
+    }
+  }
+  bool Eat(char c) {
+    Ws();
+    if (i < s.size() && s[i] == c) {
+      ++i;
+      return true;
+    }
+    return false;
+  }
+  bool String() {
+    if (!Eat('"')) {
+      return false;
+    }
+    while (i < s.size() && s[i] != '"') {
+      if (static_cast<unsigned char>(s[i]) < 0x20) {
+        return false;
+      }
+      if (s[i] == '\\') {
+        ++i;
+        if (i >= s.size() || std::string("\"\\/bfnrtu").find(s[i]) == std::string::npos) {
+          return false;
+        }
+      }
+      ++i;
+    }
+    return i++ < s.size();
+  }
+  template <typename F>
+  bool Seq(char close, F item) {
+    if (Eat(close)) {
+      return true;
+    }
+    do {
+      if (!item()) {
+        return false;
+      }
+    } while (Eat(','));
+    return Eat(close);
+  }
+  bool Parse() {
+    Ws();
+    if (i >= s.size()) {
+      return false;
+    }
+    if (s[i] == '"') {
+      return String();
+    }
+    if (Eat('[')) {
+      return Seq(']', [this] { return Parse(); });
+    }
+    if (Eat('{')) {
+      return Seq('}', [this] { return String() && Eat(':') && Parse(); });
+    }
+    size_t start = i;
+    while (i < s.size() && (std::isalnum(static_cast<unsigned char>(s[i])) ||
+                            std::string("+-.").find(s[i]) != std::string::npos)) {
+      ++i;
+    }
+    return i > start;
+  }
+};
+
+bool IsValidJson(const std::string& text) {
+  JsonSyntax parser{text};
+  if (!parser.Parse()) {
+    return false;
+  }
+  parser.Ws();
+  return parser.i == text.size();
+}
+
+TEST(TelemetryClusterTest, HealthJsonEscapesUserStrings) {
+  EXPECT_TRUE(IsValidJson(R"({"a": [1, "x\"y", {"b": true}]})"));
+  EXPECT_FALSE(IsValidJson(R"({"a": "x"y"})"));
+
+  cluster::ClusterOptions options;
+  options.num_mons = 1;
+  options.num_osds = 1;
+  options.num_mds = 0;
+  options.mon.telemetry_interval = 500 * sim::kMillisecond;
+  options.mon.builtin_health_rules = false;
+  cluster::Cluster cluster(options);
+  cluster.Boot();
+  mon::Monitor& monitor = cluster.monitor();
+  // Alert and rule names and messages come from operator MalScript; the
+  // health JSON must stay parseable whatever they contain.
+  ASSERT_TRUE(monitor
+                  .InstallHealthRule("quote\"rule",
+                                     R"(alert("say \"hi\"", "WARN", "a \"b\" c:\\d\n\te"))")
+                  .ok());
+  cluster.RunFor(2 * sim::kSecond);
+  ASSERT_EQ(monitor.health().alerts().count("say \"hi\""), 1u);
+  std::string json = monitor.HealthJson();
+  EXPECT_TRUE(IsValidJson(json)) << json;
+  EXPECT_NE(json.find(R"("message": "a \"b\" c:\\d\n\u0009e")"), std::string::npos) << json;
+  EXPECT_NE(json.find(R"("rules": ["quote\"rule"])"), std::string::npos) << json;
 }
 
 TEST(TelemetryChaosTest, CrashRaisesStaleWarnAndHealClears) {
