@@ -46,7 +46,7 @@ struct Workload {
     log->Append(Buffer::FromString(tag), [this, tag](Status status, uint64_t pos) {
       if (status.ok()) {
         ++ok;
-        checkers->RecordAck(pos, tag);
+        checkers->RecordAck(log->sequencer_path(), pos, tag);
       } else {
         ++failed;
       }

@@ -7,7 +7,8 @@
 // reservation, quota swept; total ops/sec and average latency reported.
 //
 // Expected shape: exclusive >> large quota > small quota > best-effort in
-// throughput; latency falls as quota grows.
+// throughput; latency falls as quota grows. The bench checks this shape and
+// exits non-zero on a failed check.
 #include <functional>
 
 #include "bench/bench_util.h"
@@ -54,7 +55,7 @@ mal::bench::HopBreakdown TracedAppendBreakdown(int total_appends) {
   };
   next();
   cluster.RunUntil([&] { return done >= total_appends; }, 600 * sim::kSecond);
-  return bench::BreakdownRoots(collector, "zlog.Append");
+  return bench::BreakdownRoots(collector, "zlog.AppendBatch");
 }
 
 }  // namespace
@@ -68,7 +69,12 @@ int main() {
   PrintColumns({"config", "ops_per_sec", "avg_latency_us", "cap_exchanges"});
 
   JsonReporter json("fig6_seq_throughput");
-  auto report = [&json](const CapExperimentConfig& config) {
+  // One row: (ops/s, average latency); the raw samples are not kept.
+  struct Row {
+    double ops_per_sec;
+    double latency_us;
+  };
+  auto report = [&json](const CapExperimentConfig& config) -> Row {
     CapExperimentResult result = RunCapExperiment(config);
     std::printf("%s\t%.0f\t%.2f\t%llu\n", result.name.c_str(), result.total_ops_per_sec,
                 result.mean_latency_us,
@@ -83,6 +89,7 @@ int main() {
       metrics.emplace_back("events_dropped", static_cast<double>(result.events_dropped));
     }
     json.Add(result.name, std::move(metrics));
+    return Row{result.total_ops_per_sec, result.mean_latency_us};
   };
 
   // Exclusive: one client, nobody competes, cap never revoked.
@@ -90,33 +97,61 @@ int main() {
   exclusive.name = "exclusive(1 client)";
   exclusive.mode = LeaseMode::kDelay;
   exclusive.num_clients = 1;
-  report(exclusive);
+  Row exclusive_row = report(exclusive);
 
+  std::vector<Row> quotas;  // ascending quota
   for (uint64_t quota : {1ULL, 10ULL, 100ULL, 1000ULL, 10000ULL, 100000ULL}) {
     CapExperimentConfig config;
     config.name = "quota(" + std::to_string(quota) + ")";
     config.mode = LeaseMode::kQuota;
     config.quota = quota;
-    report(config);
+    quotas.push_back(report(config));
   }
 
   CapExperimentConfig delay;
   delay.name = "delay(0.25s)";
   delay.mode = LeaseMode::kDelay;
-  report(delay);
+  Row delay_row = report(delay);
 
   CapExperimentConfig best_effort;
   best_effort.name = "best-effort";
   best_effort.mode = LeaseMode::kBestEffort;
-  report(best_effort);
+  Row best_effort_row = report(best_effort);
 
+  constexpr int kTracedAppends = 256;
   PrintSection("per-hop breakdown (traced round-trip appends)");
-  HopBreakdown hops = TracedAppendBreakdown(256);
+  HopBreakdown hops = TracedAppendBreakdown(kTracedAppends);
   PrintBreakdown("round-trip-append", hops);
   std::vector<std::pair<std::string, double>> hop_metrics;
   AppendBreakdown(&hop_metrics, hops);
   json.Add("round-trip-append(breakdown)", std::move(hop_metrics));
 
+  PrintSection("shape checks");
+  std::vector<Row> shared = quotas;
+  shared.push_back(delay_row);
+  shared.push_back(best_effort_row);
+  bool exclusive_top = true;
+  for (const Row& row : shared) {
+    exclusive_top &= exclusive_row.ops_per_sec >= row.ops_per_sec;
+  }
+  bool ops_rise = true;
+  bool latency_falls = true;
+  bool best_effort_bottom = true;
+  for (size_t i = 0; i < quotas.size(); ++i) {
+    best_effort_bottom &= best_effort_row.ops_per_sec <= quotas[i].ops_per_sec;
+    if (i > 0) {
+      ops_rise &= quotas[i].ops_per_sec >= quotas[i - 1].ops_per_sec;
+      latency_falls &= quotas[i].latency_us <= quotas[i - 1].latency_us;
+    }
+  }
+  bool ok = true;
+  ok &= ShapeCheck("exclusive ops/s >= every shared config", exclusive_top);
+  ok &= ShapeCheck("ops/s does not decrease as quota grows", ops_rise);
+  ok &= ShapeCheck("best-effort ops/s <= every quota config", best_effort_bottom);
+  ok &= ShapeCheck("average latency does not increase as quota grows", latency_falls);
+  ok &= ShapeCheck("breakdown: one trace per traced append",
+                   hops.traces == static_cast<size_t>(kTracedAppends));
+
   json.Write();
-  return 0;
+  return ok ? 0 : 1;
 }

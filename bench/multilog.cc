@@ -271,13 +271,12 @@ HotLogResult RunHotLog(int num_logs, sim::Time duration) {
 
 // -- Section 3: migration + failover under append traffic ---------------------
 
-// Closed-loop ZLog appender with path-scoped ack bookkeeping and resume
+// Closed-loop ZLog appender with per-log ack bookkeeping and resume
 // tracking (first successful append after a marked disruption).
 struct Appender {
   chaos::Checkers* checkers = nullptr;
   zlog::Log* log = nullptr;
   cluster::Cluster* cluster = nullptr;
-  std::string path;
   std::string prefix;
   uint64_t next_tag = 0;
   uint64_t ok = 0;
@@ -304,7 +303,7 @@ struct Appender {
                 [this, tag, issued_at](Status status, uint64_t pos) {
       if (status.ok()) {
         ++ok;
-        checkers->RecordAck(path, pos, tag);
+        checkers->RecordAck(log->sequencer_path(), pos, tag);
         if (disrupted_at != 0 && resumed_at == 0 && issued_at >= disrupted_at) {
           resumed_at = cluster->simulator().Now();
         }
@@ -365,7 +364,6 @@ FailoverResult RunFailover(int num_logs, sim::Time traffic_before_crash) {
     appender->checkers = &checkers;
     appender->log = log.get();
     appender->cluster = &cluster;
-    appender->path = log->sequencer_path();
     appender->prefix = "f" + std::to_string(i) + ":";
     logs.push_back(std::move(log));
     appenders.push_back(std::move(appender));
@@ -424,7 +422,7 @@ FailoverResult RunFailover(int num_logs, sim::Time traffic_before_crash) {
 
   int verified = 0;
   for (int i = 0; i < num_logs; ++i) {
-    checkers.VerifyLog(logs[i]->sequencer_path(), logs[i].get(), [&] { ++verified; });
+    checkers.VerifyLog(logs[i].get(), [&] { ++verified; });
   }
   result.verified =
       cluster.RunUntil([&] { return verified == num_logs; }, 300 * sim::kSecond);

@@ -45,8 +45,8 @@ struct RunResult {
   uint64_t batches = 0;  // AppendBatch calls (zlog.batches)
 };
 
-// Seed path: one Append at a time, each a full sequencer RPC + a
-// single-entry object transaction.
+// Per-append path: one Append at a time, each a one-entry batch, so a full
+// sequencer RPC + a single-entry object transaction.
 RunResult RunPerAppend(int total) {
   cluster::Cluster cluster(BenchCluster());
   cluster.Boot();
@@ -85,7 +85,7 @@ RunResult RunPerAppend(int total) {
   double elapsed_sec =
       static_cast<double>(cluster.simulator().Now() - begin) / 1e9;
   result.appends_per_sec = elapsed_sec > 0 ? total / elapsed_sec : 0;
-  result.hops = BreakdownRoots(collector, "zlog.Append");
+  result.hops = BreakdownRoots(collector, "zlog.AppendBatch");
   return result;
 }
 
@@ -276,6 +276,8 @@ int main() {
                    batched.grants == batched.batches);
   ok &= ShapeCheck("contended: grant RPCs <= 0.9x batches",
                    contended.batches > 0 && 10 * contended.grants <= 9 * contended.batches);
+  ok &= ShapeCheck("per-append breakdown: one trace per append",
+                   seed.hops.traces == static_cast<size_t>(kTotalEntries));
   std::printf("wall: batched(b=64,w=8) 64B=%.3fs, 16KiB=%.3fs (%.1fx for 256x bytes)\n",
               wide_wall, big_wall, wide_wall > 0 ? big_wall / wide_wall : 0);
   ok &= ShapeCheck("16KiB-payload wall grows >=8x slower than byte volume (<=32x)",

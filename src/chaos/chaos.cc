@@ -508,15 +508,8 @@ void Checkers::SampleLoop(sim::Time interval) {
   cluster_->simulator().Schedule(interval, [this, interval] { SampleLoop(interval); });
 }
 
-void Checkers::RecordAck(uint64_t position, std::string tag) {
-  auto [it, fresh] = acked_.emplace(position, std::move(tag));
-  if (!fresh) {
-    Violation("position " + std::to_string(position) + " acked twice");
-  }
-}
-
 void Checkers::RecordAck(const std::string& path, uint64_t position, std::string tag) {
-  auto [it, fresh] = acked_by_path_[path].emplace(position, std::move(tag));
+  auto [it, fresh] = acked_[path].emplace(position, std::move(tag));
   if (!fresh) {
     Violation(path + " position " + std::to_string(position) + " acked twice");
   }
@@ -637,8 +630,7 @@ void Checkers::Sample() {
 
 struct Checkers::LogScan {
   zlog::Log* log = nullptr;
-  // Which ack map this scan is checked against (the shared legacy map or
-  // one log's map in a multi-log run) and the violation-message prefix.
+  // The log's ack map and the violation-message prefix (its path).
   const std::map<uint64_t, std::string>* acks = nullptr;
   std::string label;
   uint64_t pos = 0;
@@ -648,26 +640,16 @@ struct Checkers::LogScan {
 };
 
 void Checkers::VerifyLog(zlog::Log* log, std::function<void()> on_done) {
-  VerifyAgainst(&acked_, "", log, std::move(on_done));
-}
-
-void Checkers::VerifyLog(const std::string& path, zlog::Log* log,
-                         std::function<void()> on_done) {
-  VerifyAgainst(&acked_by_path_[path], path + " ", log, std::move(on_done));
-}
-
-void Checkers::VerifyAgainst(const std::map<uint64_t, std::string>* acks,
-                             std::string label, zlog::Log* log,
-                             std::function<void()> on_done) {
-  if (acks->empty()) {
+  const std::map<uint64_t, std::string>& acks = acked_[log->sequencer_path()];
+  if (acks.empty()) {
     on_done();
     return;
   }
   auto scan = std::make_shared<LogScan>();
   scan->log = log;
-  scan->acks = acks;
-  scan->label = std::move(label);
-  scan->max = acks->rbegin()->first;
+  scan->acks = &acks;
+  scan->label = log->sequencer_path() + " ";
+  scan->max = acks.rbegin()->first;
   scan->done = std::move(on_done);
   VerifyStep(std::move(scan));
 }

@@ -195,28 +195,24 @@ class Checkers {
   // regress (max across MDS daemons, sampled).
   void WatchSequencer(std::string path);
 
-  // Workload-side: an append was acked at `position` carrying `tag`.
-  // Flags the same position acked twice immediately.
-  void RecordAck(uint64_t position, std::string tag);
+  // Workload-side: an append to the log whose sequencer inode is `path`
+  // was acked at `position` carrying `tag`. Each log keeps its own position
+  // space; the same position acked twice on one log is flagged at once.
+  void RecordAck(const std::string& path, uint64_t position, std::string tag);
   // EC-pool workload-side: `object` in `pool` was fully committed with
   // `payload` (all shards + index acked). Later writes of the same object
   // replace the expectation.
   void RecordEcAck(const std::string& pool, const std::string& object, std::string payload);
-  // Path-scoped variant for multi-log runs (sharded sequencers): each log
-  // keeps its own position space, so ack-twice and verify are checked per
-  // log instead of in one shared map.
-  void RecordAck(const std::string& path, uint64_t position, std::string tag);
 
   // Post-heal scan of [0, max acked]: every acked position must read back
   // kData with its exact payload (no acked-append loss, no silent
   // overwrite); unwritten holes are filled so the committed prefix is
-  // contiguous. `log` must be an open handle on the verified log.
+  // contiguous. `log` must be an open handle on the verified log; it is
+  // checked against the acks recorded for its sequencer path. The paper's
+  // migration/failover claim is exactly this: every log's committed prefix
+  // survives, no matter which rank its sequencer lived on when the faults
+  // hit.
   void VerifyLog(zlog::Log* log, std::function<void()> on_done);
-  // Multi-log variant: verifies `log` against the acks recorded for `path`
-  // via the path-scoped RecordAck. The paper's migration/failover claim is
-  // exactly this: every log's committed prefix survives, no matter which
-  // rank its sequencer lived on when the faults hit.
-  void VerifyLog(const std::string& path, zlog::Log* log, std::function<void()> on_done);
 
   // Post-heal scan of an EC pool: every acked object must read back its
   // exact payload (degraded reads are fine — kDataLoss or a mismatch is
@@ -232,8 +228,8 @@ class Checkers {
   const std::vector<std::string>& violations() const { return violations_; }
   uint64_t samples() const { return samples_; }
   uint64_t acked_count() const {
-    uint64_t count = acked_.size();
-    for (const auto& [path, acks] : acked_by_path_) {
+    uint64_t count = 0;
+    for (const auto& [path, acks] : acked_) {
       count += acks.size();
     }
     return count;
@@ -251,14 +247,11 @@ class Checkers {
   void CheckEpoch(const std::string& observer, uint64_t epoch);
   void Violation(std::string what);
   void VerifyStep(std::shared_ptr<LogScan> scan);
-  void VerifyAgainst(const std::map<uint64_t, std::string>* acks, std::string label,
-                     zlog::Log* log, std::function<void()> on_done);
 
   cluster::Cluster* cluster_;
   std::vector<std::string> violations_;
-  std::map<uint64_t, std::string> acked_;  // position -> payload tag
-  // Multi-log runs: per-path ack maps (position spaces are independent).
-  std::map<std::string, std::map<uint64_t, std::string>> acked_by_path_;
+  // Sequencer path -> position -> payload tag (each log its own space).
+  std::map<std::string, std::map<uint64_t, std::string>> acked_;
   // EC pools: pool -> object -> last acked payload.
   std::map<std::string, std::map<std::string, std::string>> ec_acked_;
   std::map<std::string, uint64_t> max_epoch_;      // observer -> max epoch seen

@@ -378,22 +378,26 @@ for _, e in pairs(entities("client.")) do
 end
 )";
 
-// Sequencer liveness: clients are finishing appends but no MDS granted a
-// position recently -> the cached/local path is masking a dead sequencer.
+// Sequencer liveness: round-trip clients asked for positions but no MDS
+// granted any in the window -> every grant was refused. Cached-mode clients
+// increment locally and send no grant requests, so they never count; a
+// crashed MDS is stale_daemon's to report. Requests from the last 2 s are
+// left out: the MDS reports its grants once a second, so a healthy grant
+// can reach the store after the request that asked for it.
 constexpr const char* kSeqStallRule = R"(
 local grants = 0
 for _, e in pairs(entities("mds.")) do
   grants = grants + series_sum(e, "mds.seq.positions_granted", params.window_s)
 end
-local appends = 0
+local requests = 0
 for _, e in pairs(entities("client.")) do
-  appends = appends + series_sum(e, "zlog.appends", params.window_s)
-                    + series_sum(e, "zlog.batches", params.window_s)
+  requests = requests + series_sum(e, "zlog.grants", params.window_s)
+                      - series_sum(e, "zlog.grants", 2)
 end
-if appends > 0 and grants == 0 then
+if requests > 0 and grants == 0 then
   alert("seq_stall", "ERR",
-        "no sequencer grants in " .. params.window_s .. "s while clients completed "
-        .. appends .. " appends", appends)
+        "no sequencer grants in " .. params.window_s .. "s while clients sent "
+        .. requests .. " grant requests", requests)
 end
 )";
 

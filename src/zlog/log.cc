@@ -23,13 +23,9 @@ Log::Log(sim::Actor* owner, rados::RadosClient* rados, mds::MdsClient* mds,
       rados_(rados),
       mds_(mds),
       options_(std::move(options)),
-      retry_policy_(options_.retry),
       retry_rng_(0x7a6c6f67ULL * 0x9e3779b97f4a7c15ULL +
                  (static_cast<uint64_t>(owner->name().type) << 32) + owner->name().id),
       sequencer_path_("/zlog/" + options_.name) {
-  // max_append_retries predates RetryPolicy and stays authoritative for the
-  // attempt budget (several tests and benches tune it directly).
-  retry_policy_.max_attempts = options_.max_append_retries;
   views_.push_back(View{0, options_.stripe_width, 0});
 }
 
@@ -140,35 +136,6 @@ void Log::RefreshEpoch(DoneHandler on_done) {
                });
 }
 
-void Log::GetPosition(PositionHandler on_position) {
-  if (options_.sequencer_mode == SequencerMode::kRoundTrip) {
-    mds_->SeqNext(sequencer_path_, std::move(on_position));
-    return;
-  }
-  // Cached mode: increment locally under the exclusive cap.
-  if (mds_->HasCap(sequencer_path_)) {
-    auto pos = mds_->LocalNext(sequencer_path_);
-    if (pos.ok()) {
-      on_position(mal::Status::Ok(), pos.value());
-      return;
-    }
-    // Cap slipped away between the check and the increment; fall through.
-  }
-  mds_->AcquireCap(sequencer_path_,
-                   [this, on_position = std::move(on_position)](mal::Status status) {
-                     if (!status.ok()) {
-                       on_position(status, 0);
-                       return;
-                     }
-                     auto pos = mds_->LocalNext(sequencer_path_);
-                     if (!pos.ok()) {
-                       on_position(pos.status(), 0);
-                       return;
-                     }
-                     on_position(mal::Status::Ok(), pos.value());
-                   });
-}
-
 void Log::GetPositionBatch(uint64_t count, GrantHandler on_grant) {
   if (options_.sequencer_mode == SequencerMode::kRoundTrip) {
     if (perf_ != nullptr) {
@@ -201,28 +168,12 @@ void Log::GetPositionBatch(uint64_t count, GrantHandler on_grant) {
 }
 
 void Log::Append(mal::Buffer data, PositionHandler on_done) {
-  if (perf_ != nullptr) {
-    perf_->Inc("zlog.appends");
-  }
-  // Root span for the whole append: the sequencer round-trip and the OSD
-  // write become children via the ambient-context propagation in the
-  // actor/RPC layer.
-  trace::TraceContext span;
-  if (trace::Collector() != nullptr) {
-    span = trace::Collector()->StartSpan("zlog.Append", owner_->name().ToString(),
-                                         owner_->Now(), trace::Current());
-  }
-  auto wrapped = [this, span, on_done = std::move(on_done)](mal::Status status,
-                                                            uint64_t position) {
-    if (span.valid() && trace::Collector() != nullptr) {
-      trace::Collector()->EndSpan(span, owner_->Now(),
-                                  status.ok() ? "ok" : status.message());
-    }
-    on_done(status, position);
-  };
-  trace::ScopedContext scope(span.valid() ? span : trace::Current());
-  AppendAttempt(std::make_shared<mal::Buffer>(std::move(data)), std::move(wrapped),
-                svc::Backoff(retry_policy_));
+  std::vector<mal::Buffer> entries;
+  entries.push_back(std::move(data));
+  AppendBatch(std::move(entries),
+              [done = std::move(on_done)](mal::Status s, const std::vector<uint64_t>& at) {
+                done(s, at[0]);
+              });
 }
 
 // -- batched, pipelined append ---------------------------------------------------
@@ -271,7 +222,7 @@ void Log::PumpBatchQueue() {
     for (size_t i = 0; i < indices.size(); ++i) {
       indices[i] = i;
     }
-    BatchAttempt(std::move(batch), std::move(indices), svc::Backoff(retry_policy_));
+    BatchAttempt(std::move(batch), std::move(indices), svc::Backoff(options_.retry));
   }
 }
 
@@ -515,88 +466,6 @@ void Log::WriteGroup(std::shared_ptr<Group> group, uint64_t first) {
           }
         });
       });
-}
-
-void Log::AppendAttempt(std::shared_ptr<mal::Buffer> data, PositionHandler on_done,
-                        svc::Backoff backoff) {
-  if (backoff.Exhausted()) {
-    on_done(mal::Status::Unavailable("append retries exhausted"), 0);
-    return;
-  }
-  // Retry continuation: consumes one attempt from the backoff schedule and
-  // re-enters after its (zero, at the default policy) delay.
-  auto reattempt = [this, data, on_done, backoff]() mutable {
-    // Consume the attempt before building the continuation so the lambda
-    // captures the advanced backoff.
-    sim::Time delay = backoff.NextDelay(&retry_rng_);
-    svc::RunAfter(owner_->simulator(), delay, [this, data, on_done, backoff] {
-      AppendAttempt(data, on_done, backoff);
-    });
-  };
-  GetPosition([this, data, on_done, reattempt](mal::Status status,
-                                               uint64_t position) mutable {
-    if (status.code() == mal::Code::kAborted) {
-      // The sequencer lost its state (holder died): run CORFU recovery,
-      // then retry the append under the new epoch.
-      Recover([this, on_done, reattempt](mal::Status recover_status, uint64_t) mutable {
-        if (!recover_status.ok()) {
-          if (ShouldTakeover(recover_status)) {
-            MaybeTakeover([on_done, reattempt, recover_status](mal::Status t) mutable {
-              if (t.ok()) {
-                reattempt();
-              } else {
-                on_done(recover_status, 0);
-              }
-            });
-            return;
-          }
-          on_done(recover_status, 0);
-          return;
-        }
-        reattempt();
-      });
-      return;
-    }
-    if (!status.ok()) {
-      if (ShouldTakeover(status)) {
-        // Owner change or owner crash: run the sharded-sequencer takeover
-        // (epoch bump + seal, like any CORFU failover), then retry.
-        MaybeTakeover([on_done, reattempt, status](mal::Status t) mutable {
-          if (t.ok()) {
-            reattempt();
-          } else {
-            on_done(status, 0);
-          }
-        });
-        return;
-      }
-      on_done(status, 0);
-      return;
-    }
-    rados_->Exec(
-        ObjectFor(position), "zlog", "write", ZlogOps::MakeWrite(epoch_, position, *data),
-        [this, on_done, reattempt, position](mal::Status write_status,
-                                             const mal::Buffer&) mutable {
-          if (write_status.code() == mal::Code::kStaleEpoch) {
-            // We were fenced: learn the new epoch and retry with a fresh
-            // position (ours may have been consumed by recovery).
-            RefreshEpoch([on_done, reattempt](mal::Status refresh_status) mutable {
-              if (!refresh_status.ok()) {
-                on_done(refresh_status, 0);
-                return;
-              }
-              reattempt();
-            });
-            return;
-          }
-          if (write_status.code() == mal::Code::kReadOnly) {
-            // Position collision (post-recovery sequencer reset): retry.
-            reattempt();
-            return;
-          }
-          on_done(write_status, position);
-        });
-  });
 }
 
 void Log::Read(uint64_t position, ReadHandler on_data) {

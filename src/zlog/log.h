@@ -52,12 +52,10 @@ struct LogOptions {
   SequencerMode sequencer_mode = SequencerMode::kRoundTrip;
   // Lease terms for kCached mode (the Fig 5/6/7 knobs).
   mds::LeasePolicy lease;
-  int max_append_retries = 4;
-  // Backoff base/cap between append retries (epoch fences, position
-  // collisions, sequencer recovery). The attempt budget stays
-  // max_append_retries; the default zero base delay keeps the legacy
-  // retry-immediately behavior.
-  svc::RetryPolicy retry{};
+  // Attempt budget and backoff between append retries (epoch fences,
+  // position collisions, unreachable targets, sequencer recovery). The
+  // default zero base delay retries immediately.
+  svc::RetryPolicy retry{.max_attempts = 4};
   // Windowed pipeline: how many AppendBatch() calls may be on the wire at
   // once. Batches beyond the window queue; independent batches overlap so
   // the append path is bandwidth-bound instead of per-RPC-latency-bound.
@@ -80,9 +78,9 @@ class Log {
   // Creates the sequencer inode (idempotent) and learns the current epoch.
   void Open(DoneHandler on_done);
 
-  // Appends an entry: obtains the next position from the sequencer, then
-  // writes it through the zlog object class. Retries through epoch
-  // refreshes and (after sequencer recovery) position conflicts.
+  // Appends one entry as a one-entry AppendBatch: it shares the window,
+  // grant coalescing, recovery and retry budget with every other append on
+  // this handle. The position is valid on success.
   void Append(mal::Buffer data, PositionHandler on_done);
 
   // Batched, pipelined append: reserves entries.size() contiguous positions
@@ -105,9 +103,9 @@ class Log {
   uint32_t inflight_batches() const { return inflight_; }
 
   // Optional counter sink owned by the embedding client. When set, the log
-  // records zlog.appends / zlog.batches / zlog.entries / zlog.grants /
-  // zlog.epoch_refreshes / zlog.batch_retries plus the zlog.inflight gauge
-  // and a zlog.batch_us latency histogram.
+  // records zlog.batches / zlog.entries / zlog.grants (round-trip grant
+  // requests) / zlog.epoch_refreshes / zlog.batch_retries / zlog.takeovers
+  // plus the zlog.inflight gauge and a zlog.batch_us latency histogram.
   void set_perf(mal::PerfRegistry* perf) { perf_ = perf; }
 
   // Random read of a position; never blocks on the sequencer.
@@ -155,13 +153,10 @@ class Log {
   using Group = std::vector<Member>;
   using GrantHandler = std::function<void(mal::Status, uint64_t first, bool contended)>;
 
-  void GetPosition(PositionHandler on_position);
   // Reserves `count` contiguous positions (one round-trip or one local
   // increment) and yields the first plus the MDS contention hint (local
   // grants are never contended).
   void GetPositionBatch(uint64_t count, GrantHandler on_grant);
-  void AppendAttempt(std::shared_ptr<mal::Buffer> data, PositionHandler on_done,
-                     svc::Backoff backoff);
   // Launches queued batches while the in-flight window has room.
   void PumpBatchQueue();
   // Queues the batch entries named by `indices` for the next grant, unless
@@ -217,7 +212,6 @@ class Log {
   mds::MdsClient* mds_;
   mal::PerfRegistry* perf_ = nullptr;
   LogOptions options_;
-  svc::RetryPolicy retry_policy_;  // options_.retry with max_append_retries applied
   mal::Rng retry_rng_;
   std::string sequencer_path_;
   uint64_t epoch_ = 0;

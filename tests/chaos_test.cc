@@ -27,9 +27,6 @@ struct Appender {
   Checkers* checkers = nullptr;
   zlog::Log* log = nullptr;
   std::string prefix;
-  // When set, acks go to the path-scoped map (multi-log runs where every
-  // log has its own position space).
-  std::string ack_path;
   uint64_t next_tag = 0;
   uint64_t ok = 0;
   uint64_t failed = 0;
@@ -46,11 +43,7 @@ struct Appender {
     log->Append(Buffer::FromString(tag), [this, tag](Status status, uint64_t pos) {
       if (status.ok()) {
         ++ok;
-        if (ack_path.empty()) {
-          checkers->RecordAck(pos, tag);
-        } else {
-          checkers->RecordAck(ack_path, pos, tag);
-        }
+        checkers->RecordAck(log->sequencer_path(), pos, tag);
       } else {
         ++failed;
       }
@@ -90,7 +83,7 @@ struct BatchAppender {
                      [this, tags](Status status, const std::vector<uint64_t>& positions) {
                        if (status.ok()) {
                          for (size_t i = 0; i < positions.size(); ++i) {
-                           checkers->RecordAck(positions[i], tags[i]);
+                           checkers->RecordAck(log->sequencer_path(), positions[i], tags[i]);
                            max_pos = std::max(max_pos, positions[i]);
                          }
                          ok += positions.size();
@@ -335,7 +328,7 @@ TEST(ChaosDuplication, ForcedDuplicationNeverDoubleCommits) {
     std::optional<Status> done;
     log->Append(Buffer::FromString(tag), [&, tag](Status status, uint64_t pos) {
       if (status.ok()) {
-        checkers.RecordAck(pos, tag);
+        checkers.RecordAck(log->sequencer_path(), pos, tag);
       }
       done = status;
     });
@@ -416,7 +409,6 @@ TEST(ChaosShardedSequencers, MigrationAndFailoverPreserveEveryLog) {
     appender->checkers = &checkers;
     appender->log = logs.back().get();
     appender->prefix = "s" + std::to_string(i) + ":";
-    appender->ack_path = logs.back()->sequencer_path();
     appenders.push_back(std::move(appender));
   }
   checkers.Arm();
@@ -467,7 +459,7 @@ TEST(ChaosShardedSequencers, MigrationAndFailoverPreserveEveryLog) {
   // Post-heal deep verify, one scan per log against its own ack map.
   int verified = 0;
   for (int i = 0; i < kLogs; ++i) {
-    checkers.VerifyLog(logs[i]->sequencer_path(), logs[i].get(), [&] { ++verified; });
+    checkers.VerifyLog(logs[i].get(), [&] { ++verified; });
   }
   EXPECT_TRUE(cluster.RunUntil([&] { return verified == kLogs; }, 300 * sim::kSecond));
 

@@ -9,6 +9,7 @@
 #include <cctype>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -587,6 +588,118 @@ end
     return monitor.health().Overall() == telemetry::HealthSeverity::kErr;
   }));
   EXPECT_EQ(monitor.health().alerts().count("osd_quorum"), 1u);
+}
+
+// -- seq_stall: alerts on refused grants only ---------------------------------
+
+cluster::ClusterOptions SeqStallCluster() {
+  cluster::ClusterOptions options;
+  options.num_mons = 1;
+  options.num_osds = 3;
+  options.num_mds = 1;
+  options.mon.telemetry_interval = 500 * sim::kMillisecond;
+  return options;
+}
+
+std::unique_ptr<zlog::Log> OpenReportingLog(cluster::Cluster* cluster, cluster::Client* client,
+                                            zlog::LogOptions options) {
+  client->StartPerfReports(500 * sim::kMillisecond);
+  auto log = client->OpenLog(std::move(options));
+  bool opened = false;
+  log->Open([&opened](mal::Status status) { opened = status.ok(); });
+  EXPECT_TRUE(cluster->RunUntil([&opened] { return opened; }));
+  return log;
+}
+
+// Closed-loop one-entry appends until `*stop`; failed appends count in
+// `*fails` and the loop goes on.
+void AppendLoop(zlog::Log* log, const bool* stop, uint64_t* fails) {
+  if (*stop) {
+    return;
+  }
+  log->Append(mal::Buffer::FromString("x"), [log, stop, fails](mal::Status status, uint64_t) {
+    *fails += status.ok() ? 0 : 1;
+    AppendLoop(log, stop, fails);
+  });
+}
+
+bool SeqStallRaisedWithin(cluster::Cluster* cluster, sim::Time span) {
+  mon::Monitor& monitor = cluster->monitor();
+  return cluster->RunUntil(
+      [&monitor] { return monitor.health().alerts().count("seq_stall") != 0; }, span);
+}
+
+TEST(TelemetryClusterTest, HealthyRoundTripAppendsRaiseNoSeqStall) {
+  cluster::Cluster cluster(SeqStallCluster());
+  cluster.Boot();
+  cluster::Client* client = cluster.NewClient();
+  zlog::LogOptions options;
+  options.name = "rtlog";
+  auto log = OpenReportingLog(&cluster, client, options);
+  bool stop = false;
+  uint64_t failed = 0;
+  AppendLoop(log.get(), &stop, &failed);
+  EXPECT_FALSE(SeqStallRaisedWithin(&cluster, 15 * sim::kSecond))
+      << cluster.monitor().HealthJson();
+  stop = true;
+  EXPECT_EQ(failed, 0u);
+  EXPECT_GT(client->perf.counter("zlog.grants"), 0u);
+  EXPECT_GT(cluster.monitor().health().evaluations(), 0u);
+}
+
+TEST(TelemetryClusterTest, HealthyCachedLogRaisesNoSeqStall) {
+  cluster::Cluster cluster(SeqStallCluster());
+  cluster.Boot();
+  cluster::Client* client = cluster.NewClient();
+  zlog::LogOptions options;
+  options.name = "caplog";
+  options.sequencer_mode = zlog::SequencerMode::kCached;
+  options.lease.mode = mds::LeaseMode::kDelay;
+  auto log = OpenReportingLog(&cluster, client, options);
+  bool stop = false;
+  uint64_t failed = 0;
+  AppendLoop(log.get(), &stop, &failed);
+  EXPECT_FALSE(SeqStallRaisedWithin(&cluster, 15 * sim::kSecond))
+      << cluster.monitor().HealthJson();
+  stop = true;
+  EXPECT_EQ(failed, 0u);
+  EXPECT_GT(client->perf.counter("zlog.batches"), 0u);
+  EXPECT_EQ(client->perf.counter("zlog.grants"), 0u);  // local increments only
+}
+
+TEST(TelemetryClusterTest, RefusedGrantsRaiseSeqStall) {
+  cluster::Cluster cluster(SeqStallCluster());
+  cluster.Boot();
+  // A kDelay holder caches the log's tail and is never asked to give it
+  // back, so every round-trip grant on that log is refused kUnavailable.
+  cluster::Client* holder = cluster.NewClient();
+  zlog::LogOptions cached;
+  cached.name = "heldlog";
+  cached.sequencer_mode = zlog::SequencerMode::kCached;
+  cached.lease.mode = mds::LeaseMode::kDelay;
+  auto held = OpenReportingLog(&cluster, holder, cached);
+  bool appended = false;
+  held->Append(mal::Buffer::FromString("held"), [&appended](mal::Status status, uint64_t) {
+    EXPECT_TRUE(status.ok()) << status;
+    appended = true;
+  });
+  ASSERT_TRUE(cluster.RunUntil([&appended] { return appended; }));
+  ASSERT_TRUE(holder->mds.HasCap(held->sequencer_path()));
+
+  cluster::Client* client = cluster.NewClient();
+  zlog::LogOptions round_trip;
+  round_trip.name = "heldlog";
+  auto log = OpenReportingLog(&cluster, client, round_trip);
+  bool stop = false;
+  uint64_t failed = 0;
+  AppendLoop(log.get(), &stop, &failed);
+  ASSERT_TRUE(SeqStallRaisedWithin(&cluster, 15 * sim::kSecond))
+      << cluster.monitor().HealthJson();
+  stop = true;
+  EXPECT_EQ(cluster.monitor().health().alerts().at("seq_stall").severity,
+            telemetry::HealthSeverity::kErr);
+  EXPECT_GT(failed, 0u);
+  EXPECT_GT(client->perf.counter("zlog.grants"), 0u);
 }
 
 // Minimal JSON syntax checker: Parse consumes one value starting at `i`.

@@ -507,7 +507,7 @@ TEST_F(ZlogFixture, StressAppendsAcrossReconfigurationNoEntryLost) {
   LogOptions options;
   options.name = "stress";
   options.stripe_width = 2;
-  options.max_append_retries = 8;
+  options.retry.max_attempts = 8;
   auto log_a = OpenLog(client_a, options);
   auto log_b = OpenLog(client_b, options);
 
@@ -663,7 +663,7 @@ TEST_F(ZlogFixture, AppendRetriesExhaustedReportsUnavailable) {
   auto* client = cluster->NewClient();
   LogOptions options;
   options.name = "sealed";
-  options.max_append_retries = 3;
+  options.retry.max_attempts = 3;
   auto log = OpenLog(client, options);
   ASSERT_TRUE(Append(log.get(), "pre").ok());
 
@@ -751,7 +751,7 @@ TEST_F(ZlogFixture, RecoveryWithInFlightBatchesLeaksHolesNotData) {
   LogOptions options;
   options.name = "recbatch";
   options.max_inflight = 4;
-  options.max_append_retries = 8;
+  options.retry.max_attempts = 8;
   auto log_w = OpenLog(writer, options);
 
   constexpr int kBatches = 4;
@@ -935,7 +935,7 @@ TEST_F(ZlogFixture, ContendedGroupSealedMidGroupRetriesEveryMember) {
     LogOptions options;
     options.name = "sealed" + std::to_string(c);
     options.max_inflight = 4;
-    options.max_append_retries = 8;
+    options.retry.max_attempts = 8;
     logs.push_back(OpenLog(clients.back(), options));
   }
   std::vector<std::vector<std::optional<BatchResult>>> results(kClients);
@@ -999,7 +999,7 @@ TEST_F(ZlogFixture, ContendedGroupSurvivesRankCrash) {
     LogOptions log_options;
     log_options.name = "crash" + std::to_string(c);
     log_options.max_inflight = 4;
-    log_options.max_append_retries = 8;
+    log_options.retry.max_attempts = 8;
     logs.push_back(OpenLog(clients.back(), log_options));
   }
   cluster->RunFor(2 * sim::kSecond);  // let the ownership publishes commit
