@@ -69,6 +69,7 @@ int main() {
   };
   double aggressive_first = -1;
   double conservative_first = -1;
+  uint64_t granted_twice = 0;
   for (const Knobs& knobs : sweep) {
     BalancerExperimentConfig config;
     config.name = knobs.name;
@@ -79,6 +80,7 @@ int main() {
     for (const auto& [t, v] : result.cluster_series) {
       total += v;
     }
+    granted_twice += result.positions_granted_twice;
     double first = result.migrations.empty() ? -1 : std::get<0>(result.migrations[0]);
     std::printf("%s\t%.1f\t%zu\t%.0f\t%.0f\n", knobs.name, first,
                 result.migrations.size(), result.stable_ops_per_sec, total);
@@ -90,8 +92,10 @@ int main() {
     }
   }
   PrintSection("shape check");
-  std::printf("conservative policies migrate later (or not at all): %s\n",
-              (conservative_first < 0 || conservative_first >= aggressive_first) ? "yes"
-                                                                                  : "NO");
-  return 0;
+  bool ok = ShapeCheck("conservative policies migrate later (or not at all)",
+                       conservative_first < 0 || conservative_first >= aggressive_first);
+  std::printf("positions granted twice: %llu\n",
+              static_cast<unsigned long long>(granted_twice));
+  ok &= ShapeCheck("no sequencer position granted twice", granted_twice == 0);
+  return ok ? 0 : 1;
 }

@@ -1,5 +1,7 @@
 #include "bench/balancer_experiment.h"
 
+#include <algorithm>
+
 namespace mal::bench {
 
 std::string SequencerMantlePolicy() {
@@ -148,12 +150,18 @@ BalancerExperimentResult RunBalancerExperiment(const BalancerExperimentConfig& c
   for (int s = 0; s < config.num_seqs; ++s) {
     ThroughputSeries seq_series(1 * sim::kSecond);
     double seq_stable = 0;
+    std::vector<uint64_t> positions;
     for (size_t w : seq_workers[s]) {
       for (const auto& [t, pos] : workers[w]->events()) {
         seq_series.Record(t - start);
         cluster_series.Record(t - start);
+        positions.push_back(pos);
       }
       seq_stable += workers[w]->throughput().MeanRate(stable_from, stable_to);
+    }
+    std::sort(positions.begin(), positions.end());
+    for (size_t i = 1; i < positions.size(); ++i) {
+      result.positions_granted_twice += positions[i] == positions[i - 1] ? 1 : 0;
     }
     result.seq_series.push_back(seq_series.Series());
     result.seq_stable_ops.push_back(seq_stable);

@@ -52,6 +52,10 @@ struct BalancerExperimentResult {
   double whole_run_ops_per_sec = 0;
   // Per-sequencer stable-phase throughput.
   std::vector<double> seq_stable_ops;
+  // Positions some sequencer granted more than once, summed over the
+  // sequencers. CORFU positions are write-once (§5.2), so any nonzero count
+  // means a migration let two ranks grant from the same tail.
+  uint64_t positions_granted_twice = 0;
 };
 
 BalancerExperimentResult RunBalancerExperiment(const BalancerExperimentConfig& config);

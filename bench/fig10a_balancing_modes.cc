@@ -47,6 +47,7 @@ int main() {
   PrintColumns({"mode", "whole_run_mean", "stddev", "stable_phase_mean"});
 
   const uint64_t seeds[] = {7, 31, 101};
+  uint64_t granted_twice = 0;
   auto run_mode = [&](const std::string& name, auto customize) {
     std::vector<double> throughput;
     std::vector<double> stable;
@@ -59,6 +60,7 @@ int main() {
       BalancerExperimentResult result = RunBalancerExperiment(config);
       throughput.push_back(result.whole_run_ops_per_sec);
       stable.push_back(result.stable_ops_per_sec);
+      granted_twice += result.positions_granted_twice;
     }
     ModeStats stats = Summarize(throughput);
     stats.stable = Summarize(stable).mean;
@@ -86,18 +88,18 @@ int main() {
   PrintSection("shape check");
   // The who-wins comparison uses the stable phase (Mantle's conservative
   // warmup intentionally sacrifices early throughput; see Fig 9).
-  std::printf("mantle stable >= best cephfs stable: %s\n",
-              mantle.stable >=
-                      std::max({cpu.stable, workload.stable, hybrid.stable}) * 0.95
-                  ? "yes"
-                  : "NO");
-  std::printf("cephfs modes within a band of each other: %s\n",
-              std::min({cpu.mean, workload.mean, hybrid.mean}) >
-                      0.85 * std::max({cpu.mean, workload.mean, hybrid.mean})
-                  ? "yes"
-                  : "NO");
-  std::printf("cpu mode most variable among cephfs modes: %s (cpu=%.0f wl=%.0f hy=%.0f)\n",
-              cpu.stddev >= workload.stddev && cpu.stddev >= hybrid.stddev ? "yes" : "NO",
-              cpu.stddev, workload.stddev, hybrid.stddev);
-  return 0;
+  bool ok = ShapeCheck("mantle stable >= best cephfs stable",
+                       mantle.stable >=
+                           std::max({cpu.stable, workload.stable, hybrid.stable}) * 0.95);
+  ok &= ShapeCheck("cephfs modes within a band of each other",
+                   std::min({cpu.mean, workload.mean, hybrid.mean}) >
+                       0.85 * std::max({cpu.mean, workload.mean, hybrid.mean}));
+  std::printf("cephfs whole-run stddev: cpu=%.0f wl=%.0f hy=%.0f\n", cpu.stddev,
+              workload.stddev, hybrid.stddev);
+  ok &= ShapeCheck("cpu mode most variable among cephfs modes",
+                   cpu.stddev >= workload.stddev && cpu.stddev >= hybrid.stddev);
+  std::printf("positions granted twice: %llu\n",
+              static_cast<unsigned long long>(granted_twice));
+  ok &= ShapeCheck("no sequencer position granted twice", granted_twice == 0);
+  return ok ? 0 : 1;
 }

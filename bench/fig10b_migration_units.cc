@@ -19,7 +19,9 @@ int main() {
               "cluster ops/sec.");
   PrintColumns({"config", "ops_per_sec"});
 
-  auto run = [](const std::string& name, RoutingMode routing, int migrate_count) {
+  uint64_t granted_twice = 0;
+  auto run = [&granted_twice](const std::string& name, RoutingMode routing,
+                              int migrate_count) {
     BalancerExperimentConfig config;
     config.name = name;
     config.num_mds = 2;
@@ -32,6 +34,7 @@ int main() {
     }
     BalancerExperimentResult result = RunBalancerExperiment(config);
     std::printf("%s\t%.0f\n", name.c_str(), result.stable_ops_per_sec);
+    granted_twice += result.positions_granted_twice;
     return result.stable_ops_per_sec;
   };
 
@@ -42,18 +45,18 @@ int main() {
   double client_full = run("client-full", RoutingMode::kRedirect, 2);
 
   PrintSection("shape check");
-  std::printf("proxy-full best overall: %s\n",
-              proxy_full >= proxy_half && proxy_full >= client_half &&
-                      proxy_full >= client_full
-                  ? "yes"
-                  : "NO");
-  std::printf("proxy beats client at same unit: half %s, full %s\n",
-              proxy_half > client_half ? "yes" : "NO",
-              proxy_full > client_full ? "yes" : "NO");
+  bool ok = ShapeCheck("proxy-full best overall",
+                       proxy_full >= proxy_half && proxy_full >= client_half &&
+                           proxy_full >= client_full);
+  ok &= ShapeCheck("proxy beats client at same unit: half", proxy_half > client_half);
+  ok &= ShapeCheck("proxy beats client at same unit: full", proxy_full > client_full);
   std::printf("proxy-full vs client modes factor: %.1fx / %.1fx (paper: up to 2x)\n",
               client_half > 0 ? proxy_full / client_half : 0,
               client_full > 0 ? proxy_full / client_full : 0);
-  std::printf("balancing beats co-location: %s (baseline %.0f)\n",
-              proxy_half > baseline ? "yes" : "NO", baseline);
-  return 0;
+  std::printf("baseline (no balancing): %.0f\n", baseline);
+  ok &= ShapeCheck("balancing beats co-location", proxy_half > baseline);
+  std::printf("positions granted twice: %llu\n",
+              static_cast<unsigned long long>(granted_twice));
+  ok &= ShapeCheck("no sequencer position granted twice", granted_twice == 0);
+  return ok ? 0 : 1;
 }

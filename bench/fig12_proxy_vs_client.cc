@@ -66,18 +66,22 @@ int main() {
   double seq0_after = mean_between(proxy_result.seq_series[0], 80, 115);
   double seq1_before = mean_between(proxy_result.seq_series[1], 20, 55);
   double seq1_after = mean_between(proxy_result.seq_series[1], 80, 115);
-  std::printf("proxy: migrated seq improved: %.0f -> %.0f => %s\n", seq0_before, seq0_after,
-              seq0_after > seq0_before ? "yes" : "NO");
-  std::printf("proxy: stay-behind seq decreased: %.0f -> %.0f => %s\n", seq1_before,
-              seq1_after, seq1_after < seq1_before ? "yes" : "NO");
-  std::printf("proxy cluster throughput beats client mode: %.0f vs %.0f => %s\n",
-              proxy_result.stable_ops_per_sec, client_result.stable_ops_per_sec,
-              proxy_result.stable_ops_per_sec > client_result.stable_ops_per_sec ? "yes"
-                                                                                 : "NO");
-  std::printf("client mode: non-root sequencer slower (scatter-gather strain): "
-              "%.0f vs %.0f => %s\n",
-              client_result.seq_stable_ops[0], client_result.seq_stable_ops[1],
-              client_result.seq_stable_ops[0] < client_result.seq_stable_ops[1] ? "yes"
-                                                                                : "NO");
-  return 0;
+  std::printf("proxy: migrated seq %.0f -> %.0f, stay-behind seq %.0f -> %.0f\n",
+              seq0_before, seq0_after, seq1_before, seq1_after);
+  bool ok = ShapeCheck("proxy: migrated seq improved", seq0_after > seq0_before);
+  ok &= ShapeCheck("proxy: stay-behind seq decreased", seq1_after < seq1_before);
+  std::printf("cluster throughput: proxy %.0f vs client %.0f\n",
+              proxy_result.stable_ops_per_sec, client_result.stable_ops_per_sec);
+  ok &= ShapeCheck("proxy cluster throughput beats client mode",
+                   proxy_result.stable_ops_per_sec > client_result.stable_ops_per_sec);
+  std::printf("client mode: seq0 (mds.1) %.0f vs seq1 (mds.0) %.0f\n",
+              client_result.seq_stable_ops[0], client_result.seq_stable_ops[1]);
+  ok &= ShapeCheck("client mode: non-root sequencer slower (scatter-gather strain)",
+                   client_result.seq_stable_ops[0] < client_result.seq_stable_ops[1]);
+  uint64_t granted_twice =
+      proxy_result.positions_granted_twice + client_result.positions_granted_twice;
+  std::printf("positions granted twice: %llu\n",
+              static_cast<unsigned long long>(granted_twice));
+  ok &= ShapeCheck("no sequencer position granted twice", granted_twice == 0);
+  return ok ? 0 : 1;
 }

@@ -32,12 +32,16 @@ int main() {
     results.push_back(RunBalancerExperiment(config));
   }
 
+  uint64_t granted_twice = 0;
   for (const auto& result : results) {
     PrintSection(result.name);
     for (const auto& [t, path, target] : result.migrations) {
       std::printf("migration\t%.1f\t%s -> mds.%u\n", t, path.c_str(), target);
     }
     std::printf("stable_ops_per_sec\t%.0f\n", result.stable_ops_per_sec);
+    std::printf("positions_granted_twice\t%llu\n",
+                static_cast<unsigned long long>(result.positions_granted_twice));
+    granted_twice += result.positions_granted_twice;
     PrintColumns({"config", "time_sec", "ops_per_sec"});
     PrintSeries(result.name, result.cluster_series);
   }
@@ -46,15 +50,13 @@ int main() {
   double none = results[0].stable_ops_per_sec;
   double cephfs = results[1].stable_ops_per_sec;
   double mantle = results[2].stable_ops_per_sec;
-  std::printf("balanced beats co-located: cephfs %.0f vs none %.0f => %s\n", cephfs, none,
-              cephfs > none ? "yes" : "NO");
-  std::printf("mantle beats co-located: mantle %.0f vs none %.0f => %s\n", mantle, none,
-              mantle > none ? "yes" : "NO");
-  std::printf("cephfs first migration earlier than mantle: %s\n",
-              (!results[1].migrations.empty() && !results[2].migrations.empty() &&
-               std::get<0>(results[1].migrations.front()) <
-                   std::get<0>(results[2].migrations.front()))
-                  ? "yes"
-                  : "NO");
-  return 0;
+  std::printf("stable ops/s: cephfs %.0f, mantle %.0f, none %.0f\n", cephfs, mantle, none);
+  bool ok = ShapeCheck("balanced beats co-located (cephfs > none)", cephfs > none);
+  ok &= ShapeCheck("mantle beats co-located (mantle > none)", mantle > none);
+  ok &= ShapeCheck("cephfs first migration earlier than mantle",
+                   !results[1].migrations.empty() && !results[2].migrations.empty() &&
+                       std::get<0>(results[1].migrations.front()) <
+                           std::get<0>(results[2].migrations.front()));
+  ok &= ShapeCheck("no sequencer position granted twice", granted_twice == 0);
+  return ok ? 0 : 1;
 }

@@ -150,7 +150,7 @@ ScalingResult RunScaling(uint32_t num_mds, int num_logs, sim::Time duration) {
   result.p99_latency_us = workload.latency().Quantile(0.99);
   for (size_t m = 0; m < cluster.num_mds(); ++m) {
     result.redirects += cluster.mds(m).perf().counter("mds.seq.redirects");
-    result.migrations += cluster.mds(m).perf().counter("mds.seq.migrations");
+    result.migrations += cluster.mds(m).perf().counter("mds.migrations");
   }
   result.sim_events = cluster.simulator().events_processed() - events_before;
   return result;

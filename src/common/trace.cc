@@ -42,11 +42,11 @@ const char* BuiltinMessageName(uint32_t type) {
     case 206: return "osd.notify";
     case 300: return "mds.client_request";
     case 301: return "mds.cap_revoke";
-    case 302: return "mds.migrate";
     case 303: return "mds.authority_update";
     case 304: return "mds.load_report";
     case 305: return "mds.forward";
     case 306: return "mds.coherence";
+    case 307: return "mds.migrate";
     default: return nullptr;
   }
 }

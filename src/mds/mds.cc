@@ -57,8 +57,6 @@ void MdsDaemon::RegisterHandlers() {
         HandleClientRequest(env, std::move(req), /*forwarded=*/true);
       });
   dispatcher_.On(kMsgMigrate, [this](const sim::Envelope& env) { HandleMigrateIn(env); });
-  dispatcher_.On(kMsgSeqMigrate,
-                 [this](const sim::Envelope& env) { HandleSeqMigrateIn(env); });
   dispatcher_.On(kMsgAuthorityUpdate,
                  [this](const sim::Envelope& env) { HandleAuthorityUpdate(env); });
   dispatcher_.On(kMsgLoadReport,
@@ -120,7 +118,7 @@ void MdsDaemon::Crash() {
   for (auto& [path, hosted] : inodes_) {
     hosted.window_requests = 0;
     hosted.cap.waiters.clear();  // the queued rpcs died with us
-    hosted.seq_waiters.clear();
+    hosted.waiters.clear();
   }
 }
 
@@ -143,7 +141,7 @@ void MdsDaemon::Recover() {
       perf_.Inc("mds.cap.recover_fenced");
     }
   }
-  // Re-drive any handoff whose freeze was journaled before the crash: the
+  // Re-drive any migration whose freeze was journaled before the crash: the
   // transfer is idempotent (the target max-merges the tail), so resending
   // can never reissue a position.
   for (auto& [path, hosted] : inodes_) {
@@ -153,10 +151,10 @@ void MdsDaemon::Recover() {
     }
     uint32_t target = static_cast<uint32_t>(std::stoul(frozen->second));
     std::string p = path;
-    DriveSeqHandoff(p, target, /*publish=*/true, [this, p](mal::Status s) {
+    DriveMigration(p, target, /*publish=*/true, [this, p](mal::Status s) {
       if (!s.ok()) {
         MAL_WARN(name().ToString())
-            << "post-crash handoff re-drive of " << p << " failed: " << s;
+            << "post-crash migration re-drive of " << p << " failed: " << s;
       }
     });
   }
@@ -271,7 +269,7 @@ void MdsDaemon::HandleMapUpdate(const sim::Envelope& request) {
 // Reconcile hosted sequencers against the ownership map whenever it moves.
 // Three cases per hosted kSequencer inode with a published entry:
 //  - entry names us: ownership is settled; drop any owner_pending marker.
-//  - entry names another rank and we are mid-handoff to it: nothing to do.
+//  - entry names another rank and we are mid-migration to it: nothing to do.
 //  - entry names another rank otherwise: either our publish is still in
 //    flight / lost (owner_pending set — re-drive it; last write wins at the
 //    monitor, and the re-published entry names us), or the map is the truth
@@ -306,7 +304,7 @@ void MdsDaemon::SeqOwnershipSweep() {
   for (const auto& [path, owner] : demote) {
     perf_.Inc("mds.seq.demotions");
     std::string p = path;
-    StartSeqHandoff(p, owner, /*publish=*/false, [this, p](mal::Status s) {
+    StartMigration(p, owner, /*publish=*/false, [this, p](mal::Status s) {
       if (!s.ok()) {
         MAL_WARN(name().ToString()) << "demotion of " << p << " failed: " << s;
       }
@@ -336,7 +334,7 @@ void MdsDaemon::HandleClientRequest(const sim::Envelope& request, ClientRequest 
     if (config_.seq_ownership &&
         (MapOwnerOf(req.path).has_value() || authority_.count(req.path) != 0)) {
       // Sharded mode: paths with explicit ownership (published entry or a
-      // handoff hint) are never proxied — the client follows the redirect
+      // migration hint) are never proxied — the client follows the redirect
       // and caches the owner, epoch-guarded against stale maps.
       perf_.Inc("mds.seq.redirects");
       ReplyError(request,
@@ -422,10 +420,17 @@ void MdsDaemon::ReplyWithInode(const sim::Envelope& request, const MdsReply& rep
 }
 
 void MdsDaemon::ExecuteRequest(const sim::Envelope& request, const ClientRequest& req,
-                               bool /*forwarded*/) {
+                               bool forwarded) {
   auto it = inodes_.find(req.path);
   if (it != inodes_.end()) {
     ++it->second.window_requests;
+    if (it->second.inode.params.count("migrating_to") != 0 && req.op != MdsOp::kLookup &&
+        req.op != MdsOp::kSeqRead) {
+      // Migration freeze: the request waits until the transfer commits (then
+      // it follows the inode to the target) or aborts (then it runs here).
+      it->second.waiters.push_back({request, req, forwarded});
+      return;
+    }
   }
   switch (req.op) {
     case MdsOp::kMkdir:
@@ -497,12 +502,6 @@ void MdsDaemon::ExecuteRequest(const sim::Envelope& request, const ClientRequest
         ReplyError(request, mal::Status::InvalidArgument(req.path + " is not a sequencer"));
         return;
       }
-      if (hosted.inode.params.count("migrating_to") != 0 && req.op != MdsOp::kSeqRead) {
-        // Handoff freeze: grants queue until the transfer commits (then
-        // they bounce to the new owner) or aborts (then they run here).
-        hosted.seq_waiters.emplace_back(request, req);
-        return;
-      }
       if (hosted.cap.held) {
         // A cached holder owns the tail; round-trippers must wait for the
         // cap system (mixing modes is an application bug worth surfacing).
@@ -550,10 +549,6 @@ void MdsDaemon::ExecuteRequest(const sim::Envelope& request, const ClientRequest
         return;
       }
       HostedInode& hosted = it->second;
-      if (hosted.inode.params.count("migrating_to") != 0) {
-        hosted.seq_waiters.emplace_back(request, req);
-        return;
-      }
       if (hosted.inode.lease_policy.mode == LeaseMode::kRoundTrip) {
         ReplyError(request,
                    mal::Status::PermissionDenied("inode is non-cacheable (round-trip)"));
@@ -626,10 +621,6 @@ void MdsDaemon::ExecuteRequest(const sim::Envelope& request, const ClientRequest
         perf_.Inc("mds.seq.takeovers");
         mon_client_.Log("WARN", "sequencer " + req.path +
                                     " taken over by mds." + std::to_string(name().id));
-      }
-      if (it->second.inode.params.count("migrating_to") != 0) {
-        it->second.seq_waiters.emplace_back(request, req);
-        return;
       }
       Inode& inode = it->second.inode;
       inode.seq_tail = req.seq_value;
@@ -723,12 +714,38 @@ void MdsDaemon::MaybeRevoke(const std::string& path, HostedInode& hosted) {
 
 void MdsDaemon::Migrate(const std::string& path, uint32_t target,
                         std::function<void(mal::Status)> on_done) {
+  StartMigration(path, target, /*publish=*/true, std::move(on_done));
+}
+
+void MdsDaemon::MigrateSequencer(const std::string& path, uint32_t target,
+                                 std::function<void(mal::Status)> on_done) {
+  if (!config_.seq_ownership) {
+    on_done(mal::Status::InvalidArgument("seq_ownership is disabled"));
+    return;
+  }
+  auto it = inodes_.find(path);
+  if (it != inodes_.end() && it->second.inode.type != InodeType::kSequencer) {
+    on_done(mal::Status::InvalidArgument(path + " is not a sequencer"));
+    return;
+  }
+  Migrate(path, target, std::move(on_done));
+}
+
+sim::Time MdsDaemon::MigrationCost(const Inode& inode) const {
+  return config_.seq_ownership && inode.type == InodeType::kSequencer
+             ? config_.seq_handoff_cost
+             : config_.migration_cost;
+}
+
+void MdsDaemon::StartMigration(const std::string& path, uint32_t target, bool publish,
+                               std::function<void(mal::Status)> on_done) {
   auto it = inodes_.find(path);
   if (it == inodes_.end()) {
     on_done(mal::Status::NotFound("not authoritative for " + path));
     return;
   }
-  if (it->second.cap.held) {
+  HostedInode& hosted = it->second;
+  if (hosted.cap.held) {
     on_done(mal::Status::Unavailable("cap outstanding on " + path));
     return;
   }
@@ -736,52 +753,121 @@ void MdsDaemon::Migrate(const std::string& path, uint32_t target,
     on_done(mal::Status::InvalidArgument("cannot migrate to self"));
     return;
   }
-  mal::Buffer payload = mal::Encode([&](mal::Encoder* enc) {
-    enc->PutString(path);
-    it->second.inode.Encode(enc);
-  });
-  // Export costs CPU on both ends (the Fig 9 dip during rebalancing).
-  AfterCpu(config_.migration_cost, [this, path, target, payload = std::move(payload),
-                                    on_done = std::move(on_done)] {
-    auto exporting = inodes_.find(path);
-    if (exporting == inodes_.end()) {
-      on_done(mal::Status::NotFound("subtree vanished during export"));
+  if (hosted.inode.params.count("migrating_to") != 0) {
+    on_done(mal::Status::Unavailable("migration already in progress for " + path));
+    return;
+  }
+  // Phase 1: freeze. The marker is journaled with the inode, so a source
+  // that crashes mid-migration re-drives the transfer on recovery instead of
+  // serving requests with a copy the target may already have advanced past.
+  hosted.inode.params["migrating_to"] = std::to_string(target);
+  DriveMigration(path, target, publish, std::move(on_done));
+}
+
+void MdsDaemon::DriveMigration(const std::string& path, uint32_t target, bool publish,
+                               std::function<void(mal::Status)> on_done) {
+  // Migration costs CPU on both ends (the Fig 9 dip during rebalancing).
+  AfterCpu(MigrationCost(inodes_.at(path).inode), [this, path, target, publish,
+                                                   on_done = std::move(on_done)] {
+    auto it = inodes_.find(path);
+    if (it == inodes_.end()) {
+      on_done(mal::Status::NotFound("inode vanished during migration"));
       return;
     }
-    SendRequest(sim::EntityName::Mds(target), kMsgMigrate, payload,
-                [this, path, target, on_done](mal::Status status, const sim::Envelope&) {
-                  if (!status.ok()) {
-                    on_done(status);
-                    return;
-                  }
-                  inodes_.erase(path);
-                  authority_[path] = target;
-                  BroadcastAuthority(path, target);
-                  perf_.Inc("mds.migrations");
-                  if (on_migration) {
-                    on_migration(path, target);
-                  }
-                  mon_client_.Log("INFO", "migrated " + path + " to mds." +
-                                              std::to_string(target));
-                  on_done(mal::Status::Ok());
-                });
+    // Phase 2: transfer. Encoded now — after the freeze took effect — so the
+    // shipped inode covers every request this rank ever acknowledged.
+    Inode copy = it->second.inode;
+    copy.params.erase("migrating_to");
+    copy.params.erase("owner_pending");
+    mal::Buffer payload = mal::Encode([&](mal::Encoder* enc) {
+      enc->PutString(path);
+      enc->PutBool(publish);
+      copy.Encode(enc);
+    });
+    SendRequest(
+        sim::EntityName::Mds(target), kMsgMigrate, std::move(payload),
+        [this, path, target, on_done](mal::Status status, const sim::Envelope&) {
+          std::deque<Waiter> queued;
+          auto it2 = inodes_.find(path);
+          if (it2 != inodes_.end()) {
+            queued.swap(it2->second.waiters);
+            if (status.ok()) {
+              inodes_.erase(it2);
+            } else {
+              it2->second.inode.params.erase("migrating_to");
+            }
+          }
+          if (!status.ok()) {
+            // Transfer failed: unfrozen, we serve the queued requests here.
+            // If the target actually installed the inode and only the ack
+            // was lost, a sequencer's write-once positions plus the
+            // ownership-map sweep (we demote to whoever publishes) keep even
+            // that split from ever double-committing a position.
+            for (Waiter& waiter : queued) {
+              ExecuteRequest(waiter.request, waiter.req, waiter.forwarded);
+            }
+            MAL_WARN(name().ToString()) << "migration of " << path << " to mds." << target
+                                        << " failed: " << status;
+            on_done(status);
+            return;
+          }
+          // Phase 3: the target holds the inode now and our copy is gone.
+          // The queued requests follow it the way this rank routes any
+          // request for a path it no longer hosts. The target publishes a
+          // sequencer's ownership entry (it holds the state; we might not
+          // survive to).
+          authority_[path] = target;
+          for (Waiter& waiter : queued) {
+            HandleClientRequest(waiter.request, std::move(waiter.req), waiter.forwarded);
+          }
+          BroadcastAuthority(path, target);
+          perf_.Inc("mds.migrations");
+          if (config_.seq_ownership) {
+            UpdateOwnedLogsGauge();
+          }
+          if (on_migration) {
+            on_migration(path, target);
+          }
+          mon_client_.Log("INFO", "migrated " + path + " to mds." + std::to_string(target));
+          on_done(mal::Status::Ok());
+        },
+        60 * sim::kSecond);
   });
 }
 
 void MdsDaemon::HandleMigrateIn(const sim::Envelope& request) {
   mal::Decoder dec(request.payload);
   std::string path = dec.GetString();
+  bool publish = dec.GetBool();
   Inode inode = Inode::Decode(&dec);
   if (!dec.ok()) {
     ReplyError(request, mal::Status::Corruption("bad migration payload"));
     return;
   }
   sim::Envelope req_envelope = request;
-  AfterCpu(config_.migration_cost, [this, path, inode, req_envelope] {
-    HostedInode hosted;
-    hosted.inode = inode;
-    inodes_[path] = std::move(hosted);
+  AfterCpu(MigrationCost(inode), [this, path, publish, inode, req_envelope] {
+    auto it = inodes_.find(path);
+    if (it != inodes_.end()) {
+      // Redelivered migration (the source crashed after our install and
+      // re-drove the transfer): merge, never regress. Our copy is at least
+      // as fresh as the resent one in every other field.
+      it->second.inode.seq_tail = std::max(it->second.inode.seq_tail, inode.seq_tail);
+    } else {
+      HostedInode hosted;
+      hosted.inode = inode;
+      it = inodes_.emplace(path, std::move(hosted)).first;
+    }
     authority_.erase(path);
+    if (config_.seq_ownership && inode.type == InodeType::kSequencer) {
+      if (MapOwnerOf(path) != std::optional<uint32_t>(name().id)) {
+        it->second.inode.params["owner_pending"] = "1";
+        if (publish) {
+          PublishSeqOwner(path);
+        }
+      }
+      UpdateOwnedLogsGauge();
+    }
+    perf_.Inc("mds.migrations_in");
     Reply(req_envelope, mal::Buffer());
   });
 }
@@ -801,7 +887,7 @@ void MdsDaemon::HandleAuthorityUpdate(const sim::Envelope& request) {
   }
 }
 
-// -- sharded sequencer handoff --------------------------------------------------
+// -- sharded sequencer ownership ------------------------------------------------
 
 std::optional<uint32_t> MdsDaemon::MapOwnerOf(const std::string& path) const {
   return mon::SeqOwnerOf(mds_map_, path);
@@ -828,164 +914,6 @@ void MdsDaemon::PublishSeqOwner(const std::string& path) {
                                       << " failed: " << s;
         }
       });
-}
-
-void MdsDaemon::FlushSeqWaiters(HostedInode& hosted, uint32_t new_owner) {
-  while (!hosted.seq_waiters.empty()) {
-    ReplyError(hosted.seq_waiters.front().first,
-               mal::Status::WrongRank("wrong_rank:" + std::to_string(new_owner) + ":" +
-                                      std::to_string(mds_map_.epoch)));
-    hosted.seq_waiters.pop_front();
-  }
-}
-
-void MdsDaemon::ResumeSeqWaiters(const std::string& path) {
-  auto it = inodes_.find(path);
-  if (it == inodes_.end()) {
-    return;
-  }
-  std::deque<std::pair<sim::Envelope, ClientRequest>> queued;
-  queued.swap(it->second.seq_waiters);
-  for (auto& [env, req] : queued) {
-    ExecuteRequest(env, req, /*forwarded=*/false);
-  }
-}
-
-void MdsDaemon::MigrateSequencer(const std::string& path, uint32_t target,
-                                 std::function<void(mal::Status)> on_done) {
-  if (!config_.seq_ownership) {
-    on_done(mal::Status::InvalidArgument("seq_ownership is disabled"));
-    return;
-  }
-  StartSeqHandoff(path, target, /*publish=*/true, std::move(on_done));
-}
-
-void MdsDaemon::StartSeqHandoff(const std::string& path, uint32_t target, bool publish,
-                                std::function<void(mal::Status)> on_done) {
-  auto it = inodes_.find(path);
-  if (it == inodes_.end()) {
-    on_done(mal::Status::NotFound("not authoritative for " + path));
-    return;
-  }
-  HostedInode& hosted = it->second;
-  if (hosted.inode.type != InodeType::kSequencer) {
-    on_done(mal::Status::InvalidArgument(path + " is not a sequencer"));
-    return;
-  }
-  if (hosted.cap.held) {
-    on_done(mal::Status::Unavailable("cap outstanding on " + path));
-    return;
-  }
-  if (target == name().id) {
-    on_done(mal::Status::InvalidArgument("cannot migrate to self"));
-    return;
-  }
-  if (hosted.inode.params.count("migrating_to") != 0) {
-    on_done(mal::Status::Unavailable("handoff already in progress for " + path));
-    return;
-  }
-  // Phase 1: freeze. The marker is journaled with the inode, so a source
-  // that crashes mid-handoff re-drives the transfer on recovery instead of
-  // resuming grants with a tail the target may already have advanced past.
-  hosted.inode.params["migrating_to"] = std::to_string(target);
-  DriveSeqHandoff(path, target, publish, std::move(on_done));
-}
-
-void MdsDaemon::DriveSeqHandoff(const std::string& path, uint32_t target, bool publish,
-                                std::function<void(mal::Status)> on_done) {
-  AfterCpu(config_.seq_handoff_cost, [this, path, target, publish,
-                                      on_done = std::move(on_done)] {
-    auto it = inodes_.find(path);
-    if (it == inodes_.end()) {
-      on_done(mal::Status::NotFound("sequencer vanished during handoff"));
-      return;
-    }
-    // Phase 2: transfer. Encoded now — after the freeze took effect — so the
-    // shipped tail covers every grant this rank ever acknowledged.
-    Inode copy = it->second.inode;
-    copy.params.erase("migrating_to");
-    copy.params.erase("owner_pending");
-    mal::Buffer payload = mal::Encode([&](mal::Encoder* enc) {
-      enc->PutString(path);
-      enc->PutBool(publish);
-      copy.Encode(enc);
-    });
-    SendRequest(
-        sim::EntityName::Mds(target), kMsgSeqMigrate, std::move(payload),
-        [this, path, target, on_done](mal::Status status, const sim::Envelope&) {
-          auto it2 = inodes_.find(path);
-          if (!status.ok()) {
-            // Transfer failed. Unfreeze and serve the queued grants locally.
-            // If the target actually installed the inode and only the ack
-            // was lost, the data plane's write-once positions plus the
-            // ownership-map sweep (we demote to whoever publishes) keep even
-            // that split from ever double-committing a position.
-            if (it2 != inodes_.end()) {
-              it2->second.inode.params.erase("migrating_to");
-              ResumeSeqWaiters(path);
-            }
-            MAL_WARN(name().ToString())
-                << "sequencer handoff of " << path << " to mds." << target
-                << " failed: " << status;
-            on_done(status);
-            return;
-          }
-          if (it2 != inodes_.end()) {
-            // Phase 3: the target owns the tail now. Bounce queued grants to
-            // it, drop our copy, spread the authority hint. The target
-            // publishes the ownership entry (it holds the state; we might
-            // not survive to).
-            FlushSeqWaiters(it2->second, target);
-            inodes_.erase(it2);
-          }
-          authority_[path] = target;
-          BroadcastAuthority(path, target);
-          perf_.Inc("mds.seq.migrations");
-          UpdateOwnedLogsGauge();
-          if (on_migration) {
-            on_migration(path, target);
-          }
-          mon_client_.Log("INFO", "sequencer " + path + " handed off to mds." +
-                                      std::to_string(target));
-          on_done(mal::Status::Ok());
-        },
-        60 * sim::kSecond);
-  });
-}
-
-void MdsDaemon::HandleSeqMigrateIn(const sim::Envelope& request) {
-  mal::Decoder dec(request.payload);
-  std::string path = dec.GetString();
-  bool publish = dec.GetBool();
-  Inode inode = Inode::Decode(&dec);
-  if (!dec.ok()) {
-    ReplyError(request, mal::Status::Corruption("bad sequencer handoff payload"));
-    return;
-  }
-  sim::Envelope req_envelope = request;
-  AfterCpu(config_.seq_handoff_cost, [this, path, publish, inode, req_envelope] {
-    auto it = inodes_.find(path);
-    if (it != inodes_.end()) {
-      // Redelivered handoff (the source crashed after our install and
-      // re-drove the transfer): merge, never regress. Our params
-      // (epoch/views) are at least as fresh as the resent copy's.
-      it->second.inode.seq_tail = std::max(it->second.inode.seq_tail, inode.seq_tail);
-    } else {
-      HostedInode hosted;
-      hosted.inode = inode;
-      inodes_[path] = std::move(hosted);
-    }
-    authority_.erase(path);
-    if (MapOwnerOf(path) != std::optional<uint32_t>(name().id)) {
-      inodes_[path].inode.params["owner_pending"] = "1";
-      if (publish) {
-        PublishSeqOwner(path);
-      }
-    }
-    UpdateOwnedLogsGauge();
-    perf_.Inc("mds.seq.handoffs_in");
-    Reply(req_envelope, mal::Buffer());
-  });
 }
 
 // -- load + balancing ---------------------------------------------------------------
@@ -1091,15 +1019,7 @@ void MdsDaemon::BalanceTick() {
               << "migration of " << path << " to mds." << rank << " failed: " << s;
         }
       };
-      // Hot sequencer inodes move through the grant-preserving handoff;
-      // everything else takes the generic subtree export.
-      auto hosted_it = inodes_.find(path);
-      if (config_.seq_ownership && hosted_it != inodes_.end() &&
-          hosted_it->second.inode.type == InodeType::kSequencer) {
-        MigrateSequencer(path, rank, done);
-      } else {
-        Migrate(path, rank, done);
-      }
+      Migrate(path, rank, done);
     }
   }
 }

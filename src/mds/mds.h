@@ -70,12 +70,13 @@ struct MdsConfig {
   // Sharded sequencers: when true, sequencer-inode ownership is published
   // in the MdsMap service metadata ("seq.owner.<path>" entries), non-owner
   // ranks answer sequencer ops with kWrongRank redirects instead of
-  // proxying, and hot logs move between ranks through the two-phase
-  // handoff (MigrateSequencer). Off by default: the single-sequencer wire
-  // and cost model is byte-for-byte the legacy one.
+  // proxying, and the target of a sequencer migration (MigrateSequencer)
+  // publishes itself as the new owner. Off by default: the single-sequencer
+  // wire and cost model is byte-for-byte the legacy one.
   bool seq_ownership = false;
-  // CPU charge per handoff phase at each end (freeze/transfer accounting,
-  // much lighter than a full subtree export).
+  // CPU charge per migration phase at each end when the inode is a
+  // sequencer on a seq_ownership rank (freeze/transfer accounting, much
+  // lighter than the migration_cost of a full subtree export).
   sim::Time seq_handoff_cost = 1 * sim::kMillisecond;
 
   // Relative sampling noise on the exported CPU metric: request counters
@@ -123,14 +124,22 @@ class MdsDaemon : public sim::Actor {
   void SetBalancerPolicy(std::shared_ptr<BalancerPolicy> policy);
   BalancerPolicy* balancer_policy() { return policy_.get(); }
 
-  // Manually migrate a subtree this MDS is authoritative for.
+  // Moves an inode this MDS hosts (any type) to `target`. Phase 1 journals
+  // the freeze (params["migrating_to"] = target): from then on every request
+  // on the inode except kLookup/kSeqRead queues on its waiters. Phase 2
+  // encodes the inode after the freeze and transfers it; the target
+  // max-merges seq_tail on redelivery, so a resend never regresses it.
+  // Phase 3, on the target's ack, drops this copy and re-routes the queued
+  // requests to the target through HandleClientRequest (proxy, redirect or
+  // kWrongRank, as this rank routes). A failed transfer unfreezes and runs
+  // the queued requests here; a crash mid-migration is re-driven by
+  // Recover(). Refused while a cap is held or the inode is already frozen.
   void Migrate(const std::string& path, uint32_t target,
                std::function<void(mal::Status)> on_done);
 
-  // Two-phase sequencer handoff (requires config.seq_ownership): freeze
-  // grants, transfer tail/epoch/lease state to `target`, publish the new
-  // owner in the MdsMap. Positions are never reissued: grants queued during
-  // the freeze are answered with kWrongRank once the transfer commits.
+  // Sharded-sequencer entry point: Migrate for a kSequencer inode on a
+  // seq_ownership rank. The target publishes itself as the owner in the
+  // MdsMap; grants queued during the freeze get kWrongRank redirects to it.
   void MigrateSequencer(const std::string& path, uint32_t target,
                         std::function<void(mal::Status)> on_done);
 
@@ -166,15 +175,22 @@ class MdsDaemon : public sim::Actor {
     std::deque<sim::Envelope> waiters;  // pending kAcquireCap requests
   };
 
+  // A request queued on a frozen inode, with the routing flag it arrived on.
+  struct Waiter {
+    sim::Envelope request;
+    ClientRequest req;
+    bool forwarded = false;
+  };
+
   struct HostedInode {
     Inode inode;
     CapState cap;
     uint64_t window_requests = 0;  // decayed per load window
     double rate = 0;
-    // Sequencer ops queued while a handoff has the inode frozen
+    // Requests queued while a migration has the inode frozen
     // (params["migrating_to"] set). Volatile: queued rpcs die with a crash,
     // exactly like cap.waiters.
-    std::deque<std::pair<sim::Envelope, ClientRequest>> seq_waiters;
+    std::deque<Waiter> waiters;
   };
 
   void RegisterHandlers();
@@ -183,23 +199,26 @@ class MdsDaemon : public sim::Actor {
                            bool forwarded);
   void ExecuteRequest(const sim::Envelope& request, const ClientRequest& req,
                       bool forwarded);
-  void HandleMigrateIn(const sim::Envelope& request);
   void HandleAuthorityUpdate(const sim::Envelope& request);
   void HandleLoadReport(const sim::Envelope& request);
   void HandleMapUpdate(const sim::Envelope& request);
 
+  // -- migration -----------------------------------------------------------------
+  // Phase 1 of Migrate: validate, journal the freeze, drive the transfer.
+  // `publish` tells a seq_ownership target to publish itself as a
+  // sequencer's owner (false for demotions, where the map already names it).
+  void StartMigration(const std::string& path, uint32_t target, bool publish,
+                      std::function<void(mal::Status)> on_done);
+  // Phase 2+3 of a migration whose freeze is already journaled; re-driven
+  // from Recover() after a source crash.
+  void DriveMigration(const std::string& path, uint32_t target, bool publish,
+                      std::function<void(mal::Status)> on_done);
+  void HandleMigrateIn(const sim::Envelope& request);
+  // CPU charge of one migration phase at either end: seq_handoff_cost for a
+  // sequencer on a seq_ownership rank, migration_cost for everything else.
+  sim::Time MigrationCost(const Inode& inode) const;
+
   // -- sharded sequencers --------------------------------------------------------
-  // Phase 1 of a handoff: validate, journal the freeze
-  // (params["migrating_to"] = target), then drive the transfer.
-  void StartSeqHandoff(const std::string& path, uint32_t target, bool publish,
-                       std::function<void(mal::Status)> on_done);
-  // Phase 2+3 of a handoff whose freeze (params["migrating_to"]) is already
-  // journaled; re-driven from Recover() after a source crash. `publish`
-  // tells the receiving rank to publish itself as the new owner (false for
-  // demotions, where the map already names it).
-  void DriveSeqHandoff(const std::string& path, uint32_t target, bool publish,
-                       std::function<void(mal::Status)> on_done);
-  void HandleSeqMigrateIn(const sim::Envelope& request);
   // Reconciles hosted sequencers against a freshly adopted ownership map
   // (publish re-drive, demotion of stale copies).
   void SeqOwnershipSweep();
@@ -208,10 +227,6 @@ class MdsDaemon : public sim::Actor {
   // Submits the seq.owner.<path> -> rank map transaction (idempotent;
   // re-driven from HandleMapUpdate while params["owner_pending"] is set).
   void PublishSeqOwner(const std::string& path);
-  // Answer every queued grant with a kWrongRank pointing at `new_owner`.
-  void FlushSeqWaiters(HostedInode& hosted, uint32_t new_owner);
-  // Re-execute queued grants locally (handoff aborted).
-  void ResumeSeqWaiters(const std::string& path);
   void UpdateOwnedLogsGauge();
 
   // True while a request from a sender other than `from` waits in the work

@@ -19,12 +19,11 @@ namespace mal::mds {
 enum MsgType : uint32_t {
   kMsgClientRequest = 300,   // client -> mds
   kMsgCapRevoke = 301,       // mds -> client (one-way)
-  kMsgMigrate = 302,         // mds -> mds: subtree export
   kMsgAuthorityUpdate = 303, // mds -> mds broadcast (one-way)
   kMsgLoadReport = 304,      // mds -> mds broadcast (one-way)
   kMsgForward = 305,         // proxy: mds -> authoritative mds
   kMsgCoherence = 306,       // one-way scatter-gather strain at the root
-  kMsgSeqMigrate = 307,      // mds -> mds: sequencer-inode handoff (phase 2)
+  kMsgMigrate = 307,         // mds -> mds: inode transfer (migration phase 2)
 };
 
 // Inode types. kSequencer is the domain-specific type ZLog defines through
@@ -109,7 +108,7 @@ struct ClientRequest {
   std::string path;
   InodeType inode_type = InodeType::kFile;
   LeasePolicy policy;
-  uint64_t seq_value = 0;  // kReleaseCap/kSetSeqState: tail value
+  uint64_t seq_value = 0;  // kReleaseCap/kSetSeqState: tail value; kSetSize: size
   std::map<std::string, std::string> params;  // kCreate/kSetSeqState extras
 
   void Encode(mal::Encoder* enc) const {
