@@ -8,13 +8,20 @@
 // buffers and delta staging a transaction costs O(bytes it touches).
 //
 // This bench sweeps the stripe-object size 64 KiB -> 16 MiB and measures
-// host wall-clock per operation for the three hot mutations:
+// host wall-clock per operation for the hot operations:
 //   - bytestream append (64 B entry) through ApplyTransaction
 //   - omap set (zlog's entry.<pos> index writes) on a populated omap
+//   - omap get of a key of that populated omap
 //   - snapshot create (kSnapCreate: now an O(1) buffer alias)
 // Shape checks assert the per-op cost stays flat (within 2x) across the
 // sweep; simulated metrics are not involved, so this file is free to use
 // host clocks.
+//
+// It also measures the omap's space cost: the heap bytes one zlog-shaped
+// record (12 B key, 65 B value) costs once 64 stripe objects hold 7,300
+// records each, as glibc's mallinfo2() reports it.
+#include <malloc.h>
+
 #include <cinttypes>
 #include <cstdio>
 
@@ -30,6 +37,10 @@ constexpr size_t kEntryBytes = 64;
 constexpr int kAppendIters = 4000;
 constexpr int kOmapIters = 2000;
 constexpr int kSnapIters = 64;
+// The space measurement's shape: malbench zlog_append (8 logs x 4 stripe
+// objects x 2 replicas) ends with about this many records per object copy.
+constexpr int kSpaceObjects = 64;
+constexpr int kSpaceRecordsPerObject = 7300;
 
 osd::Op AppendOp(const Buffer& entry) {
   osd::Op op;
@@ -53,6 +64,7 @@ void MustApply(osd::ObjectStore* store, const std::string& oid, osd::Op op) {
 struct SizeResult {
   double append_ns = 0;    // per 64 B bytestream append
   double omap_set_ns = 0;  // per omap key write
+  double omap_get_ns = 0;  // per omap key read
   double snap_ns = 0;      // per snapshot create+remove pair
 };
 
@@ -108,6 +120,18 @@ SizeResult RunAtSize(size_t object_bytes) {
   result.omap_set_ns = timer.Seconds() * 1e9 / kOmapIters;
 
   timer.Reset();
+  for (int i = 0; i < kOmapIters; ++i) {
+    char key[32];
+    size_t pos = static_cast<size_t>(i) * 7919 % index_entries;  // spread over the index
+    std::snprintf(key, sizeof(key), "entry.%020zu", pos);
+    osd::Op op;
+    op.type = osd::Op::Type::kOmapGet;
+    op.key = key;
+    MustApply(&store, oid, std::move(op));
+  }
+  result.omap_get_ns = timer.Seconds() * 1e9 / kOmapIters;
+
+  timer.Reset();
   for (int i = 0; i < kSnapIters; ++i) {
     osd::Op snap;
     snap.type = osd::Op::Type::kSnapCreate;
@@ -128,14 +152,50 @@ SizeResult RunAtSize(size_t object_bytes) {
   return result;
 }
 
+// Heap bytes glibc has handed out: small-chunk arenas plus mmap'd blocks.
+size_t HeapInUse() {
+  struct mallinfo2 info = mallinfo2();
+  return info.uordblks + info.hblkhd;
+}
+
+struct SpaceResult {
+  double heap_bytes_per_record = 0;
+  double kv_bytes_per_record = 0;
+};
+
+// Fills 64 objects with 7,300 zlog-shaped records each ("e" + 11-digit
+// position keys, 65 B values), striping positions across the objects as
+// ZLog does, and divides the heap growth by the record count.
+SpaceResult MeasureOmapSpace() {
+  const std::string value(65, 'v');
+  osd::ObjectStore store;
+  size_t before = HeapInUse();
+  for (int pos = 0; pos < kSpaceObjects * kSpaceRecordsPerObject; ++pos) {
+    char key[16];
+    std::snprintf(key, sizeof(key), "e%011d", pos);
+    osd::Op op;
+    op.type = osd::Op::Type::kOmapSet;
+    op.key = key;
+    op.value = value;
+    MustApply(&store, "stripe." + std::to_string(pos % kSpaceObjects), std::move(op));
+  }
+  size_t after = HeapInUse();
+  double records = static_cast<double>(kSpaceObjects) * kSpaceRecordsPerObject;
+  SpaceResult result;
+  result.heap_bytes_per_record =
+      after > before ? static_cast<double>(after - before) / records : 0;
+  result.kv_bytes_per_record = static_cast<double>(store.bytes_used()) / records;
+  return result;
+}
+
 }  // namespace
 
 int main() {
   PrintHeader("Data-plane hot path: per-op wall cost vs stripe object size",
-              "ApplyTransaction cost for append / omap set / snapshot as the "
-              "target object grows 64 KiB -> 16 MiB. Flat curves = O(bytes "
+              "ApplyTransaction cost for append / omap set / omap get / snapshot "
+              "as the target object grows 64 KiB -> 16 MiB. Flat curves = O(bytes "
               "touched) staging; rising curves = O(object) copies.");
-  PrintColumns({"object_size", "append_ns", "omap_set_ns", "snap_create_ns"});
+  PrintColumns({"object_size", "append_ns", "omap_set_ns", "omap_get_ns", "snap_create_ns"});
 
   const std::vector<std::pair<std::string, size_t>> kSweep = {
       {"64KiB", 64ull << 10},  {"256KiB", 256ull << 10}, {"1MiB", 1ull << 20},
@@ -147,17 +207,29 @@ int main() {
   for (const auto& [label, bytes] : kSweep) {
     SizeResult r = RunAtSize(bytes);
     results.push_back(r);
-    std::printf("%s\t%.0f\t%.0f\t%.0f\n", label.c_str(), r.append_ns, r.omap_set_ns,
-                r.snap_ns);
+    std::printf("%s\t%.0f\t%.0f\t%.0f\t%.0f\n", label.c_str(), r.append_ns, r.omap_set_ns,
+                r.omap_get_ns, r.snap_ns);
     json.Add(label,
              {
                  {"object_bytes", static_cast<double>(bytes)},
                  {"append_ns", r.append_ns},
                  {"omap_set_ns", r.omap_set_ns},
+                 {"omap_get_ns", r.omap_get_ns},
                  {"snap_create_ns", r.snap_ns},
              },
-             /*events=*/kAppendIters + kOmapIters + 2.0 * kSnapIters);
+             /*events=*/kAppendIters + 2.0 * kOmapIters + 2.0 * kSnapIters);
   }
+
+  PrintSection("omap space: 64 objects x 7,300 zlog-shaped records");
+  PrintColumns({"heap_bytes_per_record", "key_value_bytes_per_record"});
+  SpaceResult space = MeasureOmapSpace();
+  std::printf("%.1f\t%.1f\n", space.heap_bytes_per_record, space.kv_bytes_per_record);
+  json.Add("omap_space",
+           {
+               {"heap_bytes_per_record", space.heap_bytes_per_record},
+               {"kv_bytes_per_record", space.kv_bytes_per_record},
+           },
+           /*events=*/static_cast<double>(kSpaceObjects) * kSpaceRecordsPerObject);
 
   PrintSection("shape checks");
   const SizeResult& small = results.front();
@@ -169,6 +241,11 @@ int main() {
                    large.omap_set_ns <= 2.0 * small.omap_set_ns);
   ok &= ShapeCheck("snapshot create flat 64KiB->16MiB (within 2x)",
                    large.snap_ns <= 2.0 * small.snap_ns);
+  // A zero reading means mallinfo2() did not see the allocations (another
+  // allocator, such as a sanitizer's), which must not pass.
+  ok &= ShapeCheck("omap heap bytes per record <= 1.5x key+value bytes",
+                   space.heap_bytes_per_record > 0 &&
+                       space.heap_bytes_per_record <= 1.5 * space.kv_bytes_per_record);
   json.Write();
   return ok ? 0 : 1;
 }

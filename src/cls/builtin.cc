@@ -353,8 +353,7 @@ mal::Result<mal::Buffer> LogList(ClsContext& ctx, const mal::Buffer&) {
   if (!entries.ok()) {
     return entries.status();
   }
-  return mal::Encode(
-      [&entries](mal::Encoder* enc) { EncodeStringMap(enc, entries.value()); });
+  return mal::Encode([&entries](mal::Encoder* enc) { entries.value().Encode(enc); });
 }
 
 // -- cls refcount -----------------------------------------------------------------

@@ -21,15 +21,14 @@ mal::Result<std::string> ClsContext::OmapGet(const std::string& key) const {
   if (!staged_->exists()) {
     return mal::Status::NotFound("object " + oid_);
   }
-  const std::string* value = staged_->OmapFind(key);
-  if (value == nullptr) {
+  std::optional<std::string_view> value = staged_->OmapFind(key);
+  if (!value) {
     return mal::Status::NotFound("omap key " + key);
   }
-  return *value;
+  return std::string(*value);
 }
 
-mal::Result<std::map<std::string, std::string>> ClsContext::OmapList(
-    const std::string& prefix) const {
+mal::Result<osd::Omap> ClsContext::OmapList(const std::string& prefix) const {
   if (!staged_->exists()) {
     return mal::Status::NotFound("object " + oid_);
   }

@@ -33,7 +33,7 @@ class ClsContext {
   mal::Result<mal::Buffer> Read(uint64_t offset, uint64_t length) const;
   mal::Result<uint64_t> Size() const;
   mal::Result<std::string> OmapGet(const std::string& key) const;
-  mal::Result<std::map<std::string, std::string>> OmapList(const std::string& prefix) const;
+  mal::Result<osd::Omap> OmapList(const std::string& prefix) const;
   mal::Result<std::string> XattrGet(const std::string& key) const;
 
   // -- writes (staged + recorded) ---------------------------------------------

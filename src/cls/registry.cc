@@ -174,8 +174,8 @@ void BindContext(Interpreter* interp, ClsContext* ctx) {
           return entries.status();
         }
         auto table = script::Table::Make();
-        for (const auto& [k, v] : entries.value()) {
-          table->Set(script::TableKey(k), Value(v));
+        for (auto [k, v] : entries.value()) {
+          table->Set(script::TableKey(std::string(k)), Value(std::string(v)));
         }
         return Value(table);
       });

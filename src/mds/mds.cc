@@ -43,6 +43,7 @@ MdsDaemon::MdsDaemon(sim::Simulator* simulator, sim::Network* network, uint32_t 
   RegisterHandlers();
   SetInboxLimit(config_.inbox_depth);
   SetServicePerf(&perf_);
+  TrackCpuBusy(config_.load_window);  // read by ReportLoad
 }
 
 void MdsDaemon::RegisterHandlers() {

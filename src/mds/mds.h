@@ -157,8 +157,6 @@ class MdsDaemon : public sim::Actor {
   rados::RadosClient& rados_client() { return rados_; }
   mal::PerfRegistry& perf() { return perf_; }
   const MdsConfig& config() const { return config_; }
-  // Exposed so Mantle can tune aggressiveness knobs at runtime.
-  MdsConfig& mutable_config() { return config_; }
 
   // Observer hooks for experiments.
   std::function<void(const std::string&, uint32_t)> on_migration;  // path, target

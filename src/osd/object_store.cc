@@ -1,10 +1,164 @@
 #include "src/osd/object_store.h"
 
+#include <algorithm>
+#include <cstdio>
+#include <cstdlib>
+#include <limits>
+
 namespace mal::osd {
+
+namespace {
+
+void PutVarint(std::string* out, uint64_t v) {
+  while (v >= 0x80) {
+    out->push_back(static_cast<char>(v | 0x80));
+    v >>= 7;
+  }
+  out->push_back(static_cast<char>(v));
+}
+
+// Reads a varint the arena itself wrote, so no bounds check.
+uint64_t GetVarint(const char** p) {
+  uint64_t v = 0;
+  for (int shift = 0;; shift += 7) {
+    auto byte = static_cast<uint8_t>(*(*p)++);
+    v |= static_cast<uint64_t>(byte & 0x7f) << shift;
+    if (byte < 0x80) {
+      return v;
+    }
+  }
+}
+
+}  // namespace
+
+std::pair<std::string_view, std::string_view> Omap::RecordAt(uint32_t offset) const {
+  const char* p = arena_.data() + offset;
+  uint64_t key_len = GetVarint(&p);
+  uint64_t value_len = GetVarint(&p);
+  return {std::string_view(p, key_len), std::string_view(p + key_len, value_len)};
+}
+
+size_t Omap::RecordBytes(uint32_t offset) const {
+  auto [key, value] = RecordAt(offset);
+  return static_cast<size_t>(value.data() + value.size() - (arena_.data() + offset));
+}
+
+std::string_view Omap::KeyAt(uint32_t offset) const {
+  const char* p = arena_.data() + offset;
+  uint64_t key_len = GetVarint(&p);
+  while (static_cast<uint8_t>(*p++) >= 0x80) {
+    // skip the value length
+  }
+  return {p, key_len};
+}
+
+size_t Omap::LowerIndex(std::string_view key) const {
+  if (index_.empty() || KeyAt(index_.back()) < key) {
+    return index_.size();  // past the last key: the append case
+  }
+  auto before = [this](uint32_t at, std::string_view k) { return KeyAt(at) < k; };
+  auto it = std::lower_bound(index_.begin(), index_.end(), key, before);
+  return static_cast<size_t>(it - index_.begin());
+}
+
+uint32_t Omap::AppendRecord(std::string_view key, std::string_view value) {
+  size_t offset = arena_.size();
+  // Compaction keeps the arena within 2x its live records, so this needs
+  // a single object's omap to hold about 2 GiB.
+  if (offset + key.size() + value.size() + 20 > std::numeric_limits<uint32_t>::max()) {
+    std::fprintf(stderr, "mal::osd::Omap: arena past 4 GiB\n");
+    std::abort();
+  }
+  PutVarint(&arena_, key.size());
+  PutVarint(&arena_, value.size());
+  arena_.append(key);
+  arena_.append(value);
+  return static_cast<uint32_t>(offset);
+}
+
+void Omap::Release(uint32_t offset) {
+  dead_ += RecordBytes(offset);
+  if (dead_ <= arena_.size() - dead_) {
+    return;
+  }
+  // Rewrite the live records in index order; the index keeps its order.
+  std::string packed;
+  packed.reserve(arena_.size() - dead_);
+  for (uint32_t& at : index_) {
+    size_t bytes = RecordBytes(at);
+    size_t moved = packed.size();
+    packed.append(arena_, at, bytes);
+    at = static_cast<uint32_t>(moved);
+  }
+  arena_.swap(packed);
+  dead_ = 0;
+  if (index_.capacity() > 2 * index_.size()) {
+    index_.shrink_to_fit();
+  }
+}
+
+std::optional<std::string_view> Omap::Find(std::string_view key) const {
+  size_t i = LowerIndex(key);
+  if (i == index_.size()) {
+    return std::nullopt;
+  }
+  auto [k, v] = RecordAt(index_[i]);
+  if (k != key) {
+    return std::nullopt;
+  }
+  return v;
+}
+
+void Omap::Set(std::string_view key, std::string_view value) {
+  size_t i = LowerIndex(key);
+  if (i < index_.size() && KeyAt(index_[i]) == key) {
+    uint32_t old = index_[i];
+    index_[i] = AppendRecord(key, value);
+    Release(old);
+    return;
+  }
+  index_.insert(index_.begin() + static_cast<ptrdiff_t>(i), AppendRecord(key, value));
+}
+
+bool Omap::Erase(std::string_view key) {
+  size_t i = LowerIndex(key);
+  if (i == index_.size() || KeyAt(index_[i]) != key) {
+    return false;
+  }
+  uint32_t offset = index_[i];
+  index_.erase(index_.begin() + static_cast<ptrdiff_t>(i));
+  Release(offset);
+  return true;
+}
+
+bool Omap::operator==(const Omap& other) const {
+  return size() == other.size() && std::equal(begin(), end(), other.begin());
+}
+
+void Omap::Encode(mal::Encoder* enc) const {
+  enc->PutVarU64(index_.size());
+  for (auto [key, value] : *this) {
+    enc->PutString(key);
+    enc->PutString(value);
+  }
+}
+
+Omap Omap::Decode(mal::Decoder* dec) {
+  Omap omap;
+  uint64_t n = dec->GetVarU64();
+  for (uint64_t i = 0; i < n && dec->ok(); ++i) {
+    std::string key = dec->GetString();
+    std::string value = dec->GetString();
+    if (!omap.Find(key)) {
+      omap.Set(key, value);
+    }
+  }
+  return omap;
+}
 
 void Object::Encode(mal::Encoder* enc) const {
   enc->PutBuffer(data);
-  EncodeStringMap(enc, omap);
+  omap.Encode(enc);
   EncodeStringMap(enc, xattrs);
   enc->PutVarU64(snapshots.size());
   for (const auto& [name, snap] : snapshots) {
@@ -17,7 +171,7 @@ void Object::Encode(mal::Encoder* enc) const {
 Object Object::Decode(mal::Decoder* dec) {
   Object object;
   object.data = dec->GetBuffer();
-  object.omap = DecodeStringMap(dec);
+  object.omap = Omap::Decode(dec);
   object.xattrs = DecodeStringMap(dec);
   uint64_t n = dec->GetVarU64();
   for (uint64_t i = 0; i < n && dec->ok(); ++i) {
@@ -78,16 +232,17 @@ void TxnObject::Remove() {
   snaps_.clear();
 }
 
-const std::string* TxnObject::OmapFind(const std::string& key) const {
+std::optional<std::string_view> TxnObject::OmapFind(const std::string& key) const {
   if (auto it = omap_.find(key); it != omap_.end()) {
-    return it->second ? &*it->second : nullptr;
+    if (!it->second) {
+      return std::nullopt;
+    }
+    return std::string_view(*it->second);
   }
   if (base_visible()) {
-    if (auto it = base_->omap.find(key); it != base_->omap.end()) {
-      return &it->second;
-    }
+    return base_->omap.Find(key);
   }
-  return nullptr;
+  return std::nullopt;
 }
 
 const std::string* TxnObject::XattrFind(const std::string& key) const {
@@ -114,15 +269,16 @@ const mal::Buffer* TxnObject::SnapFind(const std::string& name) const {
   return nullptr;
 }
 
-std::map<std::string, std::string> TxnObject::OmapList(const std::string& prefix) const {
-  std::map<std::string, std::string> matched;
+Omap TxnObject::OmapList(const std::string& prefix) const {
+  Omap matched;
   if (base_visible()) {
     // Keys sharing a prefix are contiguous in a sorted map.
-    for (auto it = base_->omap.lower_bound(prefix); it != base_->omap.end(); ++it) {
-      if (it->first.rfind(prefix, 0) != 0) {
+    for (auto it = base_->omap.LowerBound(prefix); it != base_->omap.end(); ++it) {
+      auto [key, value] = *it;
+      if (!key.starts_with(prefix)) {
         break;
       }
-      matched[it->first] = it->second;
+      matched.Set(key, value);
     }
   }
   for (auto it = omap_.lower_bound(prefix); it != omap_.end(); ++it) {
@@ -130,9 +286,9 @@ std::map<std::string, std::string> TxnObject::OmapList(const std::string& prefix
       break;
     }
     if (it->second) {
-      matched[it->first] = *it->second;
+      matched.Set(it->first, *it->second);
     } else {
-      matched.erase(it->first);
+      matched.Erase(it->first);
     }
   }
   return matched;
@@ -174,9 +330,9 @@ std::optional<Object> TxnObject::Materialize() const {
   }
   for (const auto& [k, v] : omap_) {
     if (v) {
-      out.omap[k] = *v;
+      out.omap.Set(k, *v);
     } else {
-      out.omap.erase(k);
+      out.omap.Erase(k);
     }
   }
   for (const auto& [k, v] : xattrs_) {
@@ -268,18 +424,14 @@ void ObjectStore::CommitInPlace(Object* object, const TxnObject& staged) {
   bytes_used_ -= object->data.size();
   object->data = staged.data();  // O(1): COW assignment
   for (const auto& [k, v] : staged.omap_overlay()) {
-    auto it = object->omap.find(k);
-    if (it != object->omap.end()) {
-      bytes_used_ -= k.size() + it->second.size();
-      if (v) {
-        bytes_used_ += k.size() + v->size();
-        it->second = *v;
-      } else {
-        object->omap.erase(it);
-      }
-    } else if (v) {
+    if (std::optional<std::string_view> old = object->omap.Find(k)) {
+      bytes_used_ -= k.size() + old->size();
+    }
+    if (v) {
       bytes_used_ += k.size() + v->size();
-      object->omap.emplace(k, *v);
+      object->omap.Set(k, *v);
+    } else {
+      object->omap.Erase(k);
     }
   }
   for (const auto& [k, v] : staged.xattr_overlay()) {
@@ -450,11 +602,11 @@ mal::Status ObjectStore::ApplyOp(const Op& op, TxnObject* object, OpResult* resu
       if (!s.ok()) {
         return s;
       }
-      const std::string* value = object->OmapFind(op.key);
-      if (value == nullptr) {
+      std::optional<std::string_view> value = object->OmapFind(op.key);
+      if (!value) {
         return mal::Status::NotFound("omap key " + op.key);
       }
-      result->out = mal::Buffer::FromString(*value);
+      result->out = mal::Buffer::FromString(std::string(*value));
       return mal::Status::Ok();
     }
 
@@ -477,9 +629,8 @@ mal::Status ObjectStore::ApplyOp(const Op& op, TxnObject* object, OpResult* resu
       if (!s.ok()) {
         return s;
       }
-      std::map<std::string, std::string> matched = object->OmapList(op.key);
       mal::Encoder enc(&result->out);
-      EncodeStringMap(&enc, matched);
+      object->OmapList(op.key).Encode(&enc);
       return mal::Status::Ok();
     }
 

@@ -19,10 +19,14 @@
 #ifndef MALACOLOGY_OSD_OBJECT_STORE_H_
 #define MALACOLOGY_OSD_OBJECT_STORE_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/common/buffer.h"
@@ -30,9 +34,97 @@
 
 namespace mal::osd {
 
+// An object's sorted key-value database, laid out for memory. Every record
+// lives in one append-only byte arena as <varint key length, varint value
+// length, key, value>, and a sorted vector of 4-byte arena offsets orders
+// the records by key. A std::map spends a tree node plus a value allocation
+// (~190 B of heap) per record; here a record costs its bytes, a two-byte
+// header for short keys and values, and one offset. That is what keeps a
+// ZLog stripe object (one record per log entry) small.
+//
+// Lookup is a binary search over the index. Set appends a record and
+// inserts its offset; ZLog and EC-index keys arrive nearly in order, so the
+// insert lands at or near the tail (a key past the last one skips the
+// search). An overwrite or an erase leaves the old record as dead bytes.
+// Once dead bytes exceed live bytes the arena is rewritten in index order,
+// so compaction is amortized O(1) per mutation and the arena never holds
+// more than twice its live records.
+class Omap {
+ public:
+  // Ordered iteration; dereferences to (key, value) views into the arena,
+  // valid until the next mutation.
+  class const_iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = std::pair<std::string_view, std::string_view>;
+    using difference_type = std::ptrdiff_t;
+    using pointer = void;
+    using reference = value_type;
+
+    reference operator*() const { return omap_->RecordAt(*pos_); }
+    const_iterator& operator++() {
+      ++pos_;
+      return *this;
+    }
+    bool operator==(const const_iterator& other) const { return pos_ == other.pos_; }
+
+   private:
+    friend class Omap;
+    const_iterator(const Omap* omap, std::vector<uint32_t>::const_iterator pos)
+        : omap_(omap), pos_(pos) {}
+
+    const Omap* omap_;
+    std::vector<uint32_t>::const_iterator pos_;
+  };
+
+  size_t size() const { return index_.size(); }
+  bool empty() const { return index_.empty(); }
+  const_iterator begin() const { return {this, index_.begin()}; }
+  const_iterator end() const { return {this, index_.end()}; }
+  // First record whose key is >= `key`.
+  const_iterator LowerBound(std::string_view key) const {
+    return {this, index_.begin() + static_cast<ptrdiff_t>(LowerIndex(key))};
+  }
+
+  // The value view is valid until the next mutation.
+  std::optional<std::string_view> Find(std::string_view key) const;
+  // Neither view may point into this Omap.
+  void Set(std::string_view key, std::string_view value);
+  // Returns false if the key was absent.
+  bool Erase(std::string_view key);
+
+  // Bytes the arena holds, dead records included.
+  size_t arena_bytes() const { return arena_.size(); }
+
+  // Equal ordered contents (the layouts may differ).
+  bool operator==(const Omap& other) const;
+
+  // Wire form: exactly the bytes EncodeStringMap writes for the same map.
+  void Encode(mal::Encoder* enc) const;
+  // Takes records in wire order; a key not past the previous one falls back
+  // to the sorted insert, and the first copy of a duplicate key wins (as in
+  // DecodeStringMap), so a malformed payload cannot break the index order.
+  static Omap Decode(mal::Decoder* dec);
+
+ private:
+  std::pair<std::string_view, std::string_view> RecordAt(uint32_t offset) const;
+  // The key alone, for searches: skips decoding the value length.
+  std::string_view KeyAt(uint32_t offset) const;
+  size_t RecordBytes(uint32_t offset) const;
+  // Index position of the first record whose key is >= `key`.
+  size_t LowerIndex(std::string_view key) const;
+  uint32_t AppendRecord(std::string_view key, std::string_view value);
+  // Marks the record at `offset` dead; compacts once dead > live.
+  void Release(uint32_t offset);
+
+  std::string arena_;
+  std::vector<uint32_t> index_;  // arena offsets, sorted by key
+  size_t dead_ = 0;              // arena bytes of overwritten/erased records
+};
+
 struct Object {
   mal::Buffer data;
-  std::map<std::string, std::string> omap;
+  Omap omap;
   std::map<std::string, std::string> xattrs;
   // Named point-in-time copies of the bytestream ("controlling object
   // snapshots and clones" is one of the native interfaces of §4.2).
@@ -110,12 +202,12 @@ class TxnObject {
   const mal::Buffer& data() const { return data_; }
   mal::Buffer* MutableData() { return &data_; }
 
-  // Merged overlay-over-base lookups. Pointers are valid until the next
-  // mutation of this TxnObject.
-  const std::string* OmapFind(const std::string& key) const;
+  // Merged overlay-over-base lookups. Pointers and views are valid until
+  // the next mutation of this TxnObject or of its base.
+  std::optional<std::string_view> OmapFind(const std::string& key) const;
   const std::string* XattrFind(const std::string& key) const;
   const mal::Buffer* SnapFind(const std::string& name) const;
-  std::map<std::string, std::string> OmapList(const std::string& prefix) const;
+  Omap OmapList(const std::string& prefix) const;
 
   void OmapSet(const std::string& key, std::string value);
   void OmapDel(const std::string& key);

@@ -165,17 +165,18 @@ Time Actor::ReserveCpu(Time cost) {
   }
   Time start = std::max(Now(), cpu_busy_until_);
   cpu_busy_until_ = start + cost;
-  // Appends are keyed by interval end, which never decreases; a zero-cost
-  // reservation lands on the same end as its predecessor and replaces it
-  // (matching the map-overwrite semantics this deque replaced).
-  if (!busy_log_.empty() && busy_log_.back().first == cpu_busy_until_) {
-    busy_log_.back().second = cost;
-  } else {
-    busy_log_.emplace_back(cpu_busy_until_, cost);
-  }
-  // Trim old intervals to bound memory (keep last ~120 virtual seconds).
-  while (!busy_log_.empty() && busy_log_.front().first + 120 * kSecond < Now()) {
-    busy_log_.pop_front();
+  if (busy_window_ > 0) {
+    // Appends are keyed by interval end, which never decreases; a zero-cost
+    // reservation lands on the same end as its predecessor and replaces it
+    // (matching the map-overwrite semantics this deque replaced).
+    if (!busy_log_.empty() && busy_log_.back().first == cpu_busy_until_) {
+      busy_log_.back().second = cost;
+    } else {
+      busy_log_.emplace_back(cpu_busy_until_, cost);
+    }
+    while (!busy_log_.empty() && busy_log_.front().first + busy_window_ < Now()) {
+      busy_log_.pop_front();
+    }
   }
   return cpu_busy_until_ - Now();
 }
@@ -195,7 +196,10 @@ double Actor::CpuUtilization(Time window) const {
   }
   Time from = Now() > window ? Now() - window : 0;
   Time busy = 0;
-  for (const auto& [end, cost] : busy_log_) {
+  // Newest first: an interval that ended by `from` adds nothing, and so does
+  // every older one.
+  for (auto it = busy_log_.rbegin(); it != busy_log_.rend() && it->first > from; ++it) {
+    const auto& [end, cost] = *it;
     Time start = end - cost;
     Time lo = std::max(start, from);
     Time hi = std::min(end, Now());

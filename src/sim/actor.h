@@ -103,8 +103,17 @@ class Actor : public MessageSink {
   }
 
   // Fraction of the last `window` that this actor's CPU was busy — the load
-  // metric exported to the balancer.
+  // metric exported to the balancer. It reads the busy intervals kept by
+  // TrackCpuBusy, so it is exact for any `window` up to the tracked one and
+  // 0 on an untracked actor.
   double CpuUtilization(Time window) const;
+
+  // Keeps one busy interval per CPU reservation covering the last `window`
+  // of virtual time; intervals that end before Now() - window are dropped.
+  // Actors start untracked and record nothing, since only a load reporter
+  // reads them. Survives crashes; 0 stops tracking new reservations.
+  void TrackCpuBusy(Time window) { busy_window_ = window; }
+  size_t cpu_busy_intervals() const { return busy_log_.size(); }
 
   // -- Service layer (admission control; see src/svc/ and docs/service_layer.md)
 
@@ -203,7 +212,9 @@ class Actor : public MessageSink {
   Time cpu_busy_until_ = 0;
   Time dispatch_busy_until_ = 0;
   // Busy-time accounting for utilization: (interval_end, busy_in_interval),
-  // appended in nondecreasing interval_end order and trimmed at the front.
+  // appended in nondecreasing interval_end order and trimmed at the front to
+  // the last busy_window_; nothing is appended while busy_window_ is 0.
+  Time busy_window_ = 0;
   std::deque<std::pair<Time, Time>> busy_log_;
   // Cached name().ToString(); referenced by the zero-copy log context.
   std::string name_str_;

@@ -6,8 +6,12 @@
 //  - MalScript tables vs std::map under random insert/erase/length
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <map>
 #include <optional>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "src/common/rng.h"
 #include "src/osd/messages.h"
@@ -26,6 +30,21 @@ struct RefObject {
   std::map<std::string, std::string> snapshots;
 };
 
+// Omap contents in iteration order, so a representation that lost its
+// ordering cannot compare equal to the reference std::map.
+std::vector<std::pair<std::string, std::string>> Entries(const osd::Omap& omap) {
+  std::vector<std::pair<std::string, std::string>> out;
+  for (auto [k, v] : omap) {
+    out.emplace_back(k, v);
+  }
+  return out;
+}
+
+std::vector<std::pair<std::string, std::string>> Entries(
+    const std::map<std::string, std::string>& map) {
+  return {map.begin(), map.end()};
+}
+
 class StoreModelTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(StoreModelTest, RandomOpsMatchReferenceModel) {
@@ -37,11 +56,14 @@ TEST_P(StoreModelTest, RandomOpsMatchReferenceModel) {
   auto random_data = [&rng] {
     return std::string(rng.NextBelow(32), static_cast<char>('a' + rng.NextBelow(26)));
   };
+  // A wider key space for the omap churn ops, so the index grows past a
+  // handful of records and inserts land in its middle as well as its tail.
+  auto random_omap_key = [&rng] { return "m" + std::to_string(rng.NextBelow(48)); };
 
   std::vector<osd::OpResult> results;
   for (int step = 0; step < 400; ++step) {
     osd::Op op;
-    switch (rng.NextBelow(12)) {
+    switch (rng.NextBelow(15)) {
       case 0: {  // write full
         op.type = osd::Op::Type::kWriteFull;
         op.data = Buffer::FromString(random_data());
@@ -190,22 +212,85 @@ TEST_P(StoreModelTest, RandomOpsMatchReferenceModel) {
         // reference unchanged by construction
         break;
       }
-    }
-    // Full-state comparison every 50 steps.
-    if (step % 50 == 49) {
-      if (!ref.has_value()) {
-        EXPECT_FALSE(store.Exists("obj"));
-      } else {
-        ASSERT_TRUE(store.Exists("obj"));
-        const osd::Object* object = store.Get("obj").value();
-        EXPECT_EQ(object->data.ToString(), ref->data) << "step " << step;
-        EXPECT_EQ(object->omap, ref->omap) << "step " << step;
-        EXPECT_EQ(object->xattrs, ref->xattrs) << "step " << step;
-        ASSERT_EQ(object->snapshots.size(), ref->snapshots.size());
-        for (const auto& [name, snap] : ref->snapshots) {
-          EXPECT_EQ(object->snapshots.at(name).ToString(), snap);
+      case 12: {  // overwrite an existing omap key with a value of another size
+        if (!ref.has_value() || ref->omap.empty()) {
+          break;
         }
+        auto it = ref->omap.begin();
+        std::advance(it, rng.NextBelow(ref->omap.size()));
+        op.type = osd::Op::Type::kOmapSet;
+        op.key = it->first;
+        op.value = std::string(it->second.size() + 1 + rng.NextBelow(40), 'o');
+        if (rng.NextBelow(2) == 0 && !it->second.empty()) {
+          op.value.resize(rng.NextBelow(it->second.size()));  // shrink instead
+        }
+        ASSERT_TRUE(store.ApplyTransaction("obj", {op}, &results).ok());
+        it->second = op.value;
+        break;
       }
+      case 13: {  // delete then re-set one key, in one transaction or in two
+        if (!ref.has_value()) {
+          break;
+        }
+        osd::Op del;
+        del.type = osd::Op::Type::kOmapDel;
+        del.key = random_omap_key();
+        op.type = osd::Op::Type::kOmapSet;
+        op.key = del.key;
+        op.value = random_data();
+        if (rng.NextBelow(2) == 0) {
+          ASSERT_TRUE(store.ApplyTransaction("obj", {del, op}, &results).ok());
+        } else {
+          ASSERT_TRUE(store.ApplyTransaction("obj", {del}, &results).ok());
+          ASSERT_TRUE(store.ApplyTransaction("obj", {op}, &results).ok());
+        }
+        ref->omap[op.key] = op.value;
+        break;
+      }
+      case 14: {  // several sets and deletes of the wider key space at once
+        std::vector<osd::Op> ops;
+        for (uint64_t i = 0, n = 1 + rng.NextBelow(8); i < n; ++i) {
+          osd::Op churn;
+          churn.key = random_omap_key();
+          if (ref.has_value() && rng.NextBelow(3) == 0) {
+            churn.type = osd::Op::Type::kOmapDel;
+          } else {
+            churn.type = osd::Op::Type::kOmapSet;
+            churn.value = random_data();
+          }
+          ops.push_back(churn);
+        }
+        ASSERT_TRUE(store.ApplyTransaction("obj", ops, &results).ok());
+        if (!ref.has_value()) {
+          ref.emplace();
+        }
+        for (const osd::Op& churn : ops) {
+          if (churn.type == osd::Op::Type::kOmapDel) {
+            ref->omap.erase(churn.key);
+          } else {
+            ref->omap[churn.key] = churn.value;
+          }
+        }
+        break;
+      }
+    }
+    EXPECT_EQ(store.bytes_used(), store.RecomputeBytesUsed()) << "step " << step;
+    // Full-state comparison after every step.
+    if (!ref.has_value()) {
+      EXPECT_FALSE(store.Exists("obj"));
+      continue;
+    }
+    ASSERT_TRUE(store.Exists("obj"));
+    const osd::Object* object = store.Get("obj").value();
+    EXPECT_EQ(object->data.ToString(), ref->data) << "step " << step;
+    ASSERT_EQ(Entries(object->omap), Entries(ref->omap)) << "step " << step;
+    for (const auto& [k, v] : ref->omap) {
+      EXPECT_EQ(object->omap.Find(k), std::optional<std::string_view>(v)) << "step " << step;
+    }
+    EXPECT_EQ(object->xattrs, ref->xattrs) << "step " << step;
+    ASSERT_EQ(object->snapshots.size(), ref->snapshots.size());
+    for (const auto& [name, snap] : ref->snapshots) {
+      EXPECT_EQ(object->snapshots.at(name).ToString(), snap);
     }
   }
 }

@@ -1,6 +1,14 @@
 // Unit tests for the object store (transactions, ops) and placement.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <optional>
+#include <string_view>
+#include <utility>
+#include <vector>
+
+#include "src/common/rng.h"
 #include "src/osd/object_store.h"
 #include "src/osd/placement.h"
 
@@ -200,7 +208,7 @@ TEST(ObjectStoreTest, VersionBumpsOnlyOnMutation) {
 TEST(ObjectStoreTest, ObjectEncodeDecodeRoundTrip) {
   Object object;
   object.data = mal::Buffer::FromString("payload");
-  object.omap["k"] = "v";
+  object.omap.Set("k", "v");
   object.xattrs["x"] = "y";
   object.version = 9;
   mal::Buffer buffer;
@@ -209,7 +217,7 @@ TEST(ObjectStoreTest, ObjectEncodeDecodeRoundTrip) {
   mal::Decoder dec(buffer);
   Object decoded = Object::Decode(&dec);
   EXPECT_EQ(decoded.data.ToString(), "payload");
-  EXPECT_EQ(decoded.omap.at("k"), "v");
+  EXPECT_EQ(decoded.omap.Find("k"), std::optional<std::string_view>("v"));
   EXPECT_EQ(decoded.xattrs.at("x"), "y");
   EXPECT_EQ(decoded.version, 9u);
 }
@@ -321,7 +329,7 @@ TEST(ObjectStoreTest, AbortedTransactionLeavesNoTrace) {
   const Object* object = store.Get("obj").value();
   EXPECT_EQ(object->data.ToString(), "committed");
   EXPECT_EQ(object->omap.size(), 1u);
-  EXPECT_EQ(object->omap.at("k"), "v");
+  EXPECT_EQ(object->omap.Find("k"), std::optional<std::string_view>("v"));
   EXPECT_EQ(object->snapshots.size(), 1u);
   EXPECT_EQ(object->version, version);
   EXPECT_EQ(store.bytes_used(), bytes);
@@ -364,7 +372,7 @@ TEST(ObjectStoreTest, BytesUsedTracksIncrementally) {
   EXPECT_EQ(store.bytes_used(), 4u);
   Object replica;
   replica.data = mal::Buffer::FromString("0123456789");
-  replica.omap["m"] = "n";
+  replica.omap.Set("m", "n");
   store.Put("b", std::move(replica));
   EXPECT_EQ(store.bytes_used(), 16u);
   EXPECT_EQ(store.bytes_used(), store.RecomputeBytesUsed());
@@ -373,6 +381,118 @@ TEST(ObjectStoreTest, BytesUsedTracksIncrementally) {
   ASSERT_TRUE(store.ApplyTransaction("a", {MakeOp(Op::Type::kRemove)}, &results).ok());
   EXPECT_EQ(store.bytes_used(), 0u);
   EXPECT_EQ(store.bytes_used(), store.RecomputeBytesUsed());
+}
+
+using Records = std::vector<std::pair<std::string, std::string>>;
+
+Records Entries(const Omap& omap) {
+  Records out;
+  for (auto [k, v] : omap) {
+    out.emplace_back(k, v);
+  }
+  return out;
+}
+
+Records Entries(const std::map<std::string, std::string>& map) {
+  return {map.begin(), map.end()};
+}
+
+TEST(OmapTest, ObjectEncodeIsByteIdenticalToStringMapWire) {
+  // Object push/pull payloads, and so simulated time, depend on these bytes.
+  mal::Rng rng(7);
+  Object object;
+  object.data = mal::Buffer::FromString("bytestream");
+  object.xattrs["x"] = "y";
+  object.snapshots["s"] = mal::Buffer::FromString("snap");
+  object.version = 42;
+  std::map<std::string, std::string> reference;
+  for (int i = 0; i < 500; ++i) {
+    std::string key = "k" + std::to_string(rng.NextBelow(200));
+    std::string value(rng.NextBelow(300), static_cast<char>('a' + rng.NextBelow(26)));
+    if (rng.NextBelow(4) == 0) {
+      object.omap.Erase(key);
+      reference.erase(key);
+    } else {
+      object.omap.Set(key, value);
+      reference[key] = value;
+    }
+  }
+  ASSERT_GT(reference.size(), 50u);
+
+  mal::Buffer expected;
+  mal::Encoder enc(&expected);
+  enc.PutBuffer(object.data);
+  EncodeStringMap(&enc, reference);
+  EncodeStringMap(&enc, object.xattrs);
+  enc.PutVarU64(1);
+  enc.PutString("s");
+  enc.PutBuffer(object.snapshots.at("s"));
+  enc.PutU64(object.version);
+  EXPECT_EQ(mal::Encode(object).ToString(), expected.ToString());
+}
+
+TEST(OmapTest, DecodeSortsOutOfOrderKeysAndKeepsTheFirstDuplicate) {
+  // A well-formed payload is sorted and duplicate-free; a malformed one must
+  // still decode to what DecodeStringMap makes of it, in key order.
+  mal::Buffer wire;
+  mal::Encoder enc(&wire);
+  const Records records = {{"m", "1"}, {"c", "2"}, {"c", "dup"}, {"a", "3"}, {"a", "dup"}};
+  enc.PutVarU64(records.size());
+  for (const auto& [k, v] : records) {
+    enc.PutString(k);
+    enc.PutString(v);
+  }
+  mal::Decoder omap_dec(wire);
+  Omap omap = Omap::Decode(&omap_dec);
+  ASSERT_TRUE(omap_dec.Finish().ok());
+  mal::Decoder map_dec(wire);
+  std::map<std::string, std::string> reference = DecodeStringMap(&map_dec);
+  EXPECT_EQ(Entries(omap), Entries(reference));
+  EXPECT_EQ(Entries(omap), (Records{{"a", "3"}, {"c", "2"}, {"m", "1"}}));
+}
+
+size_t VarintBytes(size_t v) {
+  size_t n = 1;
+  for (; v >= 0x80; v >>= 7) {
+    ++n;
+  }
+  return n;
+}
+
+// Arena bytes of one record: two varint lengths, the key and the value.
+size_t RecordBytes(const std::string& key, const std::string& value) {
+  return VarintBytes(key.size()) + VarintBytes(value.size()) + key.size() + value.size();
+}
+
+TEST(OmapTest, ArenaStaysWithinTwiceItsLiveRecordsUnderChurn) {
+  mal::Rng rng(3);
+  Omap omap;
+  std::map<std::string, std::string> reference;
+  size_t appended = 0;
+  size_t max_record = 0;
+  for (int step = 0; step < 20000; ++step) {
+    std::string key = "e" + std::to_string(1000 + rng.NextBelow(400));
+    if (key.back() == '7') {
+      key.append(150, 'k');  // a length past one varint byte
+    }
+    if (rng.NextBelow(3) == 0) {
+      omap.Erase(key);
+      reference.erase(key);
+    } else {
+      std::string value(rng.NextBelow(200), 'v');
+      omap.Set(key, value);
+      reference[key] = value;
+      appended += RecordBytes(key, value);
+      max_record = std::max(max_record, RecordBytes(key, value));
+    }
+    size_t live = 0;
+    for (const auto& [k, v] : reference) {
+      live += RecordBytes(k, v);
+    }
+    ASSERT_LE(omap.arena_bytes(), 2 * live + max_record) << "step " << step;
+  }
+  EXPECT_EQ(Entries(omap), Entries(reference));
+  EXPECT_LT(omap.arena_bytes(), appended / 4);  // compaction really ran
 }
 
 TEST(ObjectStoreTest, RemoveThenRecreateInOneTransaction) {

@@ -231,7 +231,7 @@ TEST_F(OsdClusterFixture, ClassEffectsAreReplicated) {
   ASSERT_EQ(holders.size(), 2u);
   for (uint32_t holder : holders) {
     const auto* object = osds[holder]->store().Get("zl").value();
-    EXPECT_EQ(object->omap.count(ZlogOps::EntryKey(3)), 1u) << "osd " << holder;
+    EXPECT_TRUE(object->omap.Find(ZlogOps::EntryKey(3)).has_value()) << "osd " << holder;
   }
 }
 

@@ -431,6 +431,7 @@ TEST(ActorTest, CpuUtilizationReflectsLoad) {
   Simulator simulator;
   Network network(&simulator);
   EchoActor busy(&simulator, &network, EntityName::Mds(0));
+  busy.TrackCpuBusy(1 * kSecond);
   busy.ReserveCpu(800 * kMillisecond);
   simulator.RunUntil(1 * kSecond);
   double util = busy.CpuUtilization(1 * kSecond);
@@ -438,6 +439,27 @@ TEST(ActorTest, CpuUtilizationReflectsLoad) {
 
   EchoActor idle(&simulator, &network, EntityName::Mds(1));
   EXPECT_NEAR(idle.CpuUtilization(1 * kSecond), 0.0, 1e-9);
+}
+
+TEST(ActorTest, CpuBusyIntervalsKeptOnlyWhenTrackedAndOnlyForTheWindow) {
+  Simulator simulator;
+  Network network(&simulator);
+  EchoActor untracked(&simulator, &network, EntityName::Mds(0));
+  EchoActor tracked(&simulator, &network, EntityName::Mds(1));
+  tracked.TrackCpuBusy(100 * kMillisecond);
+  // One 1 ms reservation every 10 ms for a second: 100 intervals each.
+  for (int i = 0; i < 100; ++i) {
+    simulator.RunUntil(static_cast<Time>(i) * 10 * kMillisecond);
+    untracked.ReserveCpu(1 * kMillisecond);
+    tracked.ReserveCpu(1 * kMillisecond);
+  }
+  EXPECT_EQ(untracked.cpu_busy_intervals(), 0u);
+  EXPECT_NEAR(untracked.CpuUtilization(100 * kMillisecond), 0.0, 1e-9);
+  // At 990 ms the window starts at 890 ms: the intervals ending at 891 ms
+  // through 991 ms remain, and the one ending at 881 ms is gone.
+  EXPECT_EQ(tracked.cpu_busy_intervals(), 11u);
+  simulator.RunUntil(1 * kSecond);
+  EXPECT_NEAR(tracked.CpuUtilization(100 * kMillisecond), 0.1, 1e-9);
 }
 
 TEST(ActorTest, PeriodicTimerStopsOnCrash) {
