@@ -70,6 +70,7 @@ int main() {
   double aggressive_first = -1;
   double conservative_first = -1;
   uint64_t granted_twice = 0;
+  uint64_t failed_grants = 0;
   for (const Knobs& knobs : sweep) {
     BalancerExperimentConfig config;
     config.name = knobs.name;
@@ -81,6 +82,7 @@ int main() {
       total += v;
     }
     granted_twice += result.positions_granted_twice;
+    failed_grants += result.failed_grants;
     double first = result.migrations.empty() ? -1 : std::get<0>(result.migrations[0]);
     std::printf("%s\t%.1f\t%zu\t%.0f\t%.0f\n", knobs.name, first,
                 result.migrations.size(), result.stable_ops_per_sec, total);
@@ -97,5 +99,8 @@ int main() {
   std::printf("positions granted twice: %llu\n",
               static_cast<unsigned long long>(granted_twice));
   ok &= ShapeCheck("no sequencer position granted twice", granted_twice == 0);
+  std::printf("sequencer grants failed: %llu\n",
+              static_cast<unsigned long long>(failed_grants));
+  ok &= ShapeCheck("no sequencer grant failed", failed_grants == 0);
   return ok ? 0 : 1;
 }

@@ -152,6 +152,7 @@ BalancerExperimentResult RunBalancerExperiment(const BalancerExperimentConfig& c
     double seq_stable = 0;
     std::vector<uint64_t> positions;
     for (size_t w : seq_workers[s]) {
+      result.failed_grants += workers[w]->failed_grants();
       for (const auto& [t, pos] : workers[w]->events()) {
         seq_series.Record(t - start);
         cluster_series.Record(t - start);

@@ -56,6 +56,10 @@ struct BalancerExperimentResult {
   // sequencers. CORFU positions are write-once (§5.2), so any nonzero count
   // means a migration let two ranks grant from the same tail.
   uint64_t positions_granted_twice = 0;
+  // Round-trip grants that came back with an error, summed over every
+  // client. A grant that waits across a migration follows the inode, so
+  // any nonzero count means routing lost a request.
+  uint64_t failed_grants = 0;
 };
 
 BalancerExperimentResult RunBalancerExperiment(const BalancerExperimentConfig& config);

@@ -48,6 +48,7 @@ int main() {
 
   const uint64_t seeds[] = {7, 31, 101};
   uint64_t granted_twice = 0;
+  uint64_t failed_grants = 0;
   auto run_mode = [&](const std::string& name, auto customize) {
     std::vector<double> throughput;
     std::vector<double> stable;
@@ -61,6 +62,7 @@ int main() {
       throughput.push_back(result.whole_run_ops_per_sec);
       stable.push_back(result.stable_ops_per_sec);
       granted_twice += result.positions_granted_twice;
+      failed_grants += result.failed_grants;
     }
     ModeStats stats = Summarize(throughput);
     stats.stable = Summarize(stable).mean;
@@ -101,5 +103,8 @@ int main() {
   std::printf("positions granted twice: %llu\n",
               static_cast<unsigned long long>(granted_twice));
   ok &= ShapeCheck("no sequencer position granted twice", granted_twice == 0);
+  std::printf("sequencer grants failed: %llu\n",
+              static_cast<unsigned long long>(failed_grants));
+  ok &= ShapeCheck("no sequencer grant failed", failed_grants == 0);
   return ok ? 0 : 1;
 }

@@ -20,8 +20,9 @@ int main() {
   PrintColumns({"config", "ops_per_sec"});
 
   uint64_t granted_twice = 0;
-  auto run = [&granted_twice](const std::string& name, RoutingMode routing,
-                              int migrate_count) {
+  uint64_t failed_grants = 0;
+  auto run = [&granted_twice, &failed_grants](const std::string& name, RoutingMode routing,
+                                              int migrate_count) {
     BalancerExperimentConfig config;
     config.name = name;
     config.num_mds = 2;
@@ -35,6 +36,7 @@ int main() {
     BalancerExperimentResult result = RunBalancerExperiment(config);
     std::printf("%s\t%.0f\n", name.c_str(), result.stable_ops_per_sec);
     granted_twice += result.positions_granted_twice;
+    failed_grants += result.failed_grants;
     return result.stable_ops_per_sec;
   };
 
@@ -58,5 +60,8 @@ int main() {
   std::printf("positions granted twice: %llu\n",
               static_cast<unsigned long long>(granted_twice));
   ok &= ShapeCheck("no sequencer position granted twice", granted_twice == 0);
+  std::printf("sequencer grants failed: %llu\n",
+              static_cast<unsigned long long>(failed_grants));
+  ok &= ShapeCheck("no sequencer grant failed", failed_grants == 0);
   return ok ? 0 : 1;
 }

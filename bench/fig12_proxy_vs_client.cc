@@ -83,5 +83,9 @@ int main() {
   std::printf("positions granted twice: %llu\n",
               static_cast<unsigned long long>(granted_twice));
   ok &= ShapeCheck("no sequencer position granted twice", granted_twice == 0);
+  uint64_t failed_grants = proxy_result.failed_grants + client_result.failed_grants;
+  std::printf("sequencer grants failed: %llu\n",
+              static_cast<unsigned long long>(failed_grants));
+  ok &= ShapeCheck("no sequencer grant failed", failed_grants == 0);
   return ok ? 0 : 1;
 }

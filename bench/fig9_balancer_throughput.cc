@@ -33,6 +33,7 @@ int main() {
   }
 
   uint64_t granted_twice = 0;
+  uint64_t failed_grants = 0;
   for (const auto& result : results) {
     PrintSection(result.name);
     for (const auto& [t, path, target] : result.migrations) {
@@ -41,7 +42,10 @@ int main() {
     std::printf("stable_ops_per_sec\t%.0f\n", result.stable_ops_per_sec);
     std::printf("positions_granted_twice\t%llu\n",
                 static_cast<unsigned long long>(result.positions_granted_twice));
+    std::printf("failed_grants\t%llu\n",
+                static_cast<unsigned long long>(result.failed_grants));
     granted_twice += result.positions_granted_twice;
+    failed_grants += result.failed_grants;
     PrintColumns({"config", "time_sec", "ops_per_sec"});
     PrintSeries(result.name, result.cluster_series);
   }
@@ -58,5 +62,6 @@ int main() {
                        std::get<0>(results[1].migrations.front()) <
                            std::get<0>(results[2].migrations.front()));
   ok &= ShapeCheck("no sequencer position granted twice", granted_twice == 0);
+  ok &= ShapeCheck("no sequencer grant failed", failed_grants == 0);
   return ok ? 0 : 1;
 }

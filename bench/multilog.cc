@@ -200,6 +200,9 @@ struct HotLogResult {
   uint64_t owned_rank0 = 0;
   uint64_t owned_rank1 = 0;
   double grants_per_sec = 0;
+  uint64_t issued = 0;
+  uint64_t completed = 0;
+  uint64_t failed = 0;  // grants lost to routing; a migration must not fail one
   uint64_t sim_events = 0;
   bool ok = false;
 };
@@ -258,6 +261,9 @@ HotLogResult RunHotLog(int num_logs, sim::Time duration) {
   workload.Stop();
   cluster.RunFor(2 * sim::kSecond);
 
+  result.issued = workload.issued();
+  result.completed = workload.completed();
+  result.failed = workload.failed();
   result.grants_per_sec =
       static_cast<double>(workload.completed()) / (static_cast<double>(duration) / 1e9);
   result.owned_rank0 =
@@ -493,20 +499,27 @@ int main(int argc, char** argv) {
     HotLogResult r = RunHotLog(small ? 8 : 16, (small ? 30 : 45) * sim::kSecond);
     std::printf(
         "mantle_hotlog: %llu policy migrations, owned rank0=%llu rank1=%llu, "
-        "%.0f grants/s\n",
+        "%.0f grants/s (issued %llu, completed %llu, failed %llu)\n",
         static_cast<unsigned long long>(r.policy_migrations),
         static_cast<unsigned long long>(r.owned_rank0),
-        static_cast<unsigned long long>(r.owned_rank1), r.grants_per_sec);
+        static_cast<unsigned long long>(r.owned_rank1), r.grants_per_sec,
+        static_cast<unsigned long long>(r.issued),
+        static_cast<unsigned long long>(r.completed),
+        static_cast<unsigned long long>(r.failed));
     json.Add("mantle_hotlog",
              {{"policy_migrations", static_cast<double>(r.policy_migrations)},
               {"owned_rank0", static_cast<double>(r.owned_rank0)},
               {"owned_rank1", static_cast<double>(r.owned_rank1)},
-              {"grants_per_sec", r.grants_per_sec}},
+              {"grants_per_sec", r.grants_per_sec},
+              {"issued", static_cast<double>(r.issued)},
+              {"completed", static_cast<double>(r.completed)},
+              {"failed", static_cast<double>(r.failed)}},
              static_cast<double>(r.sim_events));
     ok &= ShapeCheck("mantle_hotlog: the seq-table policy migrated at least one log",
                      r.ok && r.policy_migrations >= 1);
     ok &= ShapeCheck("mantle_hotlog: both ranks own logs after rebalancing",
                      r.owned_rank0 >= 1 && r.owned_rank1 >= 1);
+    ok &= ShapeCheck("mantle_hotlog: no sequencer grant failed", r.ok && r.failed == 0);
   }
 
   // -- 3. migration + failover ------------------------------------------------

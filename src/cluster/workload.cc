@@ -41,7 +41,7 @@ void SequencerClient::Loop() {
   sim::Time issued_at = cluster_->simulator().Now();
   if (options_.cached) {
     if (client_->mds.HasCap(options_.path)) {
-      auto position = client_->mds.LocalNext(options_.path);
+      auto position = client_->mds.LocalNextBatch(options_.path, 1);
       if (position.ok()) {
         Record(issued_at, position.value());
         cluster_->simulator().Schedule(options_.local_cost, [this] { Loop(); });
@@ -57,7 +57,7 @@ void SequencerClient::Loop() {
         cluster_->simulator().Schedule(10 * sim::kMillisecond, [this] { Loop(); });
         return;
       }
-      auto position = client_->mds.LocalNext(options_.path);
+      auto position = client_->mds.LocalNextBatch(options_.path, 1);
       if (position.ok()) {
         Record(issued_at, position.value());
       }
@@ -66,15 +66,18 @@ void SequencerClient::Loop() {
     return;
   }
   // Round-trip mode: one RPC per position, immediate re-issue.
-  client_->mds.SeqNext(options_.path, [this, issued_at](mal::Status status, uint64_t pos) {
-    if (!running_) {
-      return;
-    }
-    if (status.ok()) {
-      Record(issued_at, pos);
-    }
-    cluster_->simulator().Schedule(options_.local_cost, [this] { Loop(); });
-  });
+  client_->mds.SeqNextBatch(
+      options_.path, 1, [this, issued_at](mal::Status status, uint64_t pos, bool) {
+        if (!running_) {
+          return;
+        }
+        if (status.ok()) {
+          Record(issued_at, pos);
+        } else {
+          ++failed_grants_;
+        }
+        cluster_->simulator().Schedule(options_.local_cost, [this] { Loop(); });
+      });
 }
 
 double ArrivalConfig::RateAt(sim::Time now) const {
@@ -179,16 +182,15 @@ void ScaleWorkload::IssueOp(uint64_t session) {
     }
   };
   if (options_.seq_fraction > 0.0 && op_rng_.Bernoulli(options_.seq_fraction)) {
+    const std::string* path = &options_.seq_path;
     if (!options_.seq_paths.empty()) {
       // Multi-log mode: Zipf over the log list, hottest first.
       uint64_t log = seq_zipf_.Next(&op_rng_);
       ++seq_ops_[log];
-      client->mds.SeqNext(options_.seq_paths[log],
-                          [finish](mal::Status status, uint64_t) { finish(status); });
-      return;
+      path = &options_.seq_paths[log];
     }
-    client->mds.SeqNext(options_.seq_path,
-                        [finish](mal::Status status, uint64_t) { finish(status); });
+    client->mds.SeqNextBatch(*path, 1,
+                             [finish](mal::Status status, uint64_t, bool) { finish(status); });
     return;
   }
   uint64_t key = zipf_.Next(&op_rng_);

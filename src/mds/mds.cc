@@ -196,10 +196,6 @@ void MdsDaemon::BroadcastAuthority(const std::string& path, uint32_t target) {
   }
 }
 
-bool MdsDaemon::IsAuthority(const std::string& path) const {
-  return AuthorityOf(path) == name().id;
-}
-
 uint32_t MdsDaemon::AuthorityOf(const std::string& path) const {
   if (inodes_.count(path) != 0) {
     return name().id;
@@ -317,54 +313,9 @@ void MdsDaemon::HandleClientRequest(const sim::Envelope& request, ClientRequest 
                                     bool forwarded) {
   ++requests_handled_;
   ++window_requests_;
-
-  // A takeover install (CORFU failover onto this rank) is allowed to land
-  // where the client aimed it: the ownership map still names the crashed
-  // rank, so the normal authority check would bounce the recovery forever.
-  const bool takeover_install = config_.seq_ownership &&
-                                req.op == MdsOp::kSetSeqState &&
-                                req.params.count("takeover") != 0;
-
-  uint32_t authority = AuthorityOf(req.path);
-  if (authority != name().id && !takeover_install) {
-    if (forwarded) {
-      // Authority moved while the forward was in flight; bounce.
-      ReplyError(request, mal::Status::Unavailable("authority moved"));
-      return;
-    }
-    if (config_.seq_ownership &&
-        (MapOwnerOf(req.path).has_value() || authority_.count(req.path) != 0)) {
-      // Sharded mode: paths with explicit ownership (published entry or a
-      // migration hint) are never proxied — the client follows the redirect
-      // and caches the owner, epoch-guarded against stale maps.
-      perf_.Inc("mds.seq.redirects");
-      ReplyError(request,
-                 mal::Status::WrongRank("wrong_rank:" + std::to_string(authority) + ":" +
-                                        std::to_string(mds_map_.epoch)));
-      return;
-    }
-    if (config_.routing == RoutingMode::kProxy) {
-      // Proxy: the relay happens on the dispatch (messenger) lane so it
-      // does not queue behind local tail-finding work, but each proxied
-      // request still steals admin capacity from the work queue.
-      perf_.Inc("mds.proxied");
-      ReserveCpu(config_.proxy_admin_cost);
-      sim::Envelope original = request;
-      AfterDispatch(config_.handle_cost + config_.forward_cost, [this, original, authority] {
-        SendRequest(sim::EntityName::Mds(authority), kMsgForward, original.payload,
-                    [this, original](mal::Status status, const sim::Envelope& reply) {
-                      if (status.ok()) {
-                        Reply(original, reply.payload);
-                      } else {
-                        ReplyError(original, status);
-                      }
-                    },
-                    60 * sim::kSecond);
-      });
-    } else {
-      ReplyError(request,
-                 mal::Status::Unavailable("redirect:" + std::to_string(authority)));
-    }
+  RouteDecision route = Route(req, forwarded);
+  if (route.kind != RouteKind::kServe) {
+    PassOn(request, route);
     return;
   }
 
@@ -382,8 +333,7 @@ void MdsDaemon::HandleClientRequest(const sim::Envelope& request, ClientRequest 
     cost += config_.coherence_self_cost;
     SendOneWay(sim::EntityName::Mds(config_.root_rank), kMsgCoherence, mal::Buffer());
   }
-  if (req.op == MdsOp::kSeqNext || req.op == MdsOp::kSeqRead ||
-      req.op == MdsOp::kSeqNextBatch) {
+  if (req.op == MdsOp::kSeqRead || req.op == MdsOp::kSeqNextBatch) {
     cost += config_.tail_cost;
   }
   if (req.op == MdsOp::kAcquireCap || req.op == MdsOp::kReleaseCap) {
@@ -401,13 +351,67 @@ void MdsDaemon::HandleClientRequest(const sim::Envelope& request, ClientRequest 
     --queued_total_;
     // Work-queue time (queueing + service) for requests we serve ourselves.
     perf_.Observe("mds.queue_us", static_cast<double>(Now() - arrival) / 1e3);
-    if (config_.seq_ownership &&
-        (req.op == MdsOp::kSeqNext || req.op == MdsOp::kSeqNextBatch)) {
+    if (config_.seq_ownership && req.op == MdsOp::kSeqNextBatch) {
       // Per-rank grant latency (queue + service), the telemetry row the
       // hot-log balancing policies and the multilog bench watch.
       perf_.Observe("mds.seq.grant_us", static_cast<double>(Now() - arrival) / 1e3);
     }
     ExecuteRequest(req_envelope, req, forwarded);
+  });
+}
+
+MdsDaemon::RouteDecision MdsDaemon::Route(const ClientRequest& req, bool forwarded) const {
+  // A takeover install (CORFU failover onto this rank) is allowed to land
+  // where the client aimed it: the ownership map still names the crashed
+  // rank, so routing it by authority would bounce the recovery forever.
+  if (config_.seq_ownership && req.op == MdsOp::kSetSeqState &&
+      req.params.count("takeover") != 0) {
+    return {RouteKind::kServe, name().id};
+  }
+  uint32_t authority = AuthorityOf(req.path);
+  if (authority == name().id) {
+    return {RouteKind::kServe, authority};
+  }
+  // Redirect, never proxy: a forward that lost a race with a migration,
+  // client routing mode, and sharded paths with explicit ownership (a
+  // published entry or a migration hint).
+  bool redirect =
+      forwarded || config_.routing == RoutingMode::kRedirect ||
+      (config_.seq_ownership &&
+       (MapOwnerOf(req.path).has_value() || authority_.count(req.path) != 0));
+  return {redirect ? RouteKind::kRedirect : RouteKind::kProxy, authority};
+}
+
+void MdsDaemon::PassOn(const sim::Envelope& request, RouteDecision route, bool follow) {
+  if (route.kind == RouteKind::kRedirect) {
+    perf_.Inc("mds.seq.redirects");
+    ReplyError(request, WrongRankReply(route.rank, mds_map_.epoch));
+    return;
+  }
+  // Proxy: the relay happens on the dispatch (messenger) lane so it does not
+  // queue behind local tail-finding work, but each proxied request still
+  // steals admin capacity from the work queue.
+  perf_.Inc("mds.proxied");
+  ReserveCpu(config_.proxy_admin_cost);
+  sim::Time relay_cost = config_.handle_cost + config_.forward_cost;
+  AfterDispatch(relay_cost, [this, original = request, rank = route.rank, follow] {
+    SendRequest(sim::EntityName::Mds(rank), kMsgForward, original.payload,
+                [this, original, follow](mal::Status status, const sim::Envelope& reply) {
+                  uint32_t moved_to = 0;
+                  uint64_t epoch = 0;
+                  if (follow && ParseWrongRank(status, &moved_to, &epoch)) {
+                    // The forward lost a race with a migration: follow the inode
+                    // once for the client, which proxy mode keeps on this rank.
+                    PassOn(original, {RouteKind::kProxy, moved_to}, /*follow=*/false);
+                    return;
+                  }
+                  if (status.ok()) {
+                    Reply(original, reply.payload);
+                  } else {
+                    ReplyError(original, status);
+                  }
+                },
+                60 * sim::kSecond);
   });
 }
 
@@ -422,6 +426,13 @@ void MdsDaemon::ReplyWithInode(const sim::Envelope& request, const MdsReply& rep
 
 void MdsDaemon::ExecuteRequest(const sim::Envelope& request, const ClientRequest& req,
                                bool forwarded) {
+  // Routed again: a migration may have committed while the request waited
+  // in the work queue or on the frozen inode.
+  RouteDecision route = Route(req, forwarded);
+  if (route.kind != RouteKind::kServe) {
+    PassOn(request, route);
+    return;
+  }
   auto it = inodes_.find(req.path);
   if (it != inodes_.end()) {
     ++it->second.window_requests;
@@ -491,7 +502,6 @@ void MdsDaemon::ExecuteRequest(const sim::Envelope& request, const ClientRequest
       Reply(request, mal::Buffer());
       return;
     }
-    case MdsOp::kSeqNext:
     case MdsOp::kSeqRead:
     case MdsOp::kSeqNextBatch: {
       if (it == inodes_.end()) {
@@ -515,10 +525,8 @@ void MdsDaemon::ExecuteRequest(const sim::Envelope& request, const ClientRequest
         return;
       }
       MdsReply reply;
-      if (req.op == MdsOp::kSeqNext) {
-        perf_.Inc("mds.seq.next");
-        reply.seq_value = hosted.inode.seq_tail++;
-      } else if (req.op == MdsOp::kSeqNextBatch) {
+      reply.seq_value = hosted.inode.seq_tail;
+      if (req.op == MdsOp::kSeqNextBatch) {
         // Reserve req.seq_value contiguous positions in one round-trip.
         // The advanced tail is durable in the inode, so recovery seals at
         // or past every granted position; granted-but-unwritten positions
@@ -526,10 +534,7 @@ void MdsDaemon::ExecuteRequest(const sim::Envelope& request, const ClientRequest
         uint64_t count = std::max<uint64_t>(req.seq_value, 1);
         perf_.Inc("mds.seq.batch_grants");
         perf_.Inc("mds.seq.positions_granted", count);
-        reply.seq_value = hosted.inode.seq_tail;
         hosted.inode.seq_tail += count;
-        hosted.inode.params["last_grant"] =
-            std::to_string(reply.seq_value) + "+" + std::to_string(count);
         if (OthersQueued(request.from)) {
           // Storage-to-application hint: other clients wait behind this
           // grant, so the log should fold its ready batches into one grant.
@@ -538,8 +543,6 @@ void MdsDaemon::ExecuteRequest(const sim::Envelope& request, const ClientRequest
           perf_.Inc("mds.seq.contended_grants");
           reply.inode.params["contended"] = "1";
         }
-      } else {
-        reply.seq_value = hosted.inode.seq_tail;
       }
       ReplyWithInode(request, reply);
       return;
@@ -798,29 +801,26 @@ void MdsDaemon::DriveMigration(const std::string& path, uint32_t target, bool pu
               it2->second.inode.params.erase("migrating_to");
             }
           }
+          if (status.ok()) {
+            authority_[path] = target;
+          }
+          // The queued requests are routed again: after a commit they follow
+          // the inode; after a failed transfer they run here, unfrozen. If the
+          // target installed the inode and only the ack was lost, write-once
+          // positions plus the ownership-map sweep (we demote to whoever
+          // publishes) keep that split from ever double-committing one.
+          for (Waiter& waiter : queued) {
+            ExecuteRequest(waiter.request, waiter.req, waiter.forwarded);
+          }
           if (!status.ok()) {
-            // Transfer failed: unfrozen, we serve the queued requests here.
-            // If the target actually installed the inode and only the ack
-            // was lost, a sequencer's write-once positions plus the
-            // ownership-map sweep (we demote to whoever publishes) keep even
-            // that split from ever double-committing a position.
-            for (Waiter& waiter : queued) {
-              ExecuteRequest(waiter.request, waiter.req, waiter.forwarded);
-            }
             MAL_WARN(name().ToString()) << "migration of " << path << " to mds." << target
                                         << " failed: " << status;
             on_done(status);
             return;
           }
           // Phase 3: the target holds the inode now and our copy is gone.
-          // The queued requests follow it the way this rank routes any
-          // request for a path it no longer hosts. The target publishes a
-          // sequencer's ownership entry (it holds the state; we might not
-          // survive to).
-          authority_[path] = target;
-          for (Waiter& waiter : queued) {
-            HandleClientRequest(waiter.request, std::move(waiter.req), waiter.forwarded);
-          }
+          // The target publishes a sequencer's ownership entry (it holds the
+          // state; we might not survive to).
           BroadcastAuthority(path, target);
           perf_.Inc("mds.migrations");
           if (config_.seq_ownership) {

@@ -12,6 +12,10 @@
 //    much load to export, and subtree migration with either proxy
 //    (forwarding) or client (redirect) routing after migration (Fig 11).
 //
+// Routing is one decision (Route: serve, proxy or redirect), taken at
+// admission and again when the request leaves the work queue; every
+// redirect is a kWrongRank "wrong_rank:<rank>:<map epoch>" reply.
+//
 // CPU model (drives Figures 9-12): every client request charges
 // handle_cost at the receiving server; sequencer operations charge
 // tail_cost at the inode's authority; proxy forwarding charges
@@ -106,7 +110,7 @@ class MdsDaemon : public sim::Actor {
   void Boot();
 
   // Crash/restart. The inode table (including the sequencer tail counter
-  // embedded per §4.3.2 and every granted batch recorded by kSeqNextBatch)
+  // embedded per §4.3.2, which every kSeqNextBatch grant advances)
   // models journaled metadata and survives the crash; capability state is
   // volatile and is invalidated on recovery: any cap that was outstanding
   // at crash time is dropped, and sequencer inodes whose cached tail died
@@ -129,22 +133,22 @@ class MdsDaemon : public sim::Actor {
   // on the inode except kLookup/kSeqRead queues on its waiters. Phase 2
   // encodes the inode after the freeze and transfers it; the target
   // max-merges seq_tail on redelivery, so a resend never regresses it.
-  // Phase 3, on the target's ack, drops this copy and re-routes the queued
-  // requests to the target through HandleClientRequest (proxy, redirect or
-  // kWrongRank, as this rank routes). A failed transfer unfreezes and runs
-  // the queued requests here; a crash mid-migration is re-driven by
-  // Recover(). Refused while a cap is held or the inode is already frozen.
+  // Phase 3, on the target's ack, drops this copy and executes the queued
+  // requests again, so they take the routing decision afresh and follow
+  // the inode to the target (proxy or redirect, as this rank routes). A
+  // failed transfer unfreezes and executes them the same way, here; a
+  // crash mid-migration is re-driven by Recover(). Refused while a cap is
+  // held or the inode is already frozen.
   void Migrate(const std::string& path, uint32_t target,
                std::function<void(mal::Status)> on_done);
 
   // Sharded-sequencer entry point: Migrate for a kSequencer inode on a
   // seq_ownership rank. The target publishes itself as the owner in the
-  // MdsMap; grants queued during the freeze get kWrongRank redirects to it.
+  // MdsMap; grants queued during the freeze are redirected to it.
   void MigrateSequencer(const std::string& path, uint32_t target,
                         std::function<void(mal::Status)> on_done);
 
   // -- introspection (tests and benches) ---------------------------------------
-  bool IsAuthority(const std::string& path) const;
   uint32_t AuthorityOf(const std::string& path) const;
   const Inode* GetInode(const std::string& path) const;
   std::vector<SubtreeLoad> HostedSubtrees() const;
@@ -191,12 +195,26 @@ class MdsDaemon : public sim::Actor {
     std::deque<Waiter> waiters;
   };
 
+  // Where a request goes: served here, or proxied or redirected to `rank`.
+  enum class RouteKind : uint8_t { kServe, kProxy, kRedirect };
+  struct RouteDecision {
+    RouteKind kind = RouteKind::kServe;
+    uint32_t rank = 0;
+  };
+
   void RegisterHandlers();
 
+  // Admission: routes, then charges the work queue for requests served here.
   void HandleClientRequest(const sim::Envelope& request, ClientRequest req,
                            bool forwarded);
+  // Routes again, then runs the op (or queues it on a frozen inode).
   void ExecuteRequest(const sim::Envelope& request, const ClientRequest& req,
                       bool forwarded);
+  // The one routing decision. Takeover installs are always served here.
+  RouteDecision Route(const ClientRequest& req, bool forwarded) const;
+  // Carries out a kProxy or kRedirect decision. With `follow`, a forward
+  // that comes back redirected is proxied once more, to the rank named.
+  void PassOn(const sim::Envelope& request, RouteDecision route, bool follow = true);
   void HandleAuthorityUpdate(const sim::Envelope& request);
   void HandleLoadReport(const sim::Envelope& request);
   void HandleMapUpdate(const sim::Envelope& request);

@@ -2,38 +2,6 @@
 
 namespace mal::mds {
 
-namespace {
-
-// Redirect replies carry "redirect:<rank>" in the error message.
-bool ParseRedirect(const mal::Status& status, uint32_t* rank) {
-  constexpr char kPrefix[] = "redirect:";
-  const std::string& message = status.message();
-  if (status.code() != mal::Code::kUnavailable || message.rfind(kPrefix, 0) != 0) {
-    return false;
-  }
-  *rank = static_cast<uint32_t>(std::stoul(message.substr(sizeof(kPrefix) - 1)));
-  return true;
-}
-
-// Sharded-sequencer redirects carry "wrong_rank:<owner>:<map_epoch>".
-bool ParseWrongRank(const mal::Status& status, uint32_t* rank, uint64_t* epoch) {
-  constexpr char kPrefix[] = "wrong_rank:";
-  const std::string& message = status.message();
-  if (status.code() != mal::Code::kWrongRank || message.rfind(kPrefix, 0) != 0) {
-    return false;
-  }
-  size_t pos = sizeof(kPrefix) - 1;
-  size_t colon = message.find(':', pos);
-  if (colon == std::string::npos) {
-    return false;
-  }
-  *rank = static_cast<uint32_t>(std::stoul(message.substr(pos, colon - pos)));
-  *epoch = std::stoull(message.substr(colon + 1));
-  return true;
-}
-
-}  // namespace
-
 uint32_t MdsClient::TargetFor(const std::string& path) const {
   auto it = authority_cache_.find(path);
   return it == authority_cache_.end() ? config_.home_mds : it->second.rank;
@@ -67,14 +35,9 @@ void MdsClient::RequestAttempt(const ClientRequest& request, ReplyHandler on_rep
                         });
         };
         uint32_t redirect_rank = 0;
-        if (ParseRedirect(status, &redirect_rank)) {
-          authority_cache_[request.path] = {redirect_rank, 0};
-          retry();
-          return;
-        }
         uint64_t redirect_epoch = 0;
         if (ParseWrongRank(status, &redirect_rank, &redirect_epoch)) {
-          // Epoch-guarded: a redirect stamped with an older ownership map
+          // Epoch-guarded: a redirect stamped with an older MDS map
           // never clobbers a fresher cache entry — but we still retry at
           // whatever the cache now says, so a redirect ping-pong between two
           // stale ranks dies with the bounded retry budget instead of
@@ -141,16 +104,6 @@ void MdsClient::SetPolicy(const std::string& path, const LeasePolicy& policy,
   });
 }
 
-void MdsClient::SeqNext(const std::string& path,
-                        std::function<void(mal::Status, uint64_t)> on_pos) {
-  ClientRequest req;
-  req.op = MdsOp::kSeqNext;
-  req.path = path;
-  Request(req, [on_pos = std::move(on_pos)](mal::Status s, const MdsReply& reply) {
-    on_pos(s, reply.seq_value);
-  });
-}
-
 void MdsClient::SeqNextBatch(
     const std::string& path, uint64_t count,
     std::function<void(mal::Status, uint64_t first, bool contended)> on_grant) {
@@ -199,10 +152,6 @@ void MdsClient::AcquireCap(const std::string& path, DoneHandler on_granted) {
     caps_[path] = cap;
     on_granted(mal::Status::Ok());
   });
-}
-
-mal::Result<uint64_t> MdsClient::LocalNext(const std::string& path) {
-  return LocalNextBatch(path, 1);
 }
 
 mal::Result<uint64_t> MdsClient::LocalNextBatch(const std::string& path, uint64_t count) {
@@ -261,7 +210,7 @@ void MdsClient::HandleRevoke(const std::string& path) {
       return;
     }
     case LeaseMode::kQuota: {
-      // Yield once the quota is exhausted (checked in LocalNext), but never
+      // Yield once the quota is exhausted (checked in LocalNextBatch), but never
       // hold past the reservation either.
       if (cap.ops_since_grant >= cap.terms.quota) {
         ReleaseNow(path);

@@ -1,7 +1,7 @@
 // MdsClient: client-side metadata library.
 //
-// Routes requests to the right MDS (authority cache + redirect handling in
-// client mode; the session server forwards in proxy mode) and implements
+// Routes requests to the right MDS (authority cache + kWrongRank redirect
+// handling; in proxy mode the session server forwards instead) and implements
 // the client half of the cooperative capability protocol (paper §4.3.1:
 // "clients voluntarily release resources back to the file system metadata
 // service"): on revoke, the client yields according to the lease terms it
@@ -56,7 +56,6 @@ class MdsClient {
   void SetPolicy(const std::string& path, const LeasePolicy& policy, DoneHandler on_done);
 
   // -- sequencer: round-trip mode -----------------------------------------------
-  void SeqNext(const std::string& path, std::function<void(mal::Status, uint64_t)> on_pos);
   void SeqRead(const std::string& path, std::function<void(mal::Status, uint64_t)> on_pos);
   // Reserves `count` contiguous positions in one round-trip; yields the
   // first, and whether the MDS had other clients' requests queued behind
@@ -67,15 +66,14 @@ class MdsClient {
                     std::function<void(mal::Status, uint64_t first, bool contended)> on_grant);
 
   // -- sequencer: cached (capability) mode ----------------------------------------
-  // Requests the exclusive cap; on grant the client increments locally via
-  // LocalNext() until the cap is revoked and the lease terms force release.
+  // Requests the exclusive cap; on grant the client takes positions locally
+  // via LocalNextBatch() until the cap is revoked and the terms force release.
   void AcquireCap(const std::string& path, DoneHandler on_granted);
   bool HasCap(const std::string& path) const;
-  // Next position from the locally cached tail. Fails kUnavailable if the
-  // cap is not held. Honoring quota terms may trigger a release afterwards.
-  mal::Result<uint64_t> LocalNext(const std::string& path);
-  // Reserves `count` contiguous positions from the cached tail (returns the
-  // first). The whole batch counts against quota terms at once.
+  // Reserves `count` contiguous positions from the locally cached tail
+  // (returns the first). Fails kUnavailable if the cap is not held. The
+  // whole batch counts against quota terms at once; honoring them may
+  // trigger a release afterwards.
   mal::Result<uint64_t> LocalNextBatch(const std::string& path, uint64_t count);
   // Voluntarily give the cap back now.
   void ReleaseCap(const std::string& path, DoneHandler on_done);
@@ -108,9 +106,9 @@ class MdsClient {
   void HandleRevoke(const std::string& path);
   void ReleaseNow(const std::string& path);
 
-  // Cached owner rank per path. `epoch` is the ownership-map epoch the
-  // entry was learned at (0 = legacy redirect or local hint, always
-  // overridable): kWrongRank redirects only move the cache forward.
+  // Cached owner rank per path. `epoch` is the map epoch of the redirect
+  // the entry was learned from (0 = local hint, always overridable):
+  // kWrongRank redirects only move the cache forward.
   struct CachedAuthority {
     uint32_t rank = 0;
     uint64_t epoch = 0;

@@ -94,7 +94,7 @@ enum class MdsOp : uint8_t {
   kLookup = 2,
   kUnlink = 3,
   kSetPolicy = 4,   // reprogram an inode's lease policy live
-  kSeqNext = 5,     // round-trip: allocate next position
+  // 5 is unused: a single-position grant is a one-entry kSeqNextBatch.
   kSeqRead = 6,     // round-trip: read tail without increment
   kAcquireCap = 7,  // request exclusive cached access (reply may be delayed)
   kReleaseCap = 8,  // return the cap (carries updated tail)
@@ -108,7 +108,7 @@ struct ClientRequest {
   std::string path;
   InodeType inode_type = InodeType::kFile;
   LeasePolicy policy;
-  uint64_t seq_value = 0;  // kReleaseCap/kSetSeqState: tail value; kSetSize: size
+  uint64_t seq_value = 0;  // batch count, released/recovered tail, or file size
   std::map<std::string, std::string> params;  // kCreate/kSetSeqState extras
 
   void Encode(mal::Encoder* enc) const {
@@ -131,7 +131,32 @@ struct ClientRequest {
   }
 };
 
-// Reply to kAcquireCap / kSeqNext / kLookup; fields used depend on the op.
+// The one "not here" reply, in every routing mode: kWrongRank
+// "wrong_rank:<rank>:<map epoch>", naming the rank that serves the path.
+inline mal::Status WrongRankReply(uint32_t rank, uint64_t epoch) {
+  return mal::Status::WrongRank("wrong_rank:" + std::to_string(rank) + ":" +
+                                std::to_string(epoch));
+}
+
+// Parses a WrongRankReply; false for any other status.
+inline bool ParseWrongRank(const mal::Status& status, uint32_t* rank, uint64_t* epoch) {
+  constexpr char kPrefix[] = "wrong_rank:";
+  const std::string& message = status.message();
+  if (status.code() != mal::Code::kWrongRank || message.rfind(kPrefix, 0) != 0) {
+    return false;
+  }
+  size_t pos = sizeof(kPrefix) - 1;
+  size_t colon = message.find(':', pos);
+  if (colon == std::string::npos) {
+    return false;
+  }
+  *rank = static_cast<uint32_t>(std::stoul(message.substr(pos, colon - pos)));
+  *epoch = std::stoull(message.substr(colon + 1));
+  return true;
+}
+
+// Reply to kAcquireCap / kSeqNextBatch / kSeqRead / kLookup; fields used
+// depend on the op.
 struct MdsReply {
   uint64_t seq_value = 0;
   LeasePolicy terms;          // cap grant terms the client must honor

@@ -281,7 +281,7 @@ end
   };
   for (int round = 0; round < 100 && migrations == 0; ++round) {
     for (const char* path : {"/zlog/s1", "/zlog/s2"}) {
-      client->mds.SeqNext(path, [](Status, uint64_t) {});
+      client->mds.SeqNextBatch(path, 1, [](Status, uint64_t, bool) {});
     }
     cluster->RunFor(100 * sim::kMillisecond);
   }

@@ -67,7 +67,7 @@ class MdsFixture : public ::testing::Test {
 
   Result<uint64_t> Next(const std::string& path, uint32_t client = 0) {
     std::optional<Result<uint64_t>> result;
-    clients[client]->mds.SeqNext(path, [&](Status s, uint64_t pos) {
+    clients[client]->mds.SeqNextBatch(path, 1, [&](Status s, uint64_t pos, bool) {
       result = s.ok() ? Result<uint64_t>(pos) : Result<uint64_t>(s);
     });
     Settle(3 * sim::kSecond);
@@ -148,7 +148,7 @@ TEST_F(MdsFixture, CapGrantAllowsLocalIncrements) {
   ASSERT_TRUE(granted);
   ASSERT_TRUE(clients[0]->mds.HasCap("/seq"));
   for (uint64_t expected = 0; expected < 100; ++expected) {
-    auto pos = clients[0]->mds.LocalNext("/seq");
+    auto pos = clients[0]->mds.LocalNextBatch("/seq", 1);
     ASSERT_TRUE(pos.ok());
     EXPECT_EQ(pos.value(), expected);
   }
@@ -176,7 +176,7 @@ TEST_F(MdsFixture, BestEffortRevokePassesCapAndPreservesOrder) {
   clients[0]->mds.AcquireCap("/seq", [](Status) {});
   Settle(2 * sim::kSecond);
   for (int i = 0; i < 42; ++i) {
-    ASSERT_TRUE(clients[0]->mds.LocalNext("/seq").ok());
+    ASSERT_TRUE(clients[0]->mds.LocalNextBatch("/seq", 1).ok());
   }
 
   // Client 1 wants it: best-effort => client 0 releases promptly.
@@ -190,7 +190,7 @@ TEST_F(MdsFixture, BestEffortRevokePassesCapAndPreservesOrder) {
   ASSERT_TRUE(lost);
   EXPECT_FALSE(clients[0]->mds.HasCap("/seq"));
   // The tail client 1 sees continues after client 0's 42 increments.
-  auto pos = clients[1]->mds.LocalNext("/seq");
+  auto pos = clients[1]->mds.LocalNextBatch("/seq", 1);
   ASSERT_TRUE(pos.ok());
   EXPECT_EQ(pos.value(), 42u);
 }
@@ -240,7 +240,7 @@ TEST_F(MdsFixture, QuotaPolicyYieldsAfterQuotaOps) {
   // Client 0 keeps allocating; at the 10th op it must yield.
   int allocated = 0;
   while (clients[0]->mds.HasCap("/seq") && allocated < 100) {
-    if (clients[0]->mds.LocalNext("/seq").ok()) {
+    if (clients[0]->mds.LocalNextBatch("/seq", 1).ok()) {
       ++allocated;
     }
     Settle(sim::kMillisecond);
@@ -280,8 +280,8 @@ TEST_F(MdsFixture, ProxyModeForwardsAfterMigration) {
   Settle(3 * sim::kSecond);
   ASSERT_TRUE(migrated.has_value());
   ASSERT_TRUE(migrated->ok()) << *migrated;
-  EXPECT_TRUE(mds[1]->IsAuthority("/seq"));
-  EXPECT_FALSE(mds[0]->IsAuthority("/seq"));
+  EXPECT_EQ(mds[1]->AuthorityOf("/seq"), 1u);
+  EXPECT_EQ(mds[0]->AuthorityOf("/seq"), 1u);
 
   // Client still talks to mds.0, which forwards: order continues.
   auto pos = Next("/seq");
@@ -341,7 +341,7 @@ TEST_P(MdsMigrationRoutingTest, MigrationUnderRoundTripLoadGrantsEachPositionOnc
   uint64_t failed = 0;
   bool running = true;
   std::function<void(size_t)> loop = [&](size_t c) {
-    clients[c]->mds.SeqNext("/seq", [&, c](Status s, uint64_t pos) {
+    clients[c]->mds.SeqNextBatch("/seq", 1, [&, c](Status s, uint64_t pos, bool) {
       if (s.ok()) {
         granted.push_back(pos);
       } else {
@@ -381,6 +381,164 @@ TEST_P(MdsMigrationRoutingTest, MigrationUnderRoundTripLoadGrantsEachPositionOnc
 
 INSTANTIATE_TEST_SUITE_P(Routing, MdsMigrationRoutingTest,
                          ::testing::Values(RoutingMode::kProxy, RoutingMode::kRedirect));
+
+// The three ways a rank sends a request it no longer serves onward.
+enum class RoutingCase { kProxy, kRedirect, kSeqOwnership };
+
+void PrintTo(RoutingCase routing, std::ostream* os) {
+  *os << (routing == RoutingCase::kProxy      ? "Proxy"
+          : routing == RoutingCase::kRedirect ? "Redirect"
+                                              : "SeqOwnership");
+}
+
+// An open-loop grant stream above the rank's service rate keeps the work
+// queue full across the migration commit, so some grants are admitted while
+// the source still hosts the inode and leave the queue after it is gone.
+// Routing is taken again when they leave the queue: they follow the inode
+// and are served there, never answered kNotFound (which ZLog reads as
+// "take the log over").
+class MdsOpenLoopMigrationTest : public MdsFixture,
+                                 public ::testing::WithParamInterface<RoutingCase> {};
+
+TEST_P(MdsOpenLoopMigrationTest, GrantsQueuedAcrossCommitFollowTheInode) {
+  MdsConfig config;
+  config.routing = GetParam() == RoutingCase::kRedirect ? RoutingMode::kRedirect
+                                                        : RoutingMode::kProxy;
+  config.seq_ownership = GetParam() == RoutingCase::kSeqOwnership;
+  Start(2, config);
+  ASSERT_TRUE(CreateSequencer("/seq", RoundTrip()).ok());
+
+  // One grant every 100 us against a 110 us service time at the root rank.
+  constexpr sim::Time kGap = 100 * sim::kMicrosecond;
+  std::vector<uint64_t> granted;
+  uint64_t issued = 0;
+  uint64_t not_found = 0;
+  uint64_t failed = 0;
+  bool running = true;
+  std::function<void()> arrive = [&] {
+    if (!running) {
+      return;
+    }
+    clients[issued % clients.size()]->mds.SeqNextBatch(
+        "/seq", 1, [&](Status s, uint64_t pos, bool) {
+          if (s.ok()) {
+            granted.push_back(pos);
+          } else {
+            ++failed;
+            not_found += s.code() == Code::kNotFound ? 1 : 0;
+          }
+        });
+    ++issued;
+    simulator.Schedule(kGap, arrive);
+  };
+  arrive();
+  Settle(200 * sim::kMillisecond);
+  ASSERT_GT(mds[0]->queued_requests(), 0u);
+  std::optional<Status> migrated;
+  mds[0]->Migrate("/seq", 1, [&](Status s) { migrated = s; });
+  Settle(200 * sim::kMillisecond);
+  running = false;
+  Settle(5 * sim::kSecond);  // drain the backlog on both ranks
+
+  ASSERT_TRUE(migrated.has_value() && migrated->ok());
+  EXPECT_EQ(mds[0]->GetInode("/seq"), nullptr);
+  ASSERT_NE(mds[1]->GetInode("/seq"), nullptr);
+  EXPECT_EQ(not_found, 0u);
+  EXPECT_EQ(failed, 0u);
+  EXPECT_EQ(granted.size(), issued);
+  std::sort(granted.begin(), granted.end());
+  size_t duplicates = 0;
+  for (size_t i = 1; i < granted.size(); ++i) {
+    duplicates += granted[i] == granted[i - 1] ? 1 : 0;
+  }
+  EXPECT_EQ(duplicates, 0u) << "of " << granted.size() << " grants";
+  ASSERT_FALSE(granted.empty());
+  EXPECT_EQ(granted.back() + 1, granted.size());
+  EXPECT_EQ(mds[1]->GetInode("/seq")->seq_tail, granted.size());
+}
+
+INSTANTIATE_TEST_SUITE_P(Routing, MdsOpenLoopMigrationTest,
+                         ::testing::Values(RoutingCase::kProxy, RoutingCase::kRedirect,
+                                           RoutingCase::kSeqOwnership));
+
+// A forward that reaches a rank after the inode moved on is not proxied a
+// second time by that rank: it answers one kWrongRank. The proxy follows
+// it once for its client, which stays on its session rank.
+TEST_F(MdsFixture, BouncedForwardIsFollowedByItsProxy) {
+  MdsConfig config;
+  config.routing = RoutingMode::kProxy;
+  Start(3, config);
+  ASSERT_TRUE(CreateSequencer("/seq", RoundTrip()).ok());
+  std::optional<Status> migrated;
+  mds[0]->Migrate("/seq", 1, [&](Status s) { migrated = s; });
+  Settle(3 * sim::kSecond);
+  ASSERT_TRUE(migrated.has_value() && migrated->ok());
+  ASSERT_EQ(Next("/seq").value(), 0u);  // proxied by mds.0 to mds.1
+
+  // mds.0 forwards the next grant to mds.1, where it waits on the freeze
+  // until the inode has moved on to mds.2.
+  migrated.reset();
+  uint64_t proxied = mds[0]->perf().counter("mds.proxied");
+  std::optional<Result<uint64_t>> pos;
+  clients[0]->mds.SeqNextBatch("/seq", 1, [&](Status s, uint64_t first, bool) {
+    pos = s.ok() ? Result<uint64_t>(first) : Result<uint64_t>(s);
+  });
+  mds[1]->Migrate("/seq", 2, [&](Status s) { migrated = s; });
+  Settle(3 * sim::kSecond);
+  ASSERT_TRUE(migrated.has_value() && migrated->ok());
+  ASSERT_TRUE(pos.has_value());
+  ASSERT_TRUE(pos->ok()) << pos->status();
+  EXPECT_EQ(pos->value(), 1u);
+  EXPECT_EQ(mds[1]->perf().counter("mds.seq.redirects"), 1u);
+  EXPECT_EQ(mds[0]->perf().counter("mds.proxied"), proxied + 2);  // forward + follow
+
+  // The client never saw the redirect: its next grant is proxied again.
+  ASSERT_EQ(Next("/seq").value(), 2u);
+  EXPECT_EQ(mds[0]->perf().counter("mds.proxied"), proxied + 3);
+}
+
+// When the followed forward bounces too (the inode moved twice), the
+// second redirect reaches the client as one kWrongRank, and the client
+// follows it to the rank that now serves the path.
+TEST_F(MdsFixture, SecondBounceReachesClientAsOneRedirect) {
+  MdsConfig config;
+  config.routing = RoutingMode::kProxy;
+  Start(4, config);
+  ASSERT_TRUE(CreateSequencer("/seq", RoundTrip()).ok());
+  std::optional<Status> migrated;
+  mds[0]->Migrate("/seq", 1, [&](Status s) { migrated = s; });
+  Settle(3 * sim::kSecond);
+  ASSERT_TRUE(migrated.has_value() && migrated->ok());
+  ASSERT_EQ(Next("/seq").value(), 0u);
+
+  // The grant waits on mds.1's freeze; the moment mds.1 commits, mds.2
+  // freezes the inode for mds.3, so the followed forward waits there too.
+  migrated.reset();
+  std::optional<Status> migrated_again;
+  mds[1]->on_migration = [&](const std::string& path, uint32_t) {
+    mds[2]->Migrate(path, 3, [&](Status s) { migrated_again = s; });
+  };
+  std::optional<Result<uint64_t>> pos;
+  clients[0]->mds.SeqNextBatch("/seq", 1, [&](Status s, uint64_t first, bool) {
+    pos = s.ok() ? Result<uint64_t>(first) : Result<uint64_t>(s);
+  });
+  mds[1]->Migrate("/seq", 2, [&](Status s) { migrated = s; });
+  Settle(3 * sim::kSecond);
+  ASSERT_TRUE(migrated.has_value() && migrated->ok());
+  ASSERT_TRUE(migrated_again.has_value() && migrated_again->ok());
+  ASSERT_TRUE(pos.has_value());
+  ASSERT_TRUE(pos->ok()) << pos->status();
+  EXPECT_EQ(pos->value(), 1u);
+  EXPECT_EQ(mds[1]->perf().counter("mds.seq.redirects"), 1u);
+  EXPECT_EQ(mds[2]->perf().counter("mds.seq.redirects"), 1u);
+
+  // The client cached the redirect: its next grant goes straight to mds.3.
+  uint64_t proxied = mds[0]->perf().counter("mds.proxied");
+  uint64_t handled_by_3 = mds[3]->requests_handled();
+  ASSERT_EQ(Next("/seq").value(), 2u);
+  EXPECT_EQ(mds[0]->perf().counter("mds.proxied"), proxied);
+  EXPECT_EQ(mds[3]->requests_handled(), handled_by_3 + 1);
+}
 
 TEST_F(MdsFixture, MutationDuringMigrationLandsOnTarget) {
   Start(2);
@@ -487,7 +645,7 @@ TEST_F(MdsFixture, RedirectChaseTerminatesWhenOwnerIsDown) {
   client_config.rpc_timeout = 1 * sim::kSecond;
   auto chaser = std::make_unique<MdsAppClient>(&simulator, &network, 99, client_config);
   std::optional<Status> result;
-  chaser->mds.SeqNext("/seq", [&](Status s, uint64_t) { result = s; });
+  chaser->mds.SeqNextBatch("/seq", 1, [&](Status s, uint64_t, bool) { result = s; });
   Settle(20 * sim::kSecond);
   ASSERT_TRUE(result.has_value());
   EXPECT_FALSE(result->ok());
@@ -655,7 +813,8 @@ TEST_F(MdsFixture, BalancerMigratesHotSequencersAutomatically) {
   // Drive load against all 3 sequencers (all initially on mds.0).
   for (int round = 0; round < 120; ++round) {
     for (int s = 0; s < 3; ++s) {
-      clients[0]->mds.SeqNext("/seq" + std::to_string(s), [](Status, uint64_t) {});
+      clients[0]->mds.SeqNextBatch("/seq" + std::to_string(s), 1,
+                                   [](Status, uint64_t, bool) {});
     }
     Settle(200 * sim::kMillisecond);
   }
@@ -701,7 +860,7 @@ TEST_F(MdsFixture, RestartFencesHeldCapsUntilSequencerRecovery) {
   Settle(2 * sim::kSecond);
   ASSERT_TRUE(granted);
   for (uint64_t i = 0; i < 10; ++i) {
-    ASSERT_TRUE(clients[0]->mds.LocalNext("/seq").ok());
+    ASSERT_TRUE(clients[0]->mds.LocalNextBatch("/seq", 1).ok());
   }
 
   mds[0]->Crash();
