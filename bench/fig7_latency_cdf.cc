@@ -7,7 +7,8 @@
 //
 // Expected shape: overwhelmingly fast local accesses, a long tail from cap
 // exchanges; larger quotas push the knee of the CDF further right in
-// throughput but keep P99 < 1 ms.
+// throughput but keep P99 < 1 ms, which every client of every configuration
+// checks as a shape check (the bench exits non-zero on a FAIL).
 #include "bench/bench_util.h"
 #include "bench/cap_experiment.h"
 
@@ -17,11 +18,14 @@ int main() {
   PrintHeader("Figure 7: latency CDF per client per configuration",
               "Same setup as Figure 6; per-op latency in microseconds.");
 
-  auto run = [](CapExperimentConfig config) {
+  bool ok = true;
+  auto run = [&ok](CapExperimentConfig config) {
     CapExperimentResult result = RunCapExperiment(config);
     PrintSection(config.name);
     for (size_t c = 0; c < result.client_latency.size(); ++c) {
       PrintQuantiles("client" + std::to_string(c), result.client_latency[c]);
+      ok &= ShapeCheck(config.name + " client" + std::to_string(c) + " P99 < 1 ms",
+                       result.client_latency[c].Quantile(0.99) < 1000.0);
     }
     // 20-point CDF of client 0 (for plotting).
     if (!result.client_latency.empty()) {
@@ -48,5 +52,5 @@ int main() {
   best_effort.name = "best-effort";
   best_effort.mode = LeaseMode::kBestEffort;
   run(best_effort);
-  return 0;
+  return ok ? 0 : 1;
 }

@@ -108,6 +108,13 @@ Buffer Buffer::Read(size_t offset, size_t n) const {
   return Buffer(storage_, offset_ + offset, take);
 }
 
+Buffer Buffer::Exact() const {
+  if (storage_ == nullptr || (offset_ == 0 && length_ == storage_->capacity())) {
+    return *this;
+  }
+  return Buffer(std::string(View()));
+}
+
 void Encoder::CheckFilled() const {
   if (size_ != limit_) {
     std::fprintf(stderr, "mal::Encoder: wrote %zu of %zu sized bytes\n", size_, limit_);
@@ -151,7 +158,7 @@ uint64_t Decoder::GetVarU64() {
 
 std::string Decoder::GetString() {
   uint64_t n = GetVarU64();
-  if (!ok_ || pos_ + n > data_.size()) {
+  if (!ok_ || n > data_.size() - pos_) {
     Fail();
     return std::string();
   }
@@ -162,7 +169,14 @@ std::string Decoder::GetString() {
 
 Buffer Decoder::GetBuffer() {
   uint64_t n = GetVarU64();
-  if (!ok_ || pos_ + n > data_.size()) {
+  if (ok_ && segments_ != nullptr && n >= kSegmentMinBytes) {
+    if (next_segment_ >= segments_->size() || (*segments_)[next_segment_].size() != n) {
+      Fail();
+      return Buffer();
+    }
+    return (*segments_)[next_segment_++];
+  }
+  if (!ok_ || n > data_.size() - pos_) {
     Fail();
     return Buffer();
   }

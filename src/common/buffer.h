@@ -15,14 +15,19 @@
 //      existing view), so raw pointers from data()/View() stay valid until
 //      the Buffer they came from is itself mutated.
 //
-// Messages are encoded with mal::Encode(msg): a sizing pass counts the
-// bytes, then a writing pass fills one allocation of exactly that size, so a
-// slice decoded out of a message pins nothing bigger than the message.
+// Stored and nested bytes are encoded with mal::Encode(msg): a sizing pass
+// counts the bytes, then a writing pass fills one allocation of exactly that
+// size, so a slice decoded out of it pins nothing bigger than the message.
+// Bulk-data messages are encoded with mal::EncodeSegmented(msg) into a
+// Payload, Ceph's front-plus-data-segments message layout: every Buffer
+// field of at least kSegmentMinBytes rides as its own segment, by reference,
+// so a stored object and the messages that carried it share one storage.
 //
 // Wire format:
 //   - fixed-width integers: little-endian
 //   - varuint: LEB128
-//   - string/bytes: varuint length + raw bytes
+//   - string/bytes: varuint length + raw bytes (a segmented bulk field keeps
+//     its length in the front and its bytes in the next segment)
 //   - containers: varuint count + elements
 #ifndef MALACOLOGY_COMMON_BUFFER_H_
 #define MALACOLOGY_COMMON_BUFFER_H_
@@ -42,9 +47,10 @@
 
 namespace mal {
 
-// A refcounted, contiguous byte buffer with copy-on-write sharing.
-// Contiguity keeps the simulator fast and the decoding logic simple; a
-// production system would use iovec chains.
+// A refcounted, contiguous byte buffer with copy-on-write sharing. Each
+// Buffer is one contiguous run, which keeps decoding simple; a message's
+// bulk fields travel as separate Buffers (Payload segments), the role iovec
+// chains play in a production messenger.
 class Buffer {
  public:
   Buffer() = default;
@@ -73,6 +79,11 @@ class Buffer {
   // Bytes from the start of this view to the end of its storage's
   // allocation: what an aliased slice keeps alive beyond its own size.
   size_t capacity() const { return storage_ ? storage_->capacity() - offset_ : 0; }
+
+  // This buffer if it views its storage's whole allocation, else an
+  // exact-size copy of the viewed bytes: what a message may hold by
+  // reference without pinning bytes beyond its own.
+  Buffer Exact() const;
 
   // Overwrite [offset, offset+n) growing the buffer (zero-padded) if needed.
   void Write(size_t offset, const void* p, size_t n);
@@ -115,6 +126,11 @@ class Buffer {
   size_t length_ = 0;
 };
 
+// Buffer fields at least this large travel as data segments in a segmented
+// message. It sits above a ZLog write_batch input (~1.2 KB) and an EC k=3
+// shard of a 4 KiB object (1,366 B), which stay in the front.
+inline constexpr size_t kSegmentMinBytes = 2048;
+
 // Writes wire-encoded values. One interface, three sinks, so a message's
 // Encode(Encoder*) method serves all of them:
 //   - sizing  (Encoder()): counts bytes, writes nothing;
@@ -122,12 +138,18 @@ class Buffer {
 //     aborts the process rather than overrun them;
 //   - append  (Encoder(Buffer*)): appends to a Buffer, for outputs built
 //     incrementally whose size is not known up front.
-// Messages go through mal::Encode below, which runs the first two.
+// mal::Encode below runs the first two. mal::EncodeSegmented runs them in
+// segmented form, where a PutBuffer of at least kSegmentMinBytes puts only
+// its length and the writing pass hands the bytes to a segment list.
 class Encoder {
  public:
   Encoder() = default;
   Encoder(char* dst, size_t n) : dst_(dst), limit_(n) {}
   explicit Encoder(Buffer* out) : out_(out) {}
+  // Segmented: front bytes to exactly n bytes at dst, and each bulk field
+  // appended to `segments`; both null for the sizing pass.
+  Encoder(char* dst, size_t n, std::vector<Buffer>* segments)
+      : dst_(dst), limit_(n), segmented_(true), segments_(segments) {}
 
   // Bytes put so far.
   size_t size() const { return size_; }
@@ -166,6 +188,12 @@ class Encoder {
   }
   void PutBuffer(const Buffer& b) {
     PutVarU64(b.size());
+    if (segmented_ && b.size() >= kSegmentMinBytes) {
+      if (segments_ != nullptr) {
+        segments_->push_back(b.Exact());
+      }
+      return;
+    }
     if (out_ != nullptr) {
       out_->Append(b);  // handles b aliasing out_'s own storage
       size_ += b.size();
@@ -207,6 +235,8 @@ class Encoder {
   char* dst_ = nullptr;  // writing: destination of exactly limit_ bytes
   size_t limit_ = 0;
   Buffer* out_ = nullptr;  // append
+  bool segmented_ = false;
+  std::vector<Buffer>* segments_ = nullptr;  // segmented writing
   size_t size_ = 0;
 };
 
@@ -241,6 +271,62 @@ Buffer Encode(const Msg& msg) {
   return Encode([&msg](Encoder* enc) { msg.Encode(enc); });
 }
 
+// A message as it crosses the simulated wire, in Ceph's layout: the front
+// holds the encoded fields, and each bulk Buffer field of a segmented
+// message rides as one data segment held by reference. A Buffer converts to
+// an unsegmented payload (the flat encoding, no segments). There is
+// deliberately no flat view of a whole payload: a segmented message can only
+// be read by a Decoder over the Payload itself.
+class Payload {
+ public:
+  Payload() = default;
+  Payload(Buffer front) : front_(std::move(front)) {}  // NOLINT(google-explicit-constructor)
+  Payload(Buffer front, std::vector<Buffer> segments)
+      : front_(std::move(front)), segments_(std::move(segments)), segmented_(true) {}
+
+  const Buffer& front() const { return front_; }
+  const std::vector<Buffer>& segments() const { return segments_; }
+  // True when built by EncodeSegmented: bulk fields live in segments.
+  bool segmented() const { return segmented_; }
+  // Front plus every segment: exactly the size of the flat encoding.
+  size_t size() const {
+    size_t n = front_.size();
+    for (const Buffer& segment : segments_) {
+      n += segment.size();
+    }
+    return n;
+  }
+
+ private:
+  Buffer front_;
+  std::vector<Buffer> segments_;
+  bool segmented_ = false;
+};
+
+// The entry point for bulk-data messages: like Encode, but every PutBuffer
+// of at least kSegmentMinBytes becomes a data segment instead of front
+// bytes. A segment is the caller's Buffer itself (O(1)) when that views a
+// whole allocation, and an exact-size copy when it is a slice of larger
+// storage or has spare capacity, so no segment pins more than its own
+// bytes. The front plus the segments is as many bytes as Encode would put.
+template <typename Fn>
+  requires std::invocable<Fn&, Encoder*>
+Payload EncodeSegmented(Fn&& fn) {
+  Encoder sizer(nullptr, 0, nullptr);
+  fn(&sizer);
+  std::string front(sizer.size(), '\0');
+  std::vector<Buffer> segments;
+  Encoder writer(front.data(), front.size(), &segments);
+  fn(&writer);
+  writer.CheckFilled();
+  return Payload(Buffer(std::move(front)), std::move(segments));
+}
+
+template <Encodable Msg>
+Payload EncodeSegmented(const Msg& msg) {
+  return EncodeSegmented([&msg](Encoder* enc) { msg.Encode(enc); });
+}
+
 // Reads wire-encoded values from a Buffer. All getters are checked: reading
 // past the end flips the decoder into a failed state, and subsequent reads
 // return zero values. Callers check `ok()` once at the end.
@@ -250,10 +336,19 @@ Buffer Encode(const Msg& msg) {
 // slice of the input instead of a copy; the slice pins the input's whole
 // allocation, which for an exact-size message is just the message. A
 // decoder over a bare string_view cannot alias and falls back to copying.
+// A decoder over a segmented Payload reads the front and takes each
+// GetBuffer of at least kSegmentMinBytes from the next segment; a missing
+// segment, or one whose size differs from its length, fails the decode.
 class Decoder {
  public:
   explicit Decoder(const Buffer& in) : buffer_(in), data_(buffer_.View()) {}
   explicit Decoder(std::string_view in) : data_(in) {}
+  // The payload must outlive the decoder (its segments are not copied).
+  explicit Decoder(const Payload& in)
+      : buffer_(in.front()),
+        data_(buffer_.View()),
+        segments_(in.segmented() ? &in.segments() : nullptr) {}
+  explicit Decoder(const Payload&&) = delete;
 
   bool ok() const { return ok_; }
   size_t remaining() const { return data_.size() - pos_; }
@@ -307,6 +402,8 @@ class Decoder {
   Buffer buffer_;  // shares the input's storage; empty when view-constructed
   std::string_view data_;
   size_t pos_ = 0;
+  const std::vector<Buffer>* segments_ = nullptr;  // null unless segmented
+  size_t next_segment_ = 0;
   bool ok_ = true;
 };
 

@@ -110,7 +110,7 @@ void PerfSnapshot::Encode(Encoder* enc) const {
   }
 }
 
-Status PerfSnapshot::Decode(const Buffer& in, PerfSnapshot* out) {
+Status PerfSnapshot::Decode(const Payload& in, PerfSnapshot* out) {
   Decoder dec(in);
   out->entity = dec.GetString();
   out->time_ns = dec.GetU64();

@@ -77,7 +77,7 @@ struct PerfSnapshot {
   }
 
   void Encode(Encoder* enc) const;
-  static Status Decode(const Buffer& in, PerfSnapshot* out);
+  static Status Decode(const Payload& in, PerfSnapshot* out);
 };
 
 // The per-daemon metric registry. Single-threaded (simulator), so no locks.

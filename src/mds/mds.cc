@@ -487,6 +487,11 @@ void MdsDaemon::ExecuteRequest(const sim::Envelope& request, const ClientRequest
         return;
       }
       inodes_.erase(it);
+      // The name stays here: peers still route it to this rank, so falling
+      // back to the parent's authority would bounce it between the two.
+      if (AuthorityOf(req.path) != name().id) {
+        authority_[req.path] = name().id;
+      }
       if (config_.seq_ownership) {
         UpdateOwnedLogsGauge();
       }

@@ -133,7 +133,7 @@ class MonClient {
     SendWithRetry(kMsgGetPerfDump, mal::Buffer(), MakeBackoff(),
                   [on_dump = std::move(on_dump)](mal::Status status,
                                                  const sim::Envelope& reply) {
-                    on_dump(status, reply.payload.ToString());
+                    on_dump(status, reply.payload.front().ToString());
                   });
   }
 
@@ -162,7 +162,7 @@ class MonClient {
     SendWithRetry(kMsgGetHealth, mal::Buffer(), MakeBackoff(),
                   [on_health = std::move(on_health)](mal::Status status,
                                                      const sim::Envelope& reply) {
-                    on_health(status, reply.payload.ToString());
+                    on_health(status, reply.payload.front().ToString());
                   });
   }
 

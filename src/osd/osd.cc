@@ -466,7 +466,7 @@ void Osd::ExecuteOsdOp(const sim::Envelope& request, const OsdOpRequest& req_in,
       OsdOpReply reply;
       reply.map_epoch = osd_map_.epoch;
       reply.results = *results;
-      Reply(req_envelope, mal::Encode(reply));
+      Reply(req_envelope, mal::EncodeSegmented(reply));
     };
 
     bool mutating = false;
@@ -500,11 +500,12 @@ void Osd::ExecuteOsdOp(const sim::Envelope& request, const OsdOpRequest& req_in,
     }
     // Encode the replicated transaction once; each SendRequest below takes
     // a COW alias of the same bytes, so fan-out is O(replicas), not
-    // O(replicas * payload).
+    // O(replicas * payload). Bulk op data rides as segments that alias the
+    // client's request, so primary and replicas store one copy.
     OsdOpRequest rep;
     rep.oid = req.oid;
     rep.ops = expanded;
-    mal::Buffer rep_payload = mal::Encode(rep);
+    mal::Payload rep_payload = mal::EncodeSegmented(rep);
 
     auto pending = std::make_shared<size_t>(replicas.size());
     auto replied = std::make_shared<bool>(false);
@@ -635,7 +636,7 @@ void Osd::HandlePull(const sim::Envelope& request, PullObjectRequest req) {
     ReplyError(request, object.status());
     return;
   }
-  Reply(request, mal::Encode(*object.value()));
+  Reply(request, mal::EncodeSegmented(*object.value()));
 }
 
 void Osd::HandleWatch(const sim::Envelope& request, WatchRequest req) {

@@ -133,7 +133,7 @@ void RadosClient::ExecuteAttempt(const std::string& oid,
   req.oid = oid;
   req.ops = *ops;
   owner_->SendRequest(
-      sim::EntityName::Osd(acting[0]), osd::kMsgOsdOp, mal::Encode(req),
+      sim::EntityName::Osd(acting[0]), osd::kMsgOsdOp, mal::EncodeSegmented(req),
       [this, on_reply,
        retry](mal::Status status, const sim::Envelope& reply) mutable {
         if (status.code() == mal::Code::kUnavailable ||

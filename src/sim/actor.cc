@@ -47,7 +47,7 @@ Actor::Actor(Simulator* simulator, Network* network, EntityName name)
 
 Actor::~Actor() { network_->Detach(name_); }
 
-void Actor::SendRequest(EntityName to, uint32_t type, mal::Buffer payload,
+void Actor::SendRequest(EntityName to, uint32_t type, mal::Payload payload,
                         ReplyHandler on_reply, Time timeout) {
   const uint64_t deadline = mal::CurrentDeadline();
   if (deadline != 0 && Now() >= deadline) {
@@ -116,7 +116,7 @@ void Actor::FinishRpc(PendingRpc rpc, const mal::Status& status, const Envelope&
   rpc.handler(status, reply);
 }
 
-void Actor::SendOneWay(EntityName to, uint32_t type, mal::Buffer payload) {
+void Actor::SendOneWay(EntityName to, uint32_t type, mal::Payload payload) {
   Envelope envelope;
   envelope.from = name_;
   envelope.to = to;
@@ -127,7 +127,7 @@ void Actor::SendOneWay(EntityName to, uint32_t type, mal::Buffer payload) {
   network_->Send(std::move(envelope));
 }
 
-void Actor::Reply(const Envelope& request, mal::Buffer payload) {
+void Actor::Reply(const Envelope& request, mal::Payload payload) {
   SendReply(request, 0, std::move(payload), "ok");
 }
 
@@ -136,7 +136,7 @@ void Actor::ReplyError(const Envelope& request, const mal::Status& status) {
             mal::Buffer::FromString(status.message()), status.message());
 }
 
-void Actor::SendReply(const Envelope& request, uint32_t error_code, mal::Buffer payload,
+void Actor::SendReply(const Envelope& request, uint32_t error_code, mal::Payload payload,
                       const std::string& span_status) {
   if (admitted_.erase({request.from, request.rpc_id}) != 0 && svc_perf_ != nullptr) {
     svc_perf_->Set("svc.queue_depth", static_cast<double>(admitted_.size()));
@@ -283,7 +283,7 @@ void Actor::Deliver(Envelope envelope) {
     mal::Status status = envelope.error_code == 0
                              ? mal::Status::Ok()
                              : mal::Status(static_cast<mal::Code>(envelope.error_code),
-                                           envelope.payload.ToString());
+                                           envelope.payload.front().ToString());
     FinishRpc(std::move(rpc), status, envelope);
     return;
   }

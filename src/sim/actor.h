@@ -73,14 +73,14 @@ class Actor : public MessageSink {
   // fails with kDeadlineExceeded rather than kTimedOut — the deadline is
   // stamped into the envelope so the server can drop expired work, and an
   // already-exhausted budget fails the call locally without a network send.
-  void SendRequest(EntityName to, uint32_t type, mal::Buffer payload, ReplyHandler on_reply,
+  void SendRequest(EntityName to, uint32_t type, mal::Payload payload, ReplyHandler on_reply,
                    Time timeout = 5 * kSecond);
 
   // Fire-and-forget message.
-  void SendOneWay(EntityName to, uint32_t type, mal::Buffer payload);
+  void SendOneWay(EntityName to, uint32_t type, mal::Payload payload);
 
   // Replies to a request envelope.
-  void Reply(const Envelope& request, mal::Buffer payload);
+  void Reply(const Envelope& request, mal::Payload payload);
   void ReplyError(const Envelope& request, const mal::Status& status);
 
   // -- CPU model ------------------------------------------------------------
@@ -180,7 +180,7 @@ class Actor : public MessageSink {
 
   // Shared by Reply/ReplyError: frees the admission slot held by `request`
   // (if any), closes its server span with `span_status`, and sends the reply.
-  void SendReply(const Envelope& request, uint32_t error_code, mal::Buffer payload,
+  void SendReply(const Envelope& request, uint32_t error_code, mal::Payload payload,
                  const std::string& span_status);
 
   Simulator* simulator_;

@@ -1,7 +1,8 @@
 // Entity naming, message envelopes, and the latency-modeled network.
 //
 // Every daemon and client is addressed by an EntityName (type + id), like
-// Ceph's entity_name_t. Messages are serialized payloads in an Envelope;
+// Ceph's entity_name_t. Messages are serialized payloads (front bytes plus
+// data segments held by reference, mal::Payload) in an Envelope;
 // the network charges base latency + per-byte cost + log-normal jitter and
 // supports crash and partition injection for failure testing.
 #ifndef MALACOLOGY_SIM_NETWORK_H_
@@ -54,7 +55,7 @@ struct Envelope {
   uint64_t rpc_id = 0;
   bool is_reply = false;
   uint32_t error_code = 0;  // mal::Code for replies
-  mal::Buffer payload;
+  mal::Payload payload;
   // Trace context propagated with the message (Dapper's in-band baggage).
   // Deliberately excluded from WireSize: tracing must not perturb the
   // latency model or the jitter RNG stream of an untraced run.
@@ -64,7 +65,9 @@ struct Envelope {
   // RNG-neutral for runs that never set a deadline.
   uint64_t deadline_ns = 0;
 
-  size_t WireSize() const { return payload.size() + 32; }  // 32-byte header
+  // Front plus segments plus a 32-byte header: the flat encoding's size, so
+  // sending bulk data by reference costs the same simulated time.
+  size_t WireSize() const { return payload.size() + 32; }
 };
 
 // Receives envelopes from the network. Implemented by Actor.

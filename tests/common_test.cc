@@ -1,10 +1,13 @@
 // Unit tests for src/common: status/result, buffer encoding (including the
-// exact-size codec over every wire message family), rng, stats.
+// exact-size codec over every wire message family and segmented messages),
+// rng, stats.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <functional>
 #include <memory>
+#include <string_view>
+#include <type_traits>
 
 #include "src/common/buffer.h"
 #include "src/common/log.h"
@@ -17,6 +20,7 @@
 #include "src/mds/types.h"
 #include "src/mon/messages.h"
 #include "src/osd/messages.h"
+#include "src/sim/network.h"
 #include "src/telemetry/series.h"
 
 namespace mal {
@@ -278,6 +282,19 @@ TEST(EncodingTest, TruncatedStringFails) {
   EXPECT_FALSE(dec.ok());
 }
 
+TEST(EncodingTest, LengthThatWrapsThePositionFails) {
+  Buffer b;
+  Encoder enc(&b);
+  enc.PutVarU64(~0ULL);  // position + length wraps around to a small number
+  enc.PutString("trailing bytes");
+  Decoder strings(b);
+  EXPECT_EQ(strings.GetString(), "");
+  EXPECT_FALSE(strings.ok());
+  Decoder buffers(b);
+  EXPECT_TRUE(buffers.GetBuffer().empty());
+  EXPECT_FALSE(buffers.ok());
+}
+
 TEST(EncodingTest, FixedWidthIsLittleEndianOnTheWire) {
   Buffer b;
   Encoder enc(&b);
@@ -430,6 +447,151 @@ TEST(ExactEncodeTest, MessageCodecTable) {
     }
     EXPECT_EQ(c.reencode(exact), exact);
   }
+}
+
+// A segmented message is read only through a Decoder over the Payload, and
+// never through a temporary one whose segments would dangle.
+static_assert(!std::is_constructible_v<std::string_view, const Payload&>);
+static_assert(!std::is_constructible_v<Buffer, const Payload&>);
+static_assert(!std::is_constructible_v<Decoder, Payload&&>);
+static_assert(std::is_constructible_v<Decoder, const Payload&>);
+
+// Decodes a segmented payload and re-encodes it flat; empty on a failed or
+// partial decode.
+template <typename Msg, typename DecodeFn>
+Buffer FlatAfterSegmentedDecode(const Payload& payload, DecodeFn decode) {
+  Decoder dec(payload);
+  Msg decoded = decode(&dec);
+  return dec.ok() && dec.remaining() == 0 ? Encode(decoded) : Buffer();
+}
+
+osd::Object SampleObject() {
+  osd::Object object;
+  object.data = Buffer::FromString(std::string(8192, 'd'));
+  object.omap.Set("k", "v");
+  object.xattrs["ec.cksum"] = "123";
+  object.snapshots["small"] = Buffer::FromString("snap");
+  object.snapshots["big"] = Buffer::FromString(std::string(3000, 's'));
+  object.version = 7;
+  return object;
+}
+
+TEST(SegmentTest, RoundTripMatchesTheFlatEncoding) {
+  osd::OsdOpRequest request;
+  request.oid = "obj";
+  osd::Op write;
+  write.type = osd::Op::Type::kWriteFull;
+  write.data = Buffer::FromString(std::string(4096, 'w'));
+  request.ops.push_back(write);
+  osd::Op append;
+  append.type = osd::Op::Type::kAppend;
+  append.data = Buffer::FromString(std::string(kSegmentMinBytes - 1, 'a'));  // stays in front
+  request.ops.push_back(append);
+  osd::OsdOpReply reply;
+  reply.map_epoch = 3;
+  reply.results.push_back({Status::Ok(), Buffer(std::string(kSegmentMinBytes, 'r'))});
+  reply.results.push_back({Status::NotFound("x"), Buffer(std::string(1400, 'q'))});
+  osd::Object object = SampleObject();
+
+  struct Case {
+    std::string name;
+    Payload segmented;
+    Buffer flat;
+    size_t segments;
+    Buffer decoded_flat;
+  };
+  Payload request_wire = EncodeSegmented(request);
+  Payload reply_wire = EncodeSegmented(reply);
+  Payload object_wire = EncodeSegmented(object);
+  std::vector<Case> cases = {
+      {"OsdOpRequest", request_wire, Encode(request), 1,
+       FlatAfterSegmentedDecode<osd::OsdOpRequest>(request_wire, osd::OsdOpRequest::Decode)},
+      {"OsdOpReply", reply_wire, Encode(reply), 1,
+       FlatAfterSegmentedDecode<osd::OsdOpReply>(reply_wire, osd::OsdOpReply::Decode)},
+      {"Object", object_wire, Encode(object), 2,
+       FlatAfterSegmentedDecode<osd::Object>(object_wire, osd::Object::Decode)},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    EXPECT_TRUE(c.segmented.segmented());
+    EXPECT_EQ(c.segmented.segments().size(), c.segments);
+    EXPECT_EQ(c.segmented.size(), c.flat.size());
+    sim::Envelope segmented_envelope;
+    segmented_envelope.payload = c.segmented;
+    sim::Envelope flat_envelope;
+    flat_envelope.payload = c.flat;
+    EXPECT_EQ(segmented_envelope.WireSize(), flat_envelope.WireSize());
+    EXPECT_EQ(c.decoded_flat, c.flat);
+    // The front is exact-size too: no spare capacity behind decoded slices.
+    EXPECT_EQ(c.segmented.front().capacity(), c.segmented.front().size());
+  }
+  // Whole-allocation buffers travel by reference, and decode to the same
+  // storage on the far side.
+  EXPECT_TRUE(request_wire.segments()[0].SharesStorageWith(write.data));
+  Decoder dec(request_wire);
+  osd::OsdOpRequest decoded = osd::OsdOpRequest::Decode(&dec);
+  ASSERT_TRUE(dec.Finish().ok());
+  EXPECT_TRUE(decoded.ops[0].data.SharesStorageWith(write.data));
+  EXPECT_FALSE(decoded.ops[1].data.SharesStorageWith(append.data));
+  EXPECT_TRUE(object_wire.segments()[0].SharesStorageWith(object.data));
+  // A flat payload decodes through the same constructor.
+  Payload flat = Encode(request);
+  EXPECT_FALSE(flat.segmented());
+  EXPECT_EQ(FlatAfterSegmentedDecode<osd::OsdOpRequest>(flat, osd::OsdOpRequest::Decode),
+            Encode(request));
+}
+
+TEST(SegmentTest, SlicesAndSpareCapacityArriveAsExactSizeSegments) {
+  Buffer backing = Buffer::FromString(std::string(16384, 'b'));
+  Buffer slice = backing.Read(100, 4096);
+  std::string roomy(4096, 'c');
+  roomy.reserve(8192);
+  Buffer spare = Buffer::FromString(std::move(roomy));
+  ASSERT_GT(spare.capacity(), spare.size());
+  Buffer whole = Buffer::FromString(std::string(4096, 'w'));
+
+  Payload wire = EncodeSegmented([&](Encoder* enc) {
+    enc->PutBuffer(slice);
+    enc->PutBuffer(spare);
+    enc->PutBuffer(whole);
+  });
+  ASSERT_EQ(wire.segments().size(), 3u);
+  EXPECT_FALSE(wire.segments()[0].SharesStorageWith(backing));
+  EXPECT_FALSE(wire.segments()[1].SharesStorageWith(spare));
+  EXPECT_TRUE(wire.segments()[2].SharesStorageWith(whole));
+  for (const Buffer& segment : wire.segments()) {
+    EXPECT_EQ(segment.size(), 4096u);
+    EXPECT_LT(segment.capacity() - segment.size(), 256u);
+  }
+  Decoder dec(wire);
+  EXPECT_EQ(dec.GetBuffer(), slice);
+  EXPECT_EQ(dec.GetBuffer(), spare);
+  EXPECT_EQ(dec.GetBuffer(), whole);
+  EXPECT_TRUE(dec.Finish().ok());
+}
+
+TEST(SegmentTest, MissingOrShortSegmentFailsDecode) {
+  osd::Object object = SampleObject();
+  Payload wire = EncodeSegmented(object);
+  ASSERT_EQ(wire.segments().size(), 2u);
+  Buffer data = wire.segments()[0];
+  Buffer snapshot = wire.segments()[1];
+  Buffer longer = snapshot;
+  longer.Append("x");
+  // Both missing, one missing, out of order, short, long.
+  std::vector<std::vector<Buffer>> broken = {
+      {}, {data}, {snapshot, data}, {data.Read(0, 8191), snapshot}, {data, longer}};
+  for (size_t i = 0; i < broken.size(); ++i) {
+    SCOPED_TRACE(i);
+    Payload bad(wire.front(), broken[i]);
+    Decoder dec(bad);
+    (void)osd::Object::Decode(&dec);
+    EXPECT_EQ(dec.Finish().code(), Code::kCorruption);
+  }
+  // The front alone, read as a flat message, is short as well.
+  Decoder flat(wire.front());
+  (void)osd::Object::Decode(&flat);
+  EXPECT_EQ(flat.Finish().code(), Code::kCorruption);
 }
 
 TEST(RngTest, Deterministic) {

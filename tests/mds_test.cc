@@ -379,6 +379,34 @@ TEST_P(MdsMigrationRoutingTest, MigrationUnderRoundTripLoadGrantsEachPositionOnc
   EXPECT_EQ(mds[1]->GetInode("/seq")->seq_tail, granted.size());
 }
 
+// A name unlinked on the rank it migrated to stays with that rank: the root
+// still routes the name there, so neither rank may hand it back to the other.
+TEST_P(MdsMigrationRoutingTest, UnlinkAfterMigrationKeepsTheNameReachable) {
+  MdsConfig config;
+  config.routing = GetParam();
+  Start(2, config);
+  auto request = [&](MdsOp op) {
+    ClientRequest req;
+    req.op = op;
+    req.path = "/f";
+    std::optional<Status> result;
+    clients[0]->mds.Request(req, [&](Status s, const MdsReply&) { result = s; });
+    Settle(3 * sim::kSecond);
+    return result.value_or(Status::TimedOut("no callback"));
+  };
+  ASSERT_TRUE(request(MdsOp::kCreate).ok());
+  std::optional<Status> migrated;
+  mds[0]->Migrate("/f", 1, [&](Status s) { migrated = s; });
+  Settle(3 * sim::kSecond);
+  ASSERT_TRUE(migrated.has_value() && migrated->ok());
+
+  ASSERT_TRUE(request(MdsOp::kUnlink).ok());
+  EXPECT_EQ(request(MdsOp::kLookup).code(), Code::kNotFound);
+  Status created = request(MdsOp::kCreate);
+  EXPECT_TRUE(created.ok()) << created;
+  EXPECT_TRUE(request(MdsOp::kLookup).ok());
+}
+
 INSTANTIATE_TEST_SUITE_P(Routing, MdsMigrationRoutingTest,
                          ::testing::Values(RoutingMode::kProxy, RoutingMode::kRedirect));
 

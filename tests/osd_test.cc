@@ -7,6 +7,7 @@
 #include <memory>
 #include <optional>
 
+#include "src/ec/pool.h"
 #include "src/mon/monitor.h"
 #include "src/osd/osd.h"
 #include "src/rados/client.h"
@@ -178,10 +179,10 @@ TEST_F(OsdClusterFixture, ReplicasHoldIdenticalData) {
   EXPECT_EQ(a->data.ToString(), b->data.ToString());
 }
 
-// A stored payload is a zero-copy slice of the message it arrived in, so it
-// keeps that message's whole allocation alive. Exact-size encoding bounds
-// the slack behind a 4 KiB write to the op's trailing fields, on the
-// primary (client request) and on the replica (rep op) alike.
+// A 4 KiB write crosses the wire as a data segment held by reference: the
+// primary stores the client request's segment, the rep op carries that same
+// segment on, and the replica stores it too. One exact-size storage backs
+// both copies, and it pins no bytes beyond the object's own.
 TEST_F(OsdClusterFixture, StoredPayloadPinsNoSpareCapacity) {
   Start(4, /*replicas=*/2);
   ASSERT_TRUE(WriteFull("page", std::string(4096, 'p')).ok());
@@ -192,6 +193,49 @@ TEST_F(OsdClusterFixture, StoredPayloadPinsNoSpareCapacity) {
     const Buffer& data = osds[holder]->store().Get("page").value()->data;
     ASSERT_EQ(data.size(), 4096u);
     EXPECT_LT(data.capacity() - data.size(), 256u) << "osd." << holder;
+  }
+  const Buffer& first = osds[holders[0]]->store().Get("page").value()->data;
+  const Buffer& second = osds[holders[1]]->store().Get("page").value()->data;
+  EXPECT_TRUE(first.SharesStorageWith(second));
+  // Bit rot goes through Buffer::Write, which detaches: one copy rots.
+  ASSERT_TRUE(osds[holders[0]]->store().FlipBit("page", 0, 0));
+  EXPECT_FALSE(first.SharesStorageWith(second));
+  EXPECT_EQ(second.ToString(), std::string(4096, 'p'));
+}
+
+// EC shards are slices of the client's object. Each one leaves the client as
+// its own exact-size copy, in the front below kSegmentMinBytes and as a
+// segment above it, so no shard pins the object or a sibling shard.
+TEST_F(OsdClusterFixture, StoredEcShardsShareNoStorage) {
+  Start(4);
+  std::optional<Status> created;
+  ec::Pool::Create(&client->rados, "ecp", mon::PoolLayout::Erasure(3),
+                   [&](Status s) { created = s; });
+  Settle(3 * sim::kSecond);
+  ASSERT_TRUE(created.has_value() && created->ok());
+  std::optional<ec::Pool> pool = ec::Pool::Bind(&client->rados, "ecp");
+  ASSERT_TRUE(pool.has_value());
+  for (size_t bytes : {size_t{4096}, size_t{3 * 4096}}) {
+    SCOPED_TRACE(bytes);
+    std::string name = "obj" + std::to_string(bytes);
+    std::optional<Status> written;
+    pool->Write(name, Buffer::FromString(std::string(bytes, 'e')),
+                [&](Status s) { written = s; });
+    Settle(3 * sim::kSecond);
+    ASSERT_TRUE(written.has_value() && written->ok());
+    std::vector<Buffer> shards;
+    for (uint32_t i = 0; i <= 3; ++i) {
+      std::vector<uint32_t> holders = Holders(pool->ShardOid(name, i));
+      ASSERT_EQ(holders.size(), 1u) << "shard " << i;
+      shards.push_back(osds[holders[0]]->store().Get(pool->ShardOid(name, i)).value()->data);
+    }
+    for (size_t a = 0; a < shards.size(); ++a) {
+      EXPECT_EQ(shards[a].size(), (bytes + 2) / 3);
+      EXPECT_LT(shards[a].capacity() - shards[a].size(), 256u) << "shard " << a;
+      for (size_t b = a + 1; b < shards.size(); ++b) {
+        EXPECT_FALSE(shards[a].SharesStorageWith(shards[b])) << a << " and " << b;
+      }
+    }
   }
 }
 

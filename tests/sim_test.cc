@@ -91,7 +91,7 @@ TEST(NetworkTest, DeliversWithLatency) {
   simulator.Run();
   ASSERT_EQ(sink.received.size(), 1u);
   EXPECT_EQ(sink.received[0].type, 42u);
-  EXPECT_EQ(sink.received[0].payload.ToString(), "hi");
+  EXPECT_EQ(sink.received[0].payload.front().ToString(), "hi");
   EXPECT_GT(simulator.Now(), 0u);  // latency was charged
 }
 
@@ -332,7 +332,7 @@ class EchoActor : public Actor {
       Reply(request, request.payload);
       return;
     }
-    mal::Buffer payload = request.payload;
+    mal::Payload payload = request.payload;
     Envelope req_copy = request;
     AfterCpu(cpu_cost_, [this, req_copy, payload] { Reply(req_copy, payload); });
   }
@@ -361,7 +361,7 @@ TEST(ActorTest, RequestReplyRoundTrip) {
   client.SendRequest(EntityName::Osd(0), 7, mal::Buffer::FromString("ping"),
                      [&](mal::Status s, const Envelope& reply) {
                        got_status = s;
-                       got_payload = reply.payload.ToString();
+                       got_payload = reply.payload.front().ToString();
                      });
   simulator.Run();
   EXPECT_TRUE(got_status.ok()) << got_status;
