@@ -7,21 +7,27 @@
 // Output: per policy, a down-sampled (time, client) event stream showing
 // which client held the sequencer when, plus batching statistics. Expected
 // shape: best-effort = fine-grained interleaving with many exchanges;
-// delay = long alternating time slices; quota = fixed-size bursts.
+// delay = long alternating time slices; quota = fixed-size bursts. The
+// bench checks that shape on mean ops per cap tenure (delay >= 10x quota,
+// quota > best-effort), writes BENCH_fig5_cap_interleaving.json, and exits
+// non-zero on a FAIL.
 #include "bench/bench_util.h"
 #include "bench/cap_experiment.h"
 
 namespace mal::bench {
 namespace {
 
-void RunAndPrint(const CapExperimentConfig& config) {
+// Runs one policy, prints its section and JSON record, and returns the
+// mean ops per cap tenure.
+double RunAndPrint(const CapExperimentConfig& config, JsonReporter* json) {
   CapExperimentResult result = RunCapExperiment(config);
   PrintSection(config.name);
   std::printf("total_ops_per_sec\t%.0f\n", result.total_ops_per_sec);
   std::printf("cap_exchanges\t%llu\n",
               static_cast<unsigned long long>(result.cap_exchanges));
   // Mean batch: ops per cap tenure.
-  double total_ops = result.total_ops_per_sec * 10.0;
+  double total_ops =
+      result.total_ops_per_sec * static_cast<double>(config.duration) / sim::kSecond;
   double batch = result.cap_exchanges > 0
                      ? total_ops / static_cast<double>(result.cap_exchanges)
                      : total_ops;
@@ -42,6 +48,10 @@ void RunAndPrint(const CapExperimentConfig& config) {
       ++printed;
     }
   }
+  json->Add(config.name, {{"total_ops_per_sec", result.total_ops_per_sec},
+                          {"cap_exchanges", static_cast<double>(result.cap_exchanges)},
+                          {"mean_ops_per_tenure", batch}});
+  return batch;
 }
 
 }  // namespace
@@ -54,20 +64,28 @@ int main() {
               "2 clients, 1 cached sequencer, 10 s runs; policies: "
               "best-effort / delay(0.25 s) / quota(500 ops)");
 
+  JsonReporter json("fig5_cap_interleaving");
   CapExperimentConfig best_effort;
   best_effort.name = "(a) best-effort";
   best_effort.mode = LeaseMode::kBestEffort;
-  RunAndPrint(best_effort);
+  double best_effort_batch = RunAndPrint(best_effort, &json);
 
   CapExperimentConfig delay;
   delay.name = "(b) delay (max_hold = 0.25 s)";
   delay.mode = LeaseMode::kDelay;
-  RunAndPrint(delay);
+  double delay_batch = RunAndPrint(delay, &json);
 
   CapExperimentConfig quota;
   quota.name = "(c) quota (500 ops)";
   quota.mode = LeaseMode::kQuota;
   quota.quota = 500;
-  RunAndPrint(quota);
-  return 0;
+  double quota_batch = RunAndPrint(quota, &json);
+
+  std::printf("\n");
+  bool ok = ShapeCheck("mean ops per cap tenure: delay >= 10x quota",
+                       delay_batch >= 10.0 * quota_batch);
+  ok &= ShapeCheck("mean ops per cap tenure: quota > best-effort",
+                   quota_batch > best_effort_batch);
+  json.Write();
+  return ok ? 0 : 1;
 }

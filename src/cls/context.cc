@@ -46,86 +46,71 @@ mal::Result<std::string> ClsContext::XattrGet(const std::string& key) const {
   return *value;
 }
 
-void ClsContext::RecordAndApply(osd::Op op) { effects_->push_back(std::move(op)); }
+mal::Status ClsContext::ApplyAndRecord(osd::Op op) {
+  osd::OpResult result;
+  mal::Status s = osd::ObjectStore::ApplyOp(op, staged_, &result);
+  if (s.ok()) {
+    effects_->push_back(std::move(op));
+  }
+  return s;
+}
 
 mal::Status ClsContext::Create(bool excl) {
+  // An existing object needs no op; checking here names the oid in the error.
   if (staged_->exists()) {
-    if (excl) {
-      return mal::Status::AlreadyExists("object " + oid_);
-    }
-    return mal::Status::Ok();
+    return excl ? mal::Status::AlreadyExists("object " + oid_) : mal::Status::Ok();
   }
-  staged_->Create();
   osd::Op op;
   op.type = osd::Op::Type::kCreate;
-  op.excl = false;  // staged check already enforced exclusivity
-  RecordAndApply(std::move(op));
-  return mal::Status::Ok();
+  return ApplyAndRecord(std::move(op));
 }
 
 mal::Status ClsContext::Write(uint64_t offset, const mal::Buffer& data) {
-  staged_->Create();
-  staged_->MutableData()->Write(offset, data.data(), data.size());
   osd::Op op;
   op.type = osd::Op::Type::kWrite;
   op.offset = offset;
   op.data = data;
-  RecordAndApply(std::move(op));
-  return mal::Status::Ok();
+  return ApplyAndRecord(std::move(op));
 }
 
 mal::Status ClsContext::WriteFull(const mal::Buffer& data) {
-  staged_->Create();
-  *staged_->MutableData() = data;
   osd::Op op;
   op.type = osd::Op::Type::kWriteFull;
   op.data = data;
-  RecordAndApply(std::move(op));
-  return mal::Status::Ok();
+  return ApplyAndRecord(std::move(op));
 }
 
 mal::Status ClsContext::Append(const mal::Buffer& data) {
-  staged_->Create();
-  staged_->MutableData()->Append(data);
   osd::Op op;
   op.type = osd::Op::Type::kAppend;
   op.data = data;
-  RecordAndApply(std::move(op));
-  return mal::Status::Ok();
+  return ApplyAndRecord(std::move(op));
 }
 
 mal::Status ClsContext::OmapSet(const std::string& key, const std::string& value) {
-  staged_->Create();
-  staged_->OmapSet(key, value);
   osd::Op op;
   op.type = osd::Op::Type::kOmapSet;
   op.key = key;
   op.value = value;
-  RecordAndApply(std::move(op));
-  return mal::Status::Ok();
+  return ApplyAndRecord(std::move(op));
 }
 
 mal::Status ClsContext::OmapDel(const std::string& key) {
   if (!staged_->exists()) {
     return mal::Status::NotFound("object " + oid_);
   }
-  staged_->OmapDel(key);
   osd::Op op;
   op.type = osd::Op::Type::kOmapDel;
   op.key = key;
-  RecordAndApply(std::move(op));
-  return mal::Status::Ok();
+  return ApplyAndRecord(std::move(op));
 }
 
 mal::Status ClsContext::XattrSet(const std::string& key, const std::string& value) {
-  staged_->Create();
-  staged_->XattrSet(key, value);
   osd::Op op;
   op.type = osd::Op::Type::kXattrSet;
   op.key = key;
   op.value = value;
-  RecordAndApply(std::move(op));
-  return mal::Status::Ok();
+  return ApplyAndRecord(std::move(op));
 }
 
 }  // namespace mal::cls

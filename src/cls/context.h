@@ -1,10 +1,11 @@
 // Execution context handed to object-class methods (paper §4.2).
 //
 // A method runs "within the context of an object": reads observe the
-// staged transaction state, and every mutation is both applied to the
-// staged object and recorded as a primitive Op. The recorded ops replace
-// the kExec op in the transaction that the primary OSD ships to replicas,
-// so replicas never run class code — they apply its effects
+// staged transaction state, and every mutation is built as a primitive Op,
+// applied to the staged object through ObjectStore::ApplyOp (the same code
+// a client's op runs), and recorded. The primary commits the staged object
+// as is; the recorded ops replace the kExec op in the transaction it ships
+// to replicas, so replicas never run class code — they replay its effects
 // deterministically (like Ceph replicating the resulting transaction).
 #ifndef MALACOLOGY_CLS_CONTEXT_H_
 #define MALACOLOGY_CLS_CONTEXT_H_
@@ -36,7 +37,7 @@ class ClsContext {
   mal::Result<osd::Omap> OmapList(const std::string& prefix) const;
   mal::Result<std::string> XattrGet(const std::string& key) const;
 
-  // -- writes (staged + recorded) ---------------------------------------------
+  // -- writes (applied through ObjectStore::ApplyOp, then recorded) ------------
   mal::Status Create(bool excl);
   mal::Status Write(uint64_t offset, const mal::Buffer& data);
   mal::Status WriteFull(const mal::Buffer& data);
@@ -46,7 +47,8 @@ class ClsContext {
   mal::Status XattrSet(const std::string& key, const std::string& value);
 
  private:
-  void RecordAndApply(osd::Op op);
+  // Stages `op` with ObjectStore::ApplyOp and, if it succeeds, records it.
+  mal::Status ApplyAndRecord(osd::Op op);
 
   std::string oid_;
   osd::TxnObject* staged_;

@@ -1,5 +1,8 @@
 #include "src/ec/codec.h"
 
+#include <string>
+#include <utility>
+
 #include "src/osd/placement.h"
 
 namespace mal::ec {
@@ -13,15 +16,13 @@ std::vector<mal::Buffer> Encode(const mal::Buffer& data, uint32_t k) {
     shard.Resize(shard_len);  // zero-pad the tail shard
     shards.push_back(std::move(shard));
   }
-  mal::Buffer parity;
-  parity.Resize(shard_len);
-  std::string parity_bytes(shard_len, '\0');
+  std::string parity(shard_len, '\0');
   for (uint32_t i = 0; i < k; ++i) {
     for (uint64_t b = 0; b < shard_len; ++b) {
-      parity_bytes[b] = static_cast<char>(parity_bytes[b] ^ shards[i].data()[b]);
+      parity[b] = static_cast<char>(parity[b] ^ shards[i].data()[b]);
     }
   }
-  shards.push_back(mal::Buffer::FromString(parity_bytes));
+  shards.push_back(mal::Buffer::FromString(std::move(parity)));
   return shards;
 }
 

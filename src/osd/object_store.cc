@@ -208,6 +208,25 @@ Op Op::Decode(mal::Decoder* dec) {
   return op;
 }
 
+bool IsMutating(Op::Type type) {
+  switch (type) {
+    case Op::Type::kCreate:
+    case Op::Type::kRemove:
+    case Op::Type::kWrite:
+    case Op::Type::kWriteFull:
+    case Op::Type::kAppend:
+    case Op::Type::kTruncate:
+    case Op::Type::kOmapSet:
+    case Op::Type::kOmapDel:
+    case Op::Type::kXattrSet:
+    case Op::Type::kSnapCreate:
+    case Op::Type::kSnapRemove:
+      return true;
+    default:
+      return false;
+  }
+}
+
 TxnObject::TxnObject(const Object* base) : base_(base) {
   if (base_ != nullptr) {
     exists_ = true;
@@ -452,9 +471,13 @@ void ObjectStore::CommitInPlace(Object* object, const TxnObject& staged) {
 }
 
 mal::Status ObjectStore::ApplyTransaction(const std::string& oid, const std::vector<Op>& ops,
-                                          std::vector<OpResult>* results) {
+                                          std::vector<OpResult>* results,
+                                          const ExecResolver& exec, std::vector<Op>* expanded) {
   results->clear();
   results->resize(ops.size());
+  if (expanded != nullptr) {
+    expanded->clear();
+  }
 
   // Stage: a delta view over the single target object. All ops execute
   // against the staged deltas; commit folds them in only if every op
@@ -463,75 +486,70 @@ mal::Status ObjectStore::ApplyTransaction(const std::string& oid, const std::vec
   auto target = objects_.find(oid);
   const bool existed = target != objects_.end();
   TxnObject staged(existed ? &target->second : nullptr);
-  bool removed = false;
+  bool mutated = false;
 
   for (size_t i = 0; i < ops.size(); ++i) {
     const Op& op = ops[i];
+    OpResult& result = (*results)[i];
     if (op.type == Op::Type::kExec) {
-      (*results)[i].status =
-          mal::Status::Internal("kExec must be expanded by the class runtime");
-      return (*results)[i].status;
+      if (!exec) {
+        result.status = mal::Status::Internal("kExec must be expanded by the class runtime");
+        return result.status;
+      }
+      std::vector<Op> effects;
+      mal::Result<mal::Buffer> out = exec(oid, op, &staged, &effects);
+      if (!out.ok()) {
+        result.status = out.status();
+        return result.status;
+      }
+      result.out = std::move(out).value();
+      for (Op& effect : effects) {
+        mutated = mutated || IsMutating(effect.type);
+        if (expanded != nullptr) {
+          expanded->push_back(std::move(effect));
+        }
+      }
+      continue;
     }
     if (op.type == Op::Type::kRemove) {
       if (!staged.exists()) {
-        (*results)[i].status = mal::Status::NotFound("object " + oid);
-        return (*results)[i].status;
+        result.status = mal::Status::NotFound("object " + oid);
+        return result.status;
       }
       staged.Remove();
-      removed = true;
-      (*results)[i].status = mal::Status::Ok();
-      continue;
+    } else {
+      result.status = ApplyOp(op, &staged, &result);
+      if (!result.status.ok()) {
+        return result.status;  // abort: nothing applied
+      }
     }
-    mal::Status s = ApplyOp(op, &staged, &(*results)[i]);
-    (*results)[i].status = s;
-    if (!s.ok()) {
-      return s;  // abort: nothing applied
+    mutated = mutated || IsMutating(op.type);
+    if (expanded != nullptr) {
+      expanded->push_back(op);
     }
   }
 
   // Commit.
-  if (removed && !staged.exists()) {
+  if (!mutated) {
+    return mal::Status::Ok();  // read-only: no commit, no version bump
+  }
+  if (!staged.exists()) {
     if (existed) {
       bytes_used_ -= Footprint(target->second);
       objects_.erase(target);
     }
-    return mal::Status::Ok();
-  }
-  if (staged.exists()) {
-    bool mutated = !existed;
-    for (const Op& op : ops) {
-      switch (op.type) {
-        case Op::Type::kCreate:
-        case Op::Type::kWrite:
-        case Op::Type::kWriteFull:
-        case Op::Type::kAppend:
-        case Op::Type::kTruncate:
-        case Op::Type::kOmapSet:
-        case Op::Type::kOmapDel:
-        case Op::Type::kXattrSet:
-        case Op::Type::kSnapCreate:
-        case Op::Type::kSnapRemove:
-          mutated = true;
-          break;
-        default:
-          break;
-      }
+  } else if (existed && staged.base_visible()) {
+    CommitInPlace(&target->second, staged);
+  } else {
+    // New object, or removed-and-recreated within the transaction: the
+    // overlays hold the entire state.
+    std::optional<Object> built = staged.Materialize();
+    ++built->version;
+    if (existed) {
+      bytes_used_ -= Footprint(target->second);
     }
-    if (mutated) {
-      if (existed && staged.base_visible()) {
-        CommitInPlace(&target->second, staged);
-      } else {
-        // New object, or removed-and-recreated within the transaction:
-        // the overlays hold the entire state.
-        std::optional<Object> built = staged.Materialize();
-        ++built->version;
-        if (existed) {
-          bytes_used_ -= Footprint(target->second);
-        }
-        bytes_used_ += Footprint(*built);
-        objects_[oid] = std::move(*built);
-      }
-    }
+    bytes_used_ += Footprint(*built);
+    objects_[oid] = std::move(*built);
   }
   return mal::Status::Ok();
 }

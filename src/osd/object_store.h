@@ -16,11 +16,19 @@
 // replays just the deltas. A transaction therefore costs O(bytes it
 // touches), not O(object size) — the difference between O(1) and O(n)
 // per append on a CORFU-style stripe object that only grows.
+//
+// ApplyTransaction is the only loop that stages a transaction, and ApplyOp
+// is the only code that mutates a staged object. A class method (kExec)
+// runs inside that loop through a caller-supplied resolver: its ClsContext
+// turns each mutation into a primitive Op and applies it with ApplyOp, so
+// the primary commits the very object the method staged, and the recorded
+// ops are what replicas replay.
 #ifndef MALACOLOGY_OSD_OBJECT_STORE_H_
 #define MALACOLOGY_OSD_OBJECT_STORE_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <iterator>
 #include <map>
 #include <optional>
@@ -175,6 +183,11 @@ struct Op {
   static Op Decode(mal::Decoder* dec);
 };
 
+// True for op types that change an object. A transaction commits (and bumps
+// the version) only if one of its primitive ops — class-method effects
+// included — is mutating.
+bool IsMutating(Op::Type type);
+
 struct OpResult {
   mal::Status status;
   mal::Buffer out;
@@ -247,14 +260,22 @@ class TxnObject {
 // access through its CPU model.
 class ObjectStore {
  public:
+  // Runs one kExec op's class method against the staged object, appending
+  // the primitive ops it applied to `effects`; returns the method's output.
+  using ExecResolver = std::function<mal::Result<mal::Buffer>(
+      const std::string& oid, const Op& op, TxnObject* staged, std::vector<Op>* effects)>;
+
   // Executes all ops on `oid` atomically. If any op fails (other than
   // per-op reads reporting kNotFound data — those fail the transaction
   // too), no mutation is applied and the failing status is returned.
   // Per-op results land in `results` (sized to ops) for the caller to
-  // forward. kExec ops must be resolved by the caller into primitive ops
-  // via the class runtime; the store rejects them here.
+  // forward. kExec ops run through `exec`; without one they fail. When
+  // `expanded` is non-null it receives the transaction as primitive ops
+  // (each kExec replaced by its effects): what a replica replays.
   mal::Status ApplyTransaction(const std::string& oid, const std::vector<Op>& ops,
-                               std::vector<OpResult>* results);
+                               std::vector<OpResult>* results,
+                               const ExecResolver& exec = nullptr,
+                               std::vector<Op>* expanded = nullptr);
 
   bool Exists(const std::string& oid) const { return objects_.count(oid) != 0; }
   mal::Result<const Object*> Get(const std::string& oid) const;
@@ -282,9 +303,9 @@ class ObjectStore {
   uint64_t RecomputeBytesUsed() const;
 
   // Applies one op against a transaction's staged object view. Public and
-  // static so the OSD's class runtime can expand kExec ops against the
-  // staged state before committing. kRemove and kExec are handled by the
-  // caller (their error messages name the oid, which TxnObject lacks).
+  // static so class methods (ClsContext) stage their mutations through it.
+  // kRemove and kExec are handled by ApplyTransaction (their error messages
+  // name the oid, which TxnObject lacks).
   static mal::Status ApplyOp(const Op& op, TxnObject* object, OpResult* result);
 
  private:

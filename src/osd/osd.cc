@@ -1,6 +1,7 @@
 #include "src/osd/osd.h"
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <optional>
 
@@ -219,93 +220,24 @@ sim::Time Osd::OpCost(const OsdOpRequest& req) const {
   return cost;
 }
 
-mal::Status Osd::ExpandTransaction(const OsdOpRequest& req, std::vector<OpResult>* results,
-                                   std::vector<Op>* expanded) {
-  results->clear();
-  results->resize(req.ops.size());
-  expanded->clear();
-
-  // Delta view over the committed object: expanding a transaction (class
-  // method execution included) never clones the object, only overlays the
-  // bytes it touches.
-  const Object* base = nullptr;
-  if (auto existing = store_.Get(req.oid); existing.ok()) {
-    base = existing.value();
-  }
-  TxnObject staged(base);
-  bool removed = false;
-
-  for (size_t i = 0; i < req.ops.size(); ++i) {
-    const Op& op = req.ops[i];
-    OpResult& result = (*results)[i];
-    if (op.type == Op::Type::kExec) {
-      std::vector<Op> effects;
-      cls::ClsContext ctx(req.oid, &staged, &effects);
-      script::EngineStats sstats;
-      auto out = registry_.Execute(op.cls_name, op.method, ctx, op.data, 1'000'000, &sstats);
-      // Script-method engine counters (absent for native methods).
-      mal::ExportScriptCounters(&perf_, "osd", sstats);
-      perf_.Inc("osd.cls." + op.cls_name + "." + op.method + ".count");
-      // Charged execution cost of this method call (the CPU-model share
-      // attributable to it: per-byte decode plus script surcharge).
-      perf_.Observe("osd.cls." + op.cls_name + "." + op.method + ".exec_us",
-                    (config_.per_byte_cpu_ns * static_cast<double>(op.data.size()) +
-                     (registry_.ScriptVersion(op.cls_name) != ""
-                          ? static_cast<double>(config_.script_exec_cost)
-                          : 0.0)) /
-                        1e3);
-      if (!out.ok()) {
-        result.status = out.status();
-        return result.status;
-      }
-      result.status = mal::Status::Ok();
-      result.out = std::move(out).value();
-      expanded->insert(expanded->end(), effects.begin(), effects.end());
-      continue;
-    }
-    if (op.type == Op::Type::kRemove) {
-      if (!staged.exists()) {
-        result.status = mal::Status::NotFound("object " + req.oid);
-        return result.status;
-      }
-      staged.Remove();
-      removed = true;
-      result.status = mal::Status::Ok();
-      expanded->push_back(op);
-      continue;
-    }
-    result.status = ObjectStore::ApplyOp(op, &staged, &result);
-    if (!result.status.ok()) {
-      return result.status;
-    }
-    expanded->push_back(op);
-  }
-  (void)removed;
-  return mal::Status::Ok();
+mal::Result<mal::Buffer> Osd::RunClassMethod(const std::string& oid, const Op& op,
+                                             TxnObject* staged, std::vector<Op>* effects) {
+  cls::ClsContext ctx(oid, staged, effects);
+  script::EngineStats sstats;
+  auto out = registry_.Execute(op.cls_name, op.method, ctx, op.data, 1'000'000, &sstats);
+  // Script-method engine counters (absent for native methods).
+  mal::ExportScriptCounters(&perf_, "osd", sstats);
+  perf_.Inc("osd.cls." + op.cls_name + "." + op.method + ".count");
+  // Charged execution cost of this method call (the CPU-model share
+  // attributable to it: per-byte decode plus script surcharge).
+  perf_.Observe("osd.cls." + op.cls_name + "." + op.method + ".exec_us",
+                (config_.per_byte_cpu_ns * static_cast<double>(op.data.size()) +
+                 (registry_.ScriptVersion(op.cls_name) != ""
+                      ? static_cast<double>(config_.script_exec_cost)
+                      : 0.0)) /
+                    1e3);
+  return out;
 }
-
-namespace {
-
-bool IsMutating(const Op& op) {
-  switch (op.type) {
-    case Op::Type::kCreate:
-    case Op::Type::kRemove:
-    case Op::Type::kWrite:
-    case Op::Type::kWriteFull:
-    case Op::Type::kAppend:
-    case Op::Type::kTruncate:
-    case Op::Type::kOmapSet:
-    case Op::Type::kOmapDel:
-    case Op::Type::kXattrSet:
-    case Op::Type::kSnapCreate:
-    case Op::Type::kSnapRemove:
-      return true;
-    default:
-      return false;
-  }
-}
-
-}  // namespace
 
 void Osd::HandleOsdOp(const sim::Envelope& request, OsdOpRequest req) {
   if (rejoining_) {
@@ -327,10 +259,8 @@ void Osd::HandleOsdOp(const sim::Envelope& request, OsdOpRequest req) {
   // home, so sweep for it — but only for read-only transactions (a write
   // simply lays down the new generation here; stale copies elsewhere lose
   // the stamp plurality and scrub garbage-collects the inconsistency).
-  bool mutating = false;
-  for (const Op& op : req.ops) {
-    mutating = mutating || IsMutating(op);
-  }
+  bool mutating = std::any_of(req.ops.begin(), req.ops.end(),
+                              [](const Op& op) { return IsMutating(op.type); });
   bool sweep_eligible =
       acting.size() > 1 || (!mutating && ParseEcShardOid(req.oid).has_value());
   if (config_.pull_on_miss && !store_.Exists(req.oid) && sweep_eligible) {
@@ -454,7 +384,9 @@ void Osd::ExecuteOsdOp(const sim::Envelope& request, const OsdOpRequest& req_in,
     }
     auto results = std::make_shared<std::vector<OpResult>>();
     std::vector<Op> expanded;
-    mal::Status status = ExpandTransaction(req, results.get(), &expanded);
+    mal::Status status =
+        store_.ApplyTransaction(req.oid, req.ops, results.get(),
+                                std::bind_front(&Osd::RunClassMethod, this), &expanded);
     if (!status.ok()) {
       perf_.Inc(status.code() == mal::Code::kAborted ? "osd.txn_aborts"
                                                      : "osd.txn_failures");
@@ -469,28 +401,13 @@ void Osd::ExecuteOsdOp(const sim::Envelope& request, const OsdOpRequest& req_in,
       Reply(req_envelope, mal::EncodeSegmented(reply));
     };
 
-    bool mutating = false;
-    for (const Op& op : expanded) {
-      mutating = mutating || IsMutating(op);
-    }
+    bool mutating = std::any_of(expanded.begin(), expanded.end(),
+                                [](const Op& op) { return IsMutating(op.type); });
     if (!status.ok() || !mutating) {
-      send_reply();  // read-only or failed: no replication round
+      send_reply();  // read-only or failed: nothing committed, no replication round
       return;
     }
-
-    // Commit locally.
-    std::vector<OpResult> local_results;
-    mal::Status commit = store_.ApplyTransaction(req.oid, expanded, &local_results);
-    if (commit.ok()) {
-      NotifyWatchers(req.oid);
-    }
-    if (!commit.ok()) {
-      // Should not happen: expansion validated the transaction.
-      MAL_ERROR(name().ToString()) << "commit failed after validation: " << commit;
-      (*results)[0].status = commit;
-      send_reply();
-      return;
-    }
+    NotifyWatchers(req.oid);
 
     // Replicate the expanded transaction.
     std::vector<uint32_t> replicas(acting.begin() + 1, acting.end());
@@ -504,7 +421,7 @@ void Osd::ExecuteOsdOp(const sim::Envelope& request, const OsdOpRequest& req_in,
     // client's request, so primary and replicas store one copy.
     OsdOpRequest rep;
     rep.oid = req.oid;
-    rep.ops = expanded;
+    rep.ops = std::move(expanded);
     mal::Payload rep_payload = mal::EncodeSegmented(rep);
 
     auto pending = std::make_shared<size_t>(replicas.size());

@@ -139,10 +139,11 @@ class Osd : public sim::Actor {
   void GossipTo(uint32_t peer, const mal::Buffer& encoded_map);
   sim::Time OpCost(const OsdOpRequest& req) const;
 
-  // Expands kExec ops and validates the whole transaction against a staged
-  // copy. On success, `expanded` holds only primitive ops.
-  mal::Status ExpandTransaction(const OsdOpRequest& req, std::vector<OpResult>* results,
-                                std::vector<Op>* expanded);
+  // The store's kExec resolver: runs one class method against the staged
+  // object and exports its script counters and osd.cls.<cls>.<method>.*
+  // metrics.
+  mal::Result<mal::Buffer> RunClassMethod(const std::string& oid, const Op& op,
+                                          TxnObject* staged, std::vector<Op>* effects);
 
   OsdConfig config_;
   svc::ServiceDispatcher dispatcher_{this};

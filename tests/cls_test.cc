@@ -3,6 +3,11 @@
 // deep dive on cls_zlog (the CORFU storage interface).
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <set>
+#include <string>
+#include <vector>
+
 #include "src/cls/builtin.h"
 #include "src/cls/registry.h"
 
@@ -294,19 +299,54 @@ TEST(ClsKvIndexTest, AtomicRecordPlusIndex) {
 
 TEST(ClsContextTest, EffectsMirrorMutations) {
   ClsHarness h;
-  ASSERT_TRUE(
-      h.Call("zlog", "write", ZlogOps::MakeWrite(0, 0, mal::Buffer::FromString("e"))).ok());
-  // Effects are primitive ops replayable on a replica.
-  ASSERT_FALSE(h.last_effects.empty());
-  osd::TxnObject staged(nullptr);
-  for (const osd::Op& op : h.last_effects) {
-    osd::OpResult result;
-    ASSERT_TRUE(osd::ObjectStore::ApplyOp(op, &staged, &result).ok());
+  // Every ClsContext mutation, run on an absent object so Create records.
+  h.registry.RegisterNative(
+      "test", "mutate_all", Category::kOther,
+      [](ClsContext& ctx, const mal::Buffer&) -> mal::Result<mal::Buffer> {
+        for (const mal::Status& s :
+             {ctx.Create(false), ctx.WriteFull(mal::Buffer::FromString("0123456789")),
+              ctx.Write(4, mal::Buffer::FromString("ab")),
+              ctx.Append(mal::Buffer::FromString("-tail")), ctx.OmapSet("k1", "v1"),
+              ctx.OmapSet("k2", "v2"), ctx.OmapDel("k1"), ctx.XattrSet("x", "y")}) {
+          if (!s.ok()) {
+            return s;
+          }
+        }
+        return mal::Buffer();
+      });
+  struct Call {
+    std::string cls;
+    std::string method;
+    mal::Buffer input;
+    size_t distinct_op_types;  // in the recorded effects
+  };
+  const std::vector<Call> calls = {
+      {"test", "mutate_all", mal::Buffer(), 7},
+      {"zlog", "write", ZlogOps::MakeWrite(0, 0, mal::Buffer::FromString("e")), 2},
+  };
+  for (const Call& call : calls) {
+    SCOPED_TRACE(call.cls + "." + call.method);
+    std::optional<osd::Object> before = h.object;
+    ASSERT_TRUE(h.Call(call.cls, call.method, call.input).ok());
+    // Effects are primitive ops replayable on a replica: applied to the
+    // object as it was before the call, they rebuild what the method staged.
+    std::set<osd::Op::Type> types;
+    osd::TxnObject replay(before.has_value() ? &*before : nullptr);
+    for (const osd::Op& op : h.last_effects) {
+      types.insert(op.type);
+      osd::OpResult result;
+      ASSERT_TRUE(osd::ObjectStore::ApplyOp(op, &replay, &result).ok());
+    }
+    EXPECT_EQ(types.size(), call.distinct_op_types);
+    std::optional<osd::Object> replica = replay.Materialize();
+    ASSERT_TRUE(replica.has_value());
+    EXPECT_EQ(replica->data.ToString(), h.object->data.ToString());
+    EXPECT_EQ(replica->omap, h.object->omap);
+    EXPECT_EQ(replica->xattrs, h.object->xattrs);
+    EXPECT_EQ(replica->snapshots.size(), h.object->snapshots.size());
+    EXPECT_EQ(replica->version, h.object->version);
   }
-  std::optional<osd::Object> replica = staged.Materialize();
-  ASSERT_TRUE(replica.has_value());
-  EXPECT_EQ(replica->omap, h.object->omap);
-  EXPECT_EQ(replica->xattrs, h.object->xattrs);
+  EXPECT_EQ(h.object->data.ToString(), "0123ab6789-tail");
 }
 
 TEST(ClsContextTest, FailedMethodLeavesObjectUntouched) {

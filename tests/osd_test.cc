@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <optional>
+#include <string>
 
 #include "src/ec/pool.h"
 #include "src/mon/monitor.h"
@@ -103,6 +105,50 @@ class OsdClusterFixture : public ::testing::Test {
       return Status::TimedOut("no callback");
     }
     return *result;
+  }
+
+  // Runs `ops` as one transaction; the status of its first failing op, or
+  // of the last op when all succeed.
+  Status Transact(const std::string& oid, std::vector<osd::Op> ops) {
+    std::optional<Status> result;
+    client->rados.Execute(oid, std::move(ops), [&](Status s, const osd::OsdOpReply& reply) {
+      result = s;
+      for (const osd::OpResult& op_result : reply.results) {
+        result = op_result.status;
+        if (!op_result.status.ok()) {
+          break;
+        }
+      }
+    });
+    Settle(5 * sim::kSecond);
+    return result.value_or(Status::TimedOut("no callback"));
+  }
+
+  // Asserts every holder of `oid` keeps the object the first holder keeps:
+  // data, omap, xattrs, snapshots and version. Returns the holders.
+  std::vector<uint32_t> ExpectHoldersMatch(const std::string& oid, size_t want_holders) {
+    std::vector<uint32_t> holders = Holders(oid);
+    EXPECT_EQ(holders.size(), want_holders) << oid;
+    if (holders.empty()) {
+      return holders;
+    }
+    auto snapshots = [](const osd::Object& object) {
+      std::map<std::string, std::string> bytes;
+      for (const auto& [name, snap] : object.snapshots) {
+        bytes[name] = snap.ToString();
+      }
+      return bytes;
+    };
+    const osd::Object* first = osds[holders[0]]->store().Get(oid).value();
+    for (uint32_t holder : holders) {
+      const osd::Object* object = osds[holder]->store().Get(oid).value();
+      EXPECT_EQ(object->data.ToString(), first->data.ToString()) << "osd " << holder;
+      EXPECT_TRUE(object->omap == first->omap) << "osd " << holder;
+      EXPECT_EQ(object->xattrs, first->xattrs) << "osd " << holder;
+      EXPECT_EQ(snapshots(*object), snapshots(*first)) << "osd " << holder;
+      EXPECT_EQ(object->version, first->version) << "osd " << holder;
+    }
+    return holders;
   }
 
   // Acting set of `oid` (primary first) and, in `others`, the OSDs outside
@@ -420,6 +466,76 @@ TEST_F(OsdClusterFixture, TransactionAtomicAcrossExecAndPrimitives) {
   Settle(5 * sim::kSecond);
   ASSERT_TRUE(meta.has_value());
   EXPECT_EQ(*meta, "locked-write");
+}
+
+// The primary commits the object its class methods staged, and replicas
+// replay the recorded effects: after each kind of class transaction every
+// holder must keep the same object, version included.
+TEST_F(OsdClusterFixture, ReplicasMatchPrimaryAfterClassTransactions) {
+  Start(5, /*replicas=*/3);
+  using cls::ZlogOps;
+  const std::string oid = "class-txn";
+
+  std::vector<ZlogOps::BatchEntry> batch;
+  for (uint64_t pos = 0; pos < 8; ++pos) {
+    batch.push_back({pos, Buffer::FromString("entry-" + std::to_string(pos))});
+  }
+  ASSERT_TRUE(Exec(oid, "zlog", "write_batch", ZlogOps::MakeWriteBatch(0, batch)).ok());
+  Settle(2 * sim::kSecond);
+  ExpectHoldersMatch(oid, 3);
+
+  // A class method and primitive ops in one transaction.
+  std::vector<osd::Op> combo(5);
+  combo[0] = RadosClient::MakeExecOp("zlog", "write",
+                                     ZlogOps::MakeWrite(0, 8, Buffer::FromString("nine")));
+  combo[1].type = osd::Op::Type::kAppend;
+  combo[1].data = Buffer::FromString("bytes");
+  combo[2].type = osd::Op::Type::kSnapCreate;
+  combo[2].key = "snap-1";
+  combo[3].type = osd::Op::Type::kXattrSet;
+  combo[3].key = "owner";
+  combo[3].value = "test";
+  combo[4].type = osd::Op::Type::kOmapDel;
+  combo[4].key = ZlogOps::EntryKey(0);
+  ASSERT_TRUE(Transact(oid, std::move(combo)).ok());
+  Settle(2 * sim::kSecond);
+  std::vector<uint32_t> holders = ExpectHoldersMatch(oid, 3);
+  ASSERT_FALSE(holders.empty());
+  const osd::Object* committed = osds[holders[0]]->store().Get(oid).value();
+  ASSERT_EQ(committed->snapshots.count("snap-1"), 1u);
+  EXPECT_EQ(committed->snapshots.at("snap-1").ToString(), committed->data.ToString());
+  EXPECT_EQ(committed->xattrs.at("owner"), "test");
+  EXPECT_FALSE(committed->omap.Find(ZlogOps::EntryKey(0)).has_value());
+
+  // Remove, then recreate through a class method and a primitive write.
+  std::vector<osd::Op> recreate(3);
+  recreate[0].type = osd::Op::Type::kRemove;
+  recreate[1] = RadosClient::MakeExecOp("zlog", "write",
+                                        ZlogOps::MakeWrite(0, 0, Buffer::FromString("anew")));
+  recreate[2].type = osd::Op::Type::kWriteFull;
+  recreate[2].data = Buffer::FromString("fresh");
+  ASSERT_TRUE(Transact(oid, std::move(recreate)).ok());
+  Settle(2 * sim::kSecond);
+  holders = ExpectHoldersMatch(oid, 3);
+  ASSERT_FALSE(holders.empty());
+  committed = osds[holders[0]]->store().Get(oid).value();
+  EXPECT_EQ(committed->data.ToString(), "fresh");
+  EXPECT_TRUE(committed->snapshots.empty());
+  EXPECT_FALSE(committed->omap.Find(ZlogOps::EntryKey(8)).has_value());
+  EXPECT_TRUE(committed->omap.Find(ZlogOps::EntryKey(0)).has_value());
+
+  // A read-only class method commits nothing: no holder's version moves.
+  std::map<uint32_t, uint64_t> versions;
+  for (uint32_t holder : holders) {
+    versions[holder] = osds[holder]->store().Get(oid).value()->version;
+  }
+  ASSERT_TRUE(Exec(oid, "zlog", "read", ZlogOps::MakeRead(0, 0)).ok());
+  ASSERT_TRUE(Exec(oid, "zlog", "max_pos", ZlogOps::MakeMaxPos(0)).ok());
+  Settle(2 * sim::kSecond);
+  for (uint32_t holder : holders) {
+    EXPECT_EQ(osds[holder]->store().Get(oid).value()->version, versions[holder])
+        << "osd " << holder;
+  }
 }
 
 TEST_F(OsdClusterFixture, PgSplitRemapsAndPullsOnMiss) {
