@@ -28,22 +28,6 @@ mal::Buffer U64Out(uint64_t v) {
   return mal::Encode([v](mal::Encoder* enc) { enc->PutU64(v); });
 }
 
-// Reads the stored epoch (0 if never sealed) and rejects stale requests.
-mal::Result<uint64_t> CheckEpoch(ClsContext& ctx, uint64_t request_epoch) {
-  uint64_t stored = 0;
-  if (ctx.Exists()) {
-    auto e = ctx.XattrGet(ZlogOps::kEpochXattr);
-    if (e.ok()) {
-      stored = ParseU64(e.value());
-    }
-  }
-  if (request_epoch < stored) {
-    return mal::Status::StaleEpoch("request epoch " + U64ToString(request_epoch) +
-                                   " < sealed epoch " + U64ToString(stored));
-  }
-  return stored;
-}
-
 // The u64 in xattr `key`, or 0 when the object or the xattr is absent.
 uint64_t XattrU64(ClsContext& ctx, const char* key) {
   if (!ctx.Exists()) {
@@ -51,6 +35,16 @@ uint64_t XattrU64(ClsContext& ctx, const char* key) {
   }
   auto v = ctx.XattrGet(key);
   return v.ok() ? ParseU64(v.value()) : 0;
+}
+
+// Reads the stored epoch (0 if never sealed) and rejects stale requests.
+mal::Result<uint64_t> CheckEpoch(ClsContext& ctx, uint64_t request_epoch) {
+  uint64_t stored = XattrU64(ctx, ZlogOps::kEpochXattr);
+  if (request_epoch < stored) {
+    return mal::Status::StaleEpoch("request epoch " + U64ToString(request_epoch) +
+                                   " < sealed epoch " + U64ToString(stored));
+  }
+  return stored;
 }
 
 uint64_t MaxPos(ClsContext& ctx) {
@@ -65,13 +59,7 @@ mal::Result<mal::Buffer> ZlogSeal(ClsContext& ctx, const mal::Buffer& input) {
   if (!dec.ok()) {
     return mal::Status::InvalidArgument("bad seal input");
   }
-  uint64_t stored = 0;
-  if (ctx.Exists()) {
-    auto e = ctx.XattrGet(ZlogOps::kEpochXattr);
-    if (e.ok()) {
-      stored = ParseU64(e.value());
-    }
-  }
+  uint64_t stored = XattrU64(ctx, ZlogOps::kEpochXattr);
   if (epoch <= stored) {
     return mal::Status::StaleEpoch("seal epoch " + U64ToString(epoch) +
                                    " <= sealed epoch " + U64ToString(stored));

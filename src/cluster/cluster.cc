@@ -35,11 +35,7 @@ void Client::StartPerfReports(sim::Time interval) {
   if (interval == 0) {
     return;
   }
-  StartPeriodic(interval, [this] {
-    if (!perf.empty()) {
-      rados.mon_client().ReportPerf(perf.Snapshot(name().ToString(), Now()));
-    }
-  });
+  rados.mon_client().StartPerfReports(perf, interval);
 }
 
 void Client::HandleRequest(const sim::Envelope& request) {

@@ -95,13 +95,7 @@ void MdsDaemon::Boot() {
     }
   });
   rados_.set_perf(&perf_);
-  if (config_.perf_report_interval > 0) {
-    StartPeriodic(config_.perf_report_interval, [this] {
-      if (!perf_.empty()) {
-        mon_client_.ReportPerf(perf_.Snapshot(name().ToString(), Now()));
-      }
-    });
-  }
+  mon_client_.StartPerfReports(perf_);
 }
 
 void MdsDaemon::SetBalancerPolicy(std::shared_ptr<BalancerPolicy> policy) {

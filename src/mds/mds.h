@@ -93,9 +93,6 @@ struct MdsConfig {
   sim::Time load_report_interval = 5 * sim::kSecond;
   sim::Time load_window = 10 * sim::kSecond;  // rate averaging window
   bool balancing_enabled = false;
-  // How often the MDS pushes its perf-counter snapshot to the monitor
-  // (0 = disabled).
-  sim::Time perf_report_interval = 1 * sim::kSecond;
   // Bounded inbox depth for admission control; 0 disables (see svc/).
   size_t inbox_depth = 0;
 };

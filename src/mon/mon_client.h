@@ -121,11 +121,19 @@ class MonClient {
                        mal::Encode(entry));
   }
 
-  // Pushes a perf-counter snapshot to one monitor (fire-and-forget; the next
-  // periodic report supersedes a lost one).
-  void ReportPerf(const mal::PerfSnapshot& snapshot) {
-    owner_->SendOneWay(sim::EntityName::Mon(mons_[pick_ % mons_.size()]), kMsgPerfReport,
-                       mal::Encode(snapshot));
+  // Every `period`, pushes a snapshot of `perf` to one monitor unless the
+  // registry is empty (fire-and-forget; the next report supersedes a lost
+  // one). The owner's periodic timer drives it, so `perf` must live as long
+  // as the owner.
+  static constexpr sim::Time kPerfReportPeriod = 1 * sim::kSecond;
+  void StartPerfReports(const mal::PerfRegistry& perf, sim::Time period = kPerfReportPeriod) {
+    owner_->StartPeriodic(period, [this, &perf] {
+      if (!perf.empty()) {
+        mal::PerfSnapshot snapshot = perf.Snapshot(owner_->name().ToString(), owner_->Now());
+        owner_->SendOneWay(sim::EntityName::Mon(mons_[pick_ % mons_.size()]), kMsgPerfReport,
+                           mal::Encode(snapshot));
+      }
+    });
   }
 
   // Fetches the cluster-wide perf dump (JSON) from the monitor.

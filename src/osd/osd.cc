@@ -135,13 +135,7 @@ void Osd::Boot() {
                          }
                        });
   }
-  if (config_.perf_report_interval > 0) {
-    StartPeriodic(config_.perf_report_interval, [this] {
-      if (!perf_.empty()) {
-        mon_client_.ReportPerf(perf_.Snapshot(name().ToString(), Now()));
-      }
-    });
-  }
+  mon_client_.StartPerfReports(perf_);
   StartPeriodic(config_.gossip_interval, [this] {
     // Anti-entropy: push our map to one random up peer.
     std::vector<uint32_t> peers;

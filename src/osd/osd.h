@@ -63,9 +63,6 @@ struct OsdConfig {
   // `pull_timeout`.
   bool pull_on_miss = true;
   sim::Time pull_timeout = 1 * sim::kSecond;
-  // How often the OSD pushes its perf-counter snapshot to the monitor
-  // (0 = disabled).
-  sim::Time perf_report_interval = 1 * sim::kSecond;
   // Bounded inbox depth for admission control; 0 disables (see svc/).
   size_t inbox_depth = 0;
   // Per-attempt timeout for this OSD's monitor RPCs (boot registration,

@@ -26,8 +26,10 @@
 #ifndef MALACOLOGY_SCRIPT_BYTECODE_H_
 #define MALACOLOGY_SCRIPT_BYTECODE_H_
 
+#include <cmath>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -96,6 +98,61 @@ enum class Op : uint8_t {
   kReturn,     // return R[a]
   kReturnNil,  // return nil
 };
+
+// Each K-variant sits a fixed distance past its plain arith op.
+constexpr int kArithKOffset = static_cast<int>(Op::kAddK) - static_cast<int>(Op::kAdd);
+static_assert(static_cast<int>(Op::kPowK) - static_cast<int>(Op::kPow) == kArithKOffset,
+              "kAddK .. kPowK must parallel kAdd .. kPow");
+
+constexpr bool IsArith(Op op) { return op >= Op::kAdd && op <= Op::kPow; }
+constexpr Op ArithK(Op op) { return static_cast<Op>(static_cast<int>(op) + kArithKOffset); }
+constexpr Op ArithOfK(Op kop) {
+  return static_cast<Op>(static_cast<int>(kop) - kArithKOffset);
+}
+
+// Operator semantics. The compiler's constant folder and the VM both call
+// these, so a folded expression is bit-for-bit what its instruction computes.
+
+// Plain arith op `op` (kAdd .. kPow) on two numbers.
+inline double Arith(Op op, double a, double b) {
+  switch (op) {
+    case Op::kAdd:
+      return a + b;
+    case Op::kSub:
+      return a - b;
+    case Op::kMul:
+      return a * b;
+    case Op::kDiv:
+      return a / b;  // IEEE semantics, inf on /0 like Lua
+    case Op::kMod:
+      return a - std::floor(a / b) * b;  // Lua modulo
+    default:
+      return std::pow(a, b);
+  }
+}
+
+template <typename T>
+bool Ordered(Op op, const T& a, const T& b) {
+  return op == Op::kLt ? a < b : op == Op::kLe ? a <= b : op == Op::kGt ? a > b : a >= b;
+}
+
+// Ordered compare (kLt .. kGe): numbers by value, strings bytewise; nullopt
+// for any other pair of operands.
+inline std::optional<bool> Compare(Op op, const Value& x, const Value& y) {
+  if (x.is_number() && y.is_number()) {
+    return Ordered(op, x.num_unchecked(), y.num_unchecked());
+  }
+  if (x.is_string() && y.is_string()) {
+    return Ordered(op, x.as_string().compare(y.as_string()), 0);
+  }
+  return std::nullopt;
+}
+
+// `..` takes strings and numbers; Concat requires two Concatenable values.
+inline bool Concatenable(const Value& v) { return v.is_string() || v.is_number(); }
+inline Value Concat(const Value& x, const Value& y) {
+  return Value(x.ToString() + y.ToString());
+}
 
 struct Instr {
   Op op;

@@ -1,3 +1,9 @@
+// MalScript compiler: AST -> CompiledChunk in two steps. Capture analysis
+// walks each function once and marks which (block, name) locals a nested
+// function captures; code generation then gives those locals heap cells and
+// every other local a register, folds constant expressions through the
+// operator definitions the VM runs (bytecode.h), and maps each binary
+// operator to its opcode through one table (kBinOpcodes).
 #include "src/script/compiler.h"
 
 #include <algorithm>
@@ -43,16 +49,36 @@ std::set<std::string> TopLocals(const Block& b) {
   return names;
 }
 
+// The names a generic for binds: its first two (key and value).
+std::vector<std::string> ForInNames(const Stmt& s) {
+  size_t n = std::min<size_t>(2, s.for_names.size());
+  return std::vector<std::string>(s.for_names.begin(),
+                                  s.for_names.begin() + static_cast<long>(n));
+}
+
+// The instruction of each binary operator, indexed by BinOp. kAnd and kOr
+// compile to jumps and have none.
+constexpr Op kBinOpcodes[] = {
+    Op::kAdd, Op::kSub, Op::kMul, Op::kDiv, Op::kMod, Op::kPow, Op::kConcat,
+    Op::kEq,  Op::kNe,  Op::kLt,  Op::kLe,  Op::kGt,  Op::kGe,
+};
+static_assert(sizeof(kBinOpcodes) / sizeof(kBinOpcodes[0]) ==
+              static_cast<size_t>(BinOp::kAnd));
+
+Op Opcode(BinOp op) { return kBinOpcodes[static_cast<size_t>(op)]; }
+
 // ---------------------------------------------------------------------------
 // Capture analysis.
 //
-// Two passes over each function body:
-//  - FreeOf(fn): the set of names a function expression references but does
-//    not bind itself (directly or through its own nested functions).
-//  - Analyze(): walks each function's scopes and, for every nested function,
-//    resolves its free names against the enclosing scopes' declaration sets;
-//    a hit marks that (scope, name) as captured, so the compiler gives the
-//    name a heap cell instead of a register.
+// One walk over every function, keeping one scope stack from the chunk down
+// to the current block. Each scope has whole-scope declarations (`decls`)
+// and the names activated so far in source order (`active`). Walking a
+// function yields its free names: references no active name of its own
+// scopes binds. For each free name of a nested function, the innermost
+// scope of the enclosing function that declares it (anywhere in the block)
+// captures it: that (block, name) gets a heap cell instead of a register.
+// A name no such scope declares is free in the enclosing function too. The
+// chunk's own scope declares nothing, since top-level locals are globals.
 // ---------------------------------------------------------------------------
 
 class Analyzer {
@@ -62,386 +88,194 @@ class Analyzer {
   std::map<const Block*, std::set<std::string>> captured;
 
   void AnalyzeChunk(const Block& chunk) {
-    std::vector<AScope> stack;
-    stack.push_back(AScope{&chunk, /*is_globals=*/true, {}});
-    WalkBlockB(chunk, stack);
+    std::set<std::string> chunk_free;
+    free_ = &chunk_free;
+    scopes_.push_back(Scope{&chunk, {}, {}});
+    WalkBlock(chunk);
+    scopes_.pop_back();
+    free_ = nullptr;
   }
 
  private:
-  // --- pass A: free names of a function expression -------------------------
-
-  struct FScope {
+  struct Scope {
+    const Block* block;
     std::set<std::string> decls;   // whole-scope declarations
     std::set<std::string> active;  // positionally activated so far
   };
+  std::vector<Scope> scopes_;
+  // The function being walked owns scopes_[base_..]; free_ collects its
+  // free names.
+  size_t base_ = 0;
+  std::set<std::string>* free_ = nullptr;
 
-  std::map<const Expr*, std::set<std::string>> free_memo_;
-
-  const std::set<std::string>& FreeOf(const Expr& fn) {
-    auto it = free_memo_.find(&fn);
-    if (it != free_memo_.end()) {
-      return it->second;
+  // Walks a function expression once: marks the captures inside it and
+  // returns the names it references but does not bind.
+  std::set<std::string> WalkFunction(const Expr& fn) {
+    std::vector<std::string> params = fn.params;
+    if (fn.is_vararg) {
+      params.push_back("arg");
     }
     std::set<std::string> free;
-    std::vector<FScope> stack;
-    FScope top;
-    for (const std::string& p : fn.params) {
-      top.decls.insert(p);
-      top.active.insert(p);
-    }
-    if (fn.is_vararg) {
-      top.decls.insert("arg");
-      top.active.insert("arg");
-    }
-    for (const std::string& n : TopLocals(*fn.body)) {
-      top.decls.insert(n);
-    }
-    stack.push_back(std::move(top));
-    WalkBlockA(*fn.body, stack, free);
-    return free_memo_[&fn] = std::move(free);
+    size_t outer_base = std::exchange(base_, scopes_.size());
+    std::set<std::string>* outer_free = std::exchange(free_, &free);
+    PushScope(*fn.body, params);
+    WalkBlock(*fn.body);
+    scopes_.pop_back();
+    base_ = outer_base;
+    free_ = outer_free;
+    return free;
   }
 
-  static void RefA(const std::string& name, std::vector<FScope>& stack,
-                   std::set<std::string>& free) {
-    for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
-      if (it->active.count(name) != 0) {
-        return;
-      }
-    }
-    free.insert(name);
-  }
-
-  void NestedFnA(const Expr& fn, std::vector<FScope>& stack, std::set<std::string>& free) {
-    for (const std::string& n : FreeOf(fn)) {
-      bool bound = false;
-      for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
-        if (it->decls.count(n) != 0) {
-          bound = true;
-          break;
-        }
-      }
-      if (!bound) {
-        free.insert(n);
-      }
-    }
-  }
-
-  void WalkExprA(const Expr& e, std::vector<FScope>& stack, std::set<std::string>& free) {
-    switch (e.kind) {
-      case Expr::Kind::kNil:
-      case Expr::Kind::kTrue:
-      case Expr::Kind::kFalse:
-      case Expr::Kind::kNumber:
-      case Expr::Kind::kString:
-        return;
-      case Expr::Kind::kVararg:
-        RefA("arg", stack, free);
-        return;
-      case Expr::Kind::kName:
-        RefA(e.name, stack, free);
-        return;
-      case Expr::Kind::kIndex:
-        WalkExprA(*e.object, stack, free);
-        WalkExprA(*e.key, stack, free);
-        return;
-      case Expr::Kind::kBinary:
-        WalkExprA(*e.lhs, stack, free);
-        WalkExprA(*e.rhs, stack, free);
-        return;
-      case Expr::Kind::kUnary:
-        WalkExprA(*e.lhs, stack, free);
-        return;
-      case Expr::Kind::kCall:
-        WalkExprA(*e.callee, stack, free);
-        for (const ExprPtr& a : e.args) {
-          WalkExprA(*a, stack, free);
-        }
-        return;
-      case Expr::Kind::kFunction:
-        NestedFnA(e, stack, free);
-        return;
-      case Expr::Kind::kTableCtor:
-        for (const ExprPtr& item : e.array_items) {
-          WalkExprA(*item, stack, free);
-        }
-        for (const auto& [k, v] : e.fields) {
-          WalkExprA(*k, stack, free);
-          WalkExprA(*v, stack, free);
-        }
-        return;
-    }
-  }
-
-  void PushBlockScopeA(const Block& b, std::vector<FScope>& stack,
-                       const std::vector<std::string>& pre_active) {
-    FScope s;
-    s.decls = TopLocals(b);
+  void PushScope(const Block& b, const std::vector<std::string>& pre_active) {
+    Scope s{&b, TopLocals(b), {}};
     for (const std::string& n : pre_active) {
       s.decls.insert(n);
       s.active.insert(n);
     }
-    stack.push_back(std::move(s));
+    scopes_.push_back(std::move(s));
   }
 
-  void WalkBlockA(const Block& b, std::vector<FScope>& stack, std::set<std::string>& free) {
-    for (const StmtPtr& sp : b.stmts) {
-      const Stmt& s = *sp;
-      switch (s.kind) {
-        case Stmt::Kind::kExpr:
-        case Stmt::Kind::kReturn:
-          if (s.expr != nullptr) {
-            WalkExprA(*s.expr, stack, free);
-          }
-          break;
-        case Stmt::Kind::kAssign:
-          for (const ExprPtr& v : s.values) {
-            WalkExprA(*v, stack, free);
-          }
-          for (const ExprPtr& t : s.targets) {
-            if (t->kind == Expr::Kind::kName) {
-              RefA(t->name, stack, free);
-            } else {
-              WalkExprA(*t, stack, free);
-            }
-          }
-          break;
-        case Stmt::Kind::kLocal:
-          for (const ExprPtr& v : s.local_values) {
-            WalkExprA(*v, stack, free);
-          }
-          for (const std::string& n : s.local_names) {
-            stack.back().active.insert(n);
-          }
-          break;
-        case Stmt::Kind::kIf:
-          for (size_t i = 0; i < s.conditions.size(); ++i) {
-            WalkExprA(*s.conditions[i], stack, free);
-            PushBlockScopeA(s.blocks[i], stack, {});
-            WalkBlockA(s.blocks[i], stack, free);
-            stack.pop_back();
-          }
-          if (s.else_block != nullptr) {
-            PushBlockScopeA(*s.else_block, stack, {});
-            WalkBlockA(*s.else_block, stack, free);
-            stack.pop_back();
-          }
-          break;
-        case Stmt::Kind::kWhile:
-          WalkExprA(*s.expr, stack, free);
-          PushBlockScopeA(s.body, stack, {});
-          WalkBlockA(s.body, stack, free);
-          stack.pop_back();
-          break;
-        case Stmt::Kind::kRepeat:
-          PushBlockScopeA(s.body, stack, {});
-          WalkBlockA(s.body, stack, free);
-          WalkExprA(*s.expr, stack, free);  // until-cond sees body locals
-          stack.pop_back();
-          break;
-        case Stmt::Kind::kNumericFor:
-          WalkExprA(*s.for_start, stack, free);
-          WalkExprA(*s.for_stop, stack, free);
-          if (s.for_step != nullptr) {
-            WalkExprA(*s.for_step, stack, free);
-          }
-          PushBlockScopeA(s.body, stack, {s.for_var});
-          WalkBlockA(s.body, stack, free);
-          stack.pop_back();
-          break;
-        case Stmt::Kind::kGenericFor: {
-          WalkExprA(*s.for_iterable, stack, free);
-          std::vector<std::string> vars(
-              s.for_names.begin(),
-              s.for_names.begin() +
-                  static_cast<long>(std::min<size_t>(2, s.for_names.size())));
-          PushBlockScopeA(s.body, stack, vars);
-          WalkBlockA(s.body, stack, free);
-          stack.pop_back();
-          break;
-        }
-        case Stmt::Kind::kBreak:
-          break;
-        case Stmt::Kind::kDo:
-          PushBlockScopeA(s.body, stack, {});
-          WalkBlockA(s.body, stack, free);
-          stack.pop_back();
-          break;
+  // Innermost scope of the current function whose `names` hold `name`, or
+  // null.
+  const Scope* Binder(const std::string& name, std::set<std::string> Scope::*names) const {
+    for (size_t i = scopes_.size(); i-- > base_;) {
+      if ((scopes_[i].*names).count(name) != 0) {
+        return &scopes_[i];
+      }
+    }
+    return nullptr;
+  }
+
+  void Ref(const std::string& name) {
+    if (Binder(name, &Scope::active) == nullptr) {
+      free_->insert(name);
+    }
+  }
+
+  void NestedFunction(const Expr& fn) {
+    for (const std::string& n : WalkFunction(fn)) {
+      const Scope* owner = Binder(n, &Scope::decls);
+      if (owner != nullptr) {
+        captured[owner->block].insert(n);
+      } else {
+        free_->insert(n);
       }
     }
   }
 
-  // --- pass B: mark captured (scope, name) pairs ---------------------------
-
-  struct AScope {
-    const Block* block;
-    bool is_globals;
-    std::set<std::string> decls;
-  };
-
-  void MarkCapturesFor(const Expr& fn, std::vector<AScope>& stack) {
-    for (const std::string& n : FreeOf(fn)) {
-      for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
-        if (it->is_globals) {
-          break;  // resolves as a global
-        }
-        if (it->decls.count(n) != 0) {
-          captured[it->block].insert(n);
-          break;
-        }
-      }
-    }
-  }
-
-  void AnalyzeFunction(const Expr& fn) {
-    std::vector<AScope> stack;
-    AScope top;
-    top.block = fn.body.get();
-    top.is_globals = false;
-    for (const std::string& p : fn.params) {
-      top.decls.insert(p);
-    }
-    if (fn.is_vararg) {
-      top.decls.insert("arg");
-    }
-    for (const std::string& n : TopLocals(*fn.body)) {
-      top.decls.insert(n);
-    }
-    stack.push_back(std::move(top));
-    WalkBlockB(*fn.body, stack);
-  }
-
-  void WalkExprB(const Expr& e, std::vector<AScope>& stack) {
+  void WalkExpr(const Expr& e) {
     switch (e.kind) {
       case Expr::Kind::kNil:
       case Expr::Kind::kTrue:
       case Expr::Kind::kFalse:
       case Expr::Kind::kNumber:
       case Expr::Kind::kString:
+        return;
       case Expr::Kind::kVararg:
+        Ref("arg");
+        return;
       case Expr::Kind::kName:
+        Ref(e.name);
         return;
       case Expr::Kind::kIndex:
-        WalkExprB(*e.object, stack);
-        WalkExprB(*e.key, stack);
+        WalkExpr(*e.object);
+        WalkExpr(*e.key);
         return;
       case Expr::Kind::kBinary:
-        WalkExprB(*e.lhs, stack);
-        WalkExprB(*e.rhs, stack);
+        WalkExpr(*e.lhs);
+        WalkExpr(*e.rhs);
         return;
       case Expr::Kind::kUnary:
-        WalkExprB(*e.lhs, stack);
+        WalkExpr(*e.lhs);
         return;
       case Expr::Kind::kCall:
-        WalkExprB(*e.callee, stack);
+        WalkExpr(*e.callee);
         for (const ExprPtr& a : e.args) {
-          WalkExprB(*a, stack);
+          WalkExpr(*a);
         }
         return;
       case Expr::Kind::kFunction:
-        MarkCapturesFor(e, stack);
-        AnalyzeFunction(e);
+        NestedFunction(e);
         return;
       case Expr::Kind::kTableCtor:
         for (const ExprPtr& item : e.array_items) {
-          WalkExprB(*item, stack);
+          WalkExpr(*item);
         }
         for (const auto& [k, v] : e.fields) {
-          WalkExprB(*k, stack);
-          WalkExprB(*v, stack);
+          WalkExpr(*k);
+          WalkExpr(*v);
         }
         return;
     }
   }
 
-  void PushBlockScopeB(const Block& b, std::vector<AScope>& stack,
-                       const std::vector<std::string>& extra_decls) {
-    AScope s;
-    s.block = &b;
-    s.is_globals = false;
-    s.decls = TopLocals(b);
-    for (const std::string& n : extra_decls) {
-      s.decls.insert(n);
-    }
-    stack.push_back(std::move(s));
+  void WalkScopedBlock(const Block& b, const std::vector<std::string>& pre_active) {
+    PushScope(b, pre_active);
+    WalkBlock(b);
+    scopes_.pop_back();
   }
 
-  void WalkBlockB(const Block& b, std::vector<AScope>& stack) {
+  void WalkBlock(const Block& b) {
     for (const StmtPtr& sp : b.stmts) {
       const Stmt& s = *sp;
       switch (s.kind) {
         case Stmt::Kind::kExpr:
         case Stmt::Kind::kReturn:
           if (s.expr != nullptr) {
-            WalkExprB(*s.expr, stack);
+            WalkExpr(*s.expr);
           }
           break;
         case Stmt::Kind::kAssign:
           for (const ExprPtr& v : s.values) {
-            WalkExprB(*v, stack);
+            WalkExpr(*v);
           }
           for (const ExprPtr& t : s.targets) {
-            if (t->kind != Expr::Kind::kName) {
-              WalkExprB(*t, stack);
-            }
+            WalkExpr(*t);
           }
           break;
         case Stmt::Kind::kLocal:
           for (const ExprPtr& v : s.local_values) {
-            WalkExprB(*v, stack);
+            WalkExpr(*v);
+          }
+          for (const std::string& n : s.local_names) {
+            scopes_.back().active.insert(n);
           }
           break;
         case Stmt::Kind::kIf:
           for (size_t i = 0; i < s.conditions.size(); ++i) {
-            WalkExprB(*s.conditions[i], stack);
-            PushBlockScopeB(s.blocks[i], stack, {});
-            WalkBlockB(s.blocks[i], stack);
-            stack.pop_back();
+            WalkExpr(*s.conditions[i]);
+            WalkScopedBlock(s.blocks[i], {});
           }
           if (s.else_block != nullptr) {
-            PushBlockScopeB(*s.else_block, stack, {});
-            WalkBlockB(*s.else_block, stack);
-            stack.pop_back();
+            WalkScopedBlock(*s.else_block, {});
           }
           break;
         case Stmt::Kind::kWhile:
-          WalkExprB(*s.expr, stack);
-          PushBlockScopeB(s.body, stack, {});
-          WalkBlockB(s.body, stack);
-          stack.pop_back();
+          WalkExpr(*s.expr);
+          WalkScopedBlock(s.body, {});
           break;
         case Stmt::Kind::kRepeat:
-          PushBlockScopeB(s.body, stack, {});
-          WalkBlockB(s.body, stack);
-          WalkExprB(*s.expr, stack);
-          stack.pop_back();
+          PushScope(s.body, {});
+          WalkBlock(s.body);
+          WalkExpr(*s.expr);  // until-cond sees body locals
+          scopes_.pop_back();
           break;
         case Stmt::Kind::kNumericFor:
-          WalkExprB(*s.for_start, stack);
-          WalkExprB(*s.for_stop, stack);
+          WalkExpr(*s.for_start);
+          WalkExpr(*s.for_stop);
           if (s.for_step != nullptr) {
-            WalkExprB(*s.for_step, stack);
+            WalkExpr(*s.for_step);
           }
-          PushBlockScopeB(s.body, stack, {s.for_var});
-          WalkBlockB(s.body, stack);
-          stack.pop_back();
+          WalkScopedBlock(s.body, {s.for_var});
           break;
-        case Stmt::Kind::kGenericFor: {
-          WalkExprB(*s.for_iterable, stack);
-          std::vector<std::string> vars(
-              s.for_names.begin(),
-              s.for_names.begin() +
-                  static_cast<long>(std::min<size_t>(2, s.for_names.size())));
-          PushBlockScopeB(s.body, stack, vars);
-          WalkBlockB(s.body, stack);
-          stack.pop_back();
+        case Stmt::Kind::kGenericFor:
+          WalkExpr(*s.for_iterable);
+          WalkScopedBlock(s.body, ForInNames(s));
           break;
-        }
         case Stmt::Kind::kBreak:
           break;
         case Stmt::Kind::kDo:
-          PushBlockScopeB(s.body, stack, {});
-          WalkBlockB(s.body, stack);
-          stack.pop_back();
+          WalkScopedBlock(s.body, {});
           break;
       }
     }
@@ -630,8 +464,9 @@ class Compiler {
   // --- constant folding ----------------------------------------------------
 
   // Returns the value `e` evaluates to when that is knowable at compile time
-  // without side effects or errors; identical arithmetic expressions to the
-  // oracle so folded results are bit-for-bit what it computes.
+  // without side effects or errors. Binary operators use the VM's own
+  // definitions (bytecode.h), so a folded result is bit-for-bit what the
+  // instruction would compute.
   std::optional<Value> Fold(const Expr& e) {
     switch (e.kind) {
       case Expr::Kind::kNil:
@@ -685,72 +520,32 @@ class Compiler {
         if (!b.has_value()) {
           return std::nullopt;
         }
-        switch (e.bin_op) {
-          case BinOp::kEq:
+        Op op = Opcode(e.bin_op);
+        switch (op) {
+          case Op::kEq:
             return Value(a->Equals(*b));
-          case BinOp::kNe:
+          case Op::kNe:
             return Value(!a->Equals(*b));
-          case BinOp::kConcat:
-            if ((a->is_string() || a->is_number()) && (b->is_string() || b->is_number())) {
-              return Value(a->ToString() + b->ToString());
+          case Op::kConcat:
+            if (!Concatenable(*a) || !Concatenable(*b)) {
+              return std::nullopt;
             }
-            return std::nullopt;
-          case BinOp::kLt:
-          case BinOp::kLe:
-          case BinOp::kGt:
-          case BinOp::kGe: {
-            if (a->is_number() && b->is_number()) {
-              double x = a->as_number();
-              double y = b->as_number();
-              switch (e.bin_op) {
-                case BinOp::kLt:
-                  return Value(x < y);
-                case BinOp::kLe:
-                  return Value(x <= y);
-                case BinOp::kGt:
-                  return Value(x > y);
-                default:
-                  return Value(x >= y);
-              }
+            return Concat(*a, *b);
+          case Op::kLt:
+          case Op::kLe:
+          case Op::kGt:
+          case Op::kGe: {
+            std::optional<bool> r = Compare(op, *a, *b);
+            if (!r.has_value()) {
+              return std::nullopt;
             }
-            if (a->is_string() && b->is_string()) {
-              int cmp = a->as_string().compare(b->as_string());
-              switch (e.bin_op) {
-                case BinOp::kLt:
-                  return Value(cmp < 0);
-                case BinOp::kLe:
-                  return Value(cmp <= 0);
-                case BinOp::kGt:
-                  return Value(cmp > 0);
-                default:
-                  return Value(cmp >= 0);
-              }
-            }
-            return std::nullopt;
+            return Value(*r);
           }
-          default:
-            break;
-        }
-        if (!a->is_number() || !b->is_number()) {
-          return std::nullopt;
-        }
-        double x = a->as_number();
-        double y = b->as_number();
-        switch (e.bin_op) {
-          case BinOp::kAdd:
-            return Value(x + y);
-          case BinOp::kSub:
-            return Value(x - y);
-          case BinOp::kMul:
-            return Value(x * y);
-          case BinOp::kDiv:
-            return Value(x / y);
-          case BinOp::kMod:
-            return Value(x - std::floor(x / y) * y);
-          case BinOp::kPow:
-            return Value(std::pow(x, y));
-          default:
-            return std::nullopt;
+          default:  // arithmetic
+            if (!a->is_number() || !b->is_number()) {
+              return std::nullopt;
+            }
+            return Value(Arith(op, a->as_number(), b->as_number()));
         }
       }
       default:
@@ -1068,98 +863,23 @@ class Compiler {
       return;
     }
     int mark = fs.next_reg;
+    Op op = Opcode(e.bin_op);
     // Arithmetic with a constant-number RHS fuses the constant into the
     // instruction (K-variant): one dispatch instead of LoadK + arith, and
     // the VM can skip the RHS type check. Error parity with the oracle
     // holds because both report the LHS type when the LHS is not a number,
     // and a number constant can never be the offending operand.
-    switch (e.bin_op) {
-      case BinOp::kAdd:
-      case BinOp::kSub:
-      case BinOp::kMul:
-      case BinOp::kDiv:
-      case BinOp::kMod:
-      case BinOp::kPow: {
-        std::optional<Value> rk = Fold(*e.rhs);
-        if (rk.has_value() && rk->is_number()) {
-          uint16_t b = ExprAny(fs, *e.lhs);
-          Op kop;
-          switch (e.bin_op) {
-            case BinOp::kAdd:
-              kop = Op::kAddK;
-              break;
-            case BinOp::kSub:
-              kop = Op::kSubK;
-              break;
-            case BinOp::kMul:
-              kop = Op::kMulK;
-              break;
-            case BinOp::kDiv:
-              kop = Op::kDivK;
-              break;
-            case BinOp::kMod:
-              kop = Op::kModK;
-              break;
-            default:
-              kop = Op::kPowK;
-              break;
-          }
-          Emit(fs, kop, dst, b, 0, NumConst(rk->as_number()), e.line);
-          FreeTo(fs, mark);
-          return;
-        }
-        break;
+    if (IsArith(op)) {
+      std::optional<Value> rk = Fold(*e.rhs);
+      if (rk.has_value() && rk->is_number()) {
+        uint16_t b = ExprAny(fs, *e.lhs);
+        Emit(fs, ArithK(op), dst, b, 0, NumConst(rk->as_number()), e.line);
+        FreeTo(fs, mark);
+        return;
       }
-      default:
-        break;
     }
     uint16_t b = ExprAny(fs, *e.lhs);
     uint16_t c = ExprAny(fs, *e.rhs);
-    Op op;
-    switch (e.bin_op) {
-      case BinOp::kAdd:
-        op = Op::kAdd;
-        break;
-      case BinOp::kSub:
-        op = Op::kSub;
-        break;
-      case BinOp::kMul:
-        op = Op::kMul;
-        break;
-      case BinOp::kDiv:
-        op = Op::kDiv;
-        break;
-      case BinOp::kMod:
-        op = Op::kMod;
-        break;
-      case BinOp::kPow:
-        op = Op::kPow;
-        break;
-      case BinOp::kConcat:
-        op = Op::kConcat;
-        break;
-      case BinOp::kEq:
-        op = Op::kEq;
-        break;
-      case BinOp::kNe:
-        op = Op::kNe;
-        break;
-      case BinOp::kLt:
-        op = Op::kLt;
-        break;
-      case BinOp::kLe:
-        op = Op::kLe;
-        break;
-      case BinOp::kGt:
-        op = Op::kGt;
-        break;
-      case BinOp::kGe:
-        op = Op::kGe;
-        break;
-      default:
-        Fail("unexpected binary op");
-        return;
-    }
     Emit(fs, op, dst, b, c, 0, e.line);
     FreeTo(fs, mark);
   }
@@ -1597,11 +1317,7 @@ class Compiler {
     (void)vreg;  // kIterNext writes kreg and kreg+1
     size_t top = fs.proto->code.size();
     size_t next = Emit(fs, Op::kIterNext, kreg, islot, 0, 0, s.line);
-    OpenScope(fs, s.body,
-              std::vector<std::string>(
-                  s.for_names.begin(),
-                  s.for_names.begin() +
-                      static_cast<long>(std::min<size_t>(2, s.for_names.size()))));
+    OpenScope(fs, s.body, ForInNames(s));
     BindLoopVar(fs, s.for_names[0], kreg, /*alias_ok=*/true, s.line);
     if (s.for_names.size() > 1) {
       BindLoopVar(fs, s.for_names[1], static_cast<uint16_t>(kreg + 1),

@@ -33,13 +33,7 @@ void Agent::Boot() {
   // Even starts: one object per interval / objects_per_tick.
   StartPeriodic(std::max<sim::Time>(config_.interval / config_.objects_per_tick, 1),
                 [this] { Tick(); });
-  if (config_.report_interval > 0) {
-    StartPeriodic(config_.report_interval, [this] {
-      if (!perf_.empty()) {
-        rados_.mon_client().ReportPerf(perf_.Snapshot(name().ToString(), Now()));
-      }
-    });
-  }
+  rados_.mon_client().StartPerfReports(perf_);
 }
 
 void Agent::HandleRequest(const sim::Envelope& request) {

@@ -46,8 +46,6 @@ struct ScrubConfig {
   // spaced, with at most `objects_per_tick` in flight (0 counts as 1).
   sim::Time interval = 500 * sim::kMillisecond;
   uint32_t objects_per_tick = 4;
-  // Perf-report cadence to the monitor (0 disables).
-  sim::Time report_interval = 1 * sim::kSecond;
 };
 
 class Agent : public sim::Actor {

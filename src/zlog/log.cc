@@ -70,6 +70,14 @@ std::vector<View> Log::DecodeViews(const std::string& encoded, uint32_t default_
   return views;
 }
 
+std::string Log::StripeObject(const View& view, uint64_t index) const {
+  std::string prefix = options_.name + ".";
+  if (view.epoch != 0) {
+    prefix += "v" + std::to_string(view.epoch) + ".";
+  }
+  return prefix + std::to_string(index);
+}
+
 std::string Log::ObjectFor(uint64_t position) const {
   // Latest view whose base covers the position (views_ sorted by base_pos).
   const View* view = &views_.front();
@@ -78,23 +86,14 @@ std::string Log::ObjectFor(uint64_t position) const {
       view = &candidate;
     }
   }
-  uint64_t index = (position - view->base_pos) % view->width;
-  if (view->epoch == 0) {
-    return options_.name + "." + std::to_string(index);
-  }
-  return options_.name + ".v" + std::to_string(view->epoch) + "." + std::to_string(index);
+  return StripeObject(*view, (position - view->base_pos) % view->width);
 }
 
 std::vector<std::string> Log::AllObjects() const {
   std::vector<std::string> objects;
   for (const View& view : views_) {
     for (uint32_t i = 0; i < view.width; ++i) {
-      if (view.epoch == 0) {
-        objects.push_back(options_.name + "." + std::to_string(i));
-      } else {
-        objects.push_back(options_.name + ".v" + std::to_string(view.epoch) + "." +
-                          std::to_string(i));
-      }
+      objects.push_back(StripeObject(view, i));
     }
   }
   return objects;
@@ -497,13 +496,6 @@ void Log::Trim(uint64_t position, DoneHandler on_done) {
 }
 
 void Log::CheckTail(PositionHandler on_tail) {
-  if (options_.sequencer_mode == SequencerMode::kCached &&
-      mds_->HasCap(sequencer_path_)) {
-    // We are the sequencer: answer locally (peek without allocating by
-    // reading the cached next value).
-    mds_->SeqRead(sequencer_path_, std::move(on_tail));  // falls back to MDS
-    return;
-  }
   mds_->SeqRead(sequencer_path_, std::move(on_tail));
 }
 
@@ -626,28 +618,15 @@ void Log::MaybeTakeover(DoneHandler on_done) {
         if (perf_ != nullptr) {
           perf_->Inc("zlog.takeovers");
         }
-        TakeoverInstall(pick, /*tries_left=*/4, std::move(on_done));
+        // Aim the install at the chosen survivor before any MDS can
+        // redirect us there; the server-side takeover directive bypasses
+        // the (stale) ownership check.
+        mds_->SetAuthorityHint(sequencer_path_, pick);
+        RecoverAt(epoch_ + 1, /*tries_left=*/4, /*takeover=*/true,
+                  [on_done = std::move(on_done)](mal::Status installed, uint64_t) {
+                    on_done(installed);
+                  });
       });
-}
-
-void Log::TakeoverInstall(uint32_t rank, int tries_left, DoneHandler on_done) {
-  // Aim the install at the chosen survivor before any MDS can redirect us
-  // there; the server-side takeover directive bypasses the (stale)
-  // ownership check.
-  mds_->SetAuthorityHint(sequencer_path_, rank);
-  SealAndInstall(
-      epoch_ + 1, std::nullopt,
-      [this, rank, tries_left, on_done = std::move(on_done)](mal::Status status,
-                                                             uint64_t) {
-        if (status.code() == mal::Code::kStaleEpoch && tries_left > 0) {
-          // A competing recovery sealed higher; outbid it.
-          ++epoch_;
-          TakeoverInstall(rank, tries_left - 1, on_done);
-          return;
-        }
-        on_done(status);
-      },
-      /*takeover=*/true);
 }
 
 void Log::Recover(PositionHandler on_recovered) {
@@ -657,27 +636,30 @@ void Log::Recover(PositionHandler on_recovered) {
       on_recovered(status, 0);
       return;
     }
-    RecoverAt(epoch_ + 1, /*tries_left=*/4, std::move(on_recovered));
+    RecoverAt(epoch_ + 1, /*tries_left=*/4, /*takeover=*/false, std::move(on_recovered));
   });
 }
 
-void Log::RecoverAt(uint64_t new_epoch, int tries_left, PositionHandler on_recovered) {
-  SealAndInstall(new_epoch, std::nullopt,
-                 [this, new_epoch, tries_left, on_recovered](mal::Status status,
-                                                             uint64_t tail) {
-                   if (status.code() == mal::Code::kStaleEpoch && tries_left > 0) {
-                     // Some object is sealed at or past new_epoch: a racing
-                     // recovery, or one that sealed part of the stripe and
-                     // never installed its epoch. Outbid it.
-                     ReadSealedEpoch([this, new_epoch, tries_left, on_recovered](
-                                         mal::Status, uint64_t sealed) {
-                       RecoverAt(std::max(new_epoch, sealed) + 1, tries_left - 1,
-                                 on_recovered);
-                     });
-                     return;
-                   }
-                   on_recovered(status, tail);
-                 });
+void Log::RecoverAt(uint64_t new_epoch, int tries_left, bool takeover,
+                    PositionHandler on_recovered) {
+  SealAndInstall(
+      new_epoch, std::nullopt,
+      [this, new_epoch, tries_left, takeover, on_recovered](mal::Status status,
+                                                            uint64_t tail) {
+        if (status.code() == mal::Code::kStaleEpoch && tries_left > 0) {
+          // Some object is sealed at or past new_epoch: a racing recovery
+          // or takeover, or one that sealed part of the stripe and never
+          // installed its epoch. Outbid it.
+          ReadSealedEpoch([this, new_epoch, tries_left, takeover, on_recovered](
+                              mal::Status, uint64_t sealed) {
+            RecoverAt(std::max(new_epoch, sealed) + 1, tries_left - 1, takeover,
+                      on_recovered);
+          });
+          return;
+        }
+        on_recovered(status, tail);
+      },
+      takeover);
 }
 
 void Log::ReadSealedEpoch(PositionHandler on_epoch) {

@@ -182,6 +182,8 @@ class Log {
   void RefreshEpoch(DoneHandler on_done);
   // Every object of every view (the set recovery must seal).
   std::vector<std::string> AllObjects() const;
+  // Object `index` of `view`'s stripe: `<name>[.v<epoch>].<index>`.
+  std::string StripeObject(const View& view, uint64_t index) const;
   // Seals every object at `new_epoch`, returns max tail; then installs
   // tail + epoch (+ optional view entry) into the sequencer inode. With
   // `takeover` the install carries the takeover directive: the receiving
@@ -197,10 +199,11 @@ class Log {
   // has survivors, seal at a bumped epoch and install the recovered tail on
   // a surviving rank. Calls on_done(ok) when a new owner is serving.
   void MaybeTakeover(DoneHandler on_done);
-  void TakeoverInstall(uint32_t rank, int tries_left, DoneHandler on_done);
-  // Recover() at `new_epoch`; a seal found stale is retried just past the
-  // stripe's highest sealed epoch, up to `tries_left` times.
-  void RecoverAt(uint64_t new_epoch, int tries_left, PositionHandler on_recovered);
+  // Recover() or takeover at `new_epoch`; a seal found stale is retried just
+  // past the stripe's highest sealed epoch, up to `tries_left` times.
+  // `takeover` is passed to SealAndInstall.
+  void RecoverAt(uint64_t new_epoch, int tries_left, bool takeover,
+                 PositionHandler on_recovered);
   // Highest epoch any stripe object is sealed at (unreachable objects and
   // unsealed ones count as 0).
   void ReadSealedEpoch(PositionHandler on_epoch);

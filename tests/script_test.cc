@@ -5,9 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <cstring>
 #include <map>
 #include <random>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "src/script/bytecode.h"
@@ -692,6 +695,203 @@ TEST(VmTest, OverLargeFunctionIsACompileError) {
   EXPECT_EQ(interp.GetGlobal("result").as_number(), 1);
 }
 
+// The VM dispatches with computed gotos, which leave an opcode body without
+// running destructors; a body must not hold an object with one at the
+// jump. This drives every body that builds strings or table keys over
+// registers that already hold heap strings, so LeakSanitizer (the sanitize
+// build) catches a body that keeps one.
+TEST(VmTest, OpcodeBodiesReleaseStringsBeforeDispatch) {
+  const std::string source =
+      "function f()\n"
+      "  local k = 'a table key longer than fifteen bytes'\n"
+      "  local t = {}\n"
+      "  local s = string.rep('x', 40)\n"
+      "  for i = 1, 4 do\n"
+      "    t[k .. i] = k .. k\n"
+      "    s = t[k .. i]\n"
+      "    s = string.rep('y', 40 + i)\n"
+      "    s = s .. k\n"
+      "  end\n"
+      "  return #s\n"
+      "end\n"
+      "result = f()";
+  Interpreter interp;
+  ASSERT_TRUE(interp.RunSource(source).ok());
+  EXPECT_EQ(interp.GetGlobal("result").as_number(), 44 + 37);
+}
+
+// Everything the compiler decides about a chunk, one item per line: each
+// Proto's frame shape, upvalue descriptors and instructions, then the
+// shared pools. Numbers print as their bit patterns, so two listings are
+// equal exactly when the chunks are.
+std::string ChunkListing(const CompiledChunk& chunk) {
+  auto bits = [](double d) {
+    uint64_t u = 0;
+    std::memcpy(&u, &d, sizeof(u));
+    char buf[24];
+    std::snprintf(buf, sizeof(buf), "#%016llx", static_cast<unsigned long long>(u));
+    return std::string(buf);
+  };
+  auto key = [&](const TableKey& k) {
+    return std::holds_alternative<double>(k.k) ? bits(std::get<double>(k.k))
+                                               : "'" + std::get<std::string>(k.k) + "'";
+  };
+  std::string out;
+  for (size_t i = 0; i < chunk.protos.size(); ++i) {
+    const Proto& p = *chunk.protos[i];
+    out += "proto " + std::to_string(i) + " params=" + std::to_string(p.num_params) +
+           " vararg=" + std::to_string(p.is_vararg) + " regs=" + std::to_string(p.num_regs) +
+           " cells=" + std::to_string(p.num_cells) + " iters=" + std::to_string(p.num_iters) +
+           "\n";
+    for (const UpvalDesc& u : p.upvals) {
+      out += (u.src == UpvalDesc::Src::kParentCell ? " upval cell " : " upval upval ") +
+             std::to_string(u.index) + "\n";
+    }
+    for (const Instr& in : p.code) {
+      out += " " + std::to_string(static_cast<int>(in.op)) + " " + std::to_string(in.a) +
+             " " + std::to_string(in.b) + " " + std::to_string(in.c) + " " +
+             std::to_string(in.d) + " @" + std::to_string(in.line) + "\n";
+    }
+  }
+  for (const Value& v : chunk.consts) {
+    out += "const " + (v.is_number() ? bits(v.as_number()) : "'" + v.as_string() + "'") + "\n";
+  }
+  for (const TableKey& k : chunk.field_keys) {
+    out += "field_key " + key(k) + "\n";
+  }
+  for (const std::string& g : chunk.global_names) {
+    out += "global " + g + "\n";
+  }
+  return out + "field_ics " + std::to_string(chunk.num_field_ics) + "\n";
+}
+
+std::shared_ptr<const CompiledChunk> MustCompile(const std::string& source) {
+  Result<std::shared_ptr<const CompiledChunk>> chunk = Compile(source);
+  EXPECT_TRUE(chunk.ok()) << chunk.status() << "\n" << source;
+  return chunk.ok() ? chunk.value() : std::make_shared<CompiledChunk>();
+}
+
+// pcs of `op` in a proto's code.
+std::vector<size_t> PcsOf(const Proto& p, Op op) {
+  std::vector<size_t> pcs;
+  for (size_t pc = 0; pc < p.code.size(); ++pc) {
+    if (p.code[pc].op == op) {
+      pcs.push_back(pc);
+    }
+  }
+  return pcs;
+}
+
+// Capture analysis, pinned through the compiled chunk. Protos are numbered
+// in source order of their function expressions (0 is the chunk).
+TEST(VmTest, UncapturedLocalsStayInRegisters) {
+  // `x` is read only by f itself; g binds its own `y`, so the `y` of f is
+  // not free in g either.
+  const std::string source =
+      "function f(a)\n"
+      "  local x = a + 1\n"
+      "  local y = 2\n"
+      "  local g = function(b) local y = b return y * 2 end\n"
+      "  return g(x) + y\n"
+      "end\n"
+      "result = f(3)";
+  std::shared_ptr<const CompiledChunk> chunk = MustCompile(source);
+  ASSERT_EQ(chunk->protos.size(), 3u) << ChunkListing(*chunk);
+  for (size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(chunk->protos[i]->num_cells, 0u) << "proto " << i;
+    EXPECT_TRUE(PcsOf(*chunk->protos[i], Op::kNewCell).empty()) << "proto " << i;
+    EXPECT_TRUE(chunk->protos[i]->upvals.empty()) << "proto " << i;
+  }
+  ExpectEnginesAgree(source);
+}
+
+TEST(VmTest, CaptureTwoFunctionsUpGetsCellInDeclaringBlock) {
+  // `x` lives in f's do-block and `a` in f's body block; both are read two
+  // function levels down, and the middle function only relays them.
+  const std::string source =
+      "function f()\n"
+      "  local a = 1\n"
+      "  do\n"
+      "    local x = 10\n"
+      "    g = function() return function() return x + a end end\n"
+      "    x = x + 5\n"
+      "  end\n"
+      "  return a\n"
+      "end\n"
+      "f() result = g()()";
+  std::shared_ptr<const CompiledChunk> chunk = MustCompile(source);
+  ASSERT_EQ(chunk->protos.size(), 4u) << ChunkListing(*chunk);
+  const Proto& f = *chunk->protos[1];
+  const Proto& middle = *chunk->protos[2];
+  const Proto& inner = *chunk->protos[3];
+  // `a` is captured too, in f's body block: its cell opens at pc 0. `x`'s
+  // cell opens when the do-block is entered, after `local a = 1`.
+  EXPECT_EQ(f.num_cells, 2u);
+  EXPECT_EQ(PcsOf(f, Op::kNewCell), (std::vector<size_t>{0, 3})) << ChunkListing(*chunk);
+  EXPECT_TRUE(f.upvals.empty());
+  EXPECT_EQ(middle.num_cells, 0u);
+  ASSERT_EQ(middle.upvals.size(), 2u);
+  ASSERT_EQ(inner.upvals.size(), 2u);
+  for (size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(middle.upvals[i].src, UpvalDesc::Src::kParentCell);
+    EXPECT_EQ(inner.upvals[i].src, UpvalDesc::Src::kParentUpval);
+    EXPECT_EQ(inner.upvals[i].index, i);
+  }
+  // x (cell 1 of f, the do-block's) is resolved first, then a (cell 0).
+  EXPECT_EQ(middle.upvals[0].index, 1u);
+  EXPECT_EQ(middle.upvals[1].index, 0u);
+  ExpectEnginesAgree(source);
+}
+
+TEST(VmTest, LoopBodyCaptureGetsFreshCellPerIteration) {
+  // Both the body local `x` and the loop variable `i` are captured; their
+  // cells open inside the body, which the loop's back edge re-enters.
+  const std::string source =
+      "function f()\n"
+      "  local fns = {}\n"
+      "  for i = 1, 3 do\n"
+      "    local x = i * 10\n"
+      "    fns[i] = function() return x + i end\n"
+      "  end\n"
+      "  local n = 0\n"
+      "  while n < 2 do\n"
+      "    n = n + 1\n"
+      "    local y = n\n"
+      "    fns[3 + n] = function() return y end\n"
+      "  end\n"
+      "  return fns\n"
+      "end\n"
+      "local fns = f()\n"
+      "result = fns[1]() + fns[2]() + fns[3]() + fns[4]() + fns[5]()";
+  std::shared_ptr<const CompiledChunk> chunk = MustCompile(source);
+  ASSERT_EQ(chunk->protos.size(), 4u) << ChunkListing(*chunk);
+  const Proto& f = *chunk->protos[1];
+  EXPECT_EQ(f.num_cells, 3u);
+  std::vector<size_t> cells = PcsOf(f, Op::kNewCell);
+  std::vector<size_t> for_loop = PcsOf(f, Op::kForLoop);
+  std::vector<size_t> back_jumps;
+  for (size_t pc : PcsOf(f, Op::kJmp)) {
+    if (static_cast<size_t>(f.code[pc].d) < pc) {
+      back_jumps.push_back(pc);
+    }
+  }
+  ASSERT_EQ(cells.size(), 3u) << ChunkListing(*chunk);
+  ASSERT_EQ(for_loop.size(), 1u);
+  ASSERT_EQ(back_jumps.size(), 1u);
+  // i and x: inside the numeric-for body, after the back edge's target.
+  for (size_t k = 0; k < 2; ++k) {
+    EXPECT_LE(static_cast<size_t>(f.code[for_loop[0]].d), cells[k]);
+    EXPECT_LT(cells[k], for_loop[0]);
+  }
+  // y: inside the while body.
+  EXPECT_LE(static_cast<size_t>(f.code[back_jumps[0]].d), cells[2]);
+  EXPECT_LT(cells[2], back_jumps[0]);
+  Interpreter interp;
+  ASSERT_TRUE(interp.RunSource(source).ok());
+  EXPECT_EQ(interp.GetGlobal("result").as_number(), 10 + 1 + 20 + 2 + 30 + 3 + 1 + 2);
+  ExpectEnginesAgree(source);
+}
+
 TEST(VmTest, ClosureCapturesFreshCellPerIteration) {
   Interpreter interp;
   ASSERT_TRUE(interp
@@ -735,90 +935,91 @@ TEST(VmTest, UpvalueWritesSharedBetweenClosures) {
 // -- Handwritten differential corpus: the semantic corners the compiler had
 // -- to reproduce exactly (scoping, evaluation order, error text, iteration
 // -- order). Every program must behave identically on both engines.
+const char* const kHandwrittenCorpus[] = {
+    // Scoping and shadowing.
+    "x = 1 do local x = 2 print(x) end print(x)",
+    "local a = 1 local a = a + 1 result = a",
+    "for i = 1, 3 do local v = i end result = v",
+    "i = 99 for i = 1, 2 do end result = i",
+    // Repeat: condition sees body locals; body re-runs until true.
+    "n = 0 repeat local done = n > 2 n = n + 1 until done result = n",
+    // Numeric for: fractional and negative steps, error precedence.
+    "s = 0 for i = 1, 2, 0.5 do s = s + i end result = s",
+    "s = 0 for i = 5, 1, -2 do s = s + i end result = s",
+    "for i = 1, 10, 0 do end",
+    "for i = 'a', 2 do end",
+    "for i = 1, {} do end",
+    // Generic for: snapshot order with mixed keys; only two names bind.
+    "t = {10, 20, x = 's', [2.5] = 'h'} o = '' for k, v in pairs(t) do o = o "
+    ".. tostring(k) .. '=' .. tostring(v) .. ';' end result = o",
+    "t = {3, 1} c = 0 for k in pairs(t) do c = c + k end result = c",
+    "for k, v in pairs(42) do end",
+    // Mutation during generic-for (snapshot semantics).
+    "t = {1, 2} o = 0 for k, v in pairs(t) do t[k + 10] = v o = o + v end "
+    "result = o",
+    // break / while.
+    "x = 0 while x < 100 do x = x + 1 if x > 4 then break end end result = x",
+    "result = 0 break result = 1",  // break outside a loop unwinds the call
+    // Multiple assignment: values before targets, left-to-right stores.
+    "a = 1 b = 2 a, b = b, a result = a * 10 + b",
+    "t = {} i = 1 t[i], i = 99, 2 result = t[1] + i",
+    "a, b, c = 1, 2 result = tostring(c)",
+    // Table constructor evaluation order and dynamic keys.
+    "n = 0 local function bump() n = n + 1 return n end "
+    "t = {bump(), bump(), [bump()] = bump()} result = n .. ':' .. t[1]",
+    "t = {[1 + 1] = 'two'} result = t[2]",
+    "k = nil t = {} t[k] = 1",  // nil key error
+    // Arithmetic / comparison / concat error text parity.
+    "result = 1 + nil",
+    "result = nil + 1",
+    "result = 'a' < 1",
+    "result = {} .. 'x'",
+    "result = -{}",
+    "result = #true",
+    "result = not nil",
+    "local f f()",
+    // Short-circuit evaluation skips side effects.
+    "n = 0 local function side() n = n + 1 return true end "
+    "x = false and side() y = true or side() result = n",
+    "result = (nil and 1) or 'fallback'",
+    // String/number coercion in concat; tostring/tonumber round trips.
+    "result = 1 .. 2.5 .. 'x'",
+    "result = tonumber('0x10') + tonumber('1e2')",
+    "result = tostring(1/0) .. tostring(0/0)",
+    // Lua modulo and IEEE corners (must fold identically too).
+    "result = -7 % 3",
+    "result = 7 % -3",
+    "result = 2^10 + 10 % 3",
+    "result = (0/0) == (0/0)",
+    "result = -0.0 .. ''",
+    // Varargs.
+    "function f(a, ...) return a + arg[1] + #arg end result = f(1, 2, 3)",
+    "function f(...) return #arg end result = f()",
+    // Deep call chains and recursion depth error.
+    "local function rec(n) return rec(n + 1) end rec(0)",
+    "local function fib(n) if n < 2 then return n end return fib(n-1) + "
+    "fib(n-2) end result = fib(12)",
+    // Host function errors propagate unchanged.
+    "error('boom')",
+    "assert(false, 'custom msg')",
+    // Globals defined inside functions; implicit global writes.
+    "function set() g_from_fn = 123 end set() result = g_from_fn",
+    // Stdlib over both engines (library calls are t.field reads, so they
+    // also exercise the field ICs).
+    "result = string.sub('hello', 2, 4) .. string.upper('x') .. "
+    "string.rep('ab', 2)",
+    "t = {5, 3} table.insert(t, 8) result = table.remove(t) + #t",
+    "result = math.floor(2.7) + math.max(1, 9, 4) + math.abs(-2)",
+    "result = string.len('abc') + string.find('hello', 'll')",
+    "result = math.sqrt(-1) == math.sqrt(-1)",
+    // Function values: type, rendering and identity.
+    "local f = function() end local g = f print(f, type(f), tostring(f)) "
+    "result = tostring(f == g) .. tostring(f == function() end) .. type(assert(f))",
+    "error(function() end)",
+};
+
 TEST(VmDifferentialTest, HandwrittenCorpusAgrees) {
-  const char* corpus[] = {
-      // Scoping and shadowing.
-      "x = 1 do local x = 2 print(x) end print(x)",
-      "local a = 1 local a = a + 1 result = a",
-      "for i = 1, 3 do local v = i end result = v",
-      "i = 99 for i = 1, 2 do end result = i",
-      // Repeat: condition sees body locals; body re-runs until true.
-      "n = 0 repeat local done = n > 2 n = n + 1 until done result = n",
-      // Numeric for: fractional and negative steps, error precedence.
-      "s = 0 for i = 1, 2, 0.5 do s = s + i end result = s",
-      "s = 0 for i = 5, 1, -2 do s = s + i end result = s",
-      "for i = 1, 10, 0 do end",
-      "for i = 'a', 2 do end",
-      "for i = 1, {} do end",
-      // Generic for: snapshot order with mixed keys; only two names bind.
-      "t = {10, 20, x = 's', [2.5] = 'h'} o = '' for k, v in pairs(t) do o = o "
-      ".. tostring(k) .. '=' .. tostring(v) .. ';' end result = o",
-      "t = {3, 1} c = 0 for k in pairs(t) do c = c + k end result = c",
-      "for k, v in pairs(42) do end",
-      // Mutation during generic-for (snapshot semantics).
-      "t = {1, 2} o = 0 for k, v in pairs(t) do t[k + 10] = v o = o + v end "
-      "result = o",
-      // break / while.
-      "x = 0 while x < 100 do x = x + 1 if x > 4 then break end end result = x",
-      "result = 0 break result = 1",  // break outside a loop unwinds the call
-      // Multiple assignment: values before targets, left-to-right stores.
-      "a = 1 b = 2 a, b = b, a result = a * 10 + b",
-      "t = {} i = 1 t[i], i = 99, 2 result = t[1] + i",
-      "a, b, c = 1, 2 result = tostring(c)",
-      // Table constructor evaluation order and dynamic keys.
-      "n = 0 local function bump() n = n + 1 return n end "
-      "t = {bump(), bump(), [bump()] = bump()} result = n .. ':' .. t[1]",
-      "t = {[1 + 1] = 'two'} result = t[2]",
-      "k = nil t = {} t[k] = 1",  // nil key error
-      // Arithmetic / comparison / concat error text parity.
-      "result = 1 + nil",
-      "result = nil + 1",
-      "result = 'a' < 1",
-      "result = {} .. 'x'",
-      "result = -{}",
-      "result = #true",
-      "result = not nil",
-      "local f f()",
-      // Short-circuit evaluation skips side effects.
-      "n = 0 local function side() n = n + 1 return true end "
-      "x = false and side() y = true or side() result = n",
-      "result = (nil and 1) or 'fallback'",
-      // String/number coercion in concat; tostring/tonumber round trips.
-      "result = 1 .. 2.5 .. 'x'",
-      "result = tonumber('0x10') + tonumber('1e2')",
-      "result = tostring(1/0) .. tostring(0/0)",
-      // Lua modulo and IEEE corners (must fold identically too).
-      "result = -7 % 3",
-      "result = 7 % -3",
-      "result = 2^10 + 10 % 3",
-      "result = (0/0) == (0/0)",
-      "result = -0.0 .. ''",
-      // Varargs.
-      "function f(a, ...) return a + arg[1] + #arg end result = f(1, 2, 3)",
-      "function f(...) return #arg end result = f()",
-      // Deep call chains and recursion depth error.
-      "local function rec(n) return rec(n + 1) end rec(0)",
-      "local function fib(n) if n < 2 then return n end return fib(n-1) + "
-      "fib(n-2) end result = fib(12)",
-      // Host function errors propagate unchanged.
-      "error('boom')",
-      "assert(false, 'custom msg')",
-      // Globals defined inside functions; implicit global writes.
-      "function set() g_from_fn = 123 end set() result = g_from_fn",
-      // Stdlib over both engines (library calls are t.field reads, so they
-      // also exercise the field ICs).
-      "result = string.sub('hello', 2, 4) .. string.upper('x') .. "
-      "string.rep('ab', 2)",
-      "t = {5, 3} table.insert(t, 8) result = table.remove(t) + #t",
-      "result = math.floor(2.7) + math.max(1, 9, 4) + math.abs(-2)",
-      "result = string.len('abc') + string.find('hello', 'll')",
-      "result = math.sqrt(-1) == math.sqrt(-1)",
-      // Function values: type, rendering and identity.
-      "local f = function() end local g = f print(f, type(f), tostring(f)) "
-      "result = tostring(f == g) .. tostring(f == function() end) .. type(assert(f))",
-      "error(function() end)",
-  };
-  for (const char* source : corpus) {
+  for (const char* source : kHandwrittenCorpus) {
     ExpectEnginesAgree(source);
   }
 }
@@ -829,6 +1030,9 @@ TEST(VmDifferentialTest, HandwrittenCorpusAgrees) {
 // --    divergence: closures over a later same-name local);
 // --  * tables hold only scalars and only scalar expressions are printed
 // --    (table rendering includes heap addresses).
+// -- Closure shapes (cases 8, 10-13): a capture near the top level, a
+// -- function in a function, a local declared after the function that
+// -- names it, closures made in loop bodies, and a captured block local.
 class ProgramGen {
  public:
   explicit ProgramGen(uint32_t seed) : rng_(seed) {}
@@ -917,7 +1121,7 @@ class ProgramGen {
         return "((" + NumExpr(depth + 1) + Cmp() + NumExpr(depth + 1) + ") and " +
                NumExpr(depth + 1) + " or " + NumExpr(depth + 1) + ")";
       case 8:
-        return "(-" + NumExpr(depth + 1) + ")";
+        return "(- " + NumExpr(depth + 1) + ")";  // "--" would open a comment
       case 9:
         return "gf1(" + NumExpr(depth + 1) + ")";
       case 10:
@@ -975,8 +1179,10 @@ class ProgramGen {
     return name;
   }
 
+  std::string FreshFunction() { return "uf" + std::to_string(fn_count_++); }
+
   void Stmt(int depth) {
-    switch (R(depth > 1 ? 6 : 10)) {
+    switch (R(depth > 1 ? 6 : 14)) {
       case 0:
         out_ += Var() + " = " + AnyExpr() + "\n";
         break;
@@ -1028,19 +1234,93 @@ class ProgramGen {
       case 8: {
         // Function definition capturing an earlier local through a cell.
         std::string cap = FreshLocal();
-        std::string fn = "uf" + std::to_string(fn_count_++);
+        std::string fn = FreshFunction();
         out_ += "local " + cap + " = " + Num() + "\n";
         out_ += "function " + fn + "(p)\n  " + cap + " = " + cap +
                 " + 1\n  return p + " + cap + "\nend\n";
         out_ += Var() + " = " + fn + "(" + Num() + ")\n";
         break;
       }
-      default: {
+      case 9: {
         std::string c = FreshName();
         out_ += "local " + c + " = 0\n";
         out_ += "repeat " + c + " = " + c + " + 1\n";
         Stmt(depth + 1);
         out_ += "until " + c + " >= " + std::to_string(1 + R(3)) + "\n";
+        break;
+      }
+      case 10: {
+        // A function inside a function: the inner one updates the outer
+        // one's local and hands it, with the outer parameter, two levels
+        // down.
+        std::string fn = FreshFunction();
+        std::string a = FreshName();
+        std::string inner = FreshName();
+        out_ += "function " + fn + "(p)\n";
+        out_ += "  local " + a + " = " + Num() + "\n";
+        out_ += "  local " + inner + " = function(q)\n";
+        out_ += "    " + a + " = " + a + " + q\n";
+        out_ += "    return function() return " + a + " + p + " + NumExpr(2) + " end\n";
+        out_ += "  end\n";
+        out_ += "  return " + inner + "(" + Num() + ")() + " + a + "\n";
+        out_ += "end\n";
+        out_ += Var() + " = " + fn + "(" + NumExpr(1) + ")\n";
+        break;
+      }
+      case 11: {
+        // Whole-scope rule: the function names a local its block declares
+        // only later; it runs after the declaration.
+        std::string fn = FreshFunction();
+        std::string late = FreshName();
+        out_ += "do\n";
+        out_ += "function " + fn + "(p) return p + " + late + " end\n";
+        Stmt(depth + 1);
+        out_ += "local " + late + " = " + Num() + "\n";
+        out_ += Var() + " = " + fn + "(" + Num() + ")\n";
+        out_ += "end\n";
+        break;
+      }
+      case 12: {
+        // Closures made in a loop body: each iteration calls the previous
+        // iteration's closure, which must still see its own cells.
+        std::string sum = FreshName();
+        std::string prev = FreshName();
+        std::string x = FreshName();
+        std::string captured = x;
+        out_ += "local " + sum + " = 0\n";
+        out_ += "local " + prev + " = nil\n";
+        if (R(2) == 0) {
+          std::string i = FreshName();
+          out_ += "for " + i + " = 1, " + std::to_string(2 + R(3)) + " do\n";
+          out_ += "local " + x + " = " + i + " * " + Num() + "\n";
+          captured += " + " + i;
+        } else {
+          std::string c = FreshName();
+          out_ += "local " + c + " = 0\n";
+          out_ += "while " + c + " < " + std::to_string(2 + R(3)) + " do\n";
+          out_ += c + " = " + c + " + 1\n";
+          out_ += "local " + x + " = " + c + " + " + Num() + "\n";
+        }
+        out_ += "if " + prev + " then " + sum + " = " + sum + " + " + prev + "() end\n";
+        out_ += prev + " = function() " + x + " = " + x + " + 1 return " + captured +
+                " end\n";
+        Stmt(depth + 1);
+        out_ += "end\n";
+        out_ += Var() + " = " + sum + "\n";
+        break;
+      }
+      default: {
+        // A block local (a chunk-level one at depth 0) captured by a
+        // function that outlives the block.
+        std::string fn = FreshFunction();
+        std::string x = FreshName();
+        out_ += "do\n";
+        out_ += "local " + x + " = " + Num() + "\n";
+        out_ += "function " + fn + "(p) " + x + " = " + x + " + p return " + x + " + " +
+                NumExpr(2) + " end\n";
+        Stmt(depth + 1);
+        out_ += "end\n";
+        out_ += Var() + " = " + fn + "(" + Num() + ") + " + fn + "(1)\n";
         break;
       }
     }

@@ -1028,6 +1028,50 @@ TEST_F(ZlogFixture, ContendedGroupSurvivesRankCrash) {
   }
 }
 
+TEST_F(ZlogFixture, TakeoverOutbidsSealsFarPastCachedEpoch) {
+  // Sharded sequencers on two ranks. The stripe is sealed five epochs past
+  // the client's cached epoch (a recoverer that sealed and never installed)
+  // when the owning rank dies. Takeover must seal past the stripe's highest
+  // seal, as recovery does, instead of giving up after a few bumps.
+  ClusterOptions options;
+  options.num_osds = 4;
+  options.num_mds = 2;
+  options.osd.replicas = 2;
+  options.mds.seq_ownership = true;
+  options.mon.proposal_interval = 200 * sim::kMillisecond;
+  cluster = std::make_unique<Cluster>(options);
+  cluster->Boot();
+  auto* client = cluster->NewClient();
+  LogOptions log_options;
+  log_options.name = "farsealed";
+  auto log = OpenLog(client, log_options);
+  cluster->RunFor(2 * sim::kSecond);  // let the ownership publish commit
+  ASSERT_TRUE(Append(log.get(), "before").ok());
+  ASSERT_EQ(log->epoch(), 0u);
+  constexpr uint64_t kSealed = 5;
+  int sealed = 0;
+  for (uint64_t pos = 0; pos < log_options.stripe_width; ++pos) {
+    client->rados.Exec(log->ObjectFor(pos), "zlog", "seal", cls::ZlogOps::MakeSeal(kSealed),
+                       [&](Status s, const Buffer&) {
+                         EXPECT_TRUE(s.ok()) << s;
+                         ++sealed;
+                       });
+  }
+  ASSERT_TRUE(cluster->RunUntil(
+      [&] { return sealed == static_cast<int>(log_options.stripe_width); }));
+
+  std::optional<uint32_t> owner =
+      mon::SeqOwnerOf(cluster->monitor().mds_map(), log->sequencer_path());
+  ASSERT_TRUE(owner.has_value());
+  cluster->mds(*owner).Crash();
+  BatchResult after = AppendBatch(log.get(), {"after"}, 300 * sim::kSecond);
+  ASSERT_TRUE(after.status.ok()) << after.status;
+  EXPECT_EQ(client->perf.counter("zlog.takeovers"), 1u);
+  EXPECT_EQ(log->epoch(), kSealed + 1);
+  EXPECT_EQ(Read(log.get(), after.positions[0]).data, "after");
+  EXPECT_EQ(Read(log.get(), 0).data, "before");
+}
+
 TEST_F(ZlogFixture, MdsCrashClearsContentionCounts) {
   // Requests queued at a crash die with it; their contention counts must
   // too, or every later grant would report phantom contention.
