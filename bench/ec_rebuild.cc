@@ -4,7 +4,9 @@
 //
 // For each object-count point the bench runs a fresh cluster and measures:
 //   - storage overhead: stored bytes / logical bytes for an EC k=3 pool
-//     (shards + object index) against a 3-way replicated pool;
+//     (its shards, nothing else) against a 3-way replicated pool;
+//   - write latency: an EC write is the k+1 shard transactions, one round
+//     trip, so it costs about what a healthy read does;
 //   - read latency: the same objects read healthy, then degraded (one OSD
 //     permanently lost, map updated, scrub not yet run) — every degraded
 //     read decodes around the missing shard, deciding on the first k
@@ -293,6 +295,10 @@ int main(int argc, char** argv) {
     // k agreeing shards, so it never waits for that sweep at all.
     ok &= ShapeCheck(name + ": degraded read p50 <= 1.25x healthy p50",
                      r.degraded_read_us.Quantile(0.50) <= 1.25 * r.read_us.Quantile(0.50));
+    // The k+1 single-copy shard writes go out at once and nothing else
+    // rides with them, so a write is one round trip like a read.
+    ok &= ShapeCheck(name + ": EC write p50 <= 1.25x healthy read p50",
+                     r.ec_write_us.Quantile(0.50) <= 1.25 * r.read_us.Quantile(0.50));
     ok &= ShapeCheck(name + ": scrub restored full redundancy",
                      r.missing_after == 0 && r.rebuild_ms > 0);
     ok &= ShapeCheck(name + ": every lost shard rebuilt",

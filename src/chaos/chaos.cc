@@ -1,7 +1,6 @@
 #include "src/chaos/chaos.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "src/common/log.h"
 #include "src/mds/types.h"
@@ -805,13 +804,12 @@ uint32_t Checkers::EcMissingShards(const std::string& pool, uint32_t k) const {
       if (!acting.empty() && acting[0] < cluster_->num_osds()) {
         auto stored = cluster_->osd(acting[0]).store().Get(shard_oid);
         if (stored.ok()) {
-          const auto& xattrs = stored.value()->xattrs;
-          auto cksum = xattrs.find(ec::kShardCksumXattr);
-          auto gen = xattrs.find(ec::kShardStampXattr);
-          healthy = cksum != xattrs.end() && gen != xattrs.end() &&
-                    std::strtoull(cksum->second.c_str(), nullptr, 10) ==
-                        ec::Checksum(stored.value()->data) &&
-                    std::strtoull(gen->second.c_str(), nullptr, 10) == stamp;
+          const osd::Omap& xattrs = stored.value()->xattrs;
+          auto cksum = xattrs.Find(ec::kShardCksumXattr);
+          auto gen = xattrs.Find(ec::kShardStampXattr);
+          healthy = cksum && gen &&
+                    *cksum == std::to_string(ec::Checksum(stored.value()->data)) &&
+                    *gen == std::to_string(stamp);
         }
       }
       if (!healthy) {

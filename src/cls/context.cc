@@ -39,11 +39,11 @@ mal::Result<std::string> ClsContext::XattrGet(const std::string& key) const {
   if (!staged_->exists()) {
     return mal::Status::NotFound("object " + oid_);
   }
-  const std::string* value = staged_->XattrFind(key);
-  if (value == nullptr) {
+  std::optional<std::string_view> value = staged_->XattrFind(key);
+  if (!value) {
     return mal::Status::NotFound("xattr " + key);
   }
-  return *value;
+  return std::string(*value);
 }
 
 mal::Status ClsContext::ApplyAndRecord(osd::Op op) {

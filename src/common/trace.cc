@@ -40,6 +40,7 @@ const char* BuiltinMessageName(uint32_t type) {
     case 203: return "osd.pull";
     case 205: return "osd.watch";
     case 206: return "osd.notify";
+    case 207: return "osd.list_objects";
     case 300: return "mds.client_request";
     case 301: return "mds.cap_revoke";
     case 303: return "mds.authority_update";

@@ -1,5 +1,6 @@
 #include "src/ec/pool.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <map>
 #include <memory>
@@ -117,19 +118,12 @@ void Pool::Write(const std::string& object, mal::Buffer data, DoneHandler on_don
   std::vector<mal::Buffer> shards = Encode(data, k_);
   uint64_t stamp = Checksum(data);
   std::vector<rados::RadosClient::TargetedOp> ops;
-  ops.reserve(shards.size() * 5 + 1);
+  ops.reserve(shards.size() * 5);
   for (uint32_t i = 0; i < shards.size(); ++i) {
     AppendShardWrite(&ops, object, i,
                      rados::RadosClient::MakeExecOp("ec", "check_epoch", U64Input(epoch_)),
                      shards[i], data.size(), stamp);
   }
-  // The object index rides in the same batch: scrub discovers the object
-  // as soon as the write acks.
-  osd::Op index;
-  index.type = osd::Op::Type::kOmapSet;
-  index.key = std::string(kIndexKeyPrefix) + object;
-  index.value = std::to_string(data.size());
-  ops.push_back({IndexOid(name_), std::move(index)});
   Submit(std::move(ops), std::move(on_done));
 }
 
@@ -288,38 +282,31 @@ void Pool::Seal(const std::string& object, uint64_t epoch, DoneHandler on_done) 
   }
 }
 
-void Pool::ListObjects(ListHandler on_list) {
-  std::vector<osd::Op> ops(1);
-  ops[0].type = osd::Op::Type::kOmapList;
-  ops[0].key = kIndexKeyPrefix;
-  rados_->Execute(IndexOid(name_), std::move(ops),
-                  [on_list](mal::Status status, const osd::OsdOpReply& reply) {
-                    if (!status.ok()) {
-                      on_list(status, {});
-                      return;
-                    }
-                    if (reply.results.empty() || !reply.results[0].status.ok()) {
-                      // An absent index means an empty pool, not an error.
-                      mal::Status s = reply.results.empty()
-                                          ? mal::Status::Internal("empty reply")
-                                          : reply.results[0].status;
-                      if (s.code() == mal::Code::kNotFound) {
-                        on_list(mal::Status::Ok(), {});
-                      } else {
-                        on_list(s, {});
-                      }
-                      return;
-                    }
-                    mal::Decoder dec(reply.results[0].out);
-                    auto entries = DecodeStringMap(&dec);
-                    std::vector<std::string> objects;
-                    objects.reserve(entries.size());
-                    constexpr size_t kPrefixLen = sizeof(kIndexKeyPrefix) - 1;
-                    for (const auto& [key, value] : entries) {
-                      objects.push_back(key.substr(kPrefixLen));
-                    }
-                    on_list(mal::Status::Ok(), std::move(objects));
-                  });
+size_t Pool::ListObjects(ListHandler on_list) {
+  std::string prefix = name_ + "/";
+  size_t asked = 0;
+  for (const auto& [id, info] : rados_->osd_map().osds) {
+    if (!info.up) {
+      continue;
+    }
+    ++asked;
+    rados_->ListObjects(
+        id, prefix,
+        [prefix, on_list](mal::Status status, std::vector<std::string> oids) {
+          std::vector<std::string> objects;
+          for (const std::string& oid : oids) {
+            auto ref = osd::ParseEcShardOid(oid);
+            if (ref.has_value() && ref->logical_oid.starts_with(prefix)) {
+              objects.push_back(ref->logical_oid.substr(prefix.size()));
+            }
+          }
+          // One OSD may hold two slots of an object after a membership change.
+          std::sort(objects.begin(), objects.end());
+          objects.erase(std::unique(objects.begin(), objects.end()), objects.end());
+          on_list(status, std::move(objects));
+        });
+  }
+  return asked;
 }
 
 }  // namespace mal::ec

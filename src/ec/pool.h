@@ -20,9 +20,11 @@
 // Reads send all k+1 shard reads but decide on the first k that agree
 // (see Read), discard checksum mismatches, decode around a single loss
 // (counting rados.ec.degraded_reads), and report kDataLoss when the code's
-// tolerance is exceeded. The scrub agent (src/scrub/) gathers all k+1,
-// walks the pool's object index and fills lost shards back to full
-// redundancy (Fill).
+// tolerance is exceeded. The scrub agent (src/scrub/) finds the pool's
+// objects by listing the shards each OSD holds (ListObjects), gathers all
+// k+1 and fills lost shards back to full redundancy (Fill). The pool keeps
+// no index of its own: a write is the k+1 shard transactions and nothing
+// else.
 #ifndef MALACOLOGY_EC_POOL_H_
 #define MALACOLOGY_EC_POOL_H_
 
@@ -77,9 +79,10 @@ class Pool {
   // current map view. nullopt when the pool is unknown or not erasure.
   static std::optional<Pool> Bind(rados::RadosClient* rados, const std::string& name);
 
-  // Encodes and writes all k+1 shards plus the pool's object index entry.
-  // Acks only when every shard and the index committed — an acked write
-  // therefore survives any single subsequent shard loss.
+  // Encodes and writes all k+1 shards, each guarded by cls ec.check_epoch.
+  // Acks only when every shard committed — an acked write therefore
+  // survives any single subsequent shard loss, and any one surviving shard
+  // keeps it discoverable to ListObjects.
   void Write(const std::string& object, mal::Buffer data, DoneHandler on_done);
 
   // Sends all k+1 shard reads and decides as soon as the checksum-valid
@@ -99,9 +102,12 @@ class Pool {
   // handle adopts the epoch for its own subsequent writes.
   void Seal(const std::string& object, uint64_t epoch, DoneHandler on_done);
 
-  // Lists the logical objects recorded in the pool's index (scrub's work
-  // queue; also how tests enumerate what must survive).
-  void ListObjects(ListHandler on_list);
+  // Asks every up OSD in the caller's map, under the ambient deadline, for
+  // the shards of this pool it holds. `on_list` runs once per OSD asked:
+  // with the logical object names that OSD reported (sorted, each once),
+  // or with the failure. Returns the number of OSDs asked. Scrub's work
+  // queue is the union of the listings.
+  size_t ListObjects(ListHandler on_list);
 
   // Reads every shard of `object` with checksum verification but no
   // decode, waiting for all k+1 replies: the scrub agent's raw material.
@@ -113,7 +119,7 @@ class Pool {
   // the slot's ec.stamp still equals the one gathered (0: absent or
   // unstamped), so a fill never rolls back a write that landed since the
   // gather; such a slot fails with kAborted. Carries no epoch guard and
-  // leaves a slot's seal and the object index as they are.
+  // leaves a slot's seal as it is.
   void Fill(const std::string& object, const mal::Buffer& data,
             const std::vector<ShardInfo>& seen, DoneHandler on_done);
 
@@ -130,10 +136,6 @@ class Pool {
   std::string ShardOid(const std::string& object, uint32_t index) const {
     return osd::EcShardOid(LogicalOid(object), index);
   }
-  // The pool's object index: a replicated omap object ("obj.<name>" ->
-  // logical size) living outside the shard namespace.
-  static std::string IndexOid(const std::string& pool) { return pool + "/.index"; }
-  static constexpr char kIndexKeyPrefix[] = "obj.";
 
  private:
   using ShardsPredicate = std::function<bool(const std::vector<ShardInfo>&)>;

@@ -9,6 +9,9 @@ namespace mal::mds {
 
 namespace {
 
+// Authority for "/" and the coherence anchor.
+constexpr uint32_t kRootRank = 0;
+
 const char* LeaseModeName(LeaseMode mode) {
   switch (mode) {
     case LeaseMode::kBestEffort:
@@ -82,7 +85,7 @@ void MdsDaemon::Boot() {
   window_start_ = Now();
 
   // Guarded so a post-crash re-Boot never resets a surviving root inode.
-  if (name().id == config_.root_rank && inodes_.count("/") == 0) {
+  if (name().id == kRootRank && inodes_.count("/") == 0) {
     HostedInode root;
     root.inode.ino = next_ino_++;
     root.inode.type = InodeType::kDir;
@@ -216,7 +219,7 @@ uint32_t MdsDaemon::AuthorityOf(const std::string& path) const {
       return pit->second;
     }
   }
-  return config_.root_rank;
+  return kRootRank;
 }
 
 const Inode* MdsDaemon::GetInode(const std::string& path) const {
@@ -317,7 +320,7 @@ void MdsDaemon::HandleClientRequest(const sim::Envelope& request, ClientRequest 
   // charge (the proxy already paid it); direct requests at a non-root
   // authority pay the coherence tax and strain the root.
   sim::Time cost = forwarded ? 0 : config_.handle_cost;
-  if (!forwarded && name().id != config_.root_rank &&
+  if (!forwarded && name().id != kRootRank &&
       request.from.type == sim::EntityType::kClient &&
       !(config_.seq_ownership && MapOwnerOf(req.path).has_value())) {
     // Published sequencer owners skip the scatter-gather coherence tax:
@@ -325,7 +328,7 @@ void MdsDaemon::HandleClientRequest(const sim::Envelope& request, ClientRequest 
     // every rank's view of the placement consistent. This is what makes
     // grant capacity scale with MDS count.
     cost += config_.coherence_self_cost;
-    SendOneWay(sim::EntityName::Mds(config_.root_rank), kMsgCoherence, mal::Buffer());
+    SendOneWay(sim::EntityName::Mds(kRootRank), kMsgCoherence, mal::Buffer());
   }
   if (req.op == MdsOp::kSeqRead || req.op == MdsOp::kSeqNextBatch) {
     cost += config_.tail_cost;

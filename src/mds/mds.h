@@ -69,7 +69,6 @@ struct MdsConfig {
   sim::Time cap_reclaim_timeout = 10 * sim::kSecond;
 
   RoutingMode routing = RoutingMode::kProxy;
-  uint32_t root_rank = 0;  // authority for "/" and coherence anchor
 
   // Sharded sequencers: when true, sequencer-inode ownership is published
   // in the MdsMap service metadata ("seq.owner.<path>" entries), non-owner

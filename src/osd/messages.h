@@ -18,6 +18,7 @@ enum MsgType : uint32_t {
   kMsgPullObject = 203, // recovery: fetch a full object from a peer
   kMsgWatch = 205,      // client -> primary: (un)register a watch
   kMsgNotify = 206,     // primary -> watcher (one-way): object changed
+  kMsgListObjects = 207,  // any -> one OSD: the oids its store holds under a prefix
 };
 
 struct WatchRequest {
@@ -99,6 +100,32 @@ struct OsdOpReply {
       r.status = code == mal::Code::kOk ? mal::Status::Ok() : mal::Status(code, message);
       r.out = dec->GetBuffer();
       reply.results.push_back(std::move(r));
+    }
+    return reply;
+  }
+};
+
+// kMsgListObjects: the reply is ListObjectsReply, the sorted oids of the
+// serving OSD's own store that start with `prefix`.
+struct ListObjectsRequest {
+  std::string prefix;
+  void Encode(mal::Encoder* enc) const { enc->PutString(prefix); }
+  static ListObjectsRequest Decode(mal::Decoder* dec) { return {dec->GetString()}; }
+};
+
+struct ListObjectsReply {
+  std::vector<std::string> oids;
+  void Encode(mal::Encoder* enc) const {
+    enc->PutVarU64(oids.size());
+    for (const std::string& oid : oids) {
+      enc->PutString(oid);
+    }
+  }
+  static ListObjectsReply Decode(mal::Decoder* dec) {
+    ListObjectsReply reply;
+    uint64_t n = dec->GetVarU64();
+    for (uint64_t i = 0; i < n && dec->ok(); ++i) {
+      reply.oids.push_back(dec->GetString());
     }
     return reply;
   }

@@ -159,7 +159,7 @@ Omap Omap::Decode(mal::Decoder* dec) {
 void Object::Encode(mal::Encoder* enc) const {
   enc->PutBuffer(data);
   omap.Encode(enc);
-  EncodeStringMap(enc, xattrs);
+  xattrs.Encode(enc);
   enc->PutVarU64(snapshots.size());
   for (const auto& [name, snap] : snapshots) {
     enc->PutString(name);
@@ -172,7 +172,7 @@ Object Object::Decode(mal::Decoder* dec) {
   Object object;
   object.data = dec->GetBuffer();
   object.omap = Omap::Decode(dec);
-  object.xattrs = DecodeStringMap(dec);
+  object.xattrs = Omap::Decode(dec);
   uint64_t n = dec->GetVarU64();
   for (uint64_t i = 0; i < n && dec->ok(); ++i) {
     std::string name = dec->GetString();
@@ -251,29 +251,39 @@ void TxnObject::Remove() {
   snaps_.clear();
 }
 
-std::optional<std::string_view> TxnObject::OmapFind(const std::string& key) const {
-  if (auto it = omap_.find(key); it != omap_.end()) {
+namespace {
+
+// Overlay-over-base lookup shared by the omap and the xattrs.
+std::optional<std::string_view> FindStaged(const TxnObject::StringOverlay& overlay,
+                                           const Omap* base, const std::string& key) {
+  if (auto it = overlay.find(key); it != overlay.end()) {
     if (!it->second) {
       return std::nullopt;
     }
     return std::string_view(*it->second);
   }
-  if (base_visible()) {
-    return base_->omap.Find(key);
-  }
-  return std::nullopt;
+  return base != nullptr ? base->Find(key) : std::nullopt;
 }
 
-const std::string* TxnObject::XattrFind(const std::string& key) const {
-  if (auto it = xattrs_.find(key); it != xattrs_.end()) {
-    return it->second ? &*it->second : nullptr;
-  }
-  if (base_visible()) {
-    if (auto it = base_->xattrs.find(key); it != base_->xattrs.end()) {
-      return &it->second;
+// Folds a staged overlay into committed records.
+void FoldOverlay(const TxnObject::StringOverlay& overlay, Omap* records) {
+  for (const auto& [k, v] : overlay) {
+    if (v) {
+      records->Set(k, *v);
+    } else {
+      records->Erase(k);
     }
   }
-  return nullptr;
+}
+
+}  // namespace
+
+std::optional<std::string_view> TxnObject::OmapFind(const std::string& key) const {
+  return FindStaged(omap_, base_visible() ? &base_->omap : nullptr, key);
+}
+
+std::optional<std::string_view> TxnObject::XattrFind(const std::string& key) const {
+  return FindStaged(xattrs_, base_visible() ? &base_->xattrs : nullptr, key);
 }
 
 const mal::Buffer* TxnObject::SnapFind(const std::string& name) const {
@@ -347,20 +357,8 @@ std::optional<Object> TxnObject::Materialize() const {
     out.xattrs = base_->xattrs;
     out.snapshots = base_->snapshots;
   }
-  for (const auto& [k, v] : omap_) {
-    if (v) {
-      out.omap.Set(k, *v);
-    } else {
-      out.omap.Erase(k);
-    }
-  }
-  for (const auto& [k, v] : xattrs_) {
-    if (v) {
-      out.xattrs[k] = *v;
-    } else {
-      out.xattrs.erase(k);
-    }
-  }
+  FoldOverlay(omap_, &out.omap);
+  FoldOverlay(xattrs_, &out.xattrs);
   for (const auto& [k, v] : snaps_) {
     if (v) {
       out.snapshots[k] = *v;
@@ -413,11 +411,11 @@ void ObjectStore::Clear() {
   bytes_used_ = 0;
 }
 
-std::vector<std::string> ObjectStore::List() const {
+std::vector<std::string> ObjectStore::List(std::string_view prefix) const {
   std::vector<std::string> names;
-  names.reserve(objects_.size());
-  for (const auto& [oid, object] : objects_) {
-    names.push_back(oid);
+  for (auto it = objects_.lower_bound(std::string(prefix));
+       it != objects_.end() && it->first.starts_with(prefix); ++it) {
+    names.push_back(it->first);
   }
   return names;
 }
@@ -453,13 +451,7 @@ void ObjectStore::CommitInPlace(Object* object, const TxnObject& staged) {
       object->omap.Erase(k);
     }
   }
-  for (const auto& [k, v] : staged.xattr_overlay()) {
-    if (v) {
-      object->xattrs[k] = *v;
-    } else {
-      object->xattrs.erase(k);
-    }
-  }
+  FoldOverlay(staged.xattr_overlay(), &object->xattrs);
   for (const auto& [k, v] : staged.snap_overlay()) {
     if (v) {
       object->snapshots[k] = *v;
@@ -587,7 +579,9 @@ mal::Status ObjectStore::ApplyOp(const Op& op, TxnObject* object, OpResult* resu
 
     case Op::Type::kWriteFull:
       object->Create();
-      *object->MutableData() = op.data;
+      // Exact: a small write rides in its request's front buffer, and an
+      // alias would keep the whole request alive for as long as the object.
+      *object->MutableData() = op.data.Exact();
       return mal::Status::Ok();
 
     case Op::Type::kAppend:
@@ -657,11 +651,11 @@ mal::Status ObjectStore::ApplyOp(const Op& op, TxnObject* object, OpResult* resu
       if (!s.ok()) {
         return s;
       }
-      const std::string* value = object->XattrFind(op.key);
-      if (value == nullptr) {
+      std::optional<std::string_view> value = object->XattrFind(op.key);
+      if (!value) {
         return mal::Status::NotFound("xattr " + op.key);
       }
-      result->out = mal::Buffer::FromString(*value);
+      result->out = mal::Buffer::FromString(std::string(*value));
       return mal::Status::Ok();
     }
 
@@ -675,8 +669,8 @@ mal::Status ObjectStore::ApplyOp(const Op& op, TxnObject* object, OpResult* resu
       if (!s.ok()) {
         return s;
       }
-      const std::string* value = object->XattrFind(op.key);
-      if (value == nullptr || *value != op.value) {
+      std::optional<std::string_view> value = object->XattrFind(op.key);
+      if (!value || *value != op.value) {
         return mal::Status::Aborted("cmpxattr mismatch on " + op.key);
       }
       return mal::Status::Ok();

@@ -42,7 +42,8 @@
 
 namespace mal::osd {
 
-// An object's sorted key-value database, laid out for memory. Every record
+// An object's sorted key-value records, laid out for memory: its omap and
+// its extended attributes each live in one. Every record
 // lives in one append-only byte arena as <varint key length, varint value
 // length, key, value>, and a sorted vector of 4-byte arena offsets orders
 // the records by key. A std::map spends a tree node plus a value allocation
@@ -51,8 +52,8 @@ namespace mal::osd {
 // ZLog stripe object (one record per log entry) small.
 //
 // Lookup is a binary search over the index. Set appends a record and
-// inserts its offset; ZLog and EC-index keys arrive nearly in order, so the
-// insert lands at or near the tail (a key past the last one skips the
+// inserts its offset; ZLog keys arrive nearly in order, so the insert
+// lands at or near the tail (a key past the last one skips the
 // search). An overwrite or an erase leaves the old record as dead bytes.
 // Once dead bytes exceed live bytes the arena is rewritten in index order,
 // so compaction is amortized O(1) per mutation and the arena never holds
@@ -133,7 +134,7 @@ class Omap {
 struct Object {
   mal::Buffer data;
   Omap omap;
-  std::map<std::string, std::string> xattrs;
+  Omap xattrs;
   // Named point-in-time copies of the bytestream ("controlling object
   // snapshots and clones" is one of the native interfaces of §4.2).
   // A snapshot is a COW alias of the bytestream at creation time: O(1) to
@@ -218,7 +219,7 @@ class TxnObject {
   // Merged overlay-over-base lookups. Pointers and views are valid until
   // the next mutation of this TxnObject or of its base.
   std::optional<std::string_view> OmapFind(const std::string& key) const;
-  const std::string* XattrFind(const std::string& key) const;
+  std::optional<std::string_view> XattrFind(const std::string& key) const;
   const mal::Buffer* SnapFind(const std::string& name) const;
   Omap OmapList(const std::string& prefix) const;
 
@@ -293,7 +294,8 @@ class ObjectStore {
   // Drops every object (chaos permanent loss: the disk is gone).
   void Clear();
 
-  std::vector<std::string> List() const;
+  // Sorted oids that start with `prefix` (all of them for an empty one).
+  std::vector<std::string> List(std::string_view prefix = {}) const;
   size_t size() const { return objects_.size(); }
 
   // Maintained incrementally on commit/Put/Remove (it is cheap enough to

@@ -19,11 +19,8 @@ bool AdoptableObject(const std::string& oid, const Object& object) {
   if (!ParseEcShardOid(oid).has_value()) {
     return true;
   }
-  auto it = object.xattrs.find("ec.cksum");
-  if (it == object.xattrs.end()) {
-    return true;
-  }
-  return std::to_string(StableHash(object.data.View())) == it->second;
+  std::optional<std::string_view> cksum = object.xattrs.Find("ec.cksum");
+  return !cksum || std::to_string(StableHash(object.data.View())) == *cksum;
 }
 
 const char* OpTypeName(Op::Type type) {
@@ -99,6 +96,10 @@ void Osd::RegisterHandlers() {
   dispatcher_.OnTyped<PullObjectRequest>(
       kMsgPullObject, [this](const sim::Envelope& env, PullObjectRequest req) {
         HandlePull(env, std::move(req));
+      });
+  dispatcher_.OnTyped<ListObjectsRequest>(
+      kMsgListObjects, [this](const sim::Envelope& env, ListObjectsRequest req) {
+        HandleListObjects(env, std::move(req));
       });
   dispatcher_.OnTyped<WatchRequest>(
       kMsgWatch, [this](const sim::Envelope& env, WatchRequest req) {
@@ -548,6 +549,14 @@ void Osd::HandlePull(const sim::Envelope& request, PullObjectRequest req) {
     return;
   }
   Reply(request, mal::EncodeSegmented(*object.value()));
+}
+
+void Osd::HandleListObjects(const sim::Envelope& request, ListObjectsRequest req) {
+  mal::Buffer reply = mal::Encode(ListObjectsReply{store_.List(req.prefix)});
+  sim::Time cost = config_.op_cpu_cost +
+                   static_cast<sim::Time>(config_.per_byte_cpu_ns *
+                                          static_cast<double>(reply.size()));
+  AfterCpu(cost, [this, request, reply] { Reply(request, reply); });
 }
 
 void Osd::HandleWatch(const sim::Envelope& request, WatchRequest req) {

@@ -122,6 +122,9 @@ class Osd : public sim::Actor {
   void HandleWatch(const sim::Envelope& request, WatchRequest req);
   void NotifyWatchers(const std::string& oid);
   void HandlePull(const sim::Envelope& request, PullObjectRequest req);
+  // Answers from this OSD's own store, charged like an op: op_cpu_cost
+  // plus per_byte_cpu_ns per reply byte.
+  void HandleListObjects(const sim::Envelope& request, ListObjectsRequest req);
   void HandleMapUpdate(const sim::Envelope& request);
   // Post-restart map catch-up: fetch the monitor's current OSDMap (retrying
   // until a monitor answers) and only then clear `rejoining_`.

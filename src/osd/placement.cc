@@ -155,7 +155,7 @@ std::vector<uint32_t> ActingSetForOid(const std::string& oid, const mon::OsdMap&
           }
           return {*home};
         }
-        // Non-shard metadata in an EC pool (the object index): replicate it.
+        // A non-shard object in an EC pool is replicated.
         return OsdsForObject(oid, map, 3);
       }
       return OsdsForObject(oid, map, layout->width);

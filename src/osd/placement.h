@@ -58,7 +58,7 @@ std::optional<EcShardRef> ParseEcShardOid(const std::string& oid);
 // order), so losing an OSD moves only the shards homed on it, and its
 // return moves them back. With fewer than k+1 OSDs up the shards wrap
 // over the up ones, so the pool stays writable. Non-shard objects in an EC
-// pool (e.g. the pool's object index) are replicated 3-wide. Oids outside
+// pool are replicated 3-wide. Oids outside
 // any registered pool — everything that existed before pools — keep the
 // legacy `default_replicas` placement, so pool-free clusters place
 // byte-identically.

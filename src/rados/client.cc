@@ -1,5 +1,7 @@
 #include "src/rados/client.h"
 
+#include "src/common/deadline.h"
+
 namespace mal::rados {
 
 void RadosClient::Connect(DoneHandler on_done) {
@@ -290,6 +292,31 @@ void RadosClient::Exec(const std::string& oid, const std::string& cls,
     SingleOpResult(s, reply, &op_status, &out);
     on_out(op_status, out);
   });
+}
+
+void RadosClient::ListObjects(uint32_t osd, const std::string& prefix, ListHandler on_list) {
+  owner_->SendRequest(sim::EntityName::Osd(osd), osd::kMsgListObjects,
+                      mal::Encode(osd::ListObjectsRequest{prefix}),
+                      [this, on_list = std::move(on_list)](mal::Status status,
+                                                           const sim::Envelope& reply) {
+                        if (!status.ok()) {
+                          // The OSD may be failed in a map this client
+                          // missed: catch up in the background, outside the
+                          // spent budget, so the caller's next ops route by
+                          // the current map.
+                          mal::ScopedDeadline unbounded(0);
+                          RefreshMapAfterFailure([](mal::Status) {});
+                          on_list(status, {});
+                          return;
+                        }
+                        mal::Decoder dec(reply.payload);
+                        osd::ListObjectsReply listed = osd::ListObjectsReply::Decode(&dec);
+                        if (!dec.ok()) {
+                          on_list(mal::Status::Internal("malformed object listing"), {});
+                          return;
+                        }
+                        on_list(mal::Status::Ok(), std::move(listed.oids));
+                      });
 }
 
 osd::Op RadosClient::MakeExecOp(const std::string& cls, const std::string& method,

@@ -39,6 +39,7 @@ class RadosClient {
   using OpHandler = std::function<void(mal::Status, const osd::OsdOpReply&)>;
   using DataHandler = std::function<void(mal::Status, const mal::Buffer&)>;
   using DoneHandler = std::function<void(mal::Status)>;
+  using ListHandler = std::function<void(mal::Status, std::vector<std::string>)>;
 
   // Fetches the initial OSDMap and subscribes to updates.
   void Connect(DoneHandler on_done);
@@ -79,6 +80,12 @@ class RadosClient {
   // Object-class invocation (the Data I/O interface).
   void Exec(const std::string& oid, const std::string& cls, const std::string& method,
             mal::Buffer input, DataHandler on_out);
+
+  // Lists the oids under `prefix` that one OSD's own store holds, sorted.
+  // Addressed to that OSD (placement plays no part) and sent once, under
+  // the ambient deadline. A listing that fails also refreshes the map, as
+  // a failed Execute does.
+  void ListObjects(uint32_t osd, const std::string& prefix, ListHandler on_list);
 
   // -- multi-target transactions --------------------------------------------------
   // One op of a batch, destined for a specific object.

@@ -216,7 +216,7 @@ Status Vm::Execute(const std::shared_ptr<const CompiledChunk>& chunk_sp,
   };
 
   // Must mirror the declaration order of enum class Op exactly. Grouped
-  // bodies (arith, ordered compares, eq/ne) share a label.
+  // bodies (arith, ordered compares, eq/ne, the two returns) share a label.
   static const void* const kDispatch[] = {
       &&C_kLoadK, &&C_kLoadNil, &&C_kLoadBool, &&C_kMove,
       &&C_kGetGlobal, &&C_kSetGlobal, &&C_kGetUpval, &&C_kSetUpval,
@@ -230,7 +230,7 @@ Status Vm::Execute(const std::shared_ptr<const CompiledChunk>& chunk_sp,
       &&C_kGetIndex, &&C_kSetIndex, &&C_kCheckTable,
       &&C_kCall, &&C_kClosure, &&C_kVarargTab,
       &&C_kForPrep, &&C_kForLoop, &&C_kIterPrep, &&C_kIterNext,
-      &&C_kReturn, &&C_kReturnNil,
+      &&C_kReturn, &&C_kReturn,
   };
   static_assert(sizeof(kDispatch) / sizeof(kDispatch[0]) ==
                 static_cast<size_t>(Op::kReturnNil) + 1);
@@ -669,9 +669,14 @@ Status Vm::Execute(const std::shared_ptr<const CompiledChunk>& chunk_sp,
   }
 
   C_kReturn: {
+    const bool nil = in->op == Op::kReturnNil;
     if (nframes == 0) {
       FlushIc();
-      *out = std::move(regs[in->a]);  // frame is dead past this point
+      if (nil) {
+        out->SetNil();
+      } else {
+        *out = std::move(regs[in->a]);  // frame is dead past this point
+      }
       return Status::Ok();
     }
     Value* child_regs = regs;  // no resize between here and the move below
@@ -692,33 +697,11 @@ Status Vm::Execute(const std::shared_ptr<const CompiledChunk>& chunk_sp,
       iters = std::move(f.iters);
     }
     regs = stack_.data() + base;
-    regs[f.ret_reg] = std::move(child_regs[in->a]);
-    VM_NEXT();
-  }
-  C_kReturnNil: {
-    if (nframes == 0) {
-      FlushIc();
-      out->SetNil();
-      return Status::Ok();
+    if (nil) {
+      regs[f.ret_reg].SetNil();
+    } else {
+      regs[f.ret_reg] = std::move(child_regs[in->a]);
     }
-    Frame& f = frames[--nframes];
-    --interp_->call_depth_;
-    chunkp = f.chunk;
-    csp = f.cs;
-    protop = f.proto;
-    closure = f.closure;
-    code = f.code;
-    pc = f.pc;
-    base = f.base;
-    nargs = f.nargs;
-    if (f.has_cells) {
-      cells = std::move(f.cells);
-    }
-    if (f.has_iters) {
-      iters = std::move(f.iters);
-    }
-    regs = stack_.data() + base;
-    regs[f.ret_reg].SetNil();
     VM_NEXT();
   }
 }

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
+#include <memory>
+#include <tuple>
 #include <utility>
 
 #include "src/common/deadline.h"
@@ -70,29 +73,49 @@ void Agent::StartPass() {
     }
   }
   pass_degraded_ = 0;
-  pass_tracked_ = 0;
+  pass_seen_.clear();
+  // The listings count as one object in flight until the last of them has
+  // answered or spent its budget; the names each one reports are queued
+  // as it lands, so a silent OSD holds back no other OSD's objects.
   ++in_flight_;
-  List(std::move(pools), 0);
+  auto listings = std::make_shared<size_t>(1);
+  mal::ScopedDeadline budget(Now() + kOpBudget);
+  for (const auto& [pool_name, k] : pools) {
+    ec::Pool pool(&rados_, pool_name, k);
+    *listings += pool.ListObjects([this, listings, pool_name = pool_name, k = k](
+                                      mal::Status, std::vector<std::string> objects) {
+      std::vector<WorkItem> fresh;
+      for (std::string& object : objects) {
+        if (pass_seen_.insert(osd::PoolOid(pool_name, object)).second) {
+          fresh.push_back(WorkItem{pool_name, k, std::move(object)});
+        }
+      }
+      Enqueue(std::move(fresh));
+      if (--*listings == 0) {
+        Done();
+      }
+    });
+  }
+  if (--*listings == 0) {
+    Done();
+  }
 }
 
-void Agent::List(std::vector<std::pair<std::string, uint32_t>> pools, size_t next) {
-  if (next >= pools.size()) {
-    Done();
-    return;
-  }
-  std::string pool_name = pools[next].first;
-  uint32_t k = pools[next].second;
-  ec::Pool pool(&rados_, pool_name, k);
-  pool.ListObjects([this, pools = std::move(pools), next, pool_name, k](
-                       mal::Status status, std::vector<std::string> objects) mutable {
-    if (status.ok()) {
-      pass_tracked_ += objects.size();
-      for (std::string& object : objects) {
-        queue_.push_back(WorkItem{pool_name, k, std::move(object)});
-      }
+void Agent::Enqueue(std::vector<WorkItem> fresh) {
+  auto before = [](const WorkItem& a, const WorkItem& b) {
+    return std::tie(a.pool, a.object) < std::tie(b.pool, b.object);
+  };
+  std::deque<WorkItem> merged;
+  auto next = fresh.begin();
+  for (WorkItem& queued : queue_) {
+    // Retries keep their place behind the listed objects around them.
+    while (next != fresh.end() && queued.attempts == 0 && before(*next, queued)) {
+      merged.push_back(std::move(*next++));
     }
-    List(std::move(pools), next + 1);
-  });
+    merged.push_back(std::move(queued));
+  }
+  std::move(next, fresh.end(), std::back_inserter(merged));
+  queue_.swap(merged);
 }
 
 void Agent::Scrub(WorkItem item) {
@@ -101,6 +124,11 @@ void Agent::Scrub(WorkItem item) {
   mal::ScopedDeadline budget(Now() + kOpBudget);
   pool.GatherShards(item.object, [this, item](const std::vector<ec::ShardInfo>& shards) {
     perf_.Inc("scrub.objects_scanned");
+    if (std::none_of(shards.begin(), shards.end(),
+                     [](const ec::ShardInfo& shard) { return shard.present; })) {
+      Done();  // no shard holds stamped data: debris, such as what a Seal alone made
+      return;
+    }
     uint64_t size = 0;
     uint32_t missing = 0;
     auto generation = ec::SelectGeneration(shards, &size, &missing);
@@ -168,7 +196,7 @@ void Agent::Done() {
   last_pass_degraded_ = pass_degraded_;
   ++passes_completed_;
   perf_.Set("scrub.degraded_objects", static_cast<double>(pass_degraded_));
-  perf_.Set("scrub.objects_tracked", static_cast<double>(pass_tracked_));
+  perf_.Set("scrub.objects_tracked", static_cast<double>(pass_seen_.size()));
 }
 
 }  // namespace mal::scrub

@@ -1,24 +1,31 @@
 // Background scrub and self-healing rebuild for erasure-coded pools
 // (paper §4.4: "RADOS protects data using common techniques such as
 // erasure coding, replication, and scrubbing"). This is the only scrubber;
-// replicated-layout objects have no index to walk and are not scrubbed.
+// replicated-layout objects are not scrubbed.
 //
 // The agent is a maintenance actor (entity "scrub.<id>") that discovers EC
-// pools from the OSDMap's service metadata, walks each pool's object index
-// at a paced rate, and for every object gathers all k+1 shards with
-// checksum verification. Any hole — a shard lost with its OSD, silently
-// bit-rotted, stranded on a former canonical home after membership change,
-// or stale from a torn write — is repaired by decoding the surviving
-// generation and filling only the damaged slots on their *current*
-// canonical homes (ec::Pool::Fill). Whole-OSD rebuild is therefore the
-// same code path as single-shard repair.
+// pools from the OSDMap's service metadata and finds their objects the way
+// Ceph's scrub does, by listing what each OSD holds: a pass opens with one
+// listing per up OSD and pool (ec::Pool::ListObjects) and queues each name,
+// in name order, the first time any listing reports it. A listing that
+// fails also refreshes the agent's map (see RadosClient::ListObjects), so
+// an OSD failed in a map the agent missed stops drawing its repairs. At a
+// paced rate the agent then gathers all k+1 shards of every queued object
+// with checksum verification. A name none of whose shards holds stamped
+// data (debris a Seal alone created) is skipped. Any hole — a shard lost
+// with its OSD, silently bit-rotted, stranded on a former canonical home
+// after membership change, or stale from a torn write — is repaired by
+// decoding the surviving generation and filling only the damaged slots on
+// their *current* canonical homes (ec::Pool::Fill). Whole-OSD rebuild is
+// therefore the same code path as single-shard repair.
 //
 // Pacing: one timer fires every interval / objects_per_tick and starts the
-// queue head while fewer than objects_per_tick objects are in flight. Every
-// gather and every repair runs under its own kOpBudget deadline, so an OSD
-// that crashed but is still up in the map costs one budget, not an rpc
-// timeout per retry. A gather that cannot decode or a repair that fails is
-// requeued behind the pass, up to three attempts per object.
+// queue head while fewer than objects_per_tick objects are in flight; the
+// listings count as one until the last has answered. Every listing, gather
+// and repair runs under a kOpBudget deadline, so an OSD that crashed but is
+// still up in the map costs one budget, not an rpc timeout per retry. A
+// gather that cannot decode or a repair that fails is requeued behind the
+// pass, up to three attempts per object.
 //
 // Everything the agent observes flows into perf counters
 // (scrub.objects_scanned, scrub.shards_rebuilt, scrub.bytes_rebuilt,
@@ -31,6 +38,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -80,16 +88,19 @@ class Agent : public sim::Actor {
   };
 
   void Tick();
-  // Opens a pass: one index listing per EC pool in the current map,
-  // chained sequentially for determinism. The listing counts as in flight.
+  // Opens a pass: lists every EC pool of the current map on every up OSD
+  // at once, queueing names as the listings land.
   void StartPass();
-  void List(std::vector<std::pair<std::string, uint32_t>> pools, size_t next);
+  // Queues a listing's names not yet seen this pass (sorted), merged in
+  // name order among the listed objects not yet started: the order one
+  // listing of the whole pool would give, whichever OSD answers first.
+  void Enqueue(std::vector<WorkItem> fresh);
   void Scrub(WorkItem item);
   void Repair(WorkItem item, const std::vector<ec::ShardInfo>& shards,
               const mal::Buffer& data, uint32_t missing);
   // Requeues `item` for another attempt; false once its budget is spent.
   bool Retry(WorkItem item);
-  // One in-flight object (or the listing) finished; closes the pass when
+  // One in-flight object (or the listings) finished; closes the pass when
   // nothing is queued or in flight.
   void Done();
 
@@ -99,7 +110,8 @@ class Agent : public sim::Actor {
   std::deque<WorkItem> queue_;
   uint32_t in_flight_ = 0;
   uint64_t pass_degraded_ = 0;
-  uint64_t pass_tracked_ = 0;
+  // Logical oids ("<pool>/<object>") the pass's listings have reported.
+  std::set<std::string> pass_seen_;
   uint64_t last_pass_degraded_ = 0;
   uint64_t passes_completed_ = 0;
 };

@@ -547,7 +547,7 @@ EcScenarioResult RunEcScenario(uint64_t seed) {
   Checkers checkers(&cluster);
   checkers.Arm();
 
-  // Scrub paced fast enough to walk the whole index between faults.
+  // Scrub paced fast enough to walk the whole pool between faults.
   scrub::ScrubConfig scrub_config;
   scrub_config.interval = 200 * sim::kMillisecond;
   scrub_config.objects_per_tick = 8;
@@ -594,9 +594,9 @@ EcScenarioResult RunEcScenario(uint64_t seed) {
   EXPECT_TRUE(cluster.RunUntil([&] { return agent->passes_completed() >= base + 2; },
                                120 * sim::kSecond));
   // Note: last_pass_degraded() may stay non-zero here — a torn unacked
-  // write can commit its index entry with fewer than k shards, leaving
-  // debris scrub reports (correctly) as unrecoverable. The invariants
-  // below are about acked data only.
+  // write can commit fewer than k shards, leaving debris scrub reports
+  // (correctly) as unrecoverable. The invariants below are about acked
+  // data only.
 
   bool verified = false;
   checkers.VerifyEcPool(&*pool, [&] { verified = true; });

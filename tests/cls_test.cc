@@ -256,7 +256,7 @@ TEST(ClsChecksumTest, ComputesAndCaches) {
   auto second = h.Call("checksum", "compute", input);
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(first.value().ToString(), second.value().ToString());
-  EXPECT_EQ(h.object->xattrs.count("cksum.0.8"), 1u);  // cached server-side
+  EXPECT_TRUE(h.object->xattrs.Find("cksum.0.8").has_value());  // cached server-side
 }
 
 TEST(ClsEcTest, CheckStampPassesOnlyWhileTheStampIsUnchanged) {
@@ -271,7 +271,7 @@ TEST(ClsEcTest, CheckStampPassesOnlyWhileTheStampIsUnchanged) {
   ASSERT_TRUE(h.Call("ec", "seal", stamp(7)).ok());
   EXPECT_TRUE(h.Call("ec", "check_stamp", stamp(0)).ok());
   // Stamped: passes only for the stamp the gather saw.
-  h.object->xattrs["ec.stamp"] = "42";
+  h.object->xattrs.Set("ec.stamp", "42");
   EXPECT_TRUE(h.Call("ec", "check_stamp", stamp(42)).ok());
   EXPECT_EQ(h.Call("ec", "check_stamp", stamp(0)).status().code(), mal::Code::kAborted);
   EXPECT_EQ(h.Call("ec", "check_stamp", stamp(41)).status().code(), mal::Code::kAborted);

@@ -469,7 +469,7 @@ osd::Object SampleObject() {
   osd::Object object;
   object.data = Buffer::FromString(std::string(8192, 'd'));
   object.omap.Set("k", "v");
-  object.xattrs["ec.cksum"] = "123";
+  object.xattrs.Set("ec.cksum", "123");
   object.snapshots["small"] = Buffer::FromString("snap");
   object.snapshots["big"] = Buffer::FromString(std::string(3000, 's'));
   object.version = 7;

@@ -1,8 +1,9 @@
 // Erasure-coding tests: codec properties (round-trip, single-shard
 // reconstruction, double-loss detection, padding), positional shard
 // placement, EC pools (degraded reads, shard loss on a live cluster, epoch
-// fencing), first-k reads, and the scrub agent's self-healing rebuild
-// (paced, deadline-bounded, and filling only holes).
+// fencing, no object outside the shard namespace), first-k reads, and the
+// scrub agent's self-healing rebuild (objects found by listing the OSDs;
+// paced, deadline-bounded, and filling only holes).
 #include <gtest/gtest.h>
 
 #include <map>
@@ -263,14 +264,18 @@ TEST(EcPoolTest, CreateWriteReadAndListObjects) {
   // A full write acked means no degraded reads on the healthy cluster.
   EXPECT_EQ(client->perf.counter("rados.ec.degraded_reads"), 0u);
 
-  // The index discovered both objects (scrub's work queue).
-  std::optional<std::vector<std::string>> listed;
-  pool.ListObjects([&](Status s, std::vector<std::string> objects) {
-    ASSERT_TRUE(s.ok()) << s;
-    listed = std::move(objects);
+  // The OSDs' listings discover both objects (scrub's work queue).
+  std::set<std::string> listed;
+  size_t answered = 0;
+  size_t asked = pool.ListObjects([&](Status s, std::vector<std::string> objects) {
+    EXPECT_TRUE(s.ok()) << s;
+    listed.insert(objects.begin(), objects.end());
+    ++answered;
   });
-  ASSERT_TRUE(cluster.RunUntil([&] { return listed.has_value(); }));
-  EXPECT_EQ(*listed, (std::vector<std::string>{"alpha", "beta"}));
+  EXPECT_EQ(asked, 6u);
+  ASSERT_TRUE(cluster.RunUntil([&] { return answered == asked; }));
+  EXPECT_EQ(std::vector<std::string>(listed.begin(), listed.end()),
+            (std::vector<std::string>{"alpha", "beta"}));
 
   // Shards of one object land on distinct OSDs.
   std::set<uint32_t> homes;
@@ -281,6 +286,53 @@ TEST(EcPoolTest, CreateWriteReadAndListObjects) {
     homes.insert(acting[0]);
   }
   EXPECT_EQ(homes.size(), pool.num_shards());
+}
+
+// The oids on every OSD, for before/after comparisons.
+std::set<std::string> AllOids(cluster::Cluster* cluster) {
+  std::set<std::string> oids;
+  for (size_t i = 0; i < cluster->num_osds(); ++i) {
+    for (const std::string& oid : cluster->osd(i).store().List()) {
+      oids.insert(oid);
+    }
+  }
+  return oids;
+}
+
+// The pool keeps no index: a write lays down its k+1 shards and nothing
+// else, so one shard transaction round trip is the whole write.
+TEST(EcPoolTest, WriteCreatesNoObjectOutsideTheShardNamespace) {
+  cluster::ClusterOptions options;
+  options.num_osds = 6;
+  options.mon.proposal_interval = 200 * sim::kMillisecond;
+  cluster::Cluster cluster(options);
+  cluster.Boot();
+  auto* client = cluster.NewClient();
+
+  Pool pool = CreatePool(&cluster, client, "ecpool", /*k=*/3);
+  std::set<std::string> before = AllOids(&cluster);
+  ASSERT_TRUE(PoolWrite(&cluster, &pool, "one", "the first object").ok());
+  ASSERT_TRUE(PoolWrite(&cluster, &pool, "two", "the second object").ok());
+  ASSERT_TRUE(PoolWrite(&cluster, &pool, "one", "the first, overwritten").ok());
+
+  std::set<std::string> created;
+  for (const std::string& oid : AllOids(&cluster)) {
+    if (before.count(oid) == 0) {
+      created.insert(oid);
+    }
+  }
+  std::set<std::string> shards;
+  for (const char* object : {"one", "two"}) {
+    for (uint32_t i = 0; i < pool.num_shards(); ++i) {
+      shards.insert(pool.ShardOid(object, i));
+    }
+  }
+  EXPECT_EQ(created, shards);
+  uint64_t repops = 0;
+  for (size_t i = 0; i < cluster.num_osds(); ++i) {
+    repops += cluster.osd(i).perf().counter("osd.repop.count");
+  }
+  EXPECT_EQ(repops, 0u);  // single-copy shards: no replication round
 }
 
 TEST(EcPoolTest, ReadDecodesAroundCorruptedParityShard) {
@@ -679,10 +731,10 @@ TEST(ScrubTest, RebuildsFullRedundancyAfterOsdLoss) {
       auto stored = cluster.osd(acting[0]).store().Get(oid);
       ASSERT_TRUE(stored.ok()) << oid << " missing from osd." << acting[0];
       const osd::Object* object = stored.value();
-      EXPECT_EQ(object->xattrs.at(std::string(kShardCksumXattr)),
+      EXPECT_EQ(object->xattrs.Find(kShardCksumXattr),
                 std::to_string(Checksum(object->data)))
           << oid;
-      EXPECT_EQ(object->xattrs.at(std::string(kShardStampXattr)), std::to_string(stamp))
+      EXPECT_EQ(object->xattrs.Find(kShardStampXattr), std::to_string(stamp))
           << oid;
     }
   }
@@ -721,7 +773,7 @@ TEST(ScrubTest, RepairsSilentShardCorruption) {
   // The re-encoded shard is byte-identical to the original generation.
   auto stored = cluster.osd(acting[0]).store().Get(oid);
   ASSERT_TRUE(stored.ok());
-  EXPECT_EQ(stored.value()->xattrs.at(std::string(kShardCksumXattr)),
+  EXPECT_EQ(stored.value()->xattrs.Find(kShardCksumXattr),
             std::to_string(Checksum(stored.value()->data)));
   auto read = PoolRead(&cluster, &pool, "obj");
   ASSERT_TRUE(read.ok()) << read.status();
@@ -794,7 +846,7 @@ TEST(ScrubTest, RefillsAShardThatOnlyASealCreated) {
   uint32_t home = osd::ActingSetForOid(oid, client->rados.osd_map(), 3).at(0);
   auto stored = cluster.osd(home).store().Get(oid);
   ASSERT_TRUE(stored.ok()) << oid;
-  EXPECT_EQ(stored.value()->xattrs.at("ec.epoch"), "7");
+  EXPECT_EQ(stored.value()->xattrs.Find("ec.epoch"), "7");
   auto read = PoolRead(&cluster, &pool, "obj");
   ASSERT_TRUE(read.ok()) << read.status();
   EXPECT_EQ(read.value(), payload);
@@ -818,18 +870,10 @@ TEST(ScrubTest, GatherFromACrashedHomeStillInTheMapEndsAtTheDeadline) {
   Pool pool = CreatePool(&cluster, client, "ecpool", /*k=*/3);
   std::string payload = "one shard home is gone but still in the map";
   ASSERT_TRUE(PoolWrite(&cluster, &pool, "obj", payload).ok());
-  // Keep the index primary alive: the listing is not what is under test.
-  const mon::OsdMap& map = client->rados.osd_map();
-  uint32_t index_primary = osd::ActingSetForOid(Pool::IndexOid("ecpool"), map, 3).at(0);
-  std::string oid;
-  uint32_t victim = 0;
-  for (uint32_t i = 0; i < pool.num_shards() && oid.empty(); ++i) {
-    victim = osd::ActingSetForOid(pool.ShardOid("obj", i), map, 3).at(0);
-    if (victim != index_primary) {
-      oid = pool.ShardOid("obj", i);
-    }
-  }
-  ASSERT_FALSE(oid.empty());
+  // The crashed home's listing never answers; the other OSDs' listings
+  // still report the object.
+  std::string oid = pool.ShardOid("obj", 0);
+  uint32_t victim = osd::ActingSetForOid(oid, client->rados.osd_map(), 3).at(0);
   cluster.osd(victim).Crash();
   cluster.osd(victim).store().Clear();
 
@@ -847,7 +891,7 @@ TEST(ScrubTest, GatherFromACrashedHomeStillInTheMapEndsAtTheDeadline) {
   ASSERT_TRUE(cluster.RunUntil([&] { return cluster.osd(victim).store().Exists(oid); },
                                60 * sim::kSecond));
   const osd::Object* refilled = cluster.osd(victim).store().Get(oid).value();
-  EXPECT_EQ(refilled->xattrs.at(std::string(kShardCksumXattr)),
+  EXPECT_EQ(refilled->xattrs.Find(kShardCksumXattr),
             std::to_string(Checksum(refilled->data)));
   auto read = PoolRead(&cluster, &pool, "obj");
   ASSERT_TRUE(read.ok()) << read.status();
@@ -870,13 +914,9 @@ TEST(ScrubTest, UndecodableGatherIsRetriedWithinThePass) {
   ASSERT_TRUE(PoolWrite(&cluster, &pool, "obj", payload).ok());
   uint32_t lost = 0;
   ASSERT_NO_FATAL_FAILURE(LoseShardHome(&cluster, client, pool.ShardOid("obj", 0), &lost));
-  const mon::OsdMap& map = client->rados.osd_map();
-  uint32_t index_primary = osd::ActingSetForOid(Pool::IndexOid("ecpool"), map, 3).at(0);
-  uint32_t crashed = index_primary;
-  for (uint32_t i = 1; i < pool.num_shards() && crashed == index_primary; ++i) {
-    crashed = osd::ActingSetForOid(pool.ShardOid("obj", i), map, 3).at(0);
-  }
-  ASSERT_NE(crashed, index_primary);
+  uint32_t crashed =
+      osd::ActingSetForOid(pool.ShardOid("obj", 1), client->rados.osd_map(), 3).at(0);
+  ASSERT_NE(crashed, lost);
   cluster.osd(crashed).Crash();
 
   scrub::ScrubConfig config;
@@ -894,6 +934,84 @@ TEST(ScrubTest, UndecodableGatherIsRetriedWithinThePass) {
   auto read = PoolRead(&cluster, &pool, "obj");
   ASSERT_TRUE(read.ok()) << read.status();
   EXPECT_EQ(read.value(), payload);
+}
+
+// No index records the objects: the survivors' listings are what finds
+// every object that had a shard on the lost OSD. Each object is tracked
+// once although up to k+1 listings report it.
+TEST(ScrubTest, RebuildsALostOsdFromTheListingsAlone) {
+  cluster::ClusterOptions options;
+  options.num_osds = 6;
+  options.mon.proposal_interval = 200 * sim::kMillisecond;
+  cluster::Cluster cluster(options);
+  cluster.Boot();
+  auto* client = cluster.NewClient();
+
+  Pool pool = CreatePool(&cluster, client, "ecpool", /*k=*/3);
+  std::map<std::string, std::string> objects;
+  for (int i = 0; i < 12; ++i) {
+    std::string name = "o" + std::to_string(i);
+    objects[name] = "payload of " + name + std::string(static_cast<size_t>(i) * 37, 'x');
+    ASSERT_TRUE(PoolWrite(&cluster, &pool, name, objects[name]).ok());
+  }
+  // Lose the OSD holding the most shards, for good.
+  std::vector<std::string> heaviest;
+  for (size_t i = 0; i < cluster.num_osds(); ++i) {
+    std::vector<std::string> held = cluster.osd(i).store().List("ecpool/");
+    if (held.size() > heaviest.size()) {
+      heaviest = std::move(held);
+    }
+  }
+  ASSERT_FALSE(heaviest.empty());
+  uint32_t victim = 0;
+  ASSERT_NO_FATAL_FAILURE(LoseShardHome(&cluster, client, heaviest[0], &victim));
+
+  auto* agent = cluster.NewScrubAgent();
+  ASSERT_TRUE(cluster.RunUntil([&] { return agent->passes_completed() >= 1; },
+                               60 * sim::kSecond));
+  EXPECT_EQ(agent->perf().gauge("scrub.objects_tracked"), 12.0);
+  EXPECT_EQ(agent->last_pass_degraded(), heaviest.size());
+  EXPECT_EQ(agent->perf().counter("scrub.shards_rebuilt"), heaviest.size());
+  EXPECT_EQ(agent->perf().counter("scrub.unrecoverable"), 0u);
+
+  uint64_t repaired_at = agent->passes_completed();
+  ASSERT_TRUE(cluster.RunUntil(
+      [&] { return agent->passes_completed() >= repaired_at + 1; }, 60 * sim::kSecond));
+  EXPECT_EQ(agent->last_pass_degraded(), 0u);
+  for (const auto& [name, payload] : objects) {
+    auto read = PoolRead(&cluster, &pool, name);
+    ASSERT_TRUE(read.ok()) << name << ": " << read.status();
+    EXPECT_EQ(read.value(), payload);
+  }
+}
+
+// Sealing a name that was never written creates its k+1 shards with an
+// epoch but no data stamp. The listings report the name; scrub skips it
+// without calling it degraded or unrecoverable.
+TEST(ScrubTest, SealOnlyDebrisIsSkipped) {
+  cluster::ClusterOptions options;
+  options.num_osds = 6;
+  options.mon.proposal_interval = 200 * sim::kMillisecond;
+  cluster::Cluster cluster(options);
+  cluster.Boot();
+  auto* client = cluster.NewClient();
+
+  Pool pool = CreatePool(&cluster, client, "ecpool", /*k=*/3);
+  ASSERT_TRUE(PoolWrite(&cluster, &pool, "real", "a written object").ok());
+  std::optional<Status> sealed;
+  pool.Seal("ghost", 4, [&](Status s) { sealed = s; });
+  ASSERT_TRUE(cluster.RunUntil([&] { return sealed.has_value(); }));
+  ASSERT_TRUE(sealed->ok()) << *sealed;
+
+  auto* agent = cluster.NewScrubAgent();
+  ASSERT_TRUE(cluster.RunUntil([&] { return agent->passes_completed() >= 2; },
+                               60 * sim::kSecond));
+  EXPECT_EQ(agent->perf().gauge("scrub.objects_tracked"), 2.0);
+  EXPECT_GE(agent->perf().counter("scrub.objects_scanned"), 2u);
+  EXPECT_EQ(agent->last_pass_degraded(), 0u);
+  EXPECT_EQ(agent->perf().counter("scrub.unrecoverable"), 0u);
+  EXPECT_EQ(agent->perf().counter("scrub.shards_rebuilt"), 0u);
+  EXPECT_EQ(PoolRead(&cluster, &pool, "ghost").status().code(), Code::kNotFound);
 }
 
 }  // namespace

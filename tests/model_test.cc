@@ -287,7 +287,7 @@ TEST_P(StoreModelTest, RandomOpsMatchReferenceModel) {
     for (const auto& [k, v] : ref->omap) {
       EXPECT_EQ(object->omap.Find(k), std::optional<std::string_view>(v)) << "step " << step;
     }
-    EXPECT_EQ(object->xattrs, ref->xattrs) << "step " << step;
+    EXPECT_EQ(Entries(object->xattrs), Entries(ref->xattrs)) << "step " << step;
     ASSERT_EQ(object->snapshots.size(), ref->snapshots.size());
     for (const auto& [name, snap] : ref->snapshots) {
       EXPECT_EQ(object->snapshots.at(name).ToString(), snap);

@@ -209,7 +209,7 @@ TEST(ObjectStoreTest, ObjectEncodeDecodeRoundTrip) {
   Object object;
   object.data = mal::Buffer::FromString("payload");
   object.omap.Set("k", "v");
-  object.xattrs["x"] = "y";
+  object.xattrs.Set("x", "y");
   object.version = 9;
   mal::Buffer buffer;
   mal::Encoder enc(&buffer);
@@ -218,7 +218,7 @@ TEST(ObjectStoreTest, ObjectEncodeDecodeRoundTrip) {
   Object decoded = Object::Decode(&dec);
   EXPECT_EQ(decoded.data.ToString(), "payload");
   EXPECT_EQ(decoded.omap.Find("k"), std::optional<std::string_view>("v"));
-  EXPECT_EQ(decoded.xattrs.at("x"), "y");
+  EXPECT_EQ(decoded.xattrs.Find("x"), std::optional<std::string_view>("y"));
   EXPECT_EQ(decoded.version, 9u);
 }
 
@@ -402,7 +402,7 @@ TEST(OmapTest, ObjectEncodeIsByteIdenticalToStringMapWire) {
   mal::Rng rng(7);
   Object object;
   object.data = mal::Buffer::FromString("bytestream");
-  object.xattrs["x"] = "y";
+  object.xattrs.Set("x", "y");
   object.snapshots["s"] = mal::Buffer::FromString("snap");
   object.version = 42;
   std::map<std::string, std::string> reference;
@@ -423,7 +423,7 @@ TEST(OmapTest, ObjectEncodeIsByteIdenticalToStringMapWire) {
   mal::Encoder enc(&expected);
   enc.PutBuffer(object.data);
   EncodeStringMap(&enc, reference);
-  EncodeStringMap(&enc, object.xattrs);
+  EncodeStringMap(&enc, {{"x", "y"}});
   enc.PutVarU64(1);
   enc.PutString("s");
   enc.PutBuffer(object.snapshots.at("s"));

@@ -249,6 +249,43 @@ TEST_F(OsdClusterFixture, StoredPayloadPinsNoSpareCapacity) {
   EXPECT_EQ(second.ToString(), std::string(4096, 'p'));
 }
 
+// Below kSegmentMinBytes a write's bytes ride in its request's front
+// buffer. The store keeps an exact copy of them, not an alias that would
+// pin the whole request for as long as the object lives.
+TEST_F(OsdClusterFixture, SmallWriteFullIsStoredExactly) {
+  Start(4, /*replicas=*/2);
+  const std::string payload(1366, 's');  // an EC k=3 shard of a 4 KiB object
+  ASSERT_LT(payload.size(), kSegmentMinBytes);
+  ASSERT_TRUE(WriteFull("small", payload).ok());
+  Settle(2 * sim::kSecond);
+  auto holders = Holders("small");
+  ASSERT_EQ(holders.size(), 2u);
+  for (uint32_t holder : holders) {
+    const Buffer& data = osds[holder]->store().Get("small").value()->data;
+    EXPECT_EQ(data.ToString(), payload) << "osd." << holder;
+    EXPECT_EQ(data.capacity(), data.size()) << "osd." << holder;
+  }
+
+  // The same write, applied from a decoded request the test keeps.
+  osd::OsdOpRequest request;
+  request.oid = "small";
+  request.ops.resize(1);
+  request.ops[0].type = osd::Op::Type::kWriteFull;
+  request.ops[0].data = Buffer::FromString(payload);
+  Payload wire = EncodeSegmented(request);
+  ASSERT_TRUE(wire.segments().empty());
+  Decoder dec(wire);
+  osd::OsdOpRequest decoded = osd::OsdOpRequest::Decode(&dec);
+  ASSERT_TRUE(decoded.ops[0].data.SharesStorageWith(wire.front()));
+  osd::ObjectStore store;
+  std::vector<osd::OpResult> results;
+  ASSERT_TRUE(store.ApplyTransaction("small", decoded.ops, &results).ok());
+  const Buffer& stored = store.Get("small").value()->data;
+  EXPECT_EQ(stored.ToString(), payload);
+  EXPECT_EQ(stored.capacity(), stored.size());
+  EXPECT_FALSE(stored.SharesStorageWith(wire.front()));
+}
+
 // EC shards are slices of the client's object. Each one leaves the client as
 // its own exact-size copy, in the front below kSegmentMinBytes and as a
 // segment above it, so no shard pins the object or a sibling shard.
@@ -504,7 +541,7 @@ TEST_F(OsdClusterFixture, ReplicasMatchPrimaryAfterClassTransactions) {
   const osd::Object* committed = osds[holders[0]]->store().Get(oid).value();
   ASSERT_EQ(committed->snapshots.count("snap-1"), 1u);
   EXPECT_EQ(committed->snapshots.at("snap-1").ToString(), committed->data.ToString());
-  EXPECT_EQ(committed->xattrs.at("owner"), "test");
+  EXPECT_EQ(committed->xattrs.Find("owner"), std::optional<std::string_view>("test"));
   EXPECT_FALSE(committed->omap.Find(ZlogOps::EntryKey(0)).has_value());
 
   // Remove, then recreate through a class method and a primitive write.
