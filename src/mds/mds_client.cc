@@ -12,28 +12,22 @@ void MdsClient::SetAuthorityHint(const std::string& path, uint32_t rank) {
 }
 
 void MdsClient::Request(const ClientRequest& request, ReplyHandler on_reply) {
-  RequestAttempt(request, std::move(on_reply), svc::Backoff(config_.retry));
+  auto pending =
+      std::make_shared<PendingRequest>(PendingRequest{request, std::move(on_reply)});
+  svc::Retry::Start(
+      owner_->simulator(), &retry_rng_, kRetry,
+      [this, pending](const svc::Retry& retry) { RequestAttempt(pending, retry); },
+      [pending] {
+        pending->on_reply(mal::Status::Unavailable("mds unreachable"), MdsReply{});
+      });
 }
 
-void MdsClient::RequestAttempt(const ClientRequest& request, ReplyHandler on_reply,
-                               svc::Backoff backoff) {
-  if (backoff.Exhausted()) {
-    on_reply(mal::Status::Unavailable("mds unreachable"), MdsReply{});
-    return;
-  }
+void MdsClient::RequestAttempt(const std::shared_ptr<PendingRequest>& pending,
+                               const svc::Retry& retry) {
+  const ClientRequest& request = pending->request;
   owner_->SendRequest(
       sim::EntityName::Mds(TargetFor(request.path)), kMsgClientRequest, mal::Encode(request),
-      [this, request, on_reply = std::move(on_reply), backoff](
-          mal::Status status, const sim::Envelope& reply) mutable {
-        auto retry = [this, request, on_reply, backoff]() mutable {
-          // Consume the attempt before building the continuation so the
-          // lambda captures the advanced backoff.
-          sim::Time delay = backoff.NextDelay(&retry_rng_);
-          svc::RunAfter(owner_->simulator(), delay,
-                        [this, request, on_reply, backoff] {
-                          RequestAttempt(request, on_reply, backoff);
-                        });
-        };
+      [this, pending, retry](mal::Status status, const sim::Envelope& reply) {
         uint32_t redirect_rank = 0;
         uint64_t redirect_epoch = 0;
         if (ParseWrongRank(status, &redirect_rank, &redirect_epoch)) {
@@ -42,7 +36,7 @@ void MdsClient::RequestAttempt(const ClientRequest& request, ReplyHandler on_rep
           // whatever the cache now says, so a redirect ping-pong between two
           // stale ranks dies with the bounded retry budget instead of
           // looping forever.
-          CachedAuthority& cached = authority_cache_[request.path];
+          CachedAuthority& cached = authority_cache_[pending->request.path];
           if (redirect_epoch >= cached.epoch) {
             cached = {redirect_rank, redirect_epoch};
           }
@@ -56,11 +50,11 @@ void MdsClient::RequestAttempt(const ClientRequest& request, ReplyHandler on_rep
           return;
         }
         if (!status.ok()) {
-          on_reply(status, MdsReply{});
+          pending->on_reply(status, MdsReply{});
           return;
         }
         mal::Decoder dec(reply.payload);
-        on_reply(mal::Status::Ok(), MdsReply::Decode(&dec));
+        pending->on_reply(mal::Status::Ok(), MdsReply::Decode(&dec));
       },
       config_.rpc_timeout);
 }

@@ -12,6 +12,7 @@
 
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -25,10 +26,6 @@ namespace mal::mds {
 struct MdsClientConfig {
   uint32_t home_mds = 0;                      // session server
   sim::Time rpc_timeout = 60 * sim::kSecond;  // cap grants can take a while
-  // Retry schedule shared by redirect chasing and kBusy backoff. The
-  // default (4 attempts, zero base delay) reproduces the legacy
-  // redirect-immediately loop byte for byte.
-  svc::RetryPolicy retry{.max_attempts = 4};
 };
 
 class MdsClient {
@@ -100,8 +97,17 @@ class MdsClient {
     sim::EventId hold_timer = 0;
   };
 
-  void RequestAttempt(const ClientRequest& request, ReplyHandler on_reply,
-                      svc::Backoff backoff);
+  // Retry schedule shared by redirect chasing and kBusy backoff: four
+  // attempts, each sent as soon as the last one is answered.
+  static constexpr svc::RetryPolicy kRetry{.max_attempts = 4};
+
+  // A request under the retry loop.
+  struct PendingRequest {
+    ClientRequest request;
+    ReplyHandler on_reply;
+  };
+  // One try of `pending` at the rank the authority cache names.
+  void RequestAttempt(const std::shared_ptr<PendingRequest>& pending, const svc::Retry& retry);
   uint32_t TargetFor(const std::string& path) const;
   void HandleRevoke(const std::string& path);
   void ReleaseNow(const std::string& path);

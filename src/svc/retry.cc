@@ -21,12 +21,21 @@ sim::Time Backoff::NextDelay(mal::Rng* rng) {
   return prev_delay_;
 }
 
-void RunAfter(sim::Simulator* simulator, sim::Time delay, std::function<void()> fn) {
+void Retry::operator()() const {
+  sim::Time delay = loop_->backoff.NextDelay(loop_->rng);
   if (delay == 0) {
-    fn();
+    Enter();
     return;
   }
-  simulator->Schedule(delay, std::move(fn));
+  loop_->simulator->Schedule(delay, [next = *this] { next.Enter(); });
+}
+
+void Retry::Enter() const {
+  if (loop_->backoff.Exhausted()) {
+    loop_->Exhausted();
+    return;
+  }
+  loop_->Attempt(*this);
 }
 
 }  // namespace mal::svc

@@ -180,6 +180,7 @@ void Log::Append(mal::Buffer data, PositionHandler on_done) {
 struct Log::Batch {
   std::vector<mal::Buffer> entries;
   std::vector<uint64_t> positions;  // parallel to entries; valid on success
+  std::vector<size_t> pending;      // entries still to place (fresh positions each try)
   BatchHandler on_done;
   trace::TraceContext span;  // root span covering queue + seq + OSD writes
   sim::Time start_ns = 0;
@@ -217,11 +218,21 @@ void Log::PumpBatchQueue() {
     if (perf_ != nullptr) {
       perf_->Set("zlog.inflight", inflight_);
     }
-    std::vector<size_t> indices(batch->entries.size());
-    for (size_t i = 0; i < indices.size(); ++i) {
-      indices[i] = i;
+    batch->pending.resize(batch->entries.size());
+    for (size_t i = 0; i < batch->pending.size(); ++i) {
+      batch->pending[i] = i;
     }
-    BatchAttempt(std::move(batch), std::move(indices), svc::Backoff(options_.retry));
+    svc::Retry::Start(
+        owner_->simulator(), &retry_rng_, options_.retry,
+        [this, batch](const svc::Retry& retry) { BatchAttempt(batch, retry); },
+        [this, batch] {
+          // Every exhaustion follows a retry, which counts like any other.
+          if (perf_ != nullptr) {
+            perf_->Inc("zlog.batch_retries");
+          }
+          trace::ScopedContext scope(batch->span);
+          FinishBatch(batch, mal::Status::Unavailable("append retries exhausted"));
+        });
   }
 }
 
@@ -240,17 +251,11 @@ void Log::FinishBatch(std::shared_ptr<Batch> batch, mal::Status status) {
   PumpBatchQueue();
 }
 
-void Log::BatchAttempt(std::shared_ptr<Batch> batch, std::vector<size_t> indices,
-                       svc::Backoff backoff) {
-  if (backoff.attempt() > 0 && perf_ != nullptr) {
+void Log::BatchAttempt(std::shared_ptr<Batch> batch, const svc::Retry& retry) {
+  if (retry.attempt() > 0 && perf_ != nullptr) {
     perf_->Inc("zlog.batch_retries");
   }
-  if (backoff.Exhausted()) {
-    trace::ScopedContext scope(batch->span);
-    FinishBatch(std::move(batch), mal::Status::Unavailable("append retries exhausted"));
-    return;
-  }
-  grant_queue_.push_back(Member{std::move(batch), std::move(indices), backoff, owner_->Now()});
+  grant_queue_.push_back(Member{std::move(batch), retry, owner_->Now()});
   PumpGrants();
 }
 
@@ -262,7 +267,7 @@ void Log::PumpGrants() {
   group->swap(grant_queue_);
   uint64_t count = 0;
   for (const Member& member : *group) {
-    count += member.indices.size();
+    count += member.batch->pending.size();
   }
   // Every hop of the group — sequencer grant, per-object OSD transactions,
   // recovery — hangs under the leader's root span; the other members get a
@@ -305,15 +310,6 @@ void Log::ReleaseGrant() {
   PumpGrants();
 }
 
-void Log::Reattempt(Member member) {
-  // Consume the attempt before building the continuation so it carries the
-  // advanced backoff.
-  sim::Time delay = member.backoff.NextDelay(&retry_rng_);
-  svc::RunAfter(owner_->simulator(), delay, [this, member = std::move(member)] {
-    BatchAttempt(member.batch, member.indices, member.backoff);
-  });
-}
-
 void Log::OnGroupGrant(std::shared_ptr<Group> group, mal::Status status, uint64_t first) {
   // Sequencer failures are the group's, not a member's: run recovery or
   // takeover once, then every member retries with fresh positions. The
@@ -322,7 +318,7 @@ void Log::OnGroupGrant(std::shared_ptr<Group> group, mal::Status status, uint64_
   // the failed one.
   auto retry_all = [this, group] {
     for (const Member& member : *group) {
-      Reattempt(member);
+      member.retry();
     }
     ReleaseGrant();
   };
@@ -381,7 +377,7 @@ void Log::WriteGroup(std::shared_ptr<Group> group, uint64_t first) {
   uint64_t pos = first;
   for (size_t m = 0; m < group->size(); ++m) {
     Batch& batch = *(*group)[m].batch;
-    for (size_t index : (*group)[m].indices) {
+    for (size_t index : batch.pending) {
       batch.positions[index] = pos;
       std::string oid = ObjectFor(pos);
       per_object[oid].push_back({pos, batch.entries[index]});
@@ -441,24 +437,24 @@ void Log::WriteGroup(std::shared_ptr<Group> group, uint64_t first) {
             continue;
           }
           std::sort(retry[m].begin(), retry[m].end());
-          member.indices = std::move(retry[m]);
+          member.batch->pending = std::move(retry[m]);
           retrying->push_back(std::move(member));
         }
         if (retrying->empty()) {
           return;
         }
         if (!fenced) {
-          for (Member& member : *retrying) {
-            Reattempt(std::move(member));
+          for (const Member& member : *retrying) {
+            member.retry();
           }
           return;
         }
         // We were sealed mid-group: learn the new epoch once for the whole
         // group, then retry the invalidated entries with fresh positions.
         RefreshEpoch([this, retrying](mal::Status refresh_status) {
-          for (Member& member : *retrying) {
+          for (const Member& member : *retrying) {
             if (refresh_status.ok()) {
-              Reattempt(std::move(member));
+              member.retry();
             } else {
               FinishBatch(member.batch, refresh_status);
             }

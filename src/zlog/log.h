@@ -140,12 +140,11 @@ class Log {
 
  private:
   struct Batch;  // in-flight AppendBatch state (defined in log.cc)
-  // A batch waiting for positions: the entries still to place (fresh
-  // positions each attempt) and the batch's retry schedule.
+  // A batch waiting for positions for its pending entries, and the batch's
+  // retry loop.
   struct Member {
     std::shared_ptr<Batch> batch;
-    std::vector<size_t> indices;
-    svc::Backoff backoff;
+    svc::Retry retry;
     sim::Time ready_ns = 0;  // when it joined the grant queue
   };
   // Batches sharing one grant, in FIFO order; the first is the leader whose
@@ -159,10 +158,8 @@ class Log {
   void GetPositionBatch(uint64_t count, GrantHandler on_grant);
   // Launches queued batches while the in-flight window has room.
   void PumpBatchQueue();
-  // Queues the batch entries named by `indices` for the next grant, unless
-  // the retry budget is spent.
-  void BatchAttempt(std::shared_ptr<Batch> batch, std::vector<size_t> indices,
-                    svc::Backoff backoff);
+  // One try of the batch: queues its pending entries for the next grant.
+  void BatchAttempt(std::shared_ptr<Batch> batch, const svc::Retry& retry);
   // Sends every queued member one shared grant, unless the last grant was
   // contended and a grant is still in flight.
   void PumpGrants();
@@ -176,8 +173,6 @@ class Log {
   // Splits [first, first + n) across the members in order and ships one
   // write_batch per stripe object; failed entries retry per member.
   void WriteGroup(std::shared_ptr<Group> group, uint64_t first);
-  // Re-queues the member's entries after its next backoff delay.
-  void Reattempt(Member member);
   void FinishBatch(std::shared_ptr<Batch> batch, mal::Status status);
   void RefreshEpoch(DoneHandler on_done);
   // Every object of every view (the set recovery must seal).
