@@ -48,7 +48,7 @@ mal::Result<std::string> ClsContext::XattrGet(const std::string& key) const {
 
 mal::Status ClsContext::ApplyAndRecord(osd::Op op) {
   osd::OpResult result;
-  mal::Status s = osd::ObjectStore::ApplyOp(op, staged_, &result);
+  mal::Status s = osd::ObjectStore::ApplyOp(oid_, op, staged_, &result);
   if (s.ok()) {
     effects_->push_back(std::move(op));
   }
@@ -56,7 +56,7 @@ mal::Status ClsContext::ApplyAndRecord(osd::Op op) {
 }
 
 mal::Status ClsContext::Create(bool excl) {
-  // An existing object needs no op; checking here names the oid in the error.
+  // An existing object needs no op, so none is recorded.
   if (staged_->exists()) {
     return excl ? mal::Status::AlreadyExists("object " + oid_) : mal::Status::Ok();
   }
@@ -96,9 +96,6 @@ mal::Status ClsContext::OmapSet(const std::string& key, const std::string& value
 }
 
 mal::Status ClsContext::OmapDel(const std::string& key) {
-  if (!staged_->exists()) {
-    return mal::Status::NotFound("object " + oid_);
-  }
   osd::Op op;
   op.type = osd::Op::Type::kOmapDel;
   op.key = key;

@@ -503,17 +503,9 @@ mal::Status ObjectStore::ApplyTransaction(const std::string& oid, const std::vec
       }
       continue;
     }
-    if (op.type == Op::Type::kRemove) {
-      if (!staged.exists()) {
-        result.status = mal::Status::NotFound("object " + oid);
-        return result.status;
-      }
-      staged.Remove();
-    } else {
-      result.status = ApplyOp(op, &staged, &result);
-      if (!result.status.ok()) {
-        return result.status;  // abort: nothing applied
-      }
+    result.status = ApplyOp(oid, op, &staged, &result);
+    if (!result.status.ok()) {
+      return result.status;  // abort: nothing applied
     }
     mutated = mutated || IsMutating(op.type);
     if (expanded != nullptr) {
@@ -546,10 +538,11 @@ mal::Status ObjectStore::ApplyTransaction(const std::string& oid, const std::vec
   return mal::Status::Ok();
 }
 
-mal::Status ObjectStore::ApplyOp(const Op& op, TxnObject* object, OpResult* result) {
+mal::Status ObjectStore::ApplyOp(const std::string& oid, const Op& op, TxnObject* object,
+                                 OpResult* result) {
   auto require = [&]() -> mal::Status {
     if (!object->exists()) {
-      return mal::Status::NotFound("object does not exist");
+      return mal::Status::NotFound("object " + oid);
     }
     return mal::Status::Ok();
   };
@@ -557,10 +550,19 @@ mal::Status ObjectStore::ApplyOp(const Op& op, TxnObject* object, OpResult* resu
   switch (op.type) {
     case Op::Type::kCreate:
       if (object->exists()) {
-        return op.excl ? mal::Status::AlreadyExists() : mal::Status::Ok();
+        return op.excl ? mal::Status::AlreadyExists("object " + oid) : mal::Status::Ok();
       }
       object->Create();
       return mal::Status::Ok();
+
+    case Op::Type::kRemove: {
+      mal::Status s = require();
+      if (!s.ok()) {
+        return s;
+      }
+      object->Remove();
+      return mal::Status::Ok();
+    }
 
     case Op::Type::kRead: {
       mal::Status s = require();
@@ -712,7 +714,6 @@ mal::Status ObjectStore::ApplyOp(const Op& op, TxnObject* object, OpResult* resu
       return mal::Status::Ok();
     }
 
-    case Op::Type::kRemove:
     case Op::Type::kExec:
       return mal::Status::Internal("handled by caller");
   }

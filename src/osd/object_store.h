@@ -304,11 +304,12 @@ class ObjectStore {
   uint64_t bytes_used() const { return bytes_used_; }
   uint64_t RecomputeBytesUsed() const;
 
-  // Applies one op against a transaction's staged object view. Public and
-  // static so class methods (ClsContext) stage their mutations through it.
-  // kRemove and kExec are handled by ApplyTransaction (their error messages
-  // name the oid, which TxnObject lacks).
-  static mal::Status ApplyOp(const Op& op, TxnObject* object, OpResult* result);
+  // Applies one op against `oid`'s staged object view (errors name the
+  // oid). Public and static so class methods (ClsContext) stage their
+  // mutations through it. kExec is handled by ApplyTransaction, which has
+  // the class runtime.
+  static mal::Status ApplyOp(const std::string& oid, const Op& op, TxnObject* object,
+                             OpResult* result);
 
  private:
   // Folds the transaction's deltas into the committed object and bumps its

@@ -335,7 +335,7 @@ TEST(ClsContextTest, EffectsMirrorMutations) {
     for (const osd::Op& op : h.last_effects) {
       types.insert(op.type);
       osd::OpResult result;
-      ASSERT_TRUE(osd::ObjectStore::ApplyOp(op, &replay, &result).ok());
+      ASSERT_TRUE(osd::ObjectStore::ApplyOp("test-obj", op, &replay, &result).ok());
     }
     EXPECT_EQ(types.size(), call.distinct_op_types);
     std::optional<osd::Object> replica = replay.Materialize();
@@ -347,6 +347,24 @@ TEST(ClsContextTest, EffectsMirrorMutations) {
     EXPECT_EQ(replica->version, h.object->version);
   }
   EXPECT_EQ(h.object->data.ToString(), "0123ab6789-tail");
+}
+
+TEST(ClsContextTest, AbsentObjectErrorsNameTheOidAndRecordNothing) {
+  osd::TxnObject staged(nullptr);
+  std::vector<osd::Op> effects;
+  ClsContext ctx("test-obj", &staged, &effects);
+  mal::Status del = ctx.OmapDel("k");
+  EXPECT_EQ(del.code(), mal::Code::kNotFound);
+  EXPECT_EQ(del.message(), "object test-obj");
+  EXPECT_TRUE(effects.empty());
+  // Creating an existing object records no effect; an exclusive create fails.
+  ASSERT_TRUE(ctx.Create(/*excl=*/false).ok());
+  ASSERT_EQ(effects.size(), 1u);
+  EXPECT_TRUE(ctx.Create(/*excl=*/false).ok());
+  mal::Status excl = ctx.Create(/*excl=*/true);
+  EXPECT_EQ(excl.code(), mal::Code::kAlreadyExists);
+  EXPECT_EQ(excl.message(), "object test-obj");
+  EXPECT_EQ(effects.size(), 1u);
 }
 
 TEST(ClsContextTest, FailedMethodLeavesObjectUntouched) {
