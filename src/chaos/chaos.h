@@ -200,7 +200,7 @@ class Checkers {
   // space; the same position acked twice on one log is flagged at once.
   void RecordAck(const std::string& path, uint64_t position, std::string tag);
   // EC-pool workload-side: `object` in `pool` was fully committed with
-  // `payload` (all shards + index acked). Later writes of the same object
+  // `payload` (every shard acked). Later writes of the same object
   // replace the expectation.
   void RecordEcAck(const std::string& pool, const std::string& object, std::string payload);
 
