@@ -4,9 +4,6 @@ namespace mal::cephfs {
 
 void FileClient::WriteFile(const std::string& path, mal::Buffer data,
                            DoneHandler on_done) {
-  // Arm the op's end-to-end budget: every hop below (lookup/create, striped
-  // writes, size record) inherits the shrinking deadline ambiently.
-  ScopedOpDeadline budget(rados_->owner()->Now(), options_.op_deadline);
   auto shared = std::make_shared<mal::Buffer>(std::move(data));
   // Resolve or create the inode first.
   mds_->Lookup(path, [this, path, shared, on_done = std::move(on_done)](
@@ -83,7 +80,6 @@ void FileClient::WriteData(uint64_t ino, std::shared_ptr<mal::Buffer> data,
 }
 
 void FileClient::ReadFile(const std::string& path, DataHandler on_data) {
-  ScopedOpDeadline budget(rados_->owner()->Now(), options_.op_deadline);
   mds_->Lookup(path, [this, on_data = std::move(on_data)](mal::Status status,
                                                           const mds::MdsReply& reply) {
     if (!status.ok()) {
@@ -142,7 +138,6 @@ void FileClient::ReadFile(const std::string& path, DataHandler on_data) {
 }
 
 void FileClient::Stat(const std::string& path, StatHandler on_stat) {
-  ScopedOpDeadline budget(rados_->owner()->Now(), options_.op_deadline);
   mds_->Lookup(path, [on_stat = std::move(on_stat)](mal::Status status,
                                                     const mds::MdsReply& reply) {
     on_stat(status, reply.inode);
@@ -150,7 +145,6 @@ void FileClient::Stat(const std::string& path, StatHandler on_stat) {
 }
 
 void FileClient::Unlink(const std::string& path, DoneHandler on_done) {
-  ScopedOpDeadline budget(rados_->owner()->Now(), options_.op_deadline);
   mds::ClientRequest req;
   req.op = mds::MdsOp::kUnlink;
   req.path = path;

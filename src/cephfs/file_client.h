@@ -8,7 +8,6 @@
 #include <functional>
 #include <string>
 
-#include "src/common/deadline.h"
 #include "src/mds/mds_client.h"
 #include "src/rados/client.h"
 #include "src/rados/striper.h"
@@ -17,10 +16,6 @@ namespace mal::cephfs {
 
 struct FileClientOptions {
   uint64_t object_size = 64 * 1024;  // file data stripe unit
-  // End-to-end budget for each public operation (0 = none). The deadline
-  // rides every hop the op fans out into — MDS lookups, striped OSD
-  // writes, retries — shrinking as simulated time passes; see common/deadline.h.
-  sim::Time op_deadline = 0;
 };
 
 class FileClient {
@@ -34,7 +29,6 @@ class FileClient {
       : mds_(mds), rados_(rados), options_(options) {}
 
   void Mkdir(const std::string& path, DoneHandler on_done) {
-    ScopedOpDeadline budget(rados_->owner()->Now(), options_.op_deadline);
     mds_->Mkdir(path, std::move(on_done));
   }
 

@@ -24,9 +24,7 @@ uint64_t ParseU64(const std::string& s, uint64_t fallback = 0) {
 
 std::string U64ToString(uint64_t v) { return std::to_string(v); }
 
-mal::Buffer U64Out(uint64_t v) {
-  return mal::Encode([v](mal::Encoder* enc) { enc->PutU64(v); });
-}
+mal::Buffer U64Out(uint64_t v) { return mal::Encode(v); }
 
 // The u64 in xattr `key`, or 0 when the object or the xattr is absent.
 uint64_t XattrU64(ClsContext& ctx, const char* key) {
@@ -179,10 +177,8 @@ mal::Result<mal::Buffer> ZlogRead(ClsContext& ctx, const mal::Buffer& input) {
     return mal::Status::NotWritten("position " + U64ToString(pos));
   }
   std::string_view stored_record = record.value();
-  return mal::Encode([stored_record](mal::Encoder* enc) {
-    enc->PutU8(static_cast<uint8_t>(stored_record[0]));
-    enc->PutString(stored_record.substr(1));
-  });
+  return mal::Encode(
+      ZlogEntryView{static_cast<ZlogEntryState>(stored_record[0]), stored_record.substr(1)});
 }
 
 mal::Result<mal::Buffer> ZlogFill(ClsContext& ctx, const mal::Buffer& input) {
@@ -341,7 +337,7 @@ mal::Result<mal::Buffer> LogList(ClsContext& ctx, const mal::Buffer&) {
   if (!entries.ok()) {
     return entries.status();
   }
-  return mal::Encode([&entries](mal::Encoder* enc) { entries.value().Encode(enc); });
+  return mal::Encode(entries.value());
 }
 
 // -- cls refcount -----------------------------------------------------------------
@@ -559,17 +555,7 @@ mal::Buffer ZlogOps::MakeWriteBatch(uint64_t epoch, const std::vector<BatchEntry
 }
 
 mal::Result<std::vector<mal::Code>> ZlogOps::ParseWriteBatchResult(const mal::Buffer& out) {
-  mal::Decoder dec(out);
-  uint64_t count = dec.GetVarU64();
-  std::vector<mal::Code> codes;
-  codes.reserve(count);
-  for (uint64_t i = 0; i < count && dec.ok(); ++i) {
-    codes.push_back(static_cast<mal::Code>(dec.GetU32()));
-  }
-  if (!dec.ok()) {
-    return mal::Status::Corruption("bad write_batch result");
-  }
-  return codes;
+  return mal::Decode<std::vector<mal::Code>>(out);
 }
 
 mal::Buffer ZlogOps::MakeRead(uint64_t epoch, uint64_t pos) {

@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/cls/registry.h"
@@ -31,6 +32,21 @@ void RegisterBuiltinClasses(ClassRegistry* registry);
 // ---- cls zlog: CORFU storage interface helpers ------------------------------
 // Entry states stored per log position.
 enum class ZlogEntryState : uint8_t { kWritten = 1, kFilled = 2, kTrimmed = 3 };
+
+// The output of a read: the position's state and, if written, its bytes.
+// The read method puts the bytes straight from the stored record (a
+// ZlogEntryView, encode only); the client reads them as a ZlogEntry whose
+// data is a slice of the reply.
+template <typename Bytes>
+struct BasicZlogEntry {
+  ZlogEntryState state = ZlogEntryState::kWritten;
+  Bytes data;
+
+  template <class Ar>
+  void Fields(Ar& ar) { ar(state, data); }
+};
+using ZlogEntry = BasicZlogEntry<mal::Buffer>;
+using ZlogEntryView = BasicZlogEntry<std::string_view>;
 
 // Input encodings (all little-endian via mal::Encoder):
 //   seal:        u64 epoch                 -> out: u64 max_pos (log tail)

@@ -199,23 +199,4 @@ Buffer Decoder::GetBuffer() {
   return out;
 }
 
-void EncodeStringMap(Encoder* enc, const std::map<std::string, std::string>& m) {
-  enc->PutVarU64(m.size());
-  for (const auto& [k, v] : m) {
-    enc->PutString(k);
-    enc->PutString(v);
-  }
-}
-
-std::map<std::string, std::string> DecodeStringMap(Decoder* dec) {
-  std::map<std::string, std::string> m;
-  uint64_t n = dec->GetVarU64();
-  for (uint64_t i = 0; i < n && dec->ok(); ++i) {
-    std::string k = dec->GetString();
-    std::string v = dec->GetString();
-    m.emplace(std::move(k), std::move(v));
-  }
-  return m;
-}
-
 }  // namespace mal

@@ -39,9 +39,9 @@ class ScopedDeadline {
   uint64_t prev_;
 };
 
-// Arms the deadline at an operation's edge (a cephfs call, a bench loop
-// body): `budget_ns` after `now_ns`, tightening-only, so an earlier outer
-// deadline wins. A zero budget keeps whatever is in force.
+// Arms the deadline at an operation's edge (e.g. a bench loop body):
+// `budget_ns` after `now_ns`, tightening-only, so an earlier outer deadline
+// wins. A zero budget keeps whatever is in force.
 class ScopedOpDeadline : public ScopedDeadline {
  public:
   ScopedOpDeadline(uint64_t now_ns, uint64_t budget_ns)

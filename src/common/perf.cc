@@ -84,63 +84,6 @@ PerfSnapshot PerfRegistry::Snapshot(const std::string& entity,
   return snap;
 }
 
-void PerfSnapshot::Encode(Encoder* enc) const {
-  enc->PutString(entity);
-  enc->PutU64(time_ns);
-  enc->PutVarU64(counters.size());
-  for (const auto& [name, value] : counters) {
-    enc->PutString(name);
-    enc->PutU64(value);
-  }
-  enc->PutVarU64(gauges.size());
-  for (const auto& [name, value] : gauges) {
-    enc->PutString(name);
-    enc->PutF64(value);
-  }
-  enc->PutVarU64(histograms.size());
-  for (const auto& [name, hist] : histograms) {
-    enc->PutString(name);
-    enc->PutU64(hist.observed);
-    enc->PutF64(hist.min);
-    enc->PutF64(hist.max);
-    enc->PutVarU64(hist.samples.size());
-    for (double v : hist.samples) {
-      enc->PutF64(v);
-    }
-  }
-}
-
-Status PerfSnapshot::Decode(const Payload& in, PerfSnapshot* out) {
-  Decoder dec(in);
-  out->entity = dec.GetString();
-  out->time_ns = dec.GetU64();
-  uint64_t n = dec.GetVarU64();
-  for (uint64_t i = 0; i < n && dec.ok(); ++i) {
-    std::string name = dec.GetString();
-    out->counters[name] = dec.GetU64();
-  }
-  n = dec.GetVarU64();
-  for (uint64_t i = 0; i < n && dec.ok(); ++i) {
-    std::string name = dec.GetString();
-    out->gauges[name] = dec.GetF64();
-  }
-  n = dec.GetVarU64();
-  for (uint64_t i = 0; i < n && dec.ok(); ++i) {
-    std::string name = dec.GetString();
-    Hist hist;
-    hist.observed = dec.GetU64();
-    hist.min = dec.GetF64();
-    hist.max = dec.GetF64();
-    uint64_t samples = dec.GetVarU64();
-    hist.samples.reserve(dec.ok() ? samples : 0);
-    for (uint64_t j = 0; j < samples && dec.ok(); ++j) {
-      hist.samples.push_back(dec.GetF64());
-    }
-    out->histograms[name] = std::move(hist);
-  }
-  return dec.Finish();
-}
-
 PerfSnapshot AggregateSnapshots(const std::vector<PerfSnapshot>& snapshots) {
   PerfSnapshot out;
   out.entity = "cluster";

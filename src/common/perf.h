@@ -64,6 +64,9 @@ struct PerfSnapshot {
     uint64_t observed = 0;
     double min = 0;  // exact running extremes (see BoundedHistogram)
     double max = 0;
+
+    template <class Ar>
+    void Fields(Ar& ar) { ar(observed, min, max, samples); }
   };
 
   std::string entity;  // e.g. "osd.2", "mon.0", "client.1"
@@ -76,8 +79,8 @@ struct PerfSnapshot {
     return counters.empty() && gauges.empty() && histograms.empty();
   }
 
-  void Encode(Encoder* enc) const;
-  static Status Decode(const Payload& in, PerfSnapshot* out);
+  template <class Ar>
+  void Fields(Ar& ar) { ar(entity, time_ns, counters, gauges, histograms); }
 };
 
 // The per-daemon metric registry. Single-threaded (simulator), so no locks.

@@ -5,44 +5,6 @@
 
 namespace mal::consensus {
 
-void PaxosMessage::Encode(mal::Encoder* enc) const {
-  enc->PutU8(static_cast<uint8_t>(type));
-  enc->PutU32(from);
-  enc->PutU64(ballot);
-  enc->PutU64(instance);
-  enc->PutBuffer(value);
-  enc->PutVarU64(accepted_tail.size());
-  for (const AcceptedEntry& e : accepted_tail) {
-    enc->PutU64(e.instance);
-    enc->PutU64(e.ballot);
-    enc->PutBuffer(e.value);
-  }
-  enc->PutU64(committed_through);
-}
-
-mal::Result<PaxosMessage> PaxosMessage::Decode(mal::Decoder* dec) {
-  PaxosMessage msg;
-  msg.type = static_cast<PaxosMsgType>(dec->GetU8());
-  msg.from = dec->GetU32();
-  msg.ballot = dec->GetU64();
-  msg.instance = dec->GetU64();
-  msg.value = dec->GetBuffer();
-  uint64_t n = dec->GetVarU64();
-  for (uint64_t i = 0; i < n && dec->ok(); ++i) {
-    AcceptedEntry e;
-    e.instance = dec->GetU64();
-    e.ballot = dec->GetU64();
-    e.value = dec->GetBuffer();
-    msg.accepted_tail.push_back(std::move(e));
-  }
-  msg.committed_through = dec->GetU64();
-  mal::Status s = dec->Finish();
-  if (!s.ok()) {
-    return s;
-  }
-  return msg;
-}
-
 PaxosNode::PaxosNode(uint32_t node_id, std::vector<uint32_t> members, SendFn send,
                      CommitFn on_commit)
     : node_id_(node_id),

@@ -43,6 +43,9 @@ struct AcceptedEntry {
   uint64_t instance = 0;
   uint64_t ballot = 0;
   mal::Buffer value;
+
+  template <class Ar>
+  void Fields(Ar& ar) { ar(instance, ballot, value); }
 };
 
 struct PaxosMessage {
@@ -55,8 +58,10 @@ struct PaxosMessage {
   std::vector<AcceptedEntry> accepted_tail;
   uint64_t committed_through = 0;  // first *uncommitted* instance
 
-  void Encode(mal::Encoder* enc) const;
-  static mal::Result<PaxosMessage> Decode(mal::Decoder* dec);
+  template <class Ar>
+  void Fields(Ar& ar) {
+    ar(type, from, ballot, instance, value, accepted_tail, committed_through);
+  }
 };
 
 // Role snapshot for introspection/tests.

@@ -9,9 +9,7 @@ namespace mal::ec {
 
 namespace {
 
-mal::Buffer U64Input(uint64_t value) {
-  return mal::Encode([value](mal::Encoder* enc) { enc->PutU64(value); });
-}
+mal::Buffer U64Input(uint64_t value) { return mal::Encode(value); }
 
 uint64_t ParseU64(const std::string& s) {
   return s.empty() ? 0 : std::strtoull(s.c_str(), nullptr, 10);

@@ -1,5 +1,7 @@
 #include "src/mds/mds_client.h"
 
+#include "src/common/log.h"
+
 namespace mal::mds {
 
 uint32_t MdsClient::TargetFor(const std::string& path) const {
@@ -49,12 +51,16 @@ void MdsClient::RequestAttempt(const std::shared_ptr<PendingRequest>& pending,
           retry();
           return;
         }
-        if (!status.ok()) {
+        if (status.ok() && !RepliesWithMdsReply(pending->request.op)) {
           pending->on_reply(status, MdsReply{});
           return;
         }
-        mal::Decoder dec(reply.payload);
-        pending->on_reply(mal::Status::Ok(), MdsReply::Decode(&dec));
+        auto decoded = mal::DecodeReply<MdsReply>(status, reply.payload);
+        if (!decoded.ok()) {
+          pending->on_reply(decoded.status(), MdsReply{});
+          return;
+        }
+        pending->on_reply(mal::Status::Ok(), decoded.value());
       },
       config_.rpc_timeout);
 }
@@ -170,9 +176,13 @@ bool MdsClient::OnMessage(const sim::Envelope& envelope) {
   if (envelope.type != kMsgCapRevoke) {
     return false;
   }
-  mal::Decoder dec(envelope.payload);
-  std::string path = dec.GetString();
-  HandleRevoke(path);
+  auto revoke = mal::Decode<CapRevoke>(envelope.payload);
+  if (!revoke.ok()) {
+    MAL_WARN(owner_->name().ToString())
+        << "dropping malformed cap revoke: " << revoke.status();
+    return true;
+  }
+  HandleRevoke(revoke.value().path);
   return true;
 }
 

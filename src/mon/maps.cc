@@ -1,5 +1,7 @@
 #include "src/mon/maps.h"
 
+#include "src/mon/messages.h"
+
 namespace mal::mon {
 
 uint32_t OsdMap::NumUp() const {
@@ -12,38 +14,6 @@ uint32_t OsdMap::NumUp() const {
   return n;
 }
 
-void OsdMap::Encode(mal::Encoder* enc) const {
-  enc->PutU64(epoch);
-  enc->PutU32(pg_count);
-  enc->PutVarU64(osds.size());
-  for (const auto& [id, info] : osds) {
-    enc->PutU32(id);
-    enc->PutBool(info.up);
-    enc->PutF64(info.weight);
-  }
-  EncodeStringMap(enc, service_metadata);
-}
-
-mal::Result<OsdMap> OsdMap::Decode(mal::Decoder* dec) {
-  OsdMap map;
-  map.epoch = dec->GetU64();
-  map.pg_count = dec->GetU32();
-  uint64_t n = dec->GetVarU64();
-  for (uint64_t i = 0; i < n && dec->ok(); ++i) {
-    uint32_t id = dec->GetU32();
-    OsdInfo info;
-    info.up = dec->GetBool();
-    info.weight = dec->GetF64();
-    map.osds[id] = info;
-  }
-  map.service_metadata = DecodeStringMap(dec);
-  mal::Status s = dec->Finish();
-  if (!s.ok()) {
-    return s;
-  }
-  return map;
-}
-
 uint32_t MdsMap::NumActive() const {
   uint32_t n = 0;
   for (const auto& [id, info] : mds) {
@@ -54,34 +24,8 @@ uint32_t MdsMap::NumActive() const {
   return n;
 }
 
-void MdsMap::Encode(mal::Encoder* enc) const {
-  enc->PutU64(epoch);
-  enc->PutVarU64(mds.size());
-  for (const auto& [id, info] : mds) {
-    enc->PutU32(id);
-    enc->PutU8(static_cast<uint8_t>(info.state));
-    enc->PutI64(info.rank);
-  }
-  EncodeStringMap(enc, service_metadata);
-}
-
-mal::Result<MdsMap> MdsMap::Decode(mal::Decoder* dec) {
-  MdsMap map;
-  map.epoch = dec->GetU64();
-  uint64_t n = dec->GetVarU64();
-  for (uint64_t i = 0; i < n && dec->ok(); ++i) {
-    uint32_t id = dec->GetU32();
-    MdsInfo info;
-    info.state = static_cast<MdsState>(dec->GetU8());
-    info.rank = static_cast<int32_t>(dec->GetI64());
-    map.mds[id] = info;
-  }
-  map.service_metadata = DecodeStringMap(dec);
-  mal::Status s = dec->Finish();
-  if (!s.ok()) {
-    return s;
-  }
-  return map;
+Epoch EpochOf(const MapUpdate& update) {
+  return mal::Decoder(update.map_payload).GetU64();
 }
 
 std::string PoolLayout::Format() const {

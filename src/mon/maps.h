@@ -59,6 +59,9 @@ struct PoolLayout {
 struct OsdInfo {
   bool up = false;
   double weight = 1.0;
+
+  template <class Ar>
+  void Fields(Ar& ar) { ar(up, weight); }
 };
 
 // Map of object storage daemons plus placement-group count.
@@ -69,8 +72,10 @@ struct OsdMap {
   std::map<std::string, std::string> service_metadata;
 
   uint32_t NumUp() const;
-  void Encode(mal::Encoder* enc) const;
-  static mal::Result<OsdMap> Decode(mal::Decoder* dec);
+
+  // The epoch leads, as in MdsMap (see EpochOf).
+  template <class Ar>
+  void Fields(Ar& ar) { ar(epoch, pg_count, osds, service_metadata); }
 };
 
 enum class MdsState : uint8_t { kStandby = 0, kActive = 1, kStopping = 2, kFailed = 3 };
@@ -79,7 +84,10 @@ struct MdsInfo {
   MdsState state = MdsState::kStandby;
   // Rank within the active metadata cluster (which subtrees it owns is the
   // MDS's own business; the map only tracks membership).
-  int32_t rank = -1;
+  int64_t rank = -1;
+
+  template <class Ar>
+  void Fields(Ar& ar) { ar(state, rank); }
 };
 
 struct MdsMap {
@@ -88,9 +96,18 @@ struct MdsMap {
   std::map<std::string, std::string> service_metadata;
 
   uint32_t NumActive() const;
-  void Encode(mal::Encoder* enc) const;
-  static mal::Result<MdsMap> Decode(mal::Decoder* dec);
+
+  // The epoch leads, as in OsdMap (see EpochOf).
+  template <class Ar>
+  void Fields(Ar& ar) { ar(epoch, mds, service_metadata); }
 };
+
+struct MapUpdate;
+
+// The epoch of the OsdMap or MdsMap `update` carries, read without
+// decoding the map (both encodings start with it); 0 when the payload is
+// too short to hold one.
+Epoch EpochOf(const MapUpdate& update);
 
 // Published owner rank for a sequencer path, or nullopt when the path has
 // no ownership entry (legacy single-sequencer placement).

@@ -10,6 +10,7 @@
 #include "src/common/status.h"
 #include "src/mon/maps.h"
 #include "src/sim/network.h"
+#include "src/telemetry/series.h"
 
 namespace mal::mon {
 
@@ -46,19 +47,26 @@ struct Transaction {
   std::string key;
   std::string value;
 
-  void Encode(mal::Encoder* enc) const;
-  static Transaction DecodeOne(mal::Decoder* dec);
+  template <class Ar>
+  void Fields(Ar& ar) { ar(op, map_kind, daemon_id, key, value); }
+};
 
-  static void EncodeBatch(mal::Encoder* enc, const std::vector<Transaction>& batch);
-  static std::vector<Transaction> DecodeBatch(mal::Decoder* dec);
+// The value the leader proposes through Paxos: every transaction gathered
+// in one proposal interval. The proposer acks the batch's requests once it
+// commits.
+struct ProposalValue {
+  uint64_t batch_id = 0;
+  uint32_t proposer = 0;
+  std::vector<Transaction> txns;
+
+  template <class Ar>
+  void Fields(Ar& ar) { ar(batch_id, proposer, txns); }
 };
 
 struct GetMapRequest {
   MapKind kind = MapKind::kOsdMap;
-  void Encode(mal::Encoder* enc) const { enc->PutU8(static_cast<uint8_t>(kind)); }
-  static GetMapRequest Decode(mal::Decoder* dec) {
-    return {static_cast<MapKind>(dec->GetU8())};
-  }
+  template <class Ar>
+  void Fields(Ar& ar) { ar(kind); }
 };
 
 struct SubscribeRequest {
@@ -66,18 +74,8 @@ struct SubscribeRequest {
   Epoch have_epoch = 0;  // monitor replies immediately if it has newer
   sim::EntityName subscriber;
 
-  void Encode(mal::Encoder* enc) const {
-    enc->PutU8(static_cast<uint8_t>(kind));
-    enc->PutU64(have_epoch);
-    subscriber.Encode(enc);
-  }
-  static SubscribeRequest Decode(mal::Decoder* dec) {
-    SubscribeRequest req;
-    req.kind = static_cast<MapKind>(dec->GetU8());
-    req.have_epoch = dec->GetU64();
-    req.subscriber = sim::EntityName::Decode(dec);
-    return req;
-  }
+  template <class Ar>
+  void Fields(Ar& ar) { ar(kind, have_epoch, subscriber); }
 };
 
 // Map push: kind tag + encoded map.
@@ -85,41 +83,30 @@ struct MapUpdate {
   MapKind kind = MapKind::kOsdMap;
   mal::Buffer map_payload;
 
-  void Encode(mal::Encoder* enc) const {
-    enc->PutU8(static_cast<uint8_t>(kind));
-    enc->PutBuffer(map_payload);
-  }
-  static MapUpdate Decode(mal::Decoder* dec) {
-    MapUpdate update;
-    update.kind = static_cast<MapKind>(dec->GetU8());
-    update.map_payload = dec->GetBuffer();
-    return update;
-  }
+  template <class Ar>
+  void Fields(Ar& ar) { ar(kind, map_payload); }
 };
 
 // Query against the monitor's telemetry series store (kMsgQuerySeries).
 // `resolution` matches telemetry::Resolution: 0 = raw, 1 = 10s, 2 = 60s.
-// The reply is a count-prefixed list of telemetry::Window records.
+// The reply is a QuerySeriesReply.
 struct QuerySeriesRequest {
   std::string entity;
   std::string metric;
   uint8_t resolution = 0;
   uint64_t since_ns = 0;
 
-  void Encode(mal::Encoder* enc) const {
-    enc->PutString(entity);
-    enc->PutString(metric);
-    enc->PutU8(resolution);
-    enc->PutU64(since_ns);
-  }
-  static QuerySeriesRequest Decode(mal::Decoder* dec) {
-    QuerySeriesRequest req;
-    req.entity = dec->GetString();
-    req.metric = dec->GetString();
-    req.resolution = dec->GetU8();
-    req.since_ns = dec->GetU64();
-    return req;
-  }
+  template <class Ar>
+  void Fields(Ar& ar) { ar(entity, metric, resolution, since_ns); }
+};
+
+// The windows of the queried series, oldest first (single-point windows
+// for raw resolution).
+struct QuerySeriesReply {
+  std::vector<telemetry::Window> windows;
+
+  template <class Ar>
+  void Fields(Ar& ar) { ar(windows); }
 };
 
 // Centralized cluster log entry (paper §5.1.3: "Mantle re-uses the
@@ -131,22 +118,8 @@ struct ClusterLogEntry {
   std::string severity;  // "INFO" | "WARN" | "ERROR"
   std::string message;
 
-  void Encode(mal::Encoder* enc) const {
-    enc->PutU64(time_ns);
-    enc->PutU64(seq);
-    enc->PutString(source);
-    enc->PutString(severity);
-    enc->PutString(message);
-  }
-  static ClusterLogEntry Decode(mal::Decoder* dec) {
-    ClusterLogEntry e;
-    e.time_ns = dec->GetU64();
-    e.seq = dec->GetU64();
-    e.source = dec->GetString();
-    e.severity = dec->GetString();
-    e.message = dec->GetString();
-    return e;
-  }
+  template <class Ar>
+  void Fields(Ar& ar) { ar(time_ns, seq, source, severity, message); }
 };
 
 }  // namespace mal::mon

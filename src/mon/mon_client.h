@@ -66,12 +66,12 @@ class MonClient {
     SendWithRetry(kMsgGetMap, mal::Encode(req),
                   [on_map = std::move(on_map)](mal::Status status,
                                                const sim::Envelope& reply) {
-                    if (!status.ok()) {
-                      on_map(status, MapUpdate{});
+                    auto update = mal::DecodeReply<MapUpdate>(status, reply.payload);
+                    if (!update.ok()) {
+                      on_map(update.status(), MapUpdate{});
                       return;
                     }
-                    mal::Decoder dec(reply.payload);
-                    on_map(mal::Status::Ok(), MapUpdate::Decode(&dec));
+                    on_map(mal::Status::Ok(), update.value());
                   });
   }
 
@@ -83,11 +83,9 @@ class MonClient {
   // Ok — the caller keeps its map and its own backoff paces the next
   // attempt. Without this, a client whose push subscription died with a
   // crashed leader can re-read the same stale map forever while it
-  // retries an OSD the rest of the cluster already failed.
-  // `epoch_of` extracts the epoch from a reply (the payload encoding is
-  // map-kind specific, so the caller supplies the decode).
-  void GetMapAbove(MapKind kind, Epoch have_epoch,
-                   std::function<Epoch(const MapUpdate&)> epoch_of, MapHandler on_map) {
+  // retries an OSD the rest of the cluster already failed. A reply that
+  // does not decode ends the fetch with kCorruption.
+  void GetMapAbove(MapKind kind, Epoch have_epoch, MapHandler on_map) {
     // The freshest not-newer reply seen so far; delivered only if the whole
     // budget finds nothing newer.
     struct Fetch {
@@ -100,15 +98,14 @@ class MonClient {
     fetch->on_map = std::move(on_map);
     SendToQuorum(
         kMsgGetMap, mal::Encode(GetMapRequest{kind}),
-        [have_epoch, epoch_of = std::move(epoch_of), fetch](mal::Status status,
-                                                            const sim::Envelope& reply) {
-          if (!status.ok()) {
-            fetch->on_map(status, MapUpdate{});
+        [have_epoch, fetch](mal::Status status, const sim::Envelope& reply) {
+          auto decoded = mal::DecodeReply<MapUpdate>(status, reply.payload);
+          if (!decoded.ok()) {
+            fetch->on_map(decoded.status(), MapUpdate{});
             return true;
           }
-          mal::Decoder dec(reply.payload);
-          MapUpdate update = MapUpdate::Decode(&dec);
-          Epoch epoch = epoch_of(update);
+          MapUpdate& update = decoded.value();
+          Epoch epoch = EpochOf(update);
           if (epoch > have_epoch) {
             fetch->on_map(mal::Status::Ok(), update);
             return true;
@@ -185,15 +182,12 @@ class MonClient {
     SendWithRetry(kMsgQuerySeries, mal::Encode(req),
                   [on_windows = std::move(on_windows)](mal::Status status,
                                                        const sim::Envelope& reply) {
-                    std::vector<telemetry::Window> windows;
-                    if (status.ok()) {
-                      mal::Decoder dec(reply.payload);
-                      uint64_t n = dec.GetVarU64();
-                      for (uint64_t i = 0; i < n && dec.ok(); ++i) {
-                        windows.push_back(telemetry::Window::Decode(&dec));
-                      }
+                    auto decoded = mal::DecodeReply<QuerySeriesReply>(status, reply.payload);
+                    if (!decoded.ok()) {
+                      on_windows(decoded.status(), {});
+                      return;
                     }
-                    on_windows(status, std::move(windows));
+                    on_windows(mal::Status::Ok(), std::move(decoded.value().windows));
                   });
   }
 

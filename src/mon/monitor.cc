@@ -8,40 +8,6 @@
 
 namespace mal::mon {
 
-void Transaction::Encode(mal::Encoder* enc) const {
-  enc->PutU8(static_cast<uint8_t>(op));
-  enc->PutU8(static_cast<uint8_t>(map_kind));
-  enc->PutU32(daemon_id);
-  enc->PutString(key);
-  enc->PutString(value);
-}
-
-Transaction Transaction::DecodeOne(mal::Decoder* dec) {
-  Transaction txn;
-  txn.op = static_cast<Op>(dec->GetU8());
-  txn.map_kind = static_cast<MapKind>(dec->GetU8());
-  txn.daemon_id = dec->GetU32();
-  txn.key = dec->GetString();
-  txn.value = dec->GetString();
-  return txn;
-}
-
-void Transaction::EncodeBatch(mal::Encoder* enc, const std::vector<Transaction>& batch) {
-  enc->PutVarU64(batch.size());
-  for (const Transaction& txn : batch) {
-    txn.Encode(enc);
-  }
-}
-
-std::vector<Transaction> Transaction::DecodeBatch(mal::Decoder* dec) {
-  std::vector<Transaction> batch;
-  uint64_t n = dec->GetVarU64();
-  for (uint64_t i = 0; i < n && dec->ok(); ++i) {
-    batch.push_back(DecodeOne(dec));
-  }
-  return batch;
-}
-
 Monitor::Monitor(sim::Simulator* simulator, sim::Network* network, uint32_t id,
                  std::vector<uint32_t> quorum, MonitorConfig config)
     : Actor(simulator, network, sim::EntityName::Mon(id)),
@@ -62,10 +28,12 @@ Monitor::Monitor(sim::Simulator* simulator, sim::Network* network, uint32_t id,
 }
 
 void Monitor::RegisterHandlers() {
-  // Raw handlers keep their bespoke decode conventions: paxos uses a
-  // Result-returning decoder, commands are forwarded undecoded by
-  // non-leaders, and the last three carry no / non-standard payloads.
-  dispatcher_.On(kMsgPaxos, [this](const sim::Envelope& env) { HandlePaxos(env); });
+  dispatcher_.OnTyped<consensus::PaxosMessage>(
+      kMsgPaxos, [this](const sim::Envelope&, consensus::PaxosMessage msg) {
+        HandlePaxos(std::move(msg));
+      });
+  // Raw handlers: commands are forwarded undecoded by non-leaders, and the
+  // cluster-log, perf-dump and health requests carry no payload.
   dispatcher_.On(kMsgMonCommand, [this](const sim::Envelope& env) { HandleCommand(env); });
   dispatcher_.OnTyped<GetMapRequest>(
       kMsgGetMap, [this](const sim::Envelope& env, GetMapRequest req) {
@@ -81,8 +49,10 @@ void Monitor::RegisterHandlers() {
       });
   dispatcher_.On(kMsgGetClusterLog,
                  [this](const sim::Envelope& env) { HandleGetClusterLog(env); });
-  dispatcher_.On(kMsgPerfReport,
-                 [this](const sim::Envelope& env) { HandlePerfReport(env); });
+  dispatcher_.OnTyped<mal::PerfSnapshot>(
+      kMsgPerfReport, [this](const sim::Envelope&, mal::PerfSnapshot snap) {
+        HandlePerfReport(std::move(snap));
+      });
   dispatcher_.On(kMsgGetPerfDump,
                  [this](const sim::Envelope& env) { HandleGetPerfDump(env); });
   dispatcher_.OnTyped<QuerySeriesRequest>(
@@ -132,17 +102,11 @@ void Monitor::HandleRequest(const sim::Envelope& request) {
   dispatcher_.Dispatch(request);
 }
 
-void Monitor::HandlePaxos(const sim::Envelope& request) {
-  mal::Decoder dec(request.payload);
-  auto msg = consensus::PaxosMessage::Decode(&dec);
-  if (!msg.ok()) {
-    MAL_WARN(name().ToString()) << "bad paxos message: " << msg.status();
-    return;
-  }
+void Monitor::HandlePaxos(consensus::PaxosMessage msg) {
   // Only leader-originated traffic counts as evidence the leader is alive;
   // follower-to-follower chatter (promises, catchup requests) must not
   // suppress failure detection.
-  switch (msg.value().type) {
+  switch (msg.type) {
     case consensus::PaxosMsgType::kPrepare:
     case consensus::PaxosMsgType::kAccept:
     case consensus::PaxosMsgType::kCommit:
@@ -151,15 +115,13 @@ void Monitor::HandlePaxos(const sim::Envelope& request) {
     default:
       break;
   }
-  if (config_.store_commit_latency > 0 &&
-      msg.value().type == consensus::PaxosMsgType::kAccept) {
+  if (config_.store_commit_latency > 0 && msg.type == consensus::PaxosMsgType::kAccept) {
     // Model the fsync an acceptor performs before acknowledging.
-    auto accept = std::move(msg).value();
     AfterCpu(config_.store_commit_latency,
-             [this, accept = std::move(accept)] { paxos_->HandleMessage(accept); });
+             [this, accept = std::move(msg)] { paxos_->HandleMessage(accept); });
     return;
   }
-  paxos_->HandleMessage(msg.value());
+  paxos_->HandleMessage(msg);
 }
 
 uint32_t Monitor::LeaderHint() const {
@@ -188,13 +150,12 @@ void Monitor::HandleCommand(const sim::Envelope& request) {
                 });
     return;
   }
-  mal::Decoder dec(request.payload);
-  Transaction txn = Transaction::DecodeOne(&dec);
-  if (!dec.ok()) {
+  auto txn = mal::Decode<Transaction>(request.payload);
+  if (!txn.ok()) {
     ReplyError(request, mal::Status::Corruption("bad transaction"));
     return;
   }
-  pending_batch_.push_back(std::move(txn));
+  pending_batch_.push_back(std::move(txn).value());
   waiting_acks_.emplace_back(next_batch_id_, request);
 }
 
@@ -202,15 +163,11 @@ void Monitor::ProposeBatch() {
   if (!paxos_->IsLeader() || pending_batch_.empty()) {
     return;
   }
-  mal::Buffer value = mal::Encode([this](mal::Encoder* enc) {
-    enc->PutU64(next_batch_id_);
-    enc->PutU32(name().id);
-    Transaction::EncodeBatch(enc, pending_batch_);
-  });
-  perf_.Inc("mon.paxos.proposals");
-  perf_.Inc("mon.paxos.proposed_txns", pending_batch_.size());
+  ProposalValue proposal{next_batch_id_++, name().id, std::move(pending_batch_)};
   pending_batch_.clear();
-  ++next_batch_id_;
+  perf_.Inc("mon.paxos.proposals");
+  perf_.Inc("mon.paxos.proposed_txns", proposal.txns.size());
+  mal::Buffer value = mal::Encode(proposal);
 
   if (config_.store_commit_latency > 0) {
     AfterCpu(config_.store_commit_latency,
@@ -221,10 +178,16 @@ void Monitor::ProposeBatch() {
 }
 
 void Monitor::ApplyCommitted(const mal::Buffer& value) {
-  mal::Decoder dec(value);
-  uint64_t batch_id = dec.GetU64();
-  uint32_t proposer = dec.GetU32();
-  std::vector<Transaction> batch = Transaction::DecodeBatch(&dec);
+  auto decoded = mal::Decode<ProposalValue>(value);
+  if (!decoded.ok()) {
+    // A batch that does not decode is applied not at all: applying the part
+    // that did would leave this monitor's maps diverged from its peers'.
+    MAL_WARN(name().ToString()) << "skipping undecodable committed batch: "
+                                << decoded.status();
+    return;
+  }
+  const ProposalValue& proposal = decoded.value();
+  const std::vector<Transaction>& batch = proposal.txns;
   ++applied_batches_;
   perf_.Inc("mon.paxos.commits");
 
@@ -247,10 +210,10 @@ void Monitor::ApplyCommitted(const mal::Buffer& value) {
     on_apply(batch);
   }
   // Ack the requests that were folded into this batch (proposer only).
-  if (proposer == name().id) {
+  if (proposal.proposer == name().id) {
     auto it = waiting_acks_.begin();
     while (it != waiting_acks_.end()) {
-      if (it->first == batch_id) {
+      if (it->first == proposal.batch_id) {
         Reply(it->second, mal::Encode([this](mal::Encoder* enc) {
                 enc->PutU64(osd_map_.epoch);
                 enc->PutU64(mds_map_.epoch);
@@ -286,7 +249,7 @@ void Monitor::ApplyTransaction(const Transaction& txn, bool* osd_dirty, bool* md
       MdsInfo& info = mds_map_.mds[txn.daemon_id];
       info.state = MdsState::kActive;
       if (info.rank < 0) {
-        int32_t max_rank = -1;
+        int64_t max_rank = -1;
         for (const auto& [id, other] : mds_map_.mds) {
           max_rank = std::max(max_rank, other.rank);
         }
@@ -365,20 +328,10 @@ void Monitor::HandleLogEntry(const sim::Envelope& request, ClusterLogEntry entry
 }
 
 void Monitor::HandleGetClusterLog(const sim::Envelope& request) {
-  Reply(request, mal::Encode([this](mal::Encoder* enc) {
-          enc->PutVarU64(cluster_log_.size());
-          for (const ClusterLogEntry& entry : cluster_log_) {
-            entry.Encode(enc);
-          }
-        }));
+  Reply(request, mal::Encode(cluster_log_));
 }
 
-void Monitor::HandlePerfReport(const sim::Envelope& request) {
-  mal::PerfSnapshot snap;
-  if (!mal::PerfSnapshot::Decode(request.payload, &snap).ok()) {
-    MAL_WARN(name().ToString()) << "bad perf report from " << request.from.ToString();
-    return;
-  }
+void Monitor::HandlePerfReport(mal::PerfSnapshot snap) {
   perf_.Inc("mon.perf_reports");
   if (telemetry_enabled()) {
     series_.Ingest(snap);
@@ -428,15 +381,10 @@ mal::Status Monitor::InstallHealthRule(const std::string& rule_name,
 std::string Monitor::HealthJson() const { return health_.ToJson(Now()); }
 
 void Monitor::HandleQuerySeries(const sim::Envelope& request, QuerySeriesRequest req) {
-  std::vector<telemetry::Window> windows =
-      series_.Query(req.entity, req.metric,
-                    static_cast<telemetry::Resolution>(req.resolution), req.since_ns);
-  Reply(request, mal::Encode([&windows](mal::Encoder* enc) {
-          enc->PutVarU64(windows.size());
-          for (const telemetry::Window& w : windows) {
-            w.Encode(enc);
-          }
-        }));
+  QuerySeriesReply reply{series_.Query(req.entity, req.metric,
+                                       static_cast<telemetry::Resolution>(req.resolution),
+                                       req.since_ns)};
+  Reply(request, mal::Encode(reply));
 }
 
 void Monitor::HandleGetHealth(const sim::Envelope& request) {

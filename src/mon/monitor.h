@@ -104,13 +104,13 @@ class Monitor : public sim::Actor {
  private:
   void RegisterHandlers();
 
-  void HandlePaxos(const sim::Envelope& request);
+  void HandlePaxos(consensus::PaxosMessage msg);
   void HandleCommand(const sim::Envelope& request);
   void HandleGetMap(const sim::Envelope& request, GetMapRequest req);
   void HandleSubscribe(const sim::Envelope& request, SubscribeRequest req);
   void HandleLogEntry(const sim::Envelope& request, ClusterLogEntry entry);
   void HandleGetClusterLog(const sim::Envelope& request);
-  void HandlePerfReport(const sim::Envelope& request);
+  void HandlePerfReport(mal::PerfSnapshot snap);
   void HandleGetPerfDump(const sim::Envelope& request);
   void HandleQuerySeries(const sim::Envelope& request, QuerySeriesRequest req);
   void HandleGetHealth(const sim::Envelope& request);

@@ -135,79 +135,6 @@ bool Omap::operator==(const Omap& other) const {
   return size() == other.size() && std::equal(begin(), end(), other.begin());
 }
 
-void Omap::Encode(mal::Encoder* enc) const {
-  enc->PutVarU64(index_.size());
-  for (auto [key, value] : *this) {
-    enc->PutString(key);
-    enc->PutString(value);
-  }
-}
-
-Omap Omap::Decode(mal::Decoder* dec) {
-  Omap omap;
-  uint64_t n = dec->GetVarU64();
-  for (uint64_t i = 0; i < n && dec->ok(); ++i) {
-    std::string key = dec->GetString();
-    std::string value = dec->GetString();
-    if (!omap.Find(key)) {
-      omap.Set(key, value);
-    }
-  }
-  return omap;
-}
-
-void Object::Encode(mal::Encoder* enc) const {
-  enc->PutBuffer(data);
-  omap.Encode(enc);
-  xattrs.Encode(enc);
-  enc->PutVarU64(snapshots.size());
-  for (const auto& [name, snap] : snapshots) {
-    enc->PutString(name);
-    enc->PutBuffer(snap);
-  }
-  enc->PutU64(version);
-}
-
-Object Object::Decode(mal::Decoder* dec) {
-  Object object;
-  object.data = dec->GetBuffer();
-  object.omap = Omap::Decode(dec);
-  object.xattrs = Omap::Decode(dec);
-  uint64_t n = dec->GetVarU64();
-  for (uint64_t i = 0; i < n && dec->ok(); ++i) {
-    std::string name = dec->GetString();
-    object.snapshots[name] = dec->GetBuffer();
-  }
-  object.version = dec->GetU64();
-  return object;
-}
-
-void Op::Encode(mal::Encoder* enc) const {
-  enc->PutU8(static_cast<uint8_t>(type));
-  enc->PutBool(excl);
-  enc->PutU64(offset);
-  enc->PutU64(length);
-  enc->PutBuffer(data);
-  enc->PutString(key);
-  enc->PutString(value);
-  enc->PutString(cls_name);
-  enc->PutString(method);
-}
-
-Op Op::Decode(mal::Decoder* dec) {
-  Op op;
-  op.type = static_cast<Type>(dec->GetU8());
-  op.excl = dec->GetBool();
-  op.offset = dec->GetU64();
-  op.length = dec->GetU64();
-  op.data = dec->GetBuffer();
-  op.key = dec->GetString();
-  op.value = dec->GetString();
-  op.cls_name = dec->GetString();
-  op.method = dec->GetString();
-  return op;
-}
-
 bool IsMutating(Op::Type type) {
   switch (type) {
     case Op::Type::kCreate:
@@ -643,8 +570,7 @@ mal::Status ObjectStore::ApplyOp(const std::string& oid, const Op& op, TxnObject
       if (!s.ok()) {
         return s;
       }
-      mal::Encoder enc(&result->out);
-      object->OmapList(op.key).Encode(&enc);
+      result->out = mal::Encode(object->OmapList(op.key));
       return mal::Status::Ok();
     }
 

@@ -108,12 +108,30 @@ class Omap {
   // Equal ordered contents (the layouts may differ).
   bool operator==(const Omap& other) const;
 
-  // Wire form: exactly the bytes EncodeStringMap writes for the same map.
-  void Encode(mal::Encoder* enc) const;
-  // Takes records in wire order; a key not past the previous one falls back
-  // to the sorted insert, and the first copy of a duplicate key wins (as in
-  // DecodeStringMap), so a malformed payload cannot break the index order.
-  static Omap Decode(mal::Decoder* dec);
+  // Wire form: exactly the bytes of a std::map<std::string, std::string>
+  // with the same records. Decoding takes records in wire order; a key not
+  // past the previous one falls back to the sorted insert, and the first
+  // copy of a duplicate key wins (as for a std::map), so a malformed payload
+  // cannot break the index order.
+  template <class Ar>
+  void Fields(Ar& ar) {
+    if constexpr (Ar::kDecoding) {
+      uint64_t n = ar.GetCount();
+      for (uint64_t i = 0; i < n && ar.ok(); ++i) {
+        std::string key = ar.GetString();
+        std::string value = ar.GetString();
+        if (!Find(key)) {
+          Set(key, value);
+        }
+      }
+    } else {
+      ar.PutVarU64(size());
+      for (auto [key, value] : *this) {
+        ar.PutString(key);
+        ar.PutString(value);
+      }
+    }
+  }
 
  private:
   std::pair<std::string_view, std::string_view> RecordAt(uint32_t offset) const;
@@ -142,8 +160,8 @@ struct Object {
   std::map<std::string, mal::Buffer> snapshots;
   uint64_t version = 0;  // bumped on every mutating transaction
 
-  void Encode(mal::Encoder* enc) const;
-  static Object Decode(mal::Decoder* dec);
+  template <class Ar>
+  void Fields(Ar& ar) { ar(data, omap, xattrs, snapshots, version); }
 };
 
 // One primitive operation on an object.
@@ -180,8 +198,8 @@ struct Op {
   std::string cls_name;    // kExec
   std::string method;      // kExec
 
-  void Encode(mal::Encoder* enc) const;
-  static Op Decode(mal::Decoder* dec);
+  template <class Ar>
+  void Fields(Ar& ar) { ar(type, excl, offset, length, data, key, value, cls_name, method); }
 };
 
 // True for op types that change an object. A transaction commits (and bumps
@@ -192,6 +210,9 @@ bool IsMutating(Op::Type type);
 struct OpResult {
   mal::Status status;
   mal::Buffer out;
+
+  template <class Ar>
+  void Fields(Ar& ar) { ar(status, out); }
 };
 
 // A transaction's staged view of one object: a COW alias of the bytestream

@@ -105,11 +105,15 @@ void Osd::RegisterHandlers() {
       kMsgWatch, [this](const sim::Envelope& env, WatchRequest req) {
         HandleWatch(env, std::move(req));
       });
-  // Raw handlers: gossip uses a Result-returning map decoder, map updates
-  // carry nested payloads with their own freshness checks.
-  dispatcher_.On(kMsgGossipMap, [this](const sim::Envelope& env) { HandleGossip(env); });
-  dispatcher_.On(mon::kMsgMapUpdate,
-                 [this](const sim::Envelope& env) { HandleMapUpdate(env); });
+  // Both map messages carry an OsdMap with its own freshness check.
+  dispatcher_.OnTyped<mon::OsdMap>(
+      kMsgGossipMap, [this](const sim::Envelope& env, mon::OsdMap map) {
+        HandleGossip(env.from.id, map);
+      });
+  dispatcher_.OnTyped<mon::MapUpdate>(
+      mon::kMsgMapUpdate, [this](const sim::Envelope&, mon::MapUpdate update) {
+        HandleMapUpdate(update);
+      });
 }
 
 void Osd::Boot() {
@@ -129,8 +133,7 @@ void Osd::Boot() {
                          if (!s.ok()) {
                            return;
                          }
-                         mal::Decoder dec(update.map_payload);
-                         auto map = mon::OsdMap::Decode(&dec);
+                         auto map = mal::Decode<mon::OsdMap>(update.map_payload);
                          if (map.ok()) {
                            AdoptMap(map.value(), /*gossip=*/false);
                          }
@@ -172,8 +175,7 @@ void Osd::CatchUpMap() {
           ScheduleGuarded(500 * sim::kMillisecond, [this] { CatchUpMap(); });
           return;
         }
-        mal::Decoder dec(update.map_payload);
-        auto map = mon::OsdMap::Decode(&dec);
+        auto map = mal::Decode<mon::OsdMap>(update.map_payload);
         if (map.ok()) {
           AdoptMap(map.value(), /*gossip=*/false);
         }
@@ -190,17 +192,16 @@ void Osd::HandleRequest(const sim::Envelope& request) {
   dispatcher_.Dispatch(request);
 }
 
-void Osd::HandleMapUpdate(const sim::Envelope& request) {
-  mal::Decoder dec(request.payload);
-  mon::MapUpdate update = mon::MapUpdate::Decode(&dec);
+void Osd::HandleMapUpdate(const mon::MapUpdate& update) {
   if (update.kind != mon::MapKind::kOsdMap) {
     return;
   }
-  mal::Decoder map_dec(update.map_payload);
-  auto map = mon::OsdMap::Decode(&map_dec);
-  if (map.ok()) {
-    AdoptMap(map.value(), /*gossip=*/true);
+  auto map = mal::Decode<mon::OsdMap>(update.map_payload);
+  if (!map.ok()) {
+    MAL_WARN(name().ToString()) << "dropping malformed osd map: " << map.status();
+    return;
   }
+  AdoptMap(map.value(), /*gossip=*/true);
 }
 
 sim::Time Osd::OpCost(const OsdOpRequest& req) const {
@@ -332,13 +333,11 @@ void Osd::PullThenExecute(const sim::Envelope& request, const OsdOpRequest& req,
             return;
           }
           sweep->answered[i] = true;
-          if (status.ok()) {
-            mal::Decoder dec(reply.payload);
-            Object pulled = Object::Decode(&dec);
-            // A corrupt shard counts as no copy: keep looking for a clean one.
-            if (AdoptableObject(sweep->req.oid, pulled)) {
-              sweep->offers[i] = std::move(pulled);
-            }
+          auto pulled = mal::DecodeReply<Object>(status, reply.payload);
+          // A malformed reply or a corrupt shard counts as no copy: keep
+          // looking for a clean one.
+          if (pulled.ok() && AdoptableObject(sweep->req.oid, pulled.value())) {
+            sweep->offers[i] = std::move(pulled).value();
           }
           size_t n = sweep->answered.size();
           while (sweep->next < n && sweep->answered[sweep->next] &&
@@ -529,16 +528,11 @@ void Osd::GossipTo(uint32_t peer, const mal::Buffer& encoded_map) {
   SendOneWay(sim::EntityName::Osd(peer), kMsgGossipMap, encoded_map);
 }
 
-void Osd::HandleGossip(const sim::Envelope& request) {
-  mal::Decoder dec(request.payload);
-  auto map = mon::OsdMap::Decode(&dec);
-  if (!map.ok()) {
-    return;
-  }
-  if (map.value().epoch > osd_map_.epoch) {
-    AdoptMap(map.value(), /*gossip=*/true);
-  } else if (map.value().epoch < osd_map_.epoch) {
-    GossipTo(request.from.id);  // peer is behind: push ours back
+void Osd::HandleGossip(uint32_t from, const mon::OsdMap& map) {
+  if (map.epoch > osd_map_.epoch) {
+    AdoptMap(map, /*gossip=*/true);
+  } else if (map.epoch < osd_map_.epoch) {
+    GossipTo(from);  // peer is behind: push ours back
   }
 }
 

@@ -118,14 +118,14 @@ class Osd : public sim::Actor {
   void PullThenExecute(const sim::Envelope& request, const OsdOpRequest& req,
                        const std::vector<uint32_t>& candidates);
   void HandleRepOp(const sim::Envelope& request, OsdOpRequest req);
-  void HandleGossip(const sim::Envelope& request);
+  void HandleGossip(uint32_t from, const mon::OsdMap& map);
   void HandleWatch(const sim::Envelope& request, WatchRequest req);
   void NotifyWatchers(const std::string& oid);
   void HandlePull(const sim::Envelope& request, PullObjectRequest req);
   // Answers from this OSD's own store, charged like an op: op_cpu_cost
   // plus per_byte_cpu_ns per reply byte.
   void HandleListObjects(const sim::Envelope& request, ListObjectsRequest req);
-  void HandleMapUpdate(const sim::Envelope& request);
+  void HandleMapUpdate(const mon::MapUpdate& update);
   // Post-restart map catch-up: fetch the monitor's current OSDMap (retrying
   // until a monitor answers) and only then clear `rejoining_`.
   void CatchUpMap();

@@ -1,6 +1,7 @@
 #include "src/rados/client.h"
 
 #include "src/common/deadline.h"
+#include "src/common/log.h"
 
 namespace mal::rados {
 
@@ -26,11 +27,6 @@ void RadosClient::RefreshMapAfterFailure(DoneHandler on_done) {
   }
   mon_client_.GetMapAbove(
       mon::MapKind::kOsdMap, osd_map_.epoch,
-      [](const mon::MapUpdate& update) -> mon::Epoch {
-        mal::Decoder dec(update.map_payload);
-        auto map = mon::OsdMap::Decode(&dec);
-        return map.ok() ? map.value().epoch : 0;
-      },
       [this, on_done = std::move(on_done)](mal::Status status,
                                            const mon::MapUpdate& update) {
         if (!status.ok()) {
@@ -51,8 +47,7 @@ void RadosClient::RefreshMapAfterFailure(DoneHandler on_done) {
 }
 
 mal::Status RadosClient::AdoptMap(const mal::Buffer& payload, bool* adopted) {
-  mal::Decoder dec(payload);
-  auto map = mon::OsdMap::Decode(&dec);
+  auto map = mal::Decode<mon::OsdMap>(payload);
   if (!map.ok()) {
     return map.status();
   }
@@ -70,12 +65,16 @@ bool RadosClient::OnMapUpdate(const sim::Envelope& envelope) {
   if (envelope.type != mon::kMsgMapUpdate) {
     return false;
   }
-  mal::Decoder dec(envelope.payload);
-  mon::MapUpdate update = mon::MapUpdate::Decode(&dec);
-  if (update.kind != mon::MapKind::kOsdMap) {
+  auto update = mal::Decode<mon::MapUpdate>(envelope.payload);
+  if (!update.ok()) {
+    MAL_WARN(owner_->name().ToString())
+        << "dropping malformed map update: " << update.status();
+    return true;
+  }
+  if (update.value().kind != mon::MapKind::kOsdMap) {
     return false;
   }
-  AdoptMap(update.map_payload);
+  AdoptMap(update.value().map_payload);
   return true;
 }
 
@@ -127,20 +126,20 @@ void RadosClient::ExecuteAttempt(const std::shared_ptr<PendingOp>& op,
           retry();
           return;
         }
-        if (!status.ok()) {
-          // kDeadlineExceeded and transaction-level errors are terminal:
-          // retrying a spent budget only wastes server CPU. But when our own
-          // clamped timeout fired after the send, the primary never
-          // answered: it may be failed in a map this client missed.
-          if (status.code() == mal::Code::kDeadlineExceeded && !reply.is_reply &&
-              owner_->Now() > sent) {
-            CatchUpMap();
-          }
-          op->on_reply(status, osd::OsdOpReply{});
+        // kDeadlineExceeded and transaction-level errors are terminal:
+        // retrying a spent budget only wastes server CPU. But when our own
+        // clamped timeout fired after the send, the primary never answered:
+        // it may be failed in a map this client missed.
+        if (status.code() == mal::Code::kDeadlineExceeded && !reply.is_reply &&
+            owner_->Now() > sent) {
+          CatchUpMap();
+        }
+        auto decoded = mal::DecodeReply<osd::OsdOpReply>(status, reply.payload);
+        if (!decoded.ok()) {
+          op->on_reply(decoded.status(), osd::OsdOpReply{});
           return;
         }
-        mal::Decoder dec(reply.payload);
-        op->on_reply(mal::Status::Ok(), osd::OsdOpReply::Decode(&dec));
+        op->on_reply(mal::Status::Ok(), decoded.value());
       });
 }
 
@@ -254,13 +253,12 @@ void RadosClient::ListObjects(uint32_t osd, const std::string& prefix, ListHandl
                           on_list(status, {});
                           return;
                         }
-                        mal::Decoder dec(reply.payload);
-                        osd::ListObjectsReply listed = osd::ListObjectsReply::Decode(&dec);
-                        if (!dec.ok()) {
-                          on_list(mal::Status::Internal("malformed object listing"), {});
+                        auto listed = mal::Decode<osd::ListObjectsReply>(reply.payload);
+                        if (!listed.ok()) {
+                          on_list(listed.status(), {});
                           return;
                         }
-                        on_list(mal::Status::Ok(), std::move(listed.oids));
+                        on_list(mal::Status::Ok(), std::move(listed.value().oids));
                       });
 }
 
@@ -364,11 +362,14 @@ bool RadosClient::OnNotify(const sim::Envelope& envelope) {
   if (envelope.type != osd::kMsgNotify) {
     return false;
   }
-  mal::Decoder dec(envelope.payload);
-  osd::NotifyEvent event = osd::NotifyEvent::Decode(&dec);
-  auto it = notify_handlers_.find(event.oid);
+  auto event = mal::Decode<osd::NotifyEvent>(envelope.payload);
+  if (!event.ok()) {
+    MAL_WARN(owner_->name().ToString()) << "dropping malformed notify: " << event.status();
+    return true;
+  }
+  auto it = notify_handlers_.find(event.value().oid);
   if (it != notify_handlers_.end()) {
-    it->second(event.oid, event.version);
+    it->second(event.value().oid, event.value().version);
   }
   return true;
 }

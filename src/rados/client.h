@@ -59,7 +59,8 @@ class RadosClient {
   void set_perf(mal::PerfRegistry* perf) { perf_ = perf; }
   mal::PerfRegistry* perf() { return perf_; }
 
-  // Routes a push update from the monitor; returns true if consumed.
+  // Routes a push update from the monitor; returns true if consumed. A
+  // malformed update is consumed: dropped with a warning.
   bool OnMapUpdate(const sim::Envelope& envelope);
 
   // -- core -------------------------------------------------------------------

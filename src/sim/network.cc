@@ -39,18 +39,6 @@ std::string EntityName::ToString() const {
   return std::string(prefix) + "." + std::to_string(id);
 }
 
-void EntityName::Encode(mal::Encoder* enc) const {
-  enc->PutU8(static_cast<uint8_t>(type));
-  enc->PutU32(id);
-}
-
-EntityName EntityName::Decode(mal::Decoder* dec) {
-  EntityName name;
-  name.type = static_cast<EntityType>(dec->GetU8());
-  name.id = dec->GetU32();
-  return name;
-}
-
 Network::Network(Simulator* simulator, NetworkConfig config)
     : simulator_(simulator),
       config_(config),

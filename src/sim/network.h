@@ -42,8 +42,9 @@ struct EntityName {
   bool operator!=(const EntityName& o) const { return !(*this == o); }
 
   std::string ToString() const;
-  void Encode(mal::Encoder* enc) const;
-  static EntityName Decode(mal::Decoder* dec);
+
+  template <class Ar>
+  void Fields(Ar& ar) { ar(type, id); }
 };
 
 // A message on the wire. `type` is module-defined (see src/*/messages.h);

@@ -34,21 +34,19 @@ class ServiceDispatcher {
   // command) or have bespoke decode conventions.
   void On(uint32_t type, RawHandler handler);
 
-  // Registers a typed handler: the payload is decoded as `Req` (the
-  // `static Req Decode(mal::Decoder*)` convention every message struct in
-  // the tree follows) before the handler runs. A payload the decoder
-  // rejects is answered uniformly with kCorruption (rpc) or dropped with a
-  // warning (one-way) — handlers never see malformed input.
+  // Registers a typed handler: the payload is decoded as `Req` with
+  // mal::Decode before the handler runs. A payload it rejects is answered
+  // uniformly with kCorruption (rpc) or dropped with a warning (one-way) —
+  // handlers never see malformed input.
   template <typename Req>
   void OnTyped(uint32_t type, std::function<void(const sim::Envelope&, Req)> handler) {
     On(type, [this, handler = std::move(handler)](const sim::Envelope& env) {
-      mal::Decoder dec(env.payload);
-      Req req = Req::Decode(&dec);
-      if (!dec.ok()) {
+      auto req = mal::Decode<Req>(env.payload);
+      if (!req.ok()) {
         RejectMalformed(env);
         return;
       }
-      handler(env, std::move(req));
+      handler(env, std::move(req).value());
     });
   }
 

@@ -7,26 +7,6 @@
 
 namespace mal::telemetry {
 
-void Window::Encode(mal::Encoder* enc) const {
-  enc->PutU64(start_ns);
-  enc->PutU64(count);
-  enc->PutF64(min);
-  enc->PutF64(max);
-  enc->PutF64(sum);
-  enc->PutF64(last);
-}
-
-Window Window::Decode(mal::Decoder* dec) {
-  Window w;
-  w.start_ns = dec->GetU64();
-  w.count = dec->GetU64();
-  w.min = dec->GetF64();
-  w.max = dec->GetF64();
-  w.sum = dec->GetF64();
-  w.last = dec->GetF64();
-  return w;
-}
-
 void RollupRing::Observe(uint64_t time_ns, double value) {
   uint64_t start = time_ns - time_ns % width_ns_;
   if (windows_.empty() || windows_.back().start_ns != start) {

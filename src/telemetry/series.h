@@ -44,8 +44,8 @@ struct Window {
   double sum = 0;
   double last = 0;
 
-  void Encode(mal::Encoder* enc) const;
-  static Window Decode(mal::Decoder* dec);
+  template <class Ar>
+  void Fields(Ar& ar) { ar(start_ns, count, min, max, sum, last); }
 };
 
 struct SeriesPoint {

@@ -466,14 +466,14 @@ void Log::WriteGroup(std::shared_ptr<Group> group, uint64_t first) {
 void Log::Read(uint64_t position, ReadHandler on_data) {
   rados_->Exec(ObjectFor(position), "zlog", "read", ZlogOps::MakeRead(epoch_, position),
                [on_data = std::move(on_data)](mal::Status status, const mal::Buffer& out) {
-                 if (!status.ok()) {
-                   on_data(status, EntryState::kData, mal::Buffer());
+                 auto entry = mal::DecodeReply<cls::ZlogEntry>(status, out);
+                 if (!entry.ok()) {
+                   on_data(entry.status(), EntryState::kData, mal::Buffer());
                    return;
                  }
-                 mal::Decoder dec(out);
-                 auto state = static_cast<EntryState>(dec.GetU8());
-                 mal::Buffer data = dec.GetBuffer();  // aliases the reply payload
-                 on_data(mal::Status::Ok(), state, data);
+                 // The data aliases the reply payload.
+                 on_data(mal::Status::Ok(), static_cast<EntryState>(entry.value().state),
+                         entry.value().data);
                });
 }
 
@@ -506,13 +506,13 @@ void Log::SealAndInstall(uint64_t new_epoch, std::optional<uint32_t> new_width,
         oid, "zlog", "seal", ZlogOps::MakeSeal(new_epoch),
         [this, max_tail, pending, failed, new_epoch, new_width, on_done, takeover](
             mal::Status seal_status, const mal::Buffer& out) {
-          if (!seal_status.ok()) {
+          auto tail = mal::DecodeReply<uint64_t>(seal_status, out);
+          if (!tail.ok()) {
             if (failed->ok()) {
-              *failed = seal_status;
+              *failed = tail.status();
             }
           } else {
-            mal::Decoder dec(out);
-            *max_tail = std::max(*max_tail, dec.GetU64());
+            *max_tail = std::max(*max_tail, tail.value());
           }
           if (--*pending != 0) {
             return;
@@ -584,8 +584,7 @@ void Log::MaybeTakeover(DoneHandler on_done) {
           on_done(status);
           return;
         }
-        mal::Decoder dec(update.map_payload);
-        auto map = mon::MdsMap::Decode(&dec);
+        auto map = mal::Decode<mon::MdsMap>(update.map_payload);
         if (!map.ok()) {
           on_done(map.status());
           return;

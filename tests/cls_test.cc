@@ -221,10 +221,21 @@ TEST(ClsLogTest, AppendsSequencedRecords) {
   }
   auto list = h.Call("log", "list", mal::Buffer());
   ASSERT_TRUE(list.ok());
-  mal::Decoder dec(list.value());
-  auto records = DecodeStringMap(&dec);
+  auto records = mal::Decode<std::map<std::string, std::string>>(list.value()).value();
   ASSERT_EQ(records.size(), 3u);
   EXPECT_EQ(records.begin()->second, "one");  // keys sort by sequence
+}
+
+TEST(ClsZlogTest, HugeWriteBatchResultCountIsCorruptionNotAnAllocation) {
+  // A result count of 2^61 codes is more than a vector can hold (max_size()
+  // is below 2^61 for 4-byte codes): the parse must fail, not throw.
+  ASSERT_GT(uint64_t{1} << 61, std::vector<mal::Code>().max_size());
+  mal::Buffer out = mal::Encode([](mal::Encoder* enc) {
+    enc->PutVarU64(uint64_t{1} << 61);
+    enc->PutU32(static_cast<uint32_t>(mal::Code::kOk));
+  });
+  auto codes = ZlogOps::ParseWriteBatchResult(out);
+  EXPECT_EQ(codes.status().code(), mal::Code::kCorruption);
 }
 
 TEST(ClsRefcountTest, CountsUpAndDown) {

@@ -22,6 +22,7 @@
 #include "src/osd/messages.h"
 #include "src/sim/network.h"
 #include "src/telemetry/series.h"
+#include "tests/wire_samples.h"
 
 namespace mal {
 namespace {
@@ -254,11 +255,13 @@ TEST(EncodingTest, StringsAndMaps) {
   Encoder enc(&b);
   enc.PutString(std::string_view("with\0null", 9));  // embedded NUL survives
   std::map<std::string, std::string> m = {{"a", "1"}, {"b", "2"}};
-  EncodeStringMap(&enc, m);
+  enc(m);
 
   Decoder dec(b);
   EXPECT_EQ(dec.GetString().size(), 9u);
-  EXPECT_EQ(DecodeStringMap(&dec), m);
+  std::map<std::string, std::string> decoded;
+  dec(decoded);
+  EXPECT_EQ(decoded, m);
   EXPECT_TRUE(dec.ok());
 }
 
@@ -328,10 +331,11 @@ TEST(ExactEncodeTest, CallableFormSizesThenWritesOnce) {
 struct DriftingMessage {
   int drift = 0;
   mutable int passes = 0;
-  void Encode(Encoder* enc) const {
+  template <class Ar>
+  void Fields(Ar& ar) {
     int n = 8 + (passes++ == 0 ? 0 : drift);
     for (int i = 0; i < n; ++i) {
-      enc->PutU8(0);
+      ar(uint8_t{0});
     }
   }
 };
@@ -343,93 +347,33 @@ TEST(ExactEncodeDeathTest, PassesThatDisagreeAbort) {
   EXPECT_DEATH(Encode(DriftingMessage{-8}), "wrote 0 of 8");
 }
 
-// One row of the wire-codec table: a message and how to decode its bytes
-// back into a message and encode that again. Every field is on the wire, so
-// identical re-encoded bytes mean the decoded message equals the original.
+// One row of the wire-codec table: a sample of one wire type, the bytes the
+// hand-written encoders put for it, and mal::Decode for its type. Every
+// field is on the wire, so identical re-encoded bytes mean the decoded
+// message equals the original.
 struct CodecCase {
   std::string name;
   std::function<void(Encoder*)> encode;
+  std::function<Status(const Payload&)> decode;
   std::function<Buffer(const Buffer&)> reencode;
+  std::string hex;
 };
 
-template <typename Msg, typename DecodeFn>
-CodecCase MakeCodecCase(std::string name, Msg msg, DecodeFn decode) {
-  auto held = std::make_shared<const Msg>(std::move(msg));
-  return {std::move(name), [held](Encoder* enc) { held->Encode(enc); },
-          [decode](const Buffer& wire) {
-            Decoder dec(wire);
-            auto decoded = decode(&dec);
-            return dec.ok() && dec.remaining() == 0 ? Encode(decoded) : Buffer();
-          }};
-}
-
 std::vector<CodecCase> CodecTable() {
-  osd::OsdOpRequest op_request;
-  op_request.oid = "rbd_data.0000000000000042";
-  osd::Op write;
-  write.type = osd::Op::Type::kWriteFull;
-  write.data = Buffer::FromString(std::string(4096, 'w'));
-  op_request.ops.push_back(write);
-  osd::Op omap;
-  omap.type = osd::Op::Type::kOmapSet;
-  omap.key = "entry.00000000000000000007";
-  omap.value = std::string(300, 'v');
-  op_request.ops.push_back(omap);
-  osd::Op exec;
-  exec.type = osd::Op::Type::kExec;
-  exec.cls_name = "zlog";
-  exec.method = "write_batch";
-  exec.offset = 1ULL << 40;
-  exec.data = Buffer::FromString("input");
-  op_request.ops.push_back(exec);
-
-  osd::OsdOpReply op_reply;
-  op_reply.map_epoch = 77;
-  op_reply.results.push_back({Status::Ok(), Buffer::FromString(std::string(1400, 'r'))});
-  op_reply.results.push_back({Status::StaleEpoch("sealed at 9"), Buffer()});
-
-  mds::MdsReply mds_reply;
-  mds_reply.seq_value = 123456789;
-  mds_reply.terms.mode = mds::LeaseMode::kQuota;
-  mds_reply.terms.quota = 64;
-  mds_reply.grant_time_ns = 5'000'000'000;
-  mds_reply.inode.ino = 9;
-  mds_reply.inode.type = mds::InodeType::kSequencer;
-  mds_reply.inode.seq_tail = 4242;
-  mds_reply.inode.params = {{"epoch", "3"}, {"seq.owner", "mds.1"}, {"stripe_width", "8"}};
-
-  mon::OsdMap osd_map;
-  osd_map.epoch = 12;
-  osd_map.pg_count = 64;
-  osd_map.osds[0] = {true, 1.0};
-  osd_map.osds[1] = {false, 0.5};
-  osd_map.service_metadata = {{"pool.ec", "ec:3"}, {"cls.src.demo", std::string(200, 's')}};
-  mon::MapUpdate map_update;
-  map_update.kind = mon::MapKind::kOsdMap;
-  map_update.map_payload = Encode(osd_map);
-
-  consensus::PaxosMessage promise;
-  promise.type = consensus::PaxosMsgType::kPromise;
-  promise.from = 2;
-  promise.ballot = (5ULL << 16) | 2;
-  promise.instance = 40;
-  promise.committed_through = 38;
-  promise.accepted_tail.push_back({38, (4ULL << 16) | 1, Buffer::FromString("txn-batch-a")});
-  promise.accepted_tail.push_back({39, (4ULL << 16) | 1, Buffer::FromString("txn-batch-b")});
-
-  telemetry::Window window{1'000'000'000, 12, 0.5, 910.25, 2048.0, 31.0};
-
-  return {
-      MakeCodecCase("OsdOpRequest", op_request, osd::OsdOpRequest::Decode),
-      MakeCodecCase("OsdOpReply", op_reply, osd::OsdOpReply::Decode),
-      MakeCodecCase("MdsReply", mds_reply, mds::MdsReply::Decode),
-      MakeCodecCase("MapUpdate", map_update, mon::MapUpdate::Decode),
-      MakeCodecCase("OsdMap", osd_map,
-                    [](Decoder* dec) { return mon::OsdMap::Decode(dec).value(); }),
-      MakeCodecCase("PaxosMessage", promise,
-                    [](Decoder* dec) { return consensus::PaxosMessage::Decode(dec).value(); }),
-      MakeCodecCase("telemetry::Window", window, telemetry::Window::Decode),
-  };
+  std::vector<CodecCase> table;
+  wire_samples::ForEachWireSample([&table](const char* name, const auto& sample,
+                                           std::string hex) {
+    using Msg = std::decay_t<decltype(sample)>;
+    auto held = std::make_shared<const Msg>(sample);
+    table.push_back({name, [held](Encoder* enc) { enc->PutField(*held); },
+                     [](const Payload& wire) { return Decode<Msg>(wire).status(); },
+                     [](const Buffer& wire) {
+                       auto decoded = Decode<Msg>(wire);
+                       return decoded.ok() ? Encode(decoded.value()) : Buffer();
+                     },
+                     std::move(hex)});
+  });
+  return table;
 }
 
 TEST(ExactEncodeTest, MessageCodecTable) {
@@ -446,6 +390,14 @@ TEST(ExactEncodeTest, MessageCodecTable) {
       EXPECT_EQ(exact.capacity(), exact.size());
     }
     EXPECT_EQ(c.reencode(exact), exact);
+    // The field list puts exactly the bytes the hand-written encoder did.
+    EXPECT_EQ(wire_samples::ToHex(exact.View()), c.hex);
+    // Every strict prefix runs past the end, and one byte more is left over.
+    for (size_t n = 0; n < exact.size(); ++n) {
+      ASSERT_EQ(c.decode(exact.Read(0, n)).code(), Code::kCorruption) << "prefix " << n;
+    }
+    Buffer longer = Buffer::FromString(exact.ToString() + '\0');
+    EXPECT_EQ(c.decode(longer).code(), Code::kCorruption);
   }
 }
 
@@ -458,11 +410,10 @@ static_assert(std::is_constructible_v<Decoder, const Payload&>);
 
 // Decodes a segmented payload and re-encodes it flat; empty on a failed or
 // partial decode.
-template <typename Msg, typename DecodeFn>
-Buffer FlatAfterSegmentedDecode(const Payload& payload, DecodeFn decode) {
-  Decoder dec(payload);
-  Msg decoded = decode(&dec);
-  return dec.ok() && dec.remaining() == 0 ? Encode(decoded) : Buffer();
+template <typename Msg>
+Buffer FlatAfterSegmentedDecode(const Payload& payload) {
+  auto decoded = Decode<Msg>(payload);
+  return decoded.ok() ? Encode(decoded.value()) : Buffer();
 }
 
 osd::Object SampleObject() {
@@ -505,11 +456,11 @@ TEST(SegmentTest, RoundTripMatchesTheFlatEncoding) {
   Payload object_wire = EncodeSegmented(object);
   std::vector<Case> cases = {
       {"OsdOpRequest", request_wire, Encode(request), 1,
-       FlatAfterSegmentedDecode<osd::OsdOpRequest>(request_wire, osd::OsdOpRequest::Decode)},
+       FlatAfterSegmentedDecode<osd::OsdOpRequest>(request_wire)},
       {"OsdOpReply", reply_wire, Encode(reply), 1,
-       FlatAfterSegmentedDecode<osd::OsdOpReply>(reply_wire, osd::OsdOpReply::Decode)},
+       FlatAfterSegmentedDecode<osd::OsdOpReply>(reply_wire)},
       {"Object", object_wire, Encode(object), 2,
-       FlatAfterSegmentedDecode<osd::Object>(object_wire, osd::Object::Decode)},
+       FlatAfterSegmentedDecode<osd::Object>(object_wire)},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
@@ -528,17 +479,16 @@ TEST(SegmentTest, RoundTripMatchesTheFlatEncoding) {
   // Whole-allocation buffers travel by reference, and decode to the same
   // storage on the far side.
   EXPECT_TRUE(request_wire.segments()[0].SharesStorageWith(write.data));
-  Decoder dec(request_wire);
-  osd::OsdOpRequest decoded = osd::OsdOpRequest::Decode(&dec);
-  ASSERT_TRUE(dec.Finish().ok());
+  auto decoded_or = Decode<osd::OsdOpRequest>(request_wire);
+  ASSERT_TRUE(decoded_or.ok());
+  const osd::OsdOpRequest& decoded = decoded_or.value();
   EXPECT_TRUE(decoded.ops[0].data.SharesStorageWith(write.data));
   EXPECT_FALSE(decoded.ops[1].data.SharesStorageWith(append.data));
   EXPECT_TRUE(object_wire.segments()[0].SharesStorageWith(object.data));
   // A flat payload decodes through the same constructor.
   Payload flat = Encode(request);
   EXPECT_FALSE(flat.segmented());
-  EXPECT_EQ(FlatAfterSegmentedDecode<osd::OsdOpRequest>(flat, osd::OsdOpRequest::Decode),
-            Encode(request));
+  EXPECT_EQ(FlatAfterSegmentedDecode<osd::OsdOpRequest>(flat), Encode(request));
 }
 
 TEST(SegmentTest, SlicesAndSpareCapacityArriveAsExactSizeSegments) {
@@ -584,14 +534,10 @@ TEST(SegmentTest, MissingOrShortSegmentFailsDecode) {
   for (size_t i = 0; i < broken.size(); ++i) {
     SCOPED_TRACE(i);
     Payload bad(wire.front(), broken[i]);
-    Decoder dec(bad);
-    (void)osd::Object::Decode(&dec);
-    EXPECT_EQ(dec.Finish().code(), Code::kCorruption);
+    EXPECT_EQ(Decode<osd::Object>(bad).status().code(), Code::kCorruption);
   }
   // The front alone, read as a flat message, is short as well.
-  Decoder flat(wire.front());
-  (void)osd::Object::Decode(&flat);
-  EXPECT_EQ(flat.Finish().code(), Code::kCorruption);
+  EXPECT_EQ(Decode<osd::Object>(wire.front()).status().code(), Code::kCorruption);
 }
 
 TEST(RngTest, Deterministic) {
@@ -846,8 +792,9 @@ TEST(PerfSnapshotTest, EncodeDecodeRoundTrip) {
   PerfSnapshot snap = reg.Snapshot("mon.0", 42);
 
   Buffer wire = Encode(snap);
-  PerfSnapshot decoded;
-  ASSERT_TRUE(PerfSnapshot::Decode(wire, &decoded).ok());
+  auto decoded_or = Decode<PerfSnapshot>(wire);
+  ASSERT_TRUE(decoded_or.ok());
+  const PerfSnapshot& decoded = decoded_or.value();
   EXPECT_EQ(decoded.entity, "mon.0");
   EXPECT_EQ(decoded.time_ns, 42u);
   EXPECT_EQ(decoded.counters, snap.counters);
@@ -857,8 +804,28 @@ TEST(PerfSnapshotTest, EncodeDecodeRoundTrip) {
 
   // Truncated wire data fails cleanly instead of reading junk.
   Buffer truncated = Buffer::FromString(wire.ToString().substr(0, wire.size() / 2));
-  PerfSnapshot bad;
-  EXPECT_FALSE(PerfSnapshot::Decode(truncated, &bad).ok());
+  EXPECT_FALSE(Decode<PerfSnapshot>(truncated).ok());
+}
+
+TEST(PerfSnapshotTest, HugeSampleCountIsCorruptionNotAnAllocation) {
+  // One histogram whose sample count reads 2^61: more doubles than a vector
+  // can hold (max_size() is below 2^60), so sizing the vector from the count
+  // would throw instead of failing the decode.
+  ASSERT_GT(uint64_t{1} << 61, std::vector<double>().max_size());
+  Buffer wire = Encode([](Encoder* enc) {
+    enc->PutString("osd.0");
+    enc->PutU64(1);
+    enc->PutVarU64(0);  // counters
+    enc->PutVarU64(0);  // gauges
+    enc->PutVarU64(1);  // histograms
+    enc->PutString("lat");
+    enc->PutU64(2);
+    enc->PutF64(1.0);
+    enc->PutF64(2.0);
+    enc->PutVarU64(uint64_t{1} << 61);
+    enc->PutF64(1.5);
+  });
+  EXPECT_EQ(Decode<PerfSnapshot>(wire).status().code(), Code::kCorruption);
 }
 
 TEST(PerfSnapshotTest, AggregateSumsCountersMergesHistsDropsGauges) {

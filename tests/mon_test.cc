@@ -25,15 +25,13 @@ class TestDaemon : public sim::Actor {
  protected:
   void HandleRequest(const sim::Envelope& request) override {
     if (request.type == kMsgMapUpdate) {
-      mal::Decoder dec(request.payload);
-      MapUpdate update = MapUpdate::Decode(&dec);
-      mal::Decoder map_dec(update.map_payload);
+      MapUpdate update = mal::Decode<MapUpdate>(request.payload).value();
       if (update.kind == MapKind::kOsdMap) {
-        auto map = OsdMap::Decode(&map_dec);
+        auto map = mal::Decode<OsdMap>(update.map_payload);
         ASSERT_TRUE(map.ok());
         osd_updates.push_back(std::move(map).value());
       } else {
-        auto map = MdsMap::Decode(&map_dec);
+        auto map = mal::Decode<MdsMap>(update.map_payload);
         ASSERT_TRUE(map.ok());
         mds_updates.push_back(std::move(map).value());
       }
@@ -115,7 +113,7 @@ TEST_F(MonFixture, CommandToFollowerIsForwardedToLeader) {
   txn.value = "obj.3";
   mal::Buffer payload;
   mal::Encoder enc(&payload);
-  txn.Encode(&enc);
+  enc(txn);
   daemon->SendRequest(sim::EntityName::Mon(2), kMsgMonCommand, std::move(payload),
                       [&](mal::Status s, const sim::Envelope&) {
                         EXPECT_TRUE(s.ok()) << s;
@@ -230,7 +228,7 @@ TEST_F(MonFixture, LeaderFailoverElectsNewLeaderAndServes) {
     txn.value = "yes";
     mal::Buffer payload;
     mal::Encoder enc(&payload);
-    txn.Encode(&enc);
+    enc(txn);
     return payload;
   }(),
                       [&](mal::Status s, const sim::Envelope&) {
@@ -279,13 +277,8 @@ TEST_F(MonFixture, GetClusterLogReturnsEntries) {
   daemon->SendRequest(sim::EntityName::Mon(0), kMsgGetClusterLog, mal::Buffer(),
                       [&](mal::Status s, const sim::Envelope& reply) {
                         ASSERT_TRUE(s.ok()) << s;
-                        mal::Decoder dec(reply.payload);
-                        uint64_t n = dec.GetVarU64();
-                        std::vector<ClusterLogEntry> entries;
-                        for (uint64_t i = 0; i < n; ++i) {
-                          entries.push_back(ClusterLogEntry::Decode(&dec));
-                        }
-                        fetched = std::move(entries);
+                        fetched =
+                            mal::Decode<std::vector<ClusterLogEntry>>(reply.payload).value();
                       });
   simulator.RunUntil(simulator.Now() + 2 * sim::kSecond);
   ASSERT_TRUE(fetched.has_value());

@@ -129,8 +129,7 @@ TEST(ObjectStoreTest, OmapRoundTripAndPrefixList) {
   Op list = MakeOp(Op::Type::kOmapList);
   list.key = "idx.";
   ASSERT_TRUE(store.ApplyTransaction("obj", {list}, &results).ok());
-  mal::Decoder dec(results[0].out);
-  auto entries = DecodeStringMap(&dec);
+  auto entries = mal::Decode<std::map<std::string, std::string>>(results[0].out).value();
   EXPECT_EQ(entries.size(), 2u);
   EXPECT_EQ(entries.at("idx.a"), "1");
 
@@ -227,9 +226,8 @@ TEST(ObjectStoreTest, ObjectEncodeDecodeRoundTrip) {
   object.version = 9;
   mal::Buffer buffer;
   mal::Encoder enc(&buffer);
-  object.Encode(&enc);
-  mal::Decoder dec(buffer);
-  Object decoded = Object::Decode(&dec);
+  enc(object);
+  Object decoded = mal::Decode<Object>(buffer).value();
   EXPECT_EQ(decoded.data.ToString(), "payload");
   EXPECT_EQ(decoded.omap.Find("k"), std::optional<std::string_view>("v"));
   EXPECT_EQ(decoded.xattrs.Find("x"), std::optional<std::string_view>("y"));
@@ -273,9 +271,8 @@ TEST(ObjectStoreTest, SnapshotSurvivesEncodeDecode) {
   object.snapshots["then"] = mal::Buffer::FromString("before");
   mal::Buffer buffer;
   mal::Encoder enc(&buffer);
-  object.Encode(&enc);
-  mal::Decoder dec(buffer);
-  Object decoded = Object::Decode(&dec);
+  enc(object);
+  Object decoded = mal::Decode<Object>(buffer).value();
   EXPECT_EQ(decoded.snapshots.at("then").ToString(), "before");
 }
 
@@ -436,8 +433,8 @@ TEST(OmapTest, ObjectEncodeIsByteIdenticalToStringMapWire) {
   mal::Buffer expected;
   mal::Encoder enc(&expected);
   enc.PutBuffer(object.data);
-  EncodeStringMap(&enc, reference);
-  EncodeStringMap(&enc, {{"x", "y"}});
+  enc(reference);
+  enc(std::map<std::string, std::string>{{"x", "y"}});
   enc.PutVarU64(1);
   enc.PutString("s");
   enc.PutBuffer(object.snapshots.at("s"));
@@ -447,7 +444,7 @@ TEST(OmapTest, ObjectEncodeIsByteIdenticalToStringMapWire) {
 
 TEST(OmapTest, DecodeSortsOutOfOrderKeysAndKeepsTheFirstDuplicate) {
   // A well-formed payload is sorted and duplicate-free; a malformed one must
-  // still decode to what DecodeStringMap makes of it, in key order.
+  // still decode to what a std::map makes of it, in key order.
   mal::Buffer wire;
   mal::Encoder enc(&wire);
   const Records records = {{"m", "1"}, {"c", "2"}, {"c", "dup"}, {"a", "3"}, {"a", "dup"}};
@@ -456,11 +453,11 @@ TEST(OmapTest, DecodeSortsOutOfOrderKeysAndKeepsTheFirstDuplicate) {
     enc.PutString(k);
     enc.PutString(v);
   }
-  mal::Decoder omap_dec(wire);
-  Omap omap = Omap::Decode(&omap_dec);
-  ASSERT_TRUE(omap_dec.Finish().ok());
-  mal::Decoder map_dec(wire);
-  std::map<std::string, std::string> reference = DecodeStringMap(&map_dec);
+  auto omap_or = mal::Decode<Omap>(wire);
+  ASSERT_TRUE(omap_or.ok());
+  const Omap& omap = omap_or.value();
+  std::map<std::string, std::string> reference =
+      mal::Decode<std::map<std::string, std::string>>(wire).value();
   EXPECT_EQ(Entries(omap), Entries(reference));
   EXPECT_EQ(Entries(omap), (Records{{"a", "3"}, {"c", "2"}, {"m", "1"}}));
 }

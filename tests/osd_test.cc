@@ -274,8 +274,7 @@ TEST_F(OsdClusterFixture, SmallWriteFullIsStoredExactly) {
   request.ops[0].data = Buffer::FromString(payload);
   Payload wire = EncodeSegmented(request);
   ASSERT_TRUE(wire.segments().empty());
-  Decoder dec(wire);
-  osd::OsdOpRequest decoded = osd::OsdOpRequest::Decode(&dec);
+  osd::OsdOpRequest decoded = Decode<osd::OsdOpRequest>(wire).value();
   ASSERT_TRUE(decoded.ops[0].data.SharesStorageWith(wire.front()));
   osd::ObjectStore store;
   std::vector<osd::OpResult> results;
@@ -663,6 +662,46 @@ TEST_F(OsdClusterFixture, PullSweepDropsRepliesAfterDecision) {
   const auto* sweep_us = primary.perf().histogram("osd.pull.sweep_us");
   ASSERT_NE(sweep_us, nullptr);
   EXPECT_EQ(sweep_us->observed(), 1u);
+}
+
+// Stands in for one OSD and answers every pull with `reply`.
+class PullImpostor : public sim::Actor {
+ public:
+  PullImpostor(sim::Simulator* simulator, sim::Network* network, uint32_t id, Buffer reply)
+      : Actor(simulator, network, sim::EntityName::Osd(id)), reply_(std::move(reply)) {}
+
+ protected:
+  void HandleRequest(const sim::Envelope& request) override {
+    if (request.type == osd::kMsgPullObject) {
+      Reply(request, reply_);
+    }
+  }
+
+ private:
+  Buffer reply_;
+};
+
+TEST_F(OsdClusterFixture, PullSweepSkipsATruncatedPullReply) {
+  Start(4, /*replicas=*/2);
+  std::vector<uint32_t> others;
+  auto acting = ActingAndOthers("cut.obj", &others);
+  ASSERT_EQ(others.size(), 2u);
+  PlantCopy(others.back(), "cut.obj", "clean-copy", /*version=*/5);
+  // The acting-set peer, first in the sweep, answers with its copy cut one
+  // byte short.
+  osd::Object copy;
+  copy.data = Buffer::FromString("truncated-copy");
+  copy.version = 6;
+  Buffer cut = Encode(copy);
+  cut.Resize(cut.size() - 1);
+  PullImpostor impostor(&simulator, &network, acting[1], cut);
+
+  auto data = ReadBack("cut.obj");
+  ASSERT_TRUE(data.ok()) << data.status();
+  EXPECT_EQ(data.value(), "clean-copy");
+  Osd& primary = *osds[acting[0]];
+  EXPECT_EQ(primary.store().Get("cut.obj").value()->version, 5u);
+  EXPECT_EQ(primary.perf().counter("osd.pull.adopted"), 1u);
 }
 
 TEST_F(OsdClusterFixture, PullSweepWaitsOutCrashedCandidateOnce) {

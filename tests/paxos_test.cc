@@ -44,9 +44,8 @@ class PaxosHarness {
   static PaxosMessage RoundTrip(const PaxosMessage& msg) {
     mal::Buffer buffer;
     mal::Encoder enc(&buffer);
-    msg.Encode(&enc);
-    mal::Decoder dec(buffer);
-    auto decoded = PaxosMessage::Decode(&dec);
+    enc(msg);
+    auto decoded = mal::Decode<PaxosMessage>(buffer);
     EXPECT_TRUE(decoded.ok());
     return std::move(decoded).value();
   }

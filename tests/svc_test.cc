@@ -90,12 +90,8 @@ constexpr uint32_t kMsgPing = 4242;
 
 struct PingReq {
   uint64_t value = 0;
-  void Encode(mal::Encoder* enc) const { enc->PutU64(value); }
-  static PingReq Decode(mal::Decoder* dec) {
-    PingReq req;
-    req.value = dec->GetU64();
-    return req;
-  }
+  template <class Ar>
+  void Fields(Ar& ar) { ar(value); }
 };
 
 class PingServer : public sim::Actor {
@@ -173,7 +169,7 @@ mal::Buffer EncodePing(uint64_t value) {
   PingReq req{value};
   mal::Buffer payload;
   mal::Encoder enc(&payload);
-  req.Encode(&enc);
+  enc(req);
   return payload;
 }
 
@@ -413,11 +409,6 @@ mal::Buffer EncodeMapUpdate(uint64_t epoch) {
   return mal::Encode(update);
 }
 
-uint64_t EpochOf(const mon::MapUpdate& update) {
-  mal::Decoder dec(update.map_payload);
-  return dec.GetU64();
-}
-
 TEST(RetryLoopTest, MonClientRotatesFromThePreferredMonitorThenGivesUp) {
   sim::Simulator simulator;
   sim::Network network(&simulator);
@@ -467,7 +458,7 @@ TEST(RetryLoopTest, GetMapAboveFallsBackToTheFreshestStaleReply) {
   // reply that was not newer comes back with Ok.
   std::optional<mal::Status> status;
   uint64_t got = 0;
-  mon_client.GetMapAbove(mon::MapKind::kOsdMap, 5, EpochOf,
+  mon_client.GetMapAbove(mon::MapKind::kOsdMap, 5,
                          [&](mal::Status s, const mon::MapUpdate& update) {
                            status = s;
                            got = EpochOf(update);
@@ -480,7 +471,7 @@ TEST(RetryLoopTest, GetMapAboveFallsBackToTheFreshestStaleReply) {
 
   // A newer map ends the rotation at the member that has it.
   status.reset();
-  mon_client.GetMapAbove(mon::MapKind::kOsdMap, 4, EpochOf,
+  mon_client.GetMapAbove(mon::MapKind::kOsdMap, 4,
                          [&](mal::Status s, const mon::MapUpdate& update) {
                            status = s;
                            got = EpochOf(update);
@@ -674,6 +665,98 @@ TEST(AdmissionControlTest, DisabledByDefault) {
   ASSERT_TRUE(cluster.RunUntil([&] { return succeeded == 16; }));
   EXPECT_EQ(cluster.osd(0).shed_total(), 0u);
   EXPECT_EQ(cluster.osd(0).inbox_limit(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Malformed replies reach the caller as kCorruption, never as a zero-filled
+// message
+
+// `msg` encoded with its last byte cut off, as a reply cut short on the wire.
+template <typename Msg>
+mal::Buffer Truncated(const Msg& msg) {
+  mal::Buffer wire = mal::Encode(msg);
+  wire.Resize(wire.size() - 1);
+  return wire;
+}
+
+TEST(MalformedReplyTest, TruncatedOsdOpReplyIsCorruption) {
+  sim::Simulator simulator;
+  sim::Network network(&simulator);
+  mon::OsdMap map;
+  map.epoch = 1;
+  map.osds[0] = {true, 1.0};
+  ScriptedServer mon(&simulator, &network, sim::EntityName::Mon(0),
+                     [&map](ScriptedServer* self, const sim::Envelope& request) {
+                       self->Reply(request, mal::Encode(mon::MapUpdate{mon::MapKind::kOsdMap,
+                                                                       mal::Encode(map)}));
+                     });
+  osd::OsdOpReply reply;
+  reply.map_epoch = 1;
+  reply.results.push_back({mal::Status::Ok(), mal::Buffer::FromString("stored")});
+  ScriptedServer osd(&simulator, &network, sim::EntityName::Osd(0),
+                     [&reply](ScriptedServer* self, const sim::Envelope& request) {
+                       self->Reply(request, Truncated(reply));
+                     });
+  TestClient client(&simulator, &network, 1);
+  rados::RadosClient rados(&client, {0}, /*replicas=*/1);
+
+  std::optional<mal::Status> result;
+  rados.Read("obj", [&](mal::Status s, const mal::Buffer&) { result = s; });
+  simulator.Run();
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(result->code(), mal::Code::kCorruption) << result->ToString();
+  EXPECT_EQ(osd.seen, 1u);
+}
+
+TEST(MalformedReplyTest, TruncatedMdsReplyIsCorruption) {
+  sim::Simulator simulator;
+  sim::Network network(&simulator);
+  mds::MdsReply reply;
+  reply.inode.ino = 7;
+  reply.inode.params = {{"epoch", "2"}};
+  ScriptedServer rank0(&simulator, &network, sim::EntityName::Mds(0),
+                       [&reply](ScriptedServer* self, const sim::Envelope& request) {
+                         self->Reply(request, Truncated(reply));
+                       });
+  TestClient client(&simulator, &network, 1);
+  mds::MdsClient mds_client(&client);
+
+  std::optional<mal::Status> result;
+  mds_client.Lookup("/seq", [&](mal::Status s, const mds::MdsReply&) { result = s; });
+  simulator.Run();
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(result->code(), mal::Code::kCorruption) << result->ToString();
+  EXPECT_EQ(rank0.seen, 1u);
+}
+
+TEST(MalformedReplyTest, TruncatedGetMapReplyIsCorruption) {
+  sim::Simulator simulator;
+  sim::Network network(&simulator);
+  mon::OsdMap map;
+  map.epoch = 9;
+  ScriptedServer mon(&simulator, &network, sim::EntityName::Mon(0),
+                     [&map](ScriptedServer* self, const sim::Envelope& request) {
+                       self->Reply(request, Truncated(mon::MapUpdate{mon::MapKind::kOsdMap,
+                                                                     mal::Encode(map)}));
+                     });
+  TestClient client(&simulator, &network, 1);
+  mon::MonClient mon_client(&client, {0});
+
+  std::optional<mal::Status> get;
+  mon_client.GetMap(mon::MapKind::kOsdMap,
+                    [&](mal::Status s, const mon::MapUpdate&) { get = s; });
+  simulator.Run();
+  ASSERT_TRUE(get.has_value());
+  EXPECT_EQ(get->code(), mal::Code::kCorruption) << get->ToString();
+
+  // The stale-map fetch ends at the first malformed reply too.
+  std::optional<mal::Status> above;
+  mon_client.GetMapAbove(mon::MapKind::kOsdMap, 3,
+                         [&](mal::Status s, const mon::MapUpdate&) { above = s; });
+  simulator.Run();
+  ASSERT_TRUE(above.has_value());
+  EXPECT_EQ(above->code(), mal::Code::kCorruption) << above->ToString();
+  EXPECT_EQ(mon.seen, 2u);
 }
 
 }  // namespace

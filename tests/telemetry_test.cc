@@ -159,10 +159,10 @@ TEST(SeriesStoreTest, WindowWireRoundTrip) {
   telemetry::Window w{7 * kS, 42, -1.5, 99.25, 1234.5, 8.0};
   mal::Buffer buf;
   mal::Encoder enc(&buf);
-  w.Encode(&enc);
-  mal::Decoder dec(buf);
-  telemetry::Window back = telemetry::Window::Decode(&dec);
-  ASSERT_TRUE(dec.Finish().ok());
+  enc(w);
+  auto back_or = mal::Decode<telemetry::Window>(buf);
+  ASSERT_TRUE(back_or.ok());
+  const telemetry::Window& back = back_or.value();
   EXPECT_EQ(back.start_ns, w.start_ns);
   EXPECT_EQ(back.count, w.count);
   EXPECT_DOUBLE_EQ(back.min, w.min);
