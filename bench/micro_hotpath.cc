@@ -20,13 +20,25 @@
 // It also measures the omap's space cost: the heap bytes one zlog-shaped
 // record (12 B key, 65 B value) costs once 64 stripe objects hold 7,300
 // records each, as glibc's mallinfo2() reports it.
+//
+// Last, the EC kernels every shard write, read, pull and scrub runs: the
+// shard checksum (mal::Checksum) of a 1,366-byte shard (one k=3 shard of a
+// 4 KiB object), ec::Encode of 4 KiB at k=3, and ec::Decode with one data
+// shard missing. Each is timed min-of-N, interleaved with the byte-at-a-time
+// kernel it replaced (FNV-1a, which osd::StableHash still is, and the byte
+// loop XOR kept below), and checked by its speedup within this one run.
 #include <malloc.h>
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <string_view>
 
 #include "bench/bench_util.h"
+#include "src/common/checksum.h"
+#include "src/ec/codec.h"
 #include "src/osd/object_store.h"
+#include "src/osd/placement.h"
 
 namespace {
 
@@ -188,6 +200,128 @@ SpaceResult MeasureOmapSpace() {
   return result;
 }
 
+// The EC kernels' byte-at-a-time predecessors: the reference each EC row is
+// timed against. Encode and Decode here index each shard byte by byte into
+// a zero-filled string, as ec::Encode and ec::Decode did.
+std::vector<Buffer> ByteLoopEncode(const Buffer& data, uint32_t k) {
+  uint64_t shard_len = (data.size() + k - 1) / k;
+  std::vector<Buffer> shards;
+  for (uint32_t i = 0; i < k; ++i) {
+    Buffer shard = data.Read(static_cast<uint64_t>(i) * shard_len, shard_len);
+    shard.Resize(shard_len);
+    shards.push_back(std::move(shard));
+  }
+  std::string parity(shard_len, '\0');
+  for (uint32_t i = 0; i < k; ++i) {
+    for (uint64_t b = 0; b < shard_len; ++b) {
+      parity[b] = static_cast<char>(parity[b] ^ shards[i].data()[b]);
+    }
+  }
+  shards.push_back(Buffer::FromString(std::move(parity)));
+  return shards;
+}
+
+Buffer ByteLoopDecode(const std::vector<std::optional<Buffer>>& shards, uint64_t size) {
+  size_t missing = shards.size();
+  uint64_t shard_len = 0;
+  for (size_t i = 0; i < shards.size(); ++i) {
+    if (shards[i].has_value()) {
+      shard_len = shards[i]->size();
+    } else {
+      missing = i;
+    }
+  }
+  std::string reconstructed(shard_len, '\0');
+  for (size_t i = 0; missing < shards.size() && i < shards.size(); ++i) {
+    for (uint64_t b = 0; i != missing && b < shard_len; ++b) {
+      reconstructed[b] = static_cast<char>(reconstructed[b] ^ shards[i]->data()[b]);
+    }
+  }
+  Buffer out;
+  for (size_t i = 0; i + 1 < shards.size(); ++i) {
+    if (i == missing) {
+      out.Append(reconstructed.data(), shard_len);
+    } else {
+      out.Append(*shards[i]);
+    }
+  }
+  out.Resize(size);
+  return out;
+}
+
+// Keeps `value` and every write before it from being optimized away, and
+// the next call from being hoisted out of a timing loop.
+template <typename T>
+void KeepAlive(const T& value) {
+  asm volatile("" : : "r,m"(value) : "memory");
+}
+
+constexpr int kEcReps = 15;
+constexpr int kEcCalls = 2000;
+
+struct KernelTiming {
+  double word_ns = 0;  // the word-wide kernel, per call
+  double byte_ns = 0;  // its byte-at-a-time reference, per call
+  double speedup() const { return byte_ns / word_ns; }
+};
+
+// Min-of-kEcReps wall time per call of each kernel, their batches
+// interleaved so both see the same machine state.
+template <typename Word, typename Byte>
+KernelTiming TimeKernels(Word word, Byte byte) {
+  double word_best = 1e30;
+  double byte_best = 1e30;
+  for (int rep = 0; rep < kEcReps; ++rep) {
+    WallTimer timer;
+    for (int i = 0; i < kEcCalls; ++i) {
+      KeepAlive(word());
+    }
+    word_best = std::min(word_best, timer.Seconds());
+    timer.Reset();
+    for (int i = 0; i < kEcCalls; ++i) {
+      KeepAlive(byte());
+    }
+    byte_best = std::min(byte_best, timer.Seconds());
+  }
+  return {word_best * 1e9 / kEcCalls, byte_best * 1e9 / kEcCalls};
+}
+
+struct EcKernelResult {
+  KernelTiming checksum;
+  KernelTiming encode;
+  KernelTiming decode;
+};
+
+// Aborts unless both kernels produce the same bytes, so the rows time equal
+// work.
+EcKernelResult MeasureEcKernels() {
+  constexpr uint32_t kK = 3;
+  std::string bytes(4096, '\0');
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<char>(i * 131 + 7);
+  }
+  const Buffer object = Buffer::FromString(bytes);
+  const std::vector<Buffer> shards = ec::Encode(object, kK);
+  std::vector<std::optional<Buffer>> degraded(shards.begin(), shards.end());
+  degraded[1] = std::nullopt;
+  auto decoded = ec::Decode(degraded, object.size());
+  if (ByteLoopEncode(object, kK) != shards || !decoded.ok() || decoded.value() != object ||
+      ByteLoopDecode(degraded, object.size()) != object) {
+    std::fprintf(stderr, "micro_hotpath: EC kernels disagree with the byte reference\n");
+    std::abort();
+  }
+  const std::string_view shard = shards[0].View();  // 1,366 bytes
+  EcKernelResult result;
+  result.checksum = TimeKernels([&] { return mal::Checksum(shard); },
+                                [&] { return osd::StableHash(shard); });
+  result.encode = TimeKernels([&] { return ec::Encode(object, kK).back().data()[0]; },
+                              [&] { return ByteLoopEncode(object, kK).back().data()[0]; });
+  result.decode =
+      TimeKernels([&] { return ec::Decode(degraded, object.size()).value().data()[0]; },
+                  [&] { return ByteLoopDecode(degraded, object.size()).data()[0]; });
+  return result;
+}
+
 }  // namespace
 
 int main() {
@@ -231,6 +365,25 @@ int main() {
            },
            /*events=*/static_cast<double>(kSpaceObjects) * kSpaceRecordsPerObject);
 
+  PrintSection("EC kernels: word-wide vs byte-at-a-time, ns per call (min of 15)");
+  PrintColumns({"kernel", "word_ns", "byte_ns", "speedup"});
+  EcKernelResult ec_kernels = MeasureEcKernels();
+  const std::vector<std::pair<std::string, const KernelTiming*>> kernel_rows = {
+      {"checksum_1366B", &ec_kernels.checksum},
+      {"encode_4KiB_k3", &ec_kernels.encode},
+      {"decode_4KiB_k3_one_missing", &ec_kernels.decode},
+  };
+  std::vector<std::pair<std::string, double>> kernel_metrics;
+  for (const auto& [label, timing] : kernel_rows) {
+    std::printf("%s\t%.0f\t%.0f\t%.1f\n", label.c_str(), timing->word_ns, timing->byte_ns,
+                timing->speedup());
+    kernel_metrics.emplace_back(label + "_word_ns", timing->word_ns);
+    kernel_metrics.emplace_back(label + "_byte_ns", timing->byte_ns);
+    kernel_metrics.emplace_back(label + "_speedup", timing->speedup());
+  }
+  json.Add("ec_kernels", std::move(kernel_metrics),
+           /*events=*/2.0 * kEcReps * kEcCalls * kernel_rows.size());
+
   PrintSection("shape checks");
   const SizeResult& small = results.front();
   const SizeResult& large = results.back();
@@ -246,6 +399,10 @@ int main() {
   ok &= ShapeCheck("omap heap bytes per record <= 1.5x key+value bytes",
                    space.heap_bytes_per_record > 0 &&
                        space.heap_bytes_per_record <= 1.5 * space.kv_bytes_per_record);
+  ok &= ShapeCheck("shard checksum >= 4x faster than byte-serial FNV-1a",
+                   ec_kernels.checksum.speedup() >= 4.0);
+  ok &= ShapeCheck("EC encode >= 4x faster than the byte-loop XOR",
+                   ec_kernels.encode.speedup() >= 4.0);
   json.Write();
   return ok ? 0 : 1;
 }

@@ -796,7 +796,7 @@ uint32_t Checkers::EcMissingShards(const std::string& pool, uint32_t k) const {
   uint32_t missing = 0;
   for (const auto& [object, payload] : pit->second) {
     std::string logical = osd::PoolOid(pool, object);
-    uint64_t stamp = ec::Checksum(mal::Buffer::FromString(payload));
+    uint64_t stamp = mal::Checksum(payload);
     for (uint32_t s = 0; s < k + 1; ++s) {
       std::string shard_oid = osd::EcShardOid(logical, s);
       auto acting = osd::ActingSetForOid(shard_oid, *map, default_replicas);
@@ -808,7 +808,7 @@ uint32_t Checkers::EcMissingShards(const std::string& pool, uint32_t k) const {
           auto cksum = xattrs.Find(ec::kShardCksumXattr);
           auto gen = xattrs.Find(ec::kShardStampXattr);
           healthy = cksum && gen &&
-                    *cksum == std::to_string(ec::Checksum(stored.value()->data)) &&
+                    *cksum == std::to_string(mal::Checksum(stored.value()->data.View())) &&
                     *gen == std::to_string(stamp);
         }
       }

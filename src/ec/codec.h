@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "src/common/buffer.h"
+#include "src/common/checksum.h"
 #include "src/common/status.h"
 
 namespace mal::ec {
@@ -32,11 +33,9 @@ std::vector<mal::Buffer> Encode(const mal::Buffer& data, uint32_t k);
 mal::Result<mal::Buffer> Decode(const std::vector<std::optional<mal::Buffer>>& shards,
                                 uint64_t size);
 
-// FNV-1a over the buffer: the per-shard integrity checksum the write path
-// stamps into xattrs and scrub/reads verify against bit-rot.
-uint64_t Checksum(const mal::Buffer& data);
-
-// Xattr keys every EC shard write stamps alongside the data.
+// Xattr keys every EC shard write stamps alongside the data. Both checksums
+// are mal::Checksum (src/common/checksum.h), which reads and scrub verify
+// against bit-rot.
 inline constexpr char kShardSizeXattr[] = "ec.size";    // logical object size
 inline constexpr char kShardCksumXattr[] = "ec.cksum";  // Checksum(shard bytes)
 inline constexpr char kShardStampXattr[] = "ec.stamp";  // Checksum(whole object)

@@ -96,7 +96,7 @@ void Pool::AppendShardWrite(std::vector<rados::RadosClient::TargetedOp>* ops,
     ops->push_back({oid, std::move(attr)});
   };
   set_attr(kShardSizeXattr, size);
-  set_attr(kShardCksumXattr, Checksum(shard));
+  set_attr(kShardCksumXattr, Checksum(shard.View()));
   set_attr(kShardStampXattr, stamp);
 }
 
@@ -114,7 +114,7 @@ void Pool::Submit(std::vector<rados::RadosClient::TargetedOp> ops, DoneHandler o
 
 void Pool::Write(const std::string& object, mal::Buffer data, DoneHandler on_done) {
   std::vector<mal::Buffer> shards = Encode(data, k_);
-  uint64_t stamp = Checksum(data);
+  uint64_t stamp = Checksum(data.View());
   std::vector<rados::RadosClient::TargetedOp> ops;
   ops.reserve(shards.size() * 5);
   for (uint32_t i = 0; i < shards.size(); ++i) {
@@ -128,7 +128,7 @@ void Pool::Write(const std::string& object, mal::Buffer data, DoneHandler on_don
 void Pool::Fill(const std::string& object, const mal::Buffer& data,
                 const std::vector<ShardInfo>& seen, DoneHandler on_done) {
   std::vector<mal::Buffer> shards = Encode(data, k_);
-  uint64_t stamp = Checksum(data);
+  uint64_t stamp = Checksum(data.View());
   std::vector<rados::RadosClient::TargetedOp> ops;
   for (uint32_t i = 0; i < shards.size(); ++i) {
     if (seen[i].valid && seen[i].stamp == stamp) {
@@ -199,7 +199,7 @@ void Pool::Gather(const std::string& object, ShardsPredicate done, GatherHandler
                         info.size = ParseU64(reply.results[1].out.ToString());
                         uint64_t cksum = ParseU64(reply.results[2].out.ToString());
                         info.stamp = ParseU64(reply.results[3].out.ToString());
-                        info.valid = Checksum(info.data) == cksum;
+                        info.valid = Checksum(info.data.View()) == cksum;
                       }
                       bool last = --state->pending == 0;
                       if (last && state->on_last) {

@@ -247,12 +247,14 @@ void MdsDaemon::HandleRequest(const sim::Envelope& request) {
 }
 
 void MdsDaemon::HandleMapUpdate(const sim::Envelope& request) {
-  if (rados_.OnMapUpdate(request)) {
+  // Decoded once for both consumers: the embedded RADOS client takes OSDMap
+  // pushes, this daemon MDSMap pushes.
+  auto update = mal::Decode<mon::MapUpdate>(request.payload);
+  if (!update.ok()) {
+    MAL_WARN(name().ToString()) << "dropping malformed map update: " << update.status();
     return;
   }
-  // Well-formed: the RADOS client consumed (and dropped) a malformed one.
-  auto update = mal::Decode<mon::MapUpdate>(request.payload);
-  if (!update.ok() || update.value().kind != mon::MapKind::kMdsMap) {
+  if (rados_.OnMapUpdate(update.value()) || update.value().kind != mon::MapKind::kMdsMap) {
     return;
   }
   auto map = mal::Decode<mon::MdsMap>(update.value().map_payload);

@@ -5,6 +5,7 @@
 #include <memory>
 #include <optional>
 
+#include "src/common/checksum.h"
 #include "src/common/log.h"
 #include "src/common/trace.h"
 
@@ -14,13 +15,14 @@ namespace {
 // Integrity gate on shard adoption: a pulled EC shard whose ec.cksum xattr
 // no longer matches its bytes is bit-rot, and adopting it would re-home the
 // corruption onto a healthy OSD. Refuse; the scrub agent re-encodes a clean
-// shard instead. ec::Checksum is the same StableHash.
+// shard instead. ec.cksum is mal::Checksum of the shard bytes, which this
+// recomputes with the same function the EC pool writes and verifies with.
 bool AdoptableObject(const std::string& oid, const Object& object) {
   if (!ParseEcShardOid(oid).has_value()) {
     return true;
   }
   std::optional<std::string_view> cksum = object.xattrs.Find("ec.cksum");
-  return !cksum || std::to_string(StableHash(object.data.View())) == *cksum;
+  return !cksum || std::to_string(mal::Checksum(object.data.View())) == *cksum;
 }
 
 const char* OpTypeName(Op::Type type) {

@@ -17,8 +17,8 @@
 
 namespace mal::osd {
 
-// Stable 64-bit hash (FNV-1a) used for all placement decisions, and the
-// one FNV-1a behind EC shard checksums and cls checksum.compute.
+// Stable 64-bit hash (FNV-1a) used for all placement decisions and by cls
+// checksum.compute. EC shard checksums use mal::Checksum instead.
 uint64_t StableHash(std::string_view s);
 uint64_t StableHash64(uint64_t a, uint64_t b);
 

@@ -71,10 +71,14 @@ bool RadosClient::OnMapUpdate(const sim::Envelope& envelope) {
         << "dropping malformed map update: " << update.status();
     return true;
   }
-  if (update.value().kind != mon::MapKind::kOsdMap) {
+  return OnMapUpdate(update.value());
+}
+
+bool RadosClient::OnMapUpdate(const mon::MapUpdate& update) {
+  if (update.kind != mon::MapKind::kOsdMap) {
     return false;
   }
-  AdoptMap(update.value().map_payload);
+  AdoptMap(update.map_payload);
   return true;
 }
 

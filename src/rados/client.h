@@ -62,6 +62,9 @@ class RadosClient {
   // Routes a push update from the monitor; returns true if consumed. A
   // malformed update is consumed: dropped with a warning.
   bool OnMapUpdate(const sim::Envelope& envelope);
+  // The same for a push its owner has decoded already; true if it was an
+  // OSDMap update.
+  bool OnMapUpdate(const mon::MapUpdate& update);
 
   // -- core -------------------------------------------------------------------
   // Executes a transaction on the object's primary OSD. Retries on

@@ -5,17 +5,14 @@
 namespace mal::svc {
 
 sim::Time Backoff::NextDelay(mal::Rng* rng) {
-  int attempt = attempt_++;
+  ++attempt_;
   if (policy_.base_delay == 0) {
     return 0;  // backoff disabled: no sleep, and deliberately no RNG draw
   }
-  if (attempt == 0) {
-    prev_delay_ = policy_.base_delay;
-    return 0;  // first attempt starts immediately; backoff applies to retries
-  }
-  // Decorrelated jitter: sleep_n = min(cap, Uniform(base, 3 * sleep_{n-1})).
+  // Decorrelated jitter: sleep_n = min(cap, Uniform(base, 3 * sleep_{n-1})),
+  // with sleep_0 = base, so the first retry already waits at least base.
   int64_t lo = static_cast<int64_t>(policy_.base_delay);
-  int64_t hi = std::max<int64_t>(lo, static_cast<int64_t>(3 * prev_delay_));
+  int64_t hi = 3 * static_cast<int64_t>(std::max(prev_delay_, policy_.base_delay));
   int64_t drawn = rng->UniformInt(lo, hi);
   prev_delay_ = std::min<sim::Time>(policy_.max_delay, static_cast<sim::Time>(drawn));
   return prev_delay_;

@@ -44,8 +44,9 @@ class Backoff {
   // Attempts consumed so far (0 before the first NextDelay call).
   int attempt() const { return attempt_; }
 
-  // Consumes one attempt and returns how long to wait before it. The first
-  // attempt and every attempt under a zero base_delay start immediately.
+  // Consumes one attempt and returns how long to wait before it: the delay
+  // before a retry, since the initial try never asks. Under a zero
+  // base_delay every retry starts immediately.
   sim::Time NextDelay(mal::Rng* rng);
 
  private:

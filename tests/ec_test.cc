@@ -11,6 +11,7 @@
 #include <string>
 
 #include "src/cluster/cluster.h"
+#include "src/common/checksum.h"
 #include "src/common/rng.h"
 #include "src/ec/codec.h"
 #include "src/ec/pool.h"
@@ -101,6 +102,105 @@ TEST_P(EcCodecPropertyTest, RandomDataSurvivesRandomShardLoss) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EcCodecPropertyTest, ::testing::Range(0, 30));
+
+// -- word-wide kernels against byte-at-a-time references -----------------------
+
+std::string RandomBytes(Rng* rng, size_t n) {
+  std::string bytes(n, '\0');
+  for (char& c : bytes) {
+    c = static_cast<char>(rng->NextBelow(256));
+  }
+  return bytes;
+}
+
+TEST(EcChecksumTest, EverySingleBitFlipChangesTheChecksum) {
+  Rng rng(29);
+  for (size_t size : {0, 1, 7, 8, 31, 32, 33, 1366, 4096}) {
+    std::string bytes = RandomBytes(&rng, size);
+    const uint64_t clean = mal::Checksum(bytes);
+    EXPECT_EQ(mal::Checksum(bytes), clean) << "size " << size;
+    const size_t bits = 8 * size;
+    // Every bit up to 64 B; 2,000 sampled bits above that.
+    const size_t flips = size <= 64 ? bits : 2000;
+    for (size_t f = 0; f < flips; ++f) {
+      size_t bit = size <= 64 ? f : rng.NextBelow(bits);
+      bytes[bit / 8] = static_cast<char>(bytes[bit / 8] ^ (1 << (bit % 8)));
+      EXPECT_NE(mal::Checksum(bytes), clean) << "size " << size << " bit " << bit;
+      bytes[bit / 8] = static_cast<char>(bytes[bit / 8] ^ (1 << (bit % 8)));
+    }
+  }
+}
+
+TEST(EcChecksumTest, PinnedValues) {
+  // Stored ec.cksum / ec.stamp xattrs hold these values: a change of
+  // platform, compiler or implementation must not move them.
+  EXPECT_EQ(mal::Checksum(""), 0xd8a310150df90781ULL);
+  EXPECT_EQ(mal::Checksum("malacology: a programmable storage system"), 0xfb819042a89f27baULL);
+}
+
+// Byte-at-a-time reference for the codec: data shard i holds bytes
+// [i * len, (i + 1) * len) zero-padded to len, the parity shard their XOR.
+std::vector<std::string> ReferenceEncode(const std::string& data, uint32_t k) {
+  size_t len = (data.size() + k - 1) / k;
+  std::vector<std::string> shards(k + 1, std::string(len, '\0'));
+  for (size_t b = 0; b < data.size(); ++b) {
+    shards[b / len][b % len] = data[b];
+  }
+  for (uint32_t i = 0; i < k; ++i) {
+    for (size_t b = 0; b < len; ++b) {
+      shards[k][b] = static_cast<char>(shards[k][b] ^ shards[i][b]);
+    }
+  }
+  return shards;
+}
+
+// Rebuilds shard `lost` byte by byte from the others, then joins the data
+// shards and strips the padding.
+std::string ReferenceDecode(std::vector<std::string> shards, size_t lost, size_t size) {
+  std::string rebuilt(shards[lost].size(), '\0');
+  for (size_t j = 0; j < shards.size(); ++j) {
+    for (size_t b = 0; j != lost && b < rebuilt.size(); ++b) {
+      rebuilt[b] = static_cast<char>(rebuilt[b] ^ shards[j][b]);
+    }
+  }
+  shards[lost] = rebuilt;
+  std::string out;
+  for (size_t i = 0; i + 1 < shards.size(); ++i) {
+    out += shards[i];
+  }
+  out.resize(size);
+  return out;
+}
+
+TEST(EcCodecTest, WordWideKernelsMatchTheByteReference) {
+  Rng rng(8);
+  // Sizes divisible by neither k nor 8, so shards end in a partial word.
+  for (uint32_t k : {1u, 2u, 3u, 5u}) {
+    for (size_t size : {1, 13, 101, 1001, 4097}) {
+      std::string payload = RandomBytes(&rng, size);
+      std::vector<std::string> reference = ReferenceEncode(payload, k);
+      auto shards = Encode(Buffer::FromString(payload), k);
+      ASSERT_EQ(shards.size(), reference.size());
+      for (size_t i = 0; i < shards.size(); ++i) {
+        EXPECT_EQ(shards[i].View(), reference[i]) << "k " << k << " size " << size
+                                                  << " shard " << i;
+      }
+      for (size_t lost = 0; lost <= k; ++lost) {
+        std::vector<std::optional<Buffer>> present(shards.begin(), shards.end());
+        present[lost] = std::nullopt;
+        auto decoded = Decode(present, size);
+        ASSERT_TRUE(decoded.ok()) << decoded.status();
+        EXPECT_EQ(decoded.value().View(), ReferenceDecode(reference, lost, size))
+            << "k " << k << " size " << size << " lost " << lost;
+        EXPECT_EQ(decoded.value().View(), payload);
+      }
+      std::vector<std::optional<Buffer>> whole(shards.begin(), shards.end());
+      auto decoded = Decode(whole, size);
+      ASSERT_TRUE(decoded.ok()) << decoded.status();
+      EXPECT_EQ(decoded.value().View(), payload) << "k " << k << " size " << size;
+    }
+  }
+}
 
 // -- EC placement --------------------------------------------------------------
 
@@ -721,7 +821,7 @@ TEST(ScrubTest, RebuildsFullRedundancyAfterOsdLoss) {
   client->rados.RefreshMap([&](Status) { refreshed = true; });
   ASSERT_TRUE(cluster.RunUntil([&] { return refreshed; }));
   for (const auto& [name, payload] : objects) {
-    uint64_t stamp = Checksum(Buffer::FromString(payload));
+    uint64_t stamp = Checksum(payload);
     for (uint32_t i = 0; i <= k; ++i) {
       std::string oid = pool.ShardOid(name, i);
       auto acting =
@@ -732,7 +832,7 @@ TEST(ScrubTest, RebuildsFullRedundancyAfterOsdLoss) {
       ASSERT_TRUE(stored.ok()) << oid << " missing from osd." << acting[0];
       const osd::Object* object = stored.value();
       EXPECT_EQ(object->xattrs.Find(kShardCksumXattr),
-                std::to_string(Checksum(object->data)))
+                std::to_string(Checksum(object->data.View())))
           << oid;
       EXPECT_EQ(object->xattrs.Find(kShardStampXattr), std::to_string(stamp))
           << oid;
@@ -774,7 +874,7 @@ TEST(ScrubTest, RepairsSilentShardCorruption) {
   auto stored = cluster.osd(acting[0]).store().Get(oid);
   ASSERT_TRUE(stored.ok());
   EXPECT_EQ(stored.value()->xattrs.Find(kShardCksumXattr),
-            std::to_string(Checksum(stored.value()->data)));
+            std::to_string(Checksum(stored.value()->data.View())));
   auto read = PoolRead(&cluster, &pool, "obj");
   ASSERT_TRUE(read.ok()) << read.status();
   EXPECT_EQ(read.value(), payload);
@@ -892,7 +992,7 @@ TEST(ScrubTest, GatherFromACrashedHomeStillInTheMapEndsAtTheDeadline) {
                                60 * sim::kSecond));
   const osd::Object* refilled = cluster.osd(victim).store().Get(oid).value();
   EXPECT_EQ(refilled->xattrs.Find(kShardCksumXattr),
-            std::to_string(Checksum(refilled->data)));
+            std::to_string(Checksum(refilled->data.View())));
   auto read = PoolRead(&cluster, &pool, "obj");
   ASSERT_TRUE(read.ok()) << read.status();
   EXPECT_EQ(read.value(), payload);

@@ -66,12 +66,11 @@ TEST(BackoffTest, DecorrelatedJitterStaysInBoundsAndIsDeterministic) {
   svc::Backoff a(policy);
   svc::Backoff b(policy);
 
-  // First attempt is the initial try: no sleep.
-  EXPECT_EQ(a.NextDelay(&rng_a), 0u);
-  EXPECT_EQ(b.NextDelay(&rng_b), 0u);
-
+  // NextDelay is only asked before a retry, so the first one already backs
+  // off: it draws from [base, 3 * base], like every later one from
+  // [base, 3 * prev].
   sim::Time prev = policy.base_delay;
-  for (int i = 1; i < 32; ++i) {
+  for (int i = 0; i < 32; ++i) {
     sim::Time da = a.NextDelay(&rng_a);
     sim::Time db = b.NextDelay(&rng_b);
     EXPECT_EQ(da, db) << "same seed must give the same schedule";
@@ -500,6 +499,54 @@ TEST(RetryLoopTest, RadosExecuteGivesUpAfterFiveAttempts) {
   EXPECT_EQ(result->message(), "no reachable primary for lost");
   EXPECT_EQ(client->perf.counter("rados.ops"), 1u);
   EXPECT_EQ(client->perf.counter("rados.retries"), 4u);
+}
+
+TEST(RetryLoopTest, ShedClientsFirstRetryWaitsAtLeastTheBaseDelay) {
+  sim::Simulator simulator;
+  sim::Network network(&simulator);
+  mon::OsdMap map;
+  map.epoch = 1;
+  map.osds[0] = {true, 1.0};
+  ScriptedServer mon(&simulator, &network, sim::EntityName::Mon(0),
+                     [&map](ScriptedServer* self, const sim::Envelope& request) {
+                       self->Reply(request, mal::Encode(mon::MapUpdate{mon::MapKind::kOsdMap,
+                                                                       mal::Encode(map)}));
+                     });
+  // The OSD sheds the first try at admission and serves the retry.
+  osd::OsdOpReply served;
+  served.map_epoch = 1;
+  served.results.push_back({mal::Status::Ok(), mal::Buffer::FromString("stored")});
+  std::vector<sim::Time> arrivals;
+  ScriptedServer osd(&simulator, &network, sim::EntityName::Osd(0),
+                     [&](ScriptedServer* self, const sim::Envelope& request) {
+                       arrivals.push_back(simulator.Now());
+                       if (arrivals.size() == 1) {
+                         self->ReplyError(request, mal::Status::Busy());
+                       } else {
+                         self->Reply(request, mal::Encode(served));
+                       }
+                     });
+  TestClient client(&simulator, &network, 1);
+  rados::RadosClient rados(&client, {0}, /*replicas=*/1);
+  svc::RetryPolicy policy;
+  policy.base_delay = 10 * sim::kMillisecond;
+  policy.max_delay = 100 * sim::kMillisecond;
+  rados.set_retry_policy(policy);
+  std::optional<mal::Status> connected;
+  rados.Connect([&](mal::Status s) { connected = s; });
+  simulator.Run();
+  ASSERT_TRUE(connected.has_value() && connected->ok());
+
+  std::optional<mal::Status> result;
+  rados.Read("obj", [&](mal::Status s, const mal::Buffer&) { result = s; });
+  simulator.Run();
+  ASSERT_TRUE(result.has_value());
+  EXPECT_TRUE(result->ok()) << result->ToString();
+  ASSERT_EQ(arrivals.size(), 2u);
+  // The first retry draws its sleep from [base, 3 * base], so the resend
+  // reaches the OSD at least base_delay after the shed try did.
+  EXPECT_GE(arrivals[1] - arrivals[0], policy.base_delay);
+  EXPECT_LT(arrivals[1] - arrivals[0], 4 * policy.base_delay);
 }
 
 TEST(RetryLoopTest, MdsRedirectsMoveTheCacheForwardOnlyThenGiveUp) {
