@@ -29,8 +29,9 @@ enum MsgType : uint32_t {
 };
 
 // A transaction applied to monitor state through Paxos. One MonCommand
-// request carries one transaction; the leader batches all transactions
-// accumulated during a proposal interval into a single Paxos value.
+// request carries one transaction; the leader batches the transactions
+// that arrive while a proposal waits out the proposal interval into a
+// single Paxos value.
 struct Transaction {
   enum class Op : uint8_t {
     kSetServiceMetadata = 0,  // map_kind, key, value
@@ -52,8 +53,8 @@ struct Transaction {
 };
 
 // The value the leader proposes through Paxos: every transaction gathered
-// in one proposal interval. The proposer acks the batch's requests once it
-// commits.
+// for one proposal. The proposer acks the batch's requests, with an empty
+// payload, once it commits.
 struct ProposalValue {
   uint64_t batch_id = 0;
   uint32_t proposer = 0;

@@ -68,7 +68,6 @@ void Monitor::Boot() {
   if (name().id == *std::min_element(quorum_.begin(), quorum_.end())) {
     paxos_->StartElection();
   }
-  StartPeriodic(config_.proposal_interval, [this] { ProposeBatch(); });
   StartPeriodic(config_.retransmit_interval, [this] {
     paxos_->Retransmit();
     paxos_->Heartbeat();
@@ -89,6 +88,9 @@ void Monitor::Crash() {
   paxos_->StepDown();
   pending_batch_.clear();
   waiting_acks_.clear();
+  // The incarnation guard drops the armed event; a recovered monitor arms
+  // afresh on its first transaction.
+  proposal_armed_ = false;
 }
 
 void Monitor::Recover() {
@@ -157,12 +159,29 @@ void Monitor::HandleCommand(const sim::Envelope& request) {
   }
   pending_batch_.push_back(std::move(txn).value());
   waiting_acks_.emplace_back(next_batch_id_, request);
+  if (!proposal_armed_) {
+    // Propose at once when the last proposal is an interval old, else at the
+    // interval's end; transactions arriving meanwhile join that batch.
+    sim::Time due = last_proposal_ ? *last_proposal_ + config_.proposal_interval : 0;
+    ArmProposal(due > Now() ? due - Now() : 0);
+  }
+}
+
+void Monitor::ArmProposal(sim::Time delay) {
+  proposal_armed_ = true;
+  ScheduleGuarded(delay, [this] {
+    proposal_armed_ = false;
+    ProposeBatch();
+  });
 }
 
 void Monitor::ProposeBatch() {
-  if (!paxos_->IsLeader() || pending_batch_.empty()) {
+  if (!paxos_->IsLeader()) {
+    // Keep the batch: it is proposed if this monitor leads again.
+    ArmProposal(config_.proposal_interval);
     return;
   }
+  last_proposal_ = Now();
   ProposalValue proposal{next_batch_id_++, name().id, std::move(pending_batch_)};
   pending_batch_.clear();
   perf_.Inc("mon.paxos.proposals");
@@ -214,10 +233,7 @@ void Monitor::ApplyCommitted(const mal::Buffer& value) {
     auto it = waiting_acks_.begin();
     while (it != waiting_acks_.end()) {
       if (it->first == proposal.batch_id) {
-        Reply(it->second, mal::Encode([this](mal::Encoder* enc) {
-                enc->PutU64(osd_map_.epoch);
-                enc->PutU64(mds_map_.epoch);
-              }));
+        Reply(it->second, mal::Buffer());
         it = waiting_acks_.erase(it);
       } else {
         ++it;

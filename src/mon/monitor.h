@@ -1,11 +1,17 @@
 // Monitor daemon: the consensus heart of the cluster.
 //
 // Each Monitor actor embeds a Paxos node. Client/daemon transactions are
-// forwarded to the current leader, batched for one proposal interval
-// (paper §6.1.2: "By default Paxos proposals occur periodically with a
-// 1 second interval in order to accumulate updates ... we were able to
-// decrease this interval to an average of 222 ms"), committed through
-// Paxos, applied to the cluster maps, and pushed to subscribers.
+// forwarded to the current leader, batched, committed through Paxos,
+// applied to the cluster maps, and pushed to subscribers.
+//
+// Batching follows the paper (§6.1.2: "By default Paxos proposals occur
+// periodically with a 1 second interval in order to accumulate updates
+// ... we were able to decrease this interval to an average of 222 ms") the
+// way Ceph's PaxosService::should_propose does: the proposal interval
+// bounds the proposal rate, not the wait. A transaction reaching a leader
+// that has not proposed for an interval is proposed at once; one arriving
+// sooner waits for the interval to end and joins that batch. An idle
+// monitor schedules no proposal events.
 //
 // The monitor also hosts the centralized cluster log that Mantle uses for
 // warnings/errors (paper §5.1.3).
@@ -15,6 +21,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -31,7 +38,7 @@
 namespace mal::mon {
 
 struct MonitorConfig {
-  // Time the leader accumulates transactions before proposing.
+  // Minimum gap between two proposals of one leader.
   sim::Time proposal_interval = 1 * sim::kSecond;
   // Added to each proposal to model the commit fsync on the monitor store
   // (the paper contrasts RAM-backed vs HDD-backed monitors in Fig 8).
@@ -118,6 +125,8 @@ class Monitor : public sim::Actor {
   void TelemetryTick();
   void AppendClusterLog(ClusterLogEntry entry);
 
+  // Schedules ProposeBatch `delay` from now; at most one is armed.
+  void ArmProposal(sim::Time delay);
   void ProposeBatch();
   void ApplyCommitted(const mal::Buffer& value);
   void ApplyTransaction(const Transaction& txn, bool* osd_dirty, bool* mds_dirty);
@@ -144,6 +153,8 @@ class Monitor : public sim::Actor {
   // envelopes to ack. Keyed by the batch id we assign when proposing.
   std::vector<std::pair<uint64_t, sim::Envelope>> waiting_acks_;
   uint64_t next_batch_id_ = 1;
+  bool proposal_armed_ = false;
+  std::optional<sim::Time> last_proposal_;  // when this monitor last proposed
   uint64_t applied_batches_ = 0;
 
   std::set<sim::EntityName> osd_subscribers_;

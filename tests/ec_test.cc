@@ -6,12 +6,14 @@
 // paced, deadline-bounded, and filling only holes).
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
 
 #include "src/cluster/cluster.h"
 #include "src/common/checksum.h"
+#include "src/common/deadline.h"
 #include "src/common/rng.h"
 #include "src/ec/codec.h"
 #include "src/ec/pool.h"
@@ -458,6 +460,9 @@ TEST(EcPoolTest, ReadDecodesAroundCorruptedParityShard) {
   auto read = PoolRead(&cluster, &pool, "obj");
   ASSERT_TRUE(read.ok()) << read.status();
   EXPECT_EQ(read.value(), payload);
+  // The read may answer on its first k agreeing shards; the degraded
+  // verdict is judged once the last of the k+1 replies is in.
+  cluster.RunFor(10 * sim::kMillisecond);
   EXPECT_GE(client->perf.counter("rados.ec.degraded_reads"), 1u);
 }
 
@@ -607,6 +612,65 @@ TEST(EcPoolTest, SurvivesOsdLossWithoutReplication) {
   auto read = PoolRead(&cluster, &pool, "obj");
   ASSERT_TRUE(read.ok()) << read.status();
   EXPECT_EQ(read.value(), payload);
+}
+
+TEST(EcPoolTest, FailedOsdCommitsAtOnceSoAnInFlightWriteMissesOneDeadline) {
+  // The failure path end to end: a write is on its way to an OSD that
+  // crashes and is marked failed. The kOsdFail commit reaches an idle
+  // monitor leader and commits in one Paxos round, so by the time the
+  // write's first try misses its deadline the client holds the new map
+  // and the retry lands.
+  cluster::ClusterOptions options;
+  options.num_mons = 3;
+  options.num_osds = 6;
+  options.mon.proposal_interval = 200 * sim::kMillisecond;
+  cluster::Cluster cluster(options);
+  cluster.Boot();
+  auto* client = cluster.NewClient();
+  Pool pool = CreatePool(&cluster, client, "ecpool", /*k=*/3);
+  cluster.RunFor(1 * sim::kSecond);  // the monitor leader is idle again
+
+  auto home = osd::ActingSetForOid(pool.ShardOid("obj", 0), client->rados.osd_map(),
+                                   options.osd.replicas);
+  ASSERT_EQ(home.size(), 1u);
+  constexpr sim::Time kOpDeadline = 50 * sim::kMillisecond;
+  const sim::Time issued = cluster.simulator().Now();
+  int tries = 0;
+  std::optional<Status> written;
+  sim::Time written_at = 0;
+  std::function<void()> attempt = [&] {
+    ++tries;
+    ScopedDeadline deadline(cluster.simulator().Now() + kOpDeadline);
+    pool.Write("obj", Buffer::FromString("written across the loss"), [&](Status s) {
+      if (s.code() == Code::kDeadlineExceeded) {
+        attempt();
+        return;
+      }
+      written = s;
+      written_at = cluster.simulator().Now();
+    });
+  };
+  attempt();
+
+  cluster.osd(home[0]).Crash();
+  mon::Transaction fail;
+  fail.op = mon::Transaction::Op::kOsdFail;
+  fail.daemon_id = home[0];
+  const sim::Time submitted = cluster.simulator().Now();
+  sim::Time acked_at = 0;
+  client->rados.mon_client().SubmitTransaction(fail, [&](Status s) {
+    EXPECT_TRUE(s.ok()) << s;
+    acked_at = cluster.simulator().Now();
+  });
+  ASSERT_TRUE(cluster.RunUntil([&] { return written.has_value() && acked_at > 0; }));
+
+  EXPECT_LT(acked_at - submitted, 5 * sim::kMillisecond);
+  ASSERT_TRUE(written->ok()) << *written;
+  EXPECT_EQ(tries, 2);  // the try in flight to the lost OSD, then one that lands
+  EXPECT_LT(written_at - issued, kOpDeadline + 5 * sim::kMillisecond);
+  auto read = PoolRead(&cluster, &pool, "obj");
+  ASSERT_TRUE(read.ok()) << read.status();
+  EXPECT_EQ(read.value(), "written across the loss");
 }
 
 // -- First-k reads -------------------------------------------------------------

@@ -2,7 +2,10 @@
 // proposal batching, subscriber push, leader failover, cluster log.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "src/mon/mon_client.h"
 #include "src/mon/monitor.h"
@@ -72,6 +75,44 @@ class MonFixture : public ::testing::Test {
   std::unique_ptr<TestDaemon> daemon;
 };
 
+// A three-monitor quorum of its own, for tests that compare proposal
+// intervals within one test body.
+struct Quorum {
+  explicit Quorum(sim::Time proposal_interval) {
+    MonitorConfig config;
+    config.proposal_interval = proposal_interval;
+    std::vector<uint32_t> ids = {0, 1, 2};
+    for (uint32_t id : ids) {
+      monitors.push_back(std::make_unique<Monitor>(&simulator, &network, id, ids, config));
+    }
+    for (auto& monitor : monitors) {
+      monitor->Boot();
+    }
+    daemon = std::make_unique<TestDaemon>(&simulator, &network, 0, ids);
+    simulator.RunUntil(3 * sim::kSecond);  // settle election
+  }
+
+  // Submits one transaction, runs until it is acked (10 s at most), and
+  // returns how long that took.
+  sim::Time Commit(const std::string& key) {
+    const sim::Time start = simulator.Now();
+    auto acked = std::make_shared<bool>(false);
+    daemon->mon_client.SetServiceMetadata(MapKind::kOsdMap, key, "v", [acked](mal::Status s) {
+      EXPECT_TRUE(s.ok()) << s;
+      *acked = true;
+    });
+    while (!*acked && simulator.Now() < start + 10 * sim::kSecond && simulator.Step()) {
+    }
+    EXPECT_TRUE(*acked) << key;
+    return simulator.Now() - start;
+  }
+
+  sim::Simulator simulator;
+  sim::Network network{&simulator};
+  std::vector<std::unique_ptr<Monitor>> monitors;
+  std::unique_ptr<TestDaemon> daemon;
+};
+
 TEST_F(MonFixture, SingleMonitorElectsItself) {
   Start(1);
   EXPECT_TRUE(monitors[0]->IsLeader());
@@ -129,20 +170,127 @@ TEST_F(MonFixture, ProposalBatchingAccumulatesTransactions) {
   MonitorConfig config;
   config.proposal_interval = 1 * sim::kSecond;
   Start(3, config);
-  // Fire 10 transactions within one proposal interval: one epoch bump.
+  struct Applied {
+    sim::Time at;
+    size_t txns;
+  };
+  std::vector<Applied> applied;
+  monitors[0]->on_apply = [&](const std::vector<Transaction>& batch) {
+    applied.push_back({simulator.Now(), batch.size()});
+  };
   Epoch before = monitors[0]->osd_map().epoch;
   int acks = 0;
-  for (int i = 0; i < 10; ++i) {
+  auto submit = [&](int i) {
     daemon->mon_client.SetServiceMetadata(MapKind::kOsdMap, "key" + std::to_string(i), "v",
                                           [&](mal::Status s) {
                                             EXPECT_TRUE(s.ok());
                                             ++acks;
                                           });
+  };
+  // The first transaction reaches an idle leader: it is proposed at once
+  // and commits alone, within one Paxos round.
+  sim::Time first_submitted = simulator.Now();
+  submit(0);
+  simulator.RunUntil(first_submitted + 5 * sim::kMillisecond);
+  ASSERT_EQ(acks, 1);
+  ASSERT_EQ(applied.size(), 1u);
+  EXPECT_EQ(applied[0].txns, 1u);
+  // The 9 that follow within the interval wait for it to end and ride one
+  // proposal together.
+  for (int i = 1; i < 10; ++i) {
+    submit(i);
   }
   simulator.RunUntil(simulator.Now() + 5 * sim::kSecond);
   EXPECT_EQ(acks, 10);
-  EXPECT_EQ(monitors[0]->osd_map().epoch, before + 1);  // single batch
+  ASSERT_EQ(applied.size(), 2u);
+  EXPECT_EQ(applied[1].txns, 9u);
+  EXPECT_GE(applied[1].at, first_submitted + config.proposal_interval);
+  EXPECT_LT(applied[1].at, first_submitted + config.proposal_interval + 5 * sim::kMillisecond);
+  EXPECT_EQ(monitors[0]->perf().counter("mon.paxos.proposals"), 2u);
+  EXPECT_EQ(monitors[0]->osd_map().epoch, before + 2);
   EXPECT_EQ(monitors[0]->osd_map().service_metadata.size(), 10u);
+}
+
+TEST_F(MonFixture, ProposalIntervalBoundsTheProposalRate) {
+  MonitorConfig config;
+  config.proposal_interval = 200 * sim::kMillisecond;
+  Start(3, config);
+  Monitor* leader = Leader();
+  ASSERT_NE(leader, nullptr);
+  // A steady stream: one transaction every 30 ms for 5 s.
+  const sim::Time end = simulator.Now() + 5 * sim::kSecond;
+  int acks = 0;
+  int submitted = 0;
+  std::function<void()> submit = [&] {
+    if (simulator.Now() >= end) {
+      return;
+    }
+    daemon->mon_client.SetServiceMetadata(MapKind::kOsdMap, "k" + std::to_string(submitted++),
+                                          "v", [&](mal::Status s) {
+                                            EXPECT_TRUE(s.ok()) << s;
+                                            ++acks;
+                                          });
+    simulator.Schedule(30 * sim::kMillisecond, submit);
+  };
+  submit();
+  // Step event by event and stamp every proposal the leader makes.
+  std::vector<sim::Time> proposals;
+  uint64_t seen = leader->perf().counter("mon.paxos.proposals");
+  while (simulator.Now() < end + 1 * sim::kSecond && simulator.Step()) {
+    uint64_t now_seen = leader->perf().counter("mon.paxos.proposals");
+    if (now_seen != seen) {
+      ASSERT_EQ(now_seen, seen + 1) << "two proposals in one event";
+      seen = now_seen;
+      proposals.push_back(simulator.Now());
+    }
+  }
+  EXPECT_EQ(acks, submitted);
+  // 5 s of transactions, one proposal per 200 ms at most.
+  ASSERT_GE(proposals.size(), 24u);
+  EXPECT_LE(proposals.size(), 26u);
+  for (size_t i = 1; i < proposals.size(); ++i) {
+    EXPECT_GE(proposals[i] - proposals[i - 1], config.proposal_interval) << "proposal " << i;
+  }
+}
+
+TEST(MonProposalTest, LoneTransactionOnIdleLeaderCommitsInOneRound) {
+  for (sim::Time interval : {1 * sim::kSecond, 200 * sim::kMillisecond}) {
+    SCOPED_TRACE(interval);
+    Quorum quorum(interval);
+    // On a leader that never proposed, then on one that proposed an
+    // interval ago and has been idle since.
+    EXPECT_LT(quorum.Commit("never-proposed"), 5 * sim::kMillisecond);
+    quorum.simulator.RunUntil(quorum.simulator.Now() + interval);
+    EXPECT_LT(quorum.Commit("idle-for-an-interval"), 5 * sim::kMillisecond);
+  }
+}
+
+TEST_F(MonFixture, CrashWithArmedProposalDoesNotWedgeTheRecoveredLeader) {
+  MonitorConfig config;
+  config.proposal_interval = 1 * sim::kSecond;
+  Start(1, config);
+  // The first transaction commits at once; the second arms a proposal one
+  // interval later, and the monitor crashes before it fires.
+  bool first = false;
+  daemon->mon_client.SetServiceMetadata(MapKind::kOsdMap, "first", "v",
+                                        [&](mal::Status s) { first = s.ok(); });
+  simulator.RunUntil(simulator.Now() + 5 * sim::kMillisecond);
+  ASSERT_TRUE(first);
+  daemon->mon_client.SetServiceMetadata(MapKind::kOsdMap, "armed", "v", [](mal::Status) {});
+  simulator.RunUntil(simulator.Now() + 5 * sim::kMillisecond);
+  monitors[0]->Crash();
+  simulator.RunUntil(simulator.Now() + 2 * sim::kSecond);
+  monitors[0]->Recover();
+  simulator.RunUntil(simulator.Now() + 3 * sim::kSecond);
+  ASSERT_TRUE(monitors[0]->IsLeader());
+
+  // The recovered leader arms afresh: a new transaction commits.
+  bool after = false;
+  daemon->mon_client.SetServiceMetadata(MapKind::kOsdMap, "after", "v",
+                                        [&](mal::Status s) { after = s.ok(); });
+  simulator.RunUntil(simulator.Now() + 5 * sim::kSecond);
+  EXPECT_TRUE(after);
+  EXPECT_EQ(monitors[0]->osd_map().service_metadata.count("after"), 1u);
 }
 
 TEST_F(MonFixture, SubscribersReceivePushOnChange) {
@@ -289,34 +437,20 @@ TEST_F(MonFixture, GetClusterLogReturnsEntries) {
 
 TEST_F(MonFixture, FasterProposalIntervalCommitsSooner) {
   // Mirrors the Fig 8 discussion: 1 s default proposal interval vs a
-  // reduced one. Measure commit latency of a single transaction.
-  auto measure = [](sim::Time interval) {
-    sim::Simulator simulator;
-    sim::Network network(&simulator);
-    MonitorConfig config;
-    config.proposal_interval = interval;
-    std::vector<uint32_t> quorum = {0, 1, 2};
-    std::vector<std::unique_ptr<Monitor>> monitors;
-    for (uint32_t i = 0; i < 3; ++i) {
-      monitors.push_back(std::make_unique<Monitor>(&simulator, &network, i, quorum, config));
+  // reduced one. Each transaction is submitted right after the previous
+  // one commits, so all but the first wait out the interval; compare the
+  // mean commit latency.
+  auto mean_commit = [](sim::Time interval) {
+    Quorum quorum(interval);
+    constexpr int kTxns = 5;
+    sim::Time total = 0;
+    for (int i = 0; i < kTxns; ++i) {
+      total += quorum.Commit("k" + std::to_string(i));
     }
-    for (auto& monitor : monitors) {
-      monitor->Boot();
-    }
-    TestDaemon daemon(&simulator, &network, 0, quorum);
-    simulator.RunUntil(3 * sim::kSecond);
-    sim::Time start = simulator.Now();
-    sim::Time committed_at = 0;
-    daemon.mon_client.SetServiceMetadata(MapKind::kOsdMap, "k", "v", [&](mal::Status s) {
-      ASSERT_TRUE(s.ok());
-      committed_at = simulator.Now();
-    });
-    simulator.RunUntil(start + 10 * sim::kSecond);
-    EXPECT_GT(committed_at, 0u);
-    return committed_at - start;
+    return total / kTxns;
   };
-  sim::Time slow = measure(1 * sim::kSecond);
-  sim::Time fast = measure(200 * sim::kMillisecond);
+  sim::Time slow = mean_commit(1 * sim::kSecond);
+  sim::Time fast = mean_commit(200 * sim::kMillisecond);
   EXPECT_LT(fast, slow);
 }
 

@@ -705,13 +705,21 @@ TEST_F(ZlogFixture, SealRaceMidBatchInvalidatesPerEntryAndRetries) {
   for (const auto& p : payloads) {
     entries.push_back(Buffer::FromString(p));
   }
+  // Hold A's OSD traffic on the wire (every message on an A<->OSD link is
+  // delayed up to 50 ms), so the seal, launched in the same event round,
+  // lands while A's write_batch ops are still in flight.
+  sim::FaultSpec held;
+  held.reorder_prob = 1.0;
+  held.reorder_delay = 50 * sim::kMillisecond;
+  for (size_t o = 0; o < cluster->num_osds(); ++o) {
+    cluster->network().SetLinkFaults(client_a->name(),
+                                     sim::EntityName::Osd(static_cast<uint32_t>(o)), held);
+  }
   std::optional<BatchResult> batch;
   log_a->AppendBatch(std::move(entries),
                      [&](Status s, const std::vector<uint64_t>& positions) {
                        batch = BatchResult{s, positions};
                      });
-  // Recovery launched in the same event round — the seal lands while A's
-  // batch is on the wire.
   std::optional<Status> recovered;
   log_b->Recover([&](Status s, uint64_t) { recovered = s; });
   ASSERT_TRUE(cluster->RunUntil(
