@@ -29,6 +29,34 @@ enum FaultClass : size_t {
   kNumClasses,
 };
 
+constexpr sim::Time kPollCadence = 50 * sim::kMillisecond;
+
+// Checks `done` now and then every kPollCadence (no RNG), at most `polls`
+// more times, and hands `finish` whether it held.
+void Poll(sim::Simulator* sim, int polls, std::function<bool()> done,
+          std::function<void(bool)> finish) {
+  const bool held = done();
+  if (held || polls == 0) {
+    finish(held);
+    return;
+  }
+  sim->Schedule(kPollCadence, [sim, polls, done = std::move(done),
+                               finish = std::move(finish)]() mutable {
+    Poll(sim, polls - 1, std::move(done), std::move(finish));
+  });
+}
+
+// Live monitor currently believing itself leader, or -1.
+int LeaderIndex(cluster::Cluster* cluster) {
+  for (size_t i = 0; i < cluster->num_mons(); ++i) {
+    const auto& mon = cluster->monitor(i);
+    if (mon.alive() && mon.IsLeader()) {
+      return static_cast<int>(i);
+    }
+  }
+  return -1;
+}
+
 }  // namespace
 
 Runner::Runner(cluster::Cluster* cluster, FaultPlan plan)
@@ -41,18 +69,23 @@ void Runner::Arm() {
   armed_ = true;
   // Permanent loss needs a monitor client to submit kOsdFail. Create it
   // only when the class is enabled: a client changes the message trace, so
-  // plans without the class must not pay for it.
+  // plans without the class must not pay for it. Its perf reports keep its
+  // monitor session alive, as a daemon's do.
   if (plan_.w_osd_perm_loss > 0 && chaos_client_ == nullptr) {
     chaos_client_ = cluster_->NewClient();
     if (plan_.mon_request_timeout > 0) {
       chaos_client_->rados.mon_client().set_request_timeout(plan_.mon_request_timeout);
     }
+    chaos_client_->StartPerfReports(mon::MonClient::kPerfReportPeriod);
   }
   auto* sim = &cluster_->simulator();
   end_time_ = sim->Now() + plan_.duration;
   sim->Schedule(plan_.duration, [this] {
     done_injecting_ = true;
     HealAll();
+    if (on_healed) {
+      on_healed();
+    }
   });
   ScheduleNext();
 }
@@ -71,16 +104,6 @@ void Runner::ScheduleNext() {
     Inject();
     ScheduleNext();
   });
-}
-
-int Runner::LeaderIndex() const {
-  for (size_t i = 0; i < cluster_->num_mons(); ++i) {
-    const auto& mon = cluster_->monitor(i);
-    if (mon.alive() && mon.IsLeader()) {
-      return static_cast<int>(i);
-    }
-  }
-  return -1;
 }
 
 uint32_t Runner::PickUp(uint32_t count, const std::set<uint32_t>& down) {
@@ -127,7 +150,7 @@ void Runner::Inject() {
   }
   if (mon_ok) {
     weights[kMonCrash] = plan_.w_mon_crash;
-    if (LeaderIndex() >= 0) {
+    if (LeaderIndex(cluster_) >= 0) {
       weights[kLeaderCrash] = plan_.w_leader_crash;
     }
   }
@@ -224,7 +247,7 @@ void Runner::RecoverMds(uint32_t id) {
 }
 
 void Runner::InjectMonCrash(bool target_leader) {
-  int leader = LeaderIndex();
+  int leader = LeaderIndex(cluster_);
   uint32_t id = (target_leader && leader >= 0)
                     ? static_cast<uint32_t>(leader)
                     : PickUp(static_cast<uint32_t>(cluster_->num_mons()), down_mons_);
@@ -245,7 +268,7 @@ void Runner::RecoverMon(uint32_t id, std::string cls) {
          "mon." + std::to_string(id));
   cluster_->monitor(id).Recover();
   // Recovered when some monitor (not necessarily this one) leads again.
-  TrackRecovery(std::move(cls), [this] { return LeaderIndex() >= 0; });
+  TrackRecovery(std::move(cls), [this] { return LeaderIndex(cluster_) >= 0; });
 }
 
 void Runner::InjectPartition() {
@@ -443,24 +466,14 @@ bool Runner::quiescent() const {
 }
 
 void Runner::TrackRecovery(std::string cls, std::function<bool()> recovered) {
-  PollRecovery(std::move(cls),
-               std::make_shared<std::function<bool()>>(std::move(recovered)),
-               cluster_->simulator().Now(), 0);
-}
-
-void Runner::PollRecovery(std::string cls, std::shared_ptr<std::function<bool()>> recovered,
-                          sim::Time start, int polls) {
-  // 1200 polls = 60 s of virtual time: give up and record the cap rather
+  // 1201 polls = 60 s of virtual time: give up and record the cap rather
   // than poll forever (a cluster that has not recovered by then will fail
   // the checkers anyway).
-  if ((*recovered)() || polls > 1200) {
-    recovery_ns_[cls].push_back(cluster_->simulator().Now() - start);
-    return;
-  }
-  cluster_->simulator().Schedule(
-      50 * sim::kMillisecond, [this, cls = std::move(cls), recovered, start, polls]() mutable {
-        PollRecovery(std::move(cls), std::move(recovered), start, polls + 1);
-      });
+  const sim::Time start = cluster_->simulator().Now();
+  Poll(&cluster_->simulator(), 1201, std::move(recovered),
+       [this, cls = std::move(cls), start](bool) {
+         recovery_ns_[cls].push_back(cluster_->simulator().Now() - start);
+       });
 }
 
 std::string Runner::TraceString() const {
@@ -529,6 +542,41 @@ void Checkers::CheckEpoch(const std::string& observer, uint64_t epoch) {
     return;
   }
   best = epoch;
+}
+
+void Checkers::ExpectMapsConverge(sim::Time within) {
+  Poll(&cluster_->simulator(), static_cast<int>(within / kPollCadence),
+       [this] { return MapLaggard().empty(); },
+       [this](bool converged) {
+         if (!converged) {
+           Violation("maps did not converge after heal: " + MapLaggard());
+         }
+       });
+}
+
+std::string Checkers::MapLaggard() {
+  const int leader = LeaderIndex(cluster_);
+  if (leader < 0) {
+    return "no leader";
+  }
+  const mon::Epoch leader_epoch = cluster_->monitor(leader).osd_map().epoch;
+  std::vector<std::pair<const sim::Actor*, mon::Epoch>> held;
+  for (size_t i = 0; i < cluster_->num_osds(); ++i) {
+    held.emplace_back(&cluster_->osd(i), cluster_->osd(i).osd_map().epoch);
+  }
+  for (size_t i = 0; i < cluster_->num_mds(); ++i) {
+    held.emplace_back(&cluster_->mds(i), cluster_->mds(i).rados_client().osd_map().epoch);
+  }
+  for (size_t i = 0; i < cluster_->num_clients(); ++i) {
+    held.emplace_back(&cluster_->client(i), cluster_->client(i).rados.osd_map().epoch);
+  }
+  for (const auto& [daemon, epoch] : held) {
+    if (daemon->alive() && epoch != leader_epoch) {
+      return daemon->name().ToString() + " at osdmap epoch " + std::to_string(epoch) +
+             ", leader at " + std::to_string(leader_epoch);
+    }
+  }
+  return "";
 }
 
 void Checkers::Violation(std::string what) {

@@ -91,8 +91,10 @@ class Runner {
   void Arm();
 
   // Force-heals everything immediately: recovers crashed daemons, lifts
-  // partitions and bursts. Called automatically at the end of the plan.
+  // partitions and bursts. Called automatically at the end of the plan,
+  // which then runs `on_healed`.
   void HealAll();
+  std::function<void()> on_healed;
 
   // True when no injected fault is still outstanding.
   bool quiescent() const;
@@ -117,8 +119,6 @@ class Runner {
   // Polls `recovered` (no RNG, fixed 50 ms cadence) and records the
   // heal-to-recovered latency for `cls` when it first holds.
   void TrackRecovery(std::string cls, std::function<bool()> recovered);
-  void PollRecovery(std::string cls, std::shared_ptr<std::function<bool()>> recovered,
-                    sim::Time start, int polls);
 
   void InjectOsdCrash();
   void InjectMdsCrash();
@@ -147,8 +147,6 @@ class Runner {
   void LiftPartition();
   void LiftBurst();
 
-  // Live monitor currently believing itself leader, or -1.
-  int LeaderIndex() const;
   uint32_t PickUp(uint32_t count, const std::set<uint32_t>& down);
 
   cluster::Cluster* cluster_;
@@ -204,6 +202,11 @@ class Checkers {
   // replace the expectation.
   void RecordEcAck(const std::string& pool, const std::string& object, std::string payload);
 
+  // Post-heal convergence: within `within` of now, every up OSD, MDS and
+  // client holds the leader's OSDMap epoch (polled every 50 ms, no RNG).
+  // Call it as the faults heal (Runner::on_healed).
+  void ExpectMapsConverge(sim::Time within = 2 * sim::kSecond);
+
   // Post-heal scan of [0, max acked]: every acked position must read back
   // kData with its exact payload (no acked-append loss, no silent
   // overwrite); unwritten holes are filled so the committed prefix is
@@ -245,6 +248,8 @@ class Checkers {
   void VerifyEcStep(std::shared_ptr<EcScan> scan);
   void SampleLoop(sim::Time interval);
   void CheckEpoch(const std::string& observer, uint64_t epoch);
+  // The first up daemon not at the leader's OSDMap epoch ("" when all are).
+  std::string MapLaggard();
   void Violation(std::string what);
   void VerifyStep(std::shared_ptr<LogScan> scan);
 

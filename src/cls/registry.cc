@@ -254,8 +254,6 @@ mal::Status ClassRegistry::InstallScript(const std::string& cls, const std::stri
   return mal::Status::Ok();
 }
 
-void ClassRegistry::RemoveScript(const std::string& cls) { scripts_.erase(cls); }
-
 std::string ClassRegistry::ScriptVersion(const std::string& cls) const {
   auto it = scripts_.find(cls);
   return it == scripts_.end() ? "" : it->second.version;

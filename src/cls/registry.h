@@ -50,7 +50,6 @@ class ClassRegistry {
   // on failure, leaving any previous version active.
   mal::Status InstallScript(const std::string& cls, const std::string& version,
                             const std::string& source, Category category = Category::kOther);
-  void RemoveScript(const std::string& cls);
   // Installed version of a script class ("" if absent).
   std::string ScriptVersion(const std::string& cls) const;
 

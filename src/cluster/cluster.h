@@ -89,9 +89,14 @@ class Cluster {
     assert(i < mds_.size() && "mds rank out of range");
     return *mds_[i];
   }
+  Client& client(size_t i) {
+    assert(i < clients_.size() && "client index out of range");
+    return *clients_[i];
+  }
   size_t num_mons() const { return mons_.size(); }
   size_t num_osds() const { return osds_.size(); }
   size_t num_mds() const { return mds_.size(); }
+  size_t num_clients() const { return clients_.size(); }
   const ClusterOptions& options() const { return options_; }
 
   // Advances virtual time.

@@ -134,7 +134,6 @@ ScaleWorkload::ScaleWorkload(Cluster* cluster, ScaleWorkloadOptions options)
       op_rng_(options.seed ^ 0x9e3779b97f4a7c15ULL),
       zipf_(options.num_objects, options.zipf_theta),
       seq_zipf_(std::max<uint64_t>(1, options.seq_paths.size()), options.zipf_theta),
-      seq_ops_(options.seq_paths.size(), 0),
       payload_(mal::Buffer::FromString(std::string(options.append_size, 's'))),
       session_ops_(options.num_sessions, 0) {
   for (uint32_t i = 0; i < options_.num_client_actors; ++i) {
@@ -186,7 +185,6 @@ void ScaleWorkload::IssueOp(uint64_t session) {
     if (!options_.seq_paths.empty()) {
       // Multi-log mode: Zipf over the log list, hottest first.
       uint64_t log = seq_zipf_.Next(&op_rng_);
-      ++seq_ops_[log];
       path = &options_.seq_paths[log];
     }
     client->mds.SeqNextBatch(*path, 1,

@@ -40,8 +40,7 @@ MdsDaemon::MdsDaemon(sim::Simulator* simulator, sim::Network* network, uint32_t 
                      std::vector<uint32_t> mons, MdsConfig config)
     : Actor(simulator, network, sim::EntityName::Mds(id)),
       config_(config),
-      mon_client_(this, mons),
-      rados_(this, mons) {
+      rados_(this, std::move(mons)) {
   rng_.Seed(config.seed * 0x9e3779b97f4a7c15ULL + id + 1);
   RegisterHandlers();
   SetInboxLimit(config_.inbox_depth);
@@ -86,8 +85,8 @@ void MdsDaemon::Boot() {
   mon::Transaction boot;
   boot.op = mon::Transaction::Op::kMdsBoot;
   boot.daemon_id = name().id;
-  mon_client_.SubmitTransaction(boot, [](mal::Status) {});
-  mon_client_.Subscribe(mon::MapKind::kMdsMap, 0);
+  mon_client().SubmitTransaction(boot, [](mal::Status) {});
+  mon_client().Subscribe(mon::MapKind::kMdsMap, [this] { return mds_map_.epoch; });
   rados_.Connect([](mal::Status) {});
   window_start_ = Now();
 
@@ -105,7 +104,7 @@ void MdsDaemon::Boot() {
     }
   });
   rados_.set_perf(&perf_);
-  mon_client_.StartPerfReports(perf_);
+  mon_client().StartPerfReports(perf_);
 }
 
 void MdsDaemon::SetBalancerPolicy(std::shared_ptr<BalancerPolicy> policy) {
@@ -229,17 +228,6 @@ uint32_t MdsDaemon::AuthorityOf(const std::string& path) const {
 const Inode* MdsDaemon::GetInode(const std::string& path) const {
   auto it = inodes_.find(path);
   return it == inodes_.end() ? nullptr : &it->second.inode;
-}
-
-std::vector<SubtreeLoad> MdsDaemon::HostedSubtrees() const {
-  std::vector<SubtreeLoad> subtrees;
-  for (const auto& [path, hosted] : inodes_) {
-    if (path == "/") {
-      continue;  // the root never migrates
-    }
-    subtrees.push_back({path, hosted.rate});
-  }
-  return subtrees;
 }
 
 void MdsDaemon::HandleRequest(const sim::Envelope& request) {
@@ -635,7 +623,7 @@ void MdsDaemon::ExecuteRequest(const sim::Envelope& request, const ClientRequest
         hosted.inode.lease_policy = req.policy;
         it = inodes_.emplace(req.path, std::move(hosted)).first;
         perf_.Inc("mds.seq.takeovers");
-        mon_client_.Log("WARN", "sequencer " + req.path +
+        mon_client().Log("WARN", "sequencer " + req.path +
                                     " taken over by mds." + std::to_string(name().id));
       }
       Inode& inode = it->second.inode;
@@ -714,7 +702,7 @@ void MdsDaemon::MaybeRevoke(const std::string& path, HostedInode& hosted) {
     current.cap.revoke_sent = false;
     current.inode.params["needs_recovery"] = "1";
     perf_.Inc("mds.cap.reclaims");
-    mon_client_.Log("WARN", "reclaimed cap on " + path + " from dead client " +
+    mon_client().Log("WARN", "reclaimed cap on " + path + " from dead client " +
                                 holder.ToString());
     // Fail queued waiters so they initiate recovery.
     while (!current.cap.waiters.empty()) {
@@ -836,7 +824,7 @@ void MdsDaemon::DriveMigration(const std::string& path, uint32_t target, bool pu
           if (on_migration) {
             on_migration(path, target);
           }
-          mon_client_.Log("INFO", "migrated " + path + " to mds." + std::to_string(target));
+          mon_client().Log("INFO", "migrated " + path + " to mds." + std::to_string(target));
           on_done(mal::Status::Ok());
         },
         60 * sim::kSecond);
@@ -900,7 +888,7 @@ void MdsDaemon::UpdateOwnedLogsGauge() {
 }
 
 void MdsDaemon::PublishSeqOwner(const std::string& path) {
-  mon_client_.SetServiceMetadata(
+  mon_client().SetServiceMetadata(
       mon::MapKind::kMdsMap, mon::SeqOwnerKey(path), std::to_string(name().id),
       [this, path](mal::Status s) {
         if (!s.ok()) {
@@ -984,7 +972,7 @@ void MdsDaemon::BalanceTick() {
   mal::ExportScriptCounters(&perf_, "mds", policy_->ConsumeScriptStats());
   if (!targets.ok()) {
     MAL_WARN(name().ToString()) << "balancer error: " << targets.status();
-    mon_client_.Log("ERROR", "balancer: " + targets.status().ToString());
+    mon_client().Log("ERROR", "balancer: " + targets.status().ToString());
     return;
   }
   std::vector<SubtreeLoad> available = ctx.my_subtrees;

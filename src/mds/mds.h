@@ -147,13 +147,13 @@ class MdsDaemon : public sim::Actor {
   // -- introspection (tests and benches) ---------------------------------------
   uint32_t AuthorityOf(const std::string& path) const;
   const Inode* GetInode(const std::string& path) const;
-  std::vector<SubtreeLoad> HostedSubtrees() const;
   const std::map<uint32_t, LoadMetrics>& load_table() const { return load_table_; }
   uint64_t requests_handled() const { return requests_handled_; }
   // Client requests in the work queue (charged CPU, not yet executed).
   uint64_t queued_requests() const { return queued_total_; }
   const mon::MdsMap& mds_map() const { return mds_map_; }
-  mon::MonClient& mon_client() { return mon_client_; }
+  // The daemon's one monitor session, shared with its RADOS client.
+  mon::MonClient& mon_client() { return rados_.mon_client(); }
   rados::RadosClient& rados_client() { return rados_; }
   mal::PerfRegistry& perf() { return perf_; }
   const MdsConfig& config() const { return config_; }
@@ -263,7 +263,6 @@ class MdsDaemon : public sim::Actor {
 
   MdsConfig config_;
   svc::ServiceDispatcher dispatcher_{this};
-  mon::MonClient mon_client_;
   rados::RadosClient rados_;
   mon::MdsMap mds_map_;
   mal::PerfRegistry perf_;

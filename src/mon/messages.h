@@ -22,7 +22,7 @@ enum MsgType : uint32_t {
   kMsgMapUpdate = 104,    // monitor -> subscriber push (one-way)
   kMsgLogEntry = 105,     // daemon -> monitor centralized cluster log
   kMsgGetClusterLog = 106,
-  kMsgPerfReport = 107,   // daemon -> monitor perf-counter snapshot (one-way)
+  kMsgPerfReport = 107,   // daemon -> monitor perf-counter snapshot (acked: keepalive)
   kMsgGetPerfDump = 108,  // fetch the cluster-wide perf dump (JSON)
   kMsgQuerySeries = 109,  // query the monitor's telemetry time-series store
   kMsgGetHealth = 110,    // fetch the ClusterHealth JSON
@@ -77,6 +77,16 @@ struct SubscribeRequest {
 
   template <class Ar>
   void Fields(Ar& ar) { ar(kind, have_epoch, subscriber); }
+};
+
+// The monitor's ack of a perf report (the reporter's keepalive): its
+// current map epochs, so a session whose push was lost catches up.
+struct KeepaliveAck {
+  Epoch osd_epoch = 0;
+  Epoch mds_epoch = 0;
+
+  template <class Ar>
+  void Fields(Ar& ar) { ar(osd_epoch, mds_epoch); }
 };
 
 // Map push: kind tag + encoded map.

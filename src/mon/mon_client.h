@@ -1,11 +1,17 @@
-// MonClient: helper every daemon and client embeds to talk to the monitor
-// quorum — submit transactions, fetch/subscribe to maps, and write to the
-// centralized cluster log. Retries against other quorum members on timeout.
+// MonClient: the one monitor session each daemon and client embeds, as in
+// Ceph. Transactions, map fetches and subscriptions, the cluster log and
+// perf reports all go to the session monitor, which starts at
+// mons.front(). When the session monitor lets a request time out, the
+// session moves to the next member and every subscription is re-sent
+// there with the owner's epoch. The perf report is the keepalive: its ack
+// carries the monitor's map epochs, so a lost push is caught up too.
 #ifndef MALACOLOGY_MON_MON_CLIENT_H_
 #define MALACOLOGY_MON_MON_CLIENT_H_
 
 #include <functional>
+#include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -28,17 +34,13 @@ class MonClient {
                    (static_cast<uint64_t>(owner->name().type) << 32) + owner->name().id) {}
 
   // Per-attempt RPC timeout against a single monitor. The default matches
-  // the transport default (5s), but that makes quorum rotation nearly
-  // useless under failures: a request whose first pick is a dead monitor
-  // stalls the full 5s before trying the next member, which turns every
-  // map fetch or transaction submitted during a monitor outage into a
-  // multi-second stall. Recovery-sensitive deployments (chaos tests, the
-  // scrub/repair path) set this to ~1s so rotation finds a live member
-  // quickly.
+  // the transport default (5s), which a dead session monitor costs once;
+  // recovery-sensitive deployments (chaos tests, scrub/repair) set ~1s.
   void set_request_timeout(sim::Time timeout) { request_timeout_ = timeout; }
 
   using AckHandler = std::function<void(mal::Status)>;
   using MapHandler = std::function<void(mal::Status, const MapUpdate&)>;
+  using TextHandler = std::function<void(mal::Status, std::string)>;
 
   // Submits a transaction; `on_done` fires after the transaction commits
   // through Paxos (or fails after exhausting retries).
@@ -53,46 +55,29 @@ class MonClient {
   // Service Metadata interface).
   void SetServiceMetadata(MapKind kind, const std::string& key, const std::string& value,
                           AckHandler on_done) {
-    Transaction txn;
-    txn.op = Transaction::Op::kSetServiceMetadata;
-    txn.map_kind = kind;
-    txn.key = key;
-    txn.value = value;
-    SubmitTransaction(txn, std::move(on_done));
+    SubmitTransaction(Transaction{Transaction::Op::kSetServiceMetadata, kind, 0, key, value},
+                      std::move(on_done));
   }
 
-  void GetMap(MapKind kind, MapHandler on_map) {
-    GetMapRequest req{kind};
-    SendWithRetry(kMsgGetMap, mal::Encode(req),
-                  [on_map = std::move(on_map)](mal::Status status,
-                                               const sim::Envelope& reply) {
-                    auto update = mal::DecodeReply<MapUpdate>(status, reply.payload);
-                    if (!update.ok()) {
-                      on_map(update.status(), MapUpdate{});
-                      return;
-                    }
-                    on_map(mal::Status::Ok(), update.value());
-                  });
-  }
-
-  // Like GetMap, but treats a reply whose map is not strictly newer than
-  // `have_epoch` as a miss: a stale follower (e.g. a monitor that just
+  // Fetches the map of `kind`. With `have_epoch`, a reply whose map is not
+  // strictly newer is a miss: a stale follower (e.g. a monitor that just
   // crash-recovered with old state) causes rotation to the next quorum
   // member instead of satisfying the fetch. Only when the whole retry
   // budget finds nothing newer is the freshest reply seen delivered with
   // Ok — the caller keeps its map and its own backoff paces the next
-  // attempt. Without this, a client whose push subscription died with a
-  // crashed leader can re-read the same stale map forever while it
-  // retries an OSD the rest of the cluster already failed. A reply that
-  // does not decode ends the fetch with kCorruption.
-  void GetMapAbove(MapKind kind, Epoch have_epoch, MapHandler on_map) {
+  // attempt. Without this, a client whose session monitor recovered with
+  // old state could re-read the same stale map while it retries an OSD the
+  // rest of the cluster already failed. A reply that does not decode ends
+  // the fetch with kCorruption.
+  void GetMap(MapKind kind, MapHandler on_map) {
+    GetMapAbove(kind, std::nullopt, std::move(on_map));
+  }
+  void GetMapAbove(MapKind kind, std::optional<Epoch> have_epoch, MapHandler on_map) {
     // The freshest not-newer reply seen so far; delivered only if the whole
     // budget finds nothing newer.
     struct Fetch {
       MapHandler on_map;
-      bool seen = false;
-      Epoch best_epoch = 0;
-      MapUpdate best;
+      std::optional<MapUpdate> best;
     };
     auto fetch = std::make_shared<Fetch>();
     fetch->on_map = std::move(on_map);
@@ -106,23 +91,21 @@ class MonClient {
           }
           MapUpdate& update = decoded.value();
           Epoch epoch = EpochOf(update);
-          if (epoch > have_epoch) {
+          if (!have_epoch || epoch > *have_epoch) {
             fetch->on_map(mal::Status::Ok(), update);
             return true;
           }
           // Stale (or merely not newer): remember the freshest such reply
           // in case the whole quorum agrees, and try the next member.
-          if (!fetch->seen || epoch > fetch->best_epoch) {
-            fetch->seen = true;
-            fetch->best_epoch = epoch;
+          if (!fetch->best || epoch > EpochOf(*fetch->best)) {
             fetch->best = std::move(update);
           }
           return false;
         },
         [fetch] {
-          if (fetch->seen) {
+          if (fetch->best) {
             // Quorum-wide, nothing newer exists.
-            fetch->on_map(mal::Status::Ok(), fetch->best);
+            fetch->on_map(mal::Status::Ok(), *fetch->best);
           } else {
             fetch->on_map(mal::Status::Unavailable("monitor quorum unreachable"), MapUpdate{});
           }
@@ -130,49 +113,46 @@ class MonClient {
   }
 
   // Registers for push updates (delivered to the owner as kMsgMapUpdate).
-  void Subscribe(MapKind kind, Epoch have_epoch) {
-    SubscribeRequest req;
-    req.kind = kind;
-    req.have_epoch = have_epoch;
-    req.subscriber = owner_->name();
-    SendWithRetry(kMsgSubscribe, mal::Encode(req),
-                  [](mal::Status, const sim::Envelope&) {});
+  // `have_epoch` reads the owner's current epoch of `kind`.
+  void Subscribe(MapKind kind, std::function<Epoch()> have_epoch) {
+    subscriptions_[kind] = std::move(have_epoch);
+    SendSubscribe(kind);
   }
+
+  // The session monitor, and how often a lost session moved it.
+  uint32_t session() const { return mons_[session_]; }
+  uint64_t session_moves() const { return session_moves_; }
 
   // Centralized cluster log (fire-and-forget).
   void Log(const std::string& severity, const std::string& message) {
-    ClusterLogEntry entry;
-    entry.time_ns = owner_->Now();
-    entry.seq = ++log_seq_;
-    entry.source = owner_->name().ToString();
-    entry.severity = severity;
-    entry.message = message;
-    owner_->SendOneWay(sim::EntityName::Mon(mons_.front()), kMsgLogEntry, mal::Encode(entry));
+    ClusterLogEntry entry{owner_->Now(), ++log_seq_, owner_->name().ToString(), severity,
+                          message};
+    owner_->SendOneWay(sim::EntityName::Mon(session()), kMsgLogEntry, mal::Encode(entry));
   }
 
-  // Every `period`, pushes a snapshot of `perf` to one monitor unless the
-  // registry is empty (fire-and-forget; the next report supersedes a lost
-  // one). The owner's periodic timer drives it, so `perf` must live as long
-  // as the owner.
+  // Every `period`, sends a snapshot of `perf`, even an empty one: the
+  // owner's keepalive, tried once (the next one supersedes it). The owner's
+  // periodic timer drives it, so `perf` must live as long as the owner.
   static constexpr sim::Time kPerfReportPeriod = 1 * sim::kSecond;
   void StartPerfReports(const mal::PerfRegistry& perf, sim::Time period = kPerfReportPeriod) {
     owner_->StartPeriodic(period, [this, &perf] {
-      if (!perf.empty()) {
-        mal::PerfSnapshot snapshot = perf.Snapshot(owner_->name().ToString(), owner_->Now());
-        owner_->SendOneWay(sim::EntityName::Mon(mons_.front()), kMsgPerfReport,
-                           mal::Encode(snapshot));
-      }
+      SendToQuorum(
+          kMsgPerfReport, mal::Encode(perf.Snapshot(owner_->name().ToString(), owner_->Now())),
+          [this](mal::Status status, const sim::Envelope& reply) {
+            auto ack = mal::DecodeReply<KeepaliveAck>(status, reply.payload);
+            if (ack.ok()) {
+              CatchUp(MapKind::kOsdMap, ack.value().osd_epoch);
+              CatchUp(MapKind::kMdsMap, ack.value().mds_epoch);
+            }
+            return true;
+          },
+          [] {}, /*max_attempts=*/1);
     });
   }
 
-  // Fetches the cluster-wide perf dump (JSON) from the monitor.
-  void GetPerfDump(std::function<void(mal::Status, std::string)> on_dump) {
-    SendWithRetry(kMsgGetPerfDump, mal::Buffer(),
-                  [on_dump = std::move(on_dump)](mal::Status status,
-                                                 const sim::Envelope& reply) {
-                    on_dump(status, reply.payload.front().ToString());
-                  });
-  }
+  // Fetch the cluster-wide perf dump (JSON) and the ClusterHealth JSON.
+  void GetPerfDump(TextHandler on_dump) { GetText(kMsgGetPerfDump, std::move(on_dump)); }
+  void GetHealth(TextHandler on_health) { GetText(kMsgGetHealth, std::move(on_health)); }
 
   // Queries the monitor's telemetry series store (kMsgQuerySeries); the
   // reply decodes into rollup windows (or single-point windows for raw).
@@ -191,36 +171,39 @@ class MonClient {
                   });
   }
 
-  // Fetches the ClusterHealth JSON (kMsgGetHealth).
-  void GetHealth(std::function<void(mal::Status, std::string)> on_health) {
-    SendWithRetry(kMsgGetHealth, mal::Buffer(),
-                  [on_health = std::move(on_health)](mal::Status status,
-                                                     const sim::Envelope& reply) {
-                    on_health(status, reply.payload.front().ToString());
-                  });
-  }
-
  private:
-  // Sends one request to the quorum under the retry loop, whose budget is
-  // two full rotations through the quorum, so a single down monitor never
-  // exhausts it. Attempt N lands on the Nth mon after the preferred (first)
-  // one, so a retry never re-asks the peer that just failed us. Timeouts,
-  // outages and sheds retry; every other reply goes to `on_reply`, which
-  // returns false to retry anyway (a stale map) or true once it has
-  // consumed the reply. `on_exhausted` runs when the budget is spent.
+  // Sends one request under the retry loop, whose budget is two full
+  // rotations through the quorum unless `max_attempts` is given. The first
+  // attempt goes to the session monitor; a retry goes to the session if it
+  // moved meanwhile, else to the member after the one that just failed us.
+  // Timeouts, outages and sheds retry; every other reply goes to
+  // `on_reply`, which returns false to retry anyway (a stale map) or true
+  // once it has consumed the reply. `on_exhausted` runs when the budget is
+  // spent.
   void SendToQuorum(uint32_t type, mal::Buffer payload,
                     std::function<bool(mal::Status, const sim::Envelope&)> on_reply,
-                    std::function<void()> on_exhausted) {
+                    std::function<void()> on_exhausted, int max_attempts = 0) {
     svc::RetryPolicy policy;
-    policy.max_attempts = static_cast<int>(mons_.size() * 2);
+    policy.max_attempts =
+        max_attempts > 0 ? max_attempts : static_cast<int>(mons_.size() * 2);
+    // The member tried last, and the session move it was sent under.
+    auto hop = std::make_shared<std::pair<size_t, uint64_t>>(session_, session_moves_);
     svc::Retry::Start(
         owner_->simulator(), &retry_rng_, policy,
-        [this, type, payload = std::move(payload),
-         on_reply = std::move(on_reply)](const svc::Retry& retry) {
-          uint32_t mon = mons_[static_cast<size_t>(retry.attempt()) % mons_.size()];
+        [this, type, payload = std::move(payload), on_reply = std::move(on_reply),
+         hop](const svc::Retry& retry) {
+          if (retry.attempt() > 0) {
+            hop->first =
+                hop->second == session_moves_ ? (hop->first + 1) % mons_.size() : session_;
+          }
+          hop->second = session_moves_;
+          const size_t mon = hop->first;
           owner_->SendRequest(
-              sim::EntityName::Mon(mon), type, payload,
-              [on_reply, retry](mal::Status status, const sim::Envelope& reply) {
+              sim::EntityName::Mon(mons_[mon]), type, payload,
+              [this, mon, on_reply, retry](mal::Status status, const sim::Envelope& reply) {
+                if (!reply.is_reply && status.code() == mal::Code::kTimedOut) {
+                  Lost(mon);
+                }
                 if (status.code() == mal::Code::kTimedOut ||
                     status.code() == mal::Code::kUnavailable ||
                     status.code() == mal::Code::kBusy || !on_reply(status, reply)) {
@@ -230,6 +213,39 @@ class MonClient {
               request_timeout_);
         },
         std::move(on_exhausted));
+  }
+
+  // Member `mon` let a request time out; if it is the session monitor, the
+  // session moves on (a dead successor times the re-subscription out).
+  void Lost(size_t mon) {
+    if (mon != session_) {
+      return;
+    }
+    session_ = (session_ + 1) % mons_.size();
+    ++session_moves_;
+    for (const auto& [kind, have_epoch] : subscriptions_) {
+      SendSubscribe(kind);
+    }
+  }
+
+  // Re-sends the subscription to `kind` if the owner is behind `epoch`.
+  void CatchUp(MapKind kind, Epoch epoch) {
+    auto it = subscriptions_.find(kind);
+    if (it != subscriptions_.end() && it->second() < epoch) {
+      SendSubscribe(kind);
+    }
+  }
+
+  void GetText(uint32_t type, TextHandler on_text) {
+    SendWithRetry(type, mal::Buffer(),
+                  [on_text = std::move(on_text)](mal::Status status, const sim::Envelope& reply) {
+                    on_text(status, reply.payload.front().ToString());
+                  });
+  }
+
+  void SendSubscribe(MapKind kind) {
+    SubscribeRequest req{kind, subscriptions_.at(kind)(), owner_->name()};
+    SendWithRetry(kMsgSubscribe, mal::Encode(req), [](mal::Status, const sim::Envelope&) {});
   }
 
   // SendToQuorum for requests whose every reply is final.
@@ -251,6 +267,9 @@ class MonClient {
   sim::Time request_timeout_ = 5 * sim::kSecond;
   mal::Rng retry_rng_;
   uint64_t log_seq_ = 0;
+  size_t session_ = 0;  // index into mons_
+  uint64_t session_moves_ = 0;
+  std::map<MapKind, std::function<Epoch()>> subscriptions_;
 };
 
 }  // namespace mal::mon

@@ -50,8 +50,8 @@ void Monitor::RegisterHandlers() {
   dispatcher_.On(kMsgGetClusterLog,
                  [this](const sim::Envelope& env) { HandleGetClusterLog(env); });
   dispatcher_.OnTyped<mal::PerfSnapshot>(
-      kMsgPerfReport, [this](const sim::Envelope&, mal::PerfSnapshot snap) {
-        HandlePerfReport(std::move(snap));
+      kMsgPerfReport, [this](const sim::Envelope& env, mal::PerfSnapshot snap) {
+        HandlePerfReport(env, std::move(snap));
       });
   dispatcher_.On(kMsgGetPerfDump,
                  [this](const sim::Envelope& env) { HandleGetPerfDump(env); });
@@ -68,7 +68,7 @@ void Monitor::Boot() {
   if (name().id == *std::min_element(quorum_.begin(), quorum_.end())) {
     paxos_->StartElection();
   }
-  StartPeriodic(config_.retransmit_interval, [this] {
+  StartPeriodic(kRetransmitInterval, [this] {
     paxos_->Retransmit();
     paxos_->Heartbeat();
   });
@@ -294,10 +294,10 @@ mal::Buffer Monitor::EncodeMap(MapKind kind) const {
 }
 
 void Monitor::PushMap(MapKind kind) {
-  const auto& subscribers =
-      kind == MapKind::kOsdMap ? osd_subscribers_ : mds_subscribers_;
-  for (const sim::EntityName& sub : subscribers) {
-    SendOneWay(sub, kMsgMapUpdate, EncodeMap(kind));
+  // Encoded once; every subscriber shares the same bytes.
+  const mal::Buffer update = EncodeMap(kind);
+  for (const sim::EntityName& sub : subscribers_[kind]) {
+    SendOneWay(sub, kMsgMapUpdate, update);
   }
 }
 
@@ -306,11 +306,7 @@ void Monitor::HandleGetMap(const sim::Envelope& request, GetMapRequest req) {
 }
 
 void Monitor::HandleSubscribe(const sim::Envelope& request, SubscribeRequest req) {
-  if (req.kind == MapKind::kOsdMap) {
-    osd_subscribers_.insert(req.subscriber);
-  } else {
-    mds_subscribers_.insert(req.subscriber);
-  }
+  subscribers_[req.kind].insert(req.subscriber);
   Epoch current = req.kind == MapKind::kOsdMap ? osd_map_.epoch : mds_map_.epoch;
   if (current > req.have_epoch) {
     SendOneWay(req.subscriber, kMsgMapUpdate, EncodeMap(req.kind));
@@ -347,7 +343,9 @@ void Monitor::HandleGetClusterLog(const sim::Envelope& request) {
   Reply(request, mal::Encode(cluster_log_));
 }
 
-void Monitor::HandlePerfReport(mal::PerfSnapshot snap) {
+void Monitor::HandlePerfReport(const sim::Envelope& request, mal::PerfSnapshot snap) {
+  // The ack is the reporter's keepalive (see MonClient).
+  Reply(request, mal::Encode(KeepaliveAck{osd_map_.epoch, mds_map_.epoch}));
   perf_.Inc("mon.perf_reports");
   if (telemetry_enabled()) {
     series_.Ingest(snap);
@@ -365,14 +363,10 @@ void Monitor::TelemetryTick() {
       health_.Evaluate(Now());
   for (const auto& t : transitions) {
     perf_.Inc(t.raised ? "mon.health.raised" : "mon.health.cleared");
-    ClusterLogEntry entry;
-    entry.time_ns = Now();
-    entry.seq = ++health_log_seq_;
-    entry.source = name().ToString();
-    entry.severity = !t.raised                                        ? "INFO"
-                     : t.severity == telemetry::HealthSeverity::kErr ? "ERROR"
-                                                                     : "WARN";
-    entry.message = t.text;
+    const char* severity = !t.raised                                        ? "INFO"
+                           : t.severity == telemetry::HealthSeverity::kErr ? "ERROR"
+                                                                           : "WARN";
+    ClusterLogEntry entry{Now(), ++health_log_seq_, name().ToString(), severity, t.text};
     mal::Buffer payload = mal::Encode(entry);
     AppendClusterLog(std::move(entry));
     // Replicate the health edge to peer monitors like any log entry.
@@ -444,7 +438,7 @@ std::string Monitor::PerfDumpJson() const {
     }
   }
   mal::PerfDumpOptions options;
-  options.stale_after_ns = config_.stale_report_age;
+  options.stale_after_ns = kStaleReportAge;
   if (telemetry_enabled()) {
     options.sections.emplace_back("telemetry", series_.ToJson(Now()));
     options.sections.emplace_back("health", health_.ToJson(Now()));

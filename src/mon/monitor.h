@@ -43,7 +43,6 @@ struct MonitorConfig {
   // Added to each proposal to model the commit fsync on the monitor store
   // (the paper contrasts RAM-backed vs HDD-backed monitors in Fig 8).
   sim::Time store_commit_latency = 0;
-  sim::Time retransmit_interval = 500 * sim::kMillisecond;
   sim::Time election_timeout = 2 * sim::kSecond;
   // Bounded inbox depth for admission control; 0 disables (see svc/).
   size_t inbox_depth = 0;
@@ -51,15 +50,18 @@ struct MonitorConfig {
   // layer (no series ingestion, no rules, no extra simulator events), which
   // keeps defaults-off runs byte-identical to pre-telemetry builds.
   sim::Time telemetry_interval = 0;
-  // Entities whose last perf report is older than this are flagged stale in
-  // PerfDumpJson (and by the stale_daemon health rule, which warns at half).
-  sim::Time stale_report_age = 10 * sim::kSecond;
   // Install the shipped MalScript health rules when telemetry is on.
   bool builtin_health_rules = true;
 };
 
 class Monitor : public sim::Actor {
  public:
+  // Paxos retransmit and leader-heartbeat period.
+  static constexpr sim::Time kRetransmitInterval = 500 * sim::kMillisecond;
+  // Entities whose last perf report is older than this are flagged stale in
+  // PerfDumpJson (and by the stale_daemon health rule, which warns at half).
+  static constexpr sim::Time kStaleReportAge = 10 * sim::kSecond;
+
   Monitor(sim::Simulator* simulator, sim::Network* network, uint32_t id,
           std::vector<uint32_t> quorum, MonitorConfig config = {});
 
@@ -69,7 +71,6 @@ class Monitor : public sim::Actor {
   bool IsLeader() const { return paxos_->IsLeader(); }
   // Paxos introspection for the chaos invariant checkers.
   uint64_t paxos_ballot() const { return paxos_->current_ballot(); }
-  uint64_t paxos_promised() const { return paxos_->promised_ballot(); }
   uint64_t paxos_committed_through() const { return paxos_->committed_through(); }
   const OsdMap& osd_map() const { return osd_map_; }
   const MdsMap& mds_map() const { return mds_map_; }
@@ -117,7 +118,7 @@ class Monitor : public sim::Actor {
   void HandleSubscribe(const sim::Envelope& request, SubscribeRequest req);
   void HandleLogEntry(const sim::Envelope& request, ClusterLogEntry entry);
   void HandleGetClusterLog(const sim::Envelope& request);
-  void HandlePerfReport(mal::PerfSnapshot snap);
+  void HandlePerfReport(const sim::Envelope& request, mal::PerfSnapshot snap);
   void HandleGetPerfDump(const sim::Envelope& request);
   void HandleQuerySeries(const sim::Envelope& request, QuerySeriesRequest req);
   void HandleGetHealth(const sim::Envelope& request);
@@ -157,8 +158,7 @@ class Monitor : public sim::Actor {
   std::optional<sim::Time> last_proposal_;  // when this monitor last proposed
   uint64_t applied_batches_ = 0;
 
-  std::set<sim::EntityName> osd_subscribers_;
-  std::set<sim::EntityName> mds_subscribers_;
+  std::map<MapKind, std::set<sim::EntityName>> subscribers_;
   sim::Time last_leader_contact_ = 0;
 };
 

@@ -114,7 +114,7 @@ void Osd::RegisterHandlers() {
       });
   dispatcher_.OnTyped<mon::MapUpdate>(
       mon::kMsgMapUpdate, [this](const sim::Envelope&, mon::MapUpdate update) {
-        HandleMapUpdate(update);
+        HandleMapUpdate(update, /*gossip=*/true);
       });
 }
 
@@ -128,16 +128,15 @@ void Osd::Boot() {
     }
   });
   if (config_.subscribe_to_mon) {
-    mon_client_.Subscribe(mon::MapKind::kOsdMap, osd_map_.epoch);
+    // A rejoining OSD has validated no epoch, so the monitor pushes it its
+    // current map (re-sent by a keepalive ack if the subscription fails).
+    mon_client_.Subscribe(mon::MapKind::kOsdMap,
+                          [this] { return rejoining_ ? 0 : osd_map_.epoch; });
   } else {
     mon_client_.GetMap(mon::MapKind::kOsdMap,
                        [this](mal::Status s, const mon::MapUpdate& update) {
-                         if (!s.ok()) {
-                           return;
-                         }
-                         auto map = mal::Decode<mon::OsdMap>(update.map_payload);
-                         if (map.ok()) {
-                           AdoptMap(map.value(), /*gossip=*/false);
+                         if (s.ok()) {
+                           HandleMapUpdate(update, /*gossip=*/false);
                          }
                        });
   }
@@ -156,45 +155,20 @@ void Osd::Boot() {
   });
 }
 
-void Osd::Crash() { Actor::Crash(); }
-
 void Osd::Recover() {
   Actor::Recover();
-  // ObjectStore contents survive (disk); map may be stale — resubscribe,
-  // and gate client ops until we have caught up with the monitor's current
-  // map so a stale primary view never serves (or fences) fresh data.
+  // ObjectStore contents survive (disk); the map may be stale. Re-subscribe,
+  // and gate client ops until a monitor's map arrives, so a stale primary
+  // view never serves (or fences) fresh data.
   rejoining_ = true;
   Boot();
-  CatchUpMap();
-}
-
-void Osd::CatchUpMap() {
-  mon_client_.GetMap(
-      mon::MapKind::kOsdMap, [this](mal::Status s, const mon::MapUpdate& update) {
-        if (!s.ok()) {
-          // Monitor unreachable (maybe itself recovering); keep trying — the
-          // guard drops the chain if we crash again meanwhile.
-          ScheduleGuarded(500 * sim::kMillisecond, [this] { CatchUpMap(); });
-          return;
-        }
-        auto map = mal::Decode<mon::OsdMap>(update.map_payload);
-        if (map.ok()) {
-          AdoptMap(map.value(), /*gossip=*/false);
-        }
-        if (rejoining_) {
-          rejoining_ = false;
-          perf_.Inc("osd.rejoins");
-          MAL_DEBUG(name().ToString())
-              << "rejoined at epoch " << osd_map_.epoch << "; serving client ops";
-        }
-      });
 }
 
 void Osd::HandleRequest(const sim::Envelope& request) {
   dispatcher_.Dispatch(request);
 }
 
-void Osd::HandleMapUpdate(const mon::MapUpdate& update) {
+void Osd::HandleMapUpdate(const mon::MapUpdate& update, bool gossip) {
   if (update.kind != mon::MapKind::kOsdMap) {
     return;
   }
@@ -203,7 +177,13 @@ void Osd::HandleMapUpdate(const mon::MapUpdate& update) {
     MAL_WARN(name().ToString()) << "dropping malformed osd map: " << map.status();
     return;
   }
-  AdoptMap(map.value(), /*gossip=*/true);
+  AdoptMap(map.value(), gossip);
+  // A monitor's push or reply carries its current epoch: the rejoin ends.
+  if (rejoining_) {
+    rejoining_ = false;
+    perf_.Inc("osd.rejoins");
+    MAL_DEBUG(name().ToString()) << "rejoined at epoch " << map.value().epoch;
+  }
 }
 
 sim::Time Osd::OpCost(const OsdOpRequest& req) const {
@@ -306,7 +286,7 @@ void Osd::PullThenExecute(const sim::Envelope& request, const OsdOpRequest& req,
   // One round of pulls: every candidate is asked at once, and answers are
   // settled in candidate order, so the copy adopted is the one a serial
   // sweep would have found first (acting-set peers keep precedence). A
-  // crashed candidate still marked up holds the decision for pull_timeout.
+  // crashed candidate still marked up holds the decision for kPullTimeout.
   struct Sweep {
     sim::Envelope request;
     OsdOpRequest req;
@@ -362,7 +342,7 @@ void Osd::PullThenExecute(const sim::Envelope& request, const OsdOpRequest& req,
           ExecuteOsdOp(sweep->request, sweep->req,
                        ActingSetForOid(sweep->req.oid, osd_map_, config_.replicas));
         },
-        config_.pull_timeout);
+        kPullTimeout);
   }
 }
 
@@ -432,7 +412,7 @@ void Osd::ExecuteOsdOp(const sim::Envelope& request, const OsdOpRequest& req_in,
                       send_reply();
                     }
                   },
-                  config_.replication_timeout);
+                  kReplicationTimeout);
     }
   });
 }
@@ -488,7 +468,7 @@ void Osd::AdoptMapNow(const mon::OsdMap& map, bool gossip) {
     }
     for (uint32_t i = 0; i < config_.gossip_fanout && !peers.empty(); ++i) {
       size_t pick = rng_.NextBelow(peers.size());
-      GossipTo(peers[pick], encoded_map);
+      SendOneWay(sim::EntityName::Osd(peers[pick]), kMsgGossipMap, encoded_map);
       peers.erase(peers.begin() + static_cast<ptrdiff_t>(pick));
     }
   }
@@ -523,11 +503,7 @@ void Osd::InstallScriptInterfaces() {
 }
 
 void Osd::GossipTo(uint32_t peer) {
-  GossipTo(peer, mal::Encode(osd_map_));
-}
-
-void Osd::GossipTo(uint32_t peer, const mal::Buffer& encoded_map) {
-  SendOneWay(sim::EntityName::Osd(peer), kMsgGossipMap, encoded_map);
+  SendOneWay(sim::EntityName::Osd(peer), kMsgGossipMap, mal::Encode(osd_map_));
 }
 
 void Osd::HandleGossip(uint32_t from, const mon::OsdMap& map) {

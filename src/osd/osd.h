@@ -55,30 +55,34 @@ struct OsdConfig {
   // Subscribe to monitor pushes; when false the OSD fetches the map once at
   // boot and afterwards relies purely on peer-to-peer gossip (Fig 8).
   bool subscribe_to_mon = true;
-  sim::Time replication_timeout = 2 * sim::kSecond;
   // When a primary receives an op for an object it does not hold (e.g. the
   // acting set changed after a failure or a placement-group split), it
   // first tries to pull the object from every other up OSD, acting-set
   // peers first. All candidates are asked at once; each pull waits at most
-  // `pull_timeout`.
+  // kPullTimeout.
   bool pull_on_miss = true;
-  sim::Time pull_timeout = 1 * sim::kSecond;
   // Bounded inbox depth for admission control; 0 disables (see svc/).
   size_t inbox_depth = 0;
   // Per-attempt timeout for this OSD's monitor RPCs (boot registration,
-  // map catch-up after a restart). 0 keeps the transport default (5s);
-  // recovery-sensitive clusters set ~1s so a dead monitor costs one short
-  // stall instead of pinning the OSD in its rejoining state.
+  // subscriptions, perf reports). 0 keeps the transport default (5s);
+  // recovery-sensitive clusters set ~1s so a dead session monitor costs
+  // one short stall before the session moves on.
   sim::Time mon_request_timeout = 0;
   uint64_t seed = 1;
 };
+
+// How long a primary waits for a replica's repop ack.
+inline constexpr sim::Time kReplicationTimeout = 2 * sim::kSecond;
+// How long each pull of a missing object waits (see pull_on_miss).
+inline constexpr sim::Time kPullTimeout = 1 * sim::kSecond;
 
 class Osd : public sim::Actor {
  public:
   Osd(sim::Simulator* simulator, sim::Network* network, uint32_t id,
       std::vector<uint32_t> mons, OsdConfig config = {});
 
-  // Registers with the monitor (OsdBoot transaction) and subscribes to maps.
+  // Registers with the monitor (OsdBoot transaction) and subscribes to maps
+  // (or, without subscribe_to_mon, fetches the map once).
   void Boot();
 
   const mon::OsdMap& osd_map() const { return osd_map_; }
@@ -91,11 +95,10 @@ class Osd : public sim::Actor {
   // Fired when a script interface (re)install completes: (class, version).
   std::function<void(const std::string&, const std::string&)> on_interface_installed;
 
-  void Crash() override;
   void Recover() override;
 
-  // True between Recover() and the map catch-up completing: the OSD answers
-  // client ops with kUnavailable (retryable) until it has confirmed the
+  // True between Recover() and the first monitor map after it: the OSD
+  // answers client ops with kUnavailable (retryable) until it holds the
   // monitor's current OSDMap, so a restarted primary never serves from a
   // stale view of the acting sets. Replication, pulls, and gossip
   // keep flowing so the store stays repairable meanwhile.
@@ -125,18 +128,14 @@ class Osd : public sim::Actor {
   // Answers from this OSD's own store, charged like an op: op_cpu_cost
   // plus per_byte_cpu_ns per reply byte.
   void HandleListObjects(const sim::Envelope& request, ListObjectsRequest req);
-  void HandleMapUpdate(const mon::MapUpdate& update);
-  // Post-restart map catch-up: fetch the monitor's current OSDMap (retrying
-  // until a monitor answers) and only then clear `rejoining_`.
-  void CatchUpMap();
+  // Adopts a monitor's map (a push, or the boot fetch of an OSD that does
+  // not subscribe) and ends the rejoin gate.
+  void HandleMapUpdate(const mon::MapUpdate& update, bool gossip);
 
   void AdoptMap(const mon::OsdMap& map, bool gossip);
   void AdoptMapNow(const mon::OsdMap& map, bool gossip);
   void InstallScriptInterfaces();
   void GossipTo(uint32_t peer);
-  // Fanout variant: the map is encoded once by the caller and shared
-  // (COW, O(1) per peer) across every gossip target.
-  void GossipTo(uint32_t peer, const mal::Buffer& encoded_map);
   sim::Time OpCost(const OsdOpRequest& req) const;
 
   // The store's kExec resolver: runs one class method against the staged

@@ -6,7 +6,7 @@
 namespace mal::rados {
 
 void RadosClient::Connect(DoneHandler on_done) {
-  mon_client_.Subscribe(mon::MapKind::kOsdMap, 0);
+  mon_client_.Subscribe(mon::MapKind::kOsdMap, [this] { return osd_map_.epoch; });
   RefreshMap(std::move(on_done));
 }
 
@@ -21,42 +21,29 @@ void RadosClient::RefreshMap(DoneHandler on_done) {
                      });
 }
 
-void RadosClient::RefreshMapAfterFailure(DoneHandler on_done) {
+void RadosClient::FetchNewerMap(DoneHandler on_done) {
   if (perf_ != nullptr) {
     perf_->Inc("rados.map_refreshes");
   }
+  mal::ScopedDeadline unbounded(on_done ? mal::CurrentDeadline() : 0);
   mon_client_.GetMapAbove(
       mon::MapKind::kOsdMap, osd_map_.epoch,
       [this, on_done = std::move(on_done)](mal::Status status,
                                            const mon::MapUpdate& update) {
-        if (!status.ok()) {
-          on_done(status);
-          return;
+        mal::Status adopted = status.ok() ? AdoptMap(update.map_payload) : status;
+        if (on_done) {
+          on_done(adopted);
         }
-        bool adopted = false;
-        mal::Status adopt_status = AdoptMap(update.map_payload, &adopted);
-        if (adopted) {
-          // The push stream missed at least one epoch — most likely the
-          // subscription died with a crashed monitor. Re-register so
-          // future epochs arrive as pushes again instead of being
-          // discovered one failed op at a time.
-          mon_client_.Subscribe(mon::MapKind::kOsdMap, osd_map_.epoch);
-        }
-        on_done(adopt_status);
       });
 }
 
-mal::Status RadosClient::AdoptMap(const mal::Buffer& payload, bool* adopted) {
+mal::Status RadosClient::AdoptMap(const mal::Buffer& payload) {
   auto map = mal::Decode<mon::OsdMap>(payload);
   if (!map.ok()) {
     return map.status();
   }
-  bool newer = map.value().epoch > osd_map_.epoch;
-  if (newer) {
+  if (map.value().epoch > osd_map_.epoch) {
     osd_map_ = std::move(map).value();
-  }
-  if (adopted != nullptr) {
-    *adopted = newer;
   }
   return mal::Status::Ok();
 }
@@ -136,7 +123,7 @@ void RadosClient::ExecuteAttempt(const std::shared_ptr<PendingOp>& op,
         // it may be failed in a map this client missed.
         if (status.code() == mal::Code::kDeadlineExceeded && !reply.is_reply &&
             owner_->Now() > sent) {
-          CatchUpMap();
+          FetchNewerMap();
         }
         auto decoded = mal::DecodeReply<osd::OsdOpReply>(status, reply.payload);
         if (!decoded.ok()) {
@@ -147,14 +134,9 @@ void RadosClient::ExecuteAttempt(const std::shared_ptr<PendingOp>& op,
       });
 }
 
-void RadosClient::CatchUpMap() {
-  mal::ScopedDeadline unbounded(0);
-  RefreshMapAfterFailure([](mal::Status) {});
-}
-
 void RadosClient::RefreshAndRetry(const std::shared_ptr<PendingOp>& op,
                                   const svc::Retry& retry) {
-  RefreshMapAfterFailure([op, retry](mal::Status status) {
+  FetchNewerMap([op, retry](mal::Status status) {
     if (!status.ok()) {
       op->on_reply(status, osd::OsdOpReply{});
       return;
@@ -253,7 +235,7 @@ void RadosClient::ListObjects(uint32_t osd, const std::string& prefix, ListHandl
                                                            const sim::Envelope& reply) {
                         if (!status.ok()) {
                           // The OSD may be failed in a map this client missed.
-                          CatchUpMap();
+                          FetchNewerMap();
                           on_list(status, {});
                           return;
                         }
@@ -380,20 +362,20 @@ bool RadosClient::OnNotify(const sim::Envelope& envelope) {
 
 void RadosClient::InstallScriptInterface(const std::string& cls, const std::string& version,
                                          const std::string& source, DoneHandler on_done) {
-  // Two service-metadata keys, committed in one Paxos batch (same proposal
-  // interval), so OSDs always observe source+version together.
-  auto pending = std::make_shared<int>(2);
-  auto first_error = std::make_shared<mal::Status>();
-  auto finish = [pending, first_error, on_done = std::move(on_done)](mal::Status s) {
-    if (!s.ok() && first_error->ok()) {
-      *first_error = s;
-    }
-    if (--*pending == 0) {
-      on_done(*first_error);
-    }
-  };
-  mon_client_.SetServiceMetadata(mon::MapKind::kOsdMap, "cls.src." + cls, source, finish);
-  mon_client_.SetServiceMetadata(mon::MapKind::kOsdMap, "cls.ver." + cls, version, finish);
+  // Two service-metadata keys. The version commits after the source: sent
+  // together, they could land in separate Paxos batches in either order,
+  // and an OSD that saw the new version first would load the old source
+  // under it.
+  mon_client_.SetServiceMetadata(
+      mon::MapKind::kOsdMap, "cls.src." + cls, source,
+      [this, cls, version, on_done = std::move(on_done)](mal::Status s) mutable {
+        if (!s.ok()) {
+          on_done(s);
+          return;
+        }
+        mon_client_.SetServiceMetadata(mon::MapKind::kOsdMap, "cls.ver." + cls, version,
+                                       std::move(on_done));
+      });
 }
 
 }  // namespace mal::rados

@@ -122,9 +122,9 @@ class RadosClient {
   // calls this alongside OnMapUpdate().
   bool OnNotify(const sim::Envelope& envelope);
 
-  // Installs (or upgrades) a dynamic script interface cluster-wide: writes
-  // the source + version into the OSDMap service metadata through the
-  // monitor; the map fans out via push + OSD gossip and every OSD loads the
+  // Installs (or upgrades) a dynamic script interface cluster-wide: commits
+  // the source, then the version, into the OSDMap service metadata through
+  // the monitor; the map fans out via push + OSD gossip and every OSD loads the
   // class without restarting.
   void InstallScriptInterface(const std::string& cls, const std::string& version,
                               const std::string& source, DoneHandler on_done);
@@ -136,16 +136,12 @@ class RadosClient {
 
  private:
   // Failure-path refresh: rotates past stale quorum members until it finds
-  // a map strictly newer than ours, and re-registers the push subscription
-  // when it makes progress (a failed op plus a missed epoch usually means
-  // the subscription died with a crashed monitor).
-  void RefreshMapAfterFailure(DoneHandler on_done);
-  // Refreshes the map in the background, outside the caller's spent
-  // budget, so the caller's next ops route by the current map.
-  void CatchUpMap();
-  // Decodes an OSDMap payload and adopts it if it is newer than ours; sets
-  // `*adopted` (when given) to whether it was.
-  mal::Status AdoptMap(const mal::Buffer& payload, bool* adopted = nullptr);
+  // a map strictly newer than ours. With no `on_done` it runs in the
+  // background, outside the caller's spent budget, so the caller's next ops
+  // route by the current map.
+  void FetchNewerMap(DoneHandler on_done = nullptr);
+  // Decodes an OSDMap payload and adopts it if it is newer than ours.
+  mal::Status AdoptMap(const mal::Buffer& payload);
 
   // A transaction under the retry loop.
   struct PendingOp {

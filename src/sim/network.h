@@ -124,7 +124,6 @@ class Network {
 
   // Failure injection.
   void SetCrashed(EntityName name, bool crashed);
-  bool IsCrashed(EntityName name) const { return crashed_.count(name) != 0; }
   void SetPartitioned(EntityName a, EntityName b, bool partitioned);
 
   // Chaos knobs: probabilistic loss/duplication/reordering, drawn from the
@@ -135,7 +134,6 @@ class Network {
   void SetLinkFaults(EntityName a, EntityName b, FaultSpec spec);
   void ClearLinkFaults(EntityName a, EntityName b);
   void ClearFaults();
-  const FaultSpec& default_faults() const { return default_faults_; }
 
   uint64_t messages_sent() const { return messages_sent_; }
   uint64_t messages_delivered() const { return messages_delivered_; }

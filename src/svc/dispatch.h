@@ -55,8 +55,6 @@ class ServiceDispatcher {
   // analogue of the old switches' default arm.
   void Dispatch(const sim::Envelope& request);
 
-  bool Handles(uint32_t type) const { return handlers_.count(type) != 0; }
-
  private:
   void RejectMalformed(const sim::Envelope& env);
 

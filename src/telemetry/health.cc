@@ -294,15 +294,6 @@ HealthSeverity HealthEngine::Overall() const {
   return worst;
 }
 
-std::vector<std::string> HealthEngine::RuleNames() const {
-  std::vector<std::string> out;
-  out.reserve(rules_.size());
-  for (const auto& rule : rules_) {
-    out.push_back(rule->name);
-  }
-  return out;
-}
-
 script::EngineStats HealthEngine::ConsumeScriptStats() {
   script::EngineStats out;
   for (const auto& rule : rules_) {

@@ -82,7 +82,6 @@ class HealthEngine {
   // Worst severity among firing alerts (kOk when none).
   HealthSeverity Overall() const;
   const std::map<std::string, Alert>& alerts() const { return alerts_; }
-  std::vector<std::string> RuleNames() const;
   size_t rule_count() const { return rules_.size(); }
   uint64_t evaluations() const { return evaluations_; }
 

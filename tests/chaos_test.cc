@@ -130,6 +130,11 @@ ScenarioResult RunScenario(uint64_t seed) {
   auto* client_b = cluster.NewClient();
   auto* client_c = cluster.NewClient();
   auto* client_d = cluster.NewClient();
+  // The perf report is a client's keepalive: its ack lets a client whose
+  // map push was lost in a burst catch up after the heal.
+  for (auto* client : {client_a, client_b, client_c, client_d}) {
+    client->StartPerfReports(mon::MonClient::kPerfReportPeriod);
+  }
 
   zlog::LogOptions rt;
   rt.name = "chaoslog";
@@ -164,6 +169,7 @@ ScenarioResult RunScenario(uint64_t seed) {
   plan.duration = 15 * sim::kSecond;
   plan.mean_interval = 1500 * sim::kMillisecond;
   Runner runner(&cluster, plan);
+  runner.on_healed = [&] { checkers.ExpectMapsConverge(); };
   runner.Arm();
 
   cluster.RunFor(plan.duration + sim::kSecond);
@@ -198,7 +204,8 @@ ScenarioResult RunScenario(uint64_t seed) {
   EXPECT_TRUE(cluster.RunUntil([&] { return verified_rt && verified_cap; },
                                300 * sim::kSecond));
 
-  EXPECT_TRUE(checkers.violations().empty()) << checkers.Report();
+  EXPECT_TRUE(checkers.violations().empty()) << checkers.Report() << "\ntrace:\n"
+                                             << runner.TraceString();
   EXPECT_TRUE(cap_checkers.violations().empty()) << cap_checkers.Report();
   EXPECT_GT(checkers.samples(), 0u);
   EXPECT_FALSE(runner.events().empty());
@@ -437,6 +444,7 @@ TEST(ChaosShardedSequencers, MigrationAndFailoverPreserveEveryLog) {
   plan.w_partition = 0;
   plan.w_burst = 0;
   Runner runner(&cluster, plan);
+  runner.on_healed = [&] { checkers.ExpectMapsConverge(); };
   runner.Arm();
   cluster.RunFor(plan.duration + sim::kSecond);
   EXPECT_TRUE(runner.quiescent());
@@ -535,6 +543,7 @@ EcScenarioResult RunEcScenario(uint64_t seed) {
 
   auto* client = cluster.NewClient();
   client->rados.mon_client().set_request_timeout(1 * sim::kSecond);
+  client->StartPerfReports(mon::MonClient::kPerfReportPeriod);
   const uint32_t k = 3;
   std::optional<Status> created;
   ec::Pool::Create(&client->rados, "ecchaos", mon::PoolLayout::Erasure(k),
@@ -563,6 +572,7 @@ EcScenarioResult RunEcScenario(uint64_t seed) {
   plan.w_shard_corrupt = 2.5;
   plan.mon_request_timeout = 1 * sim::kSecond;
   Runner runner(&cluster, plan);
+  runner.on_healed = [&] { checkers.ExpectMapsConverge(); };
   runner.Arm();
 
   // Paced writer: one fresh object every 200 ms while faults rain.

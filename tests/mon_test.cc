@@ -2,6 +2,7 @@
 // proposal batching, subscriber push, leader failover, cluster log.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <string>
@@ -22,6 +23,8 @@ class TestDaemon : public sim::Actor {
         mon_client(this, std::move(mons)) {}
 
   MonClient mon_client;
+  mal::PerfRegistry perf;  // what its perf reports carry
+  Epoch osd_epoch = 0;     // of the newest OsdMap pushed
   std::vector<OsdMap> osd_updates;
   std::vector<MdsMap> mds_updates;
 
@@ -32,6 +35,7 @@ class TestDaemon : public sim::Actor {
       if (update.kind == MapKind::kOsdMap) {
         auto map = mal::Decode<OsdMap>(update.map_payload);
         ASSERT_TRUE(map.ok());
+        osd_epoch = std::max(osd_epoch, map.value().epoch);
         osd_updates.push_back(std::move(map).value());
       } else {
         auto map = mal::Decode<MdsMap>(update.map_payload);
@@ -295,7 +299,7 @@ TEST_F(MonFixture, CrashWithArmedProposalDoesNotWedgeTheRecoveredLeader) {
 
 TEST_F(MonFixture, SubscribersReceivePushOnChange) {
   Start(3);
-  daemon->mon_client.Subscribe(MapKind::kOsdMap, 0);
+  daemon->mon_client.Subscribe(MapKind::kOsdMap, [] { return Epoch{0}; });
   simulator.RunUntil(simulator.Now() + 1 * sim::kSecond);
   daemon->osd_updates.clear();
 
@@ -312,10 +316,52 @@ TEST_F(MonFixture, SubscribeWithStaleEpochGetsImmediatePush) {
   simulator.RunUntil(simulator.Now() + 3 * sim::kSecond);
   ASSERT_GE(monitors[0]->osd_map().epoch, 1u);
 
-  daemon->mon_client.Subscribe(MapKind::kOsdMap, 0);  // way behind
+  daemon->mon_client.Subscribe(MapKind::kOsdMap, [] { return Epoch{0}; });  // way behind
   simulator.RunUntil(simulator.Now() + 1 * sim::kSecond);
   ASSERT_GE(daemon->osd_updates.size(), 1u);
   EXPECT_EQ(daemon->osd_updates.back().epoch, monitors[0]->osd_map().epoch);
+}
+
+// Perf reports are the keepalive: many of them time out on one dead
+// monitor, yet the session moves once and re-subscribes once, and it stays
+// on its new monitor after monitor 0 recovers.
+TEST_F(MonFixture, KeepalivesLostOnOneMonitorMoveTheSessionOnce) {
+  Start(3);
+  daemon->mon_client.SetServiceMetadata(MapKind::kOsdMap, "k", "v", [](mal::Status) {});
+  daemon->mon_client.Subscribe(MapKind::kOsdMap, [this] { return daemon->osd_epoch; });
+  daemon->mon_client.StartPerfReports(daemon->perf, 200 * sim::kMillisecond);
+  simulator.RunUntil(simulator.Now() + 2 * sim::kSecond);
+  ASSERT_EQ(daemon->osd_updates.size(), 1u);
+  daemon->osd_updates.clear();
+
+  // With monitor 0 gone, a commit through the others is never pushed to
+  // the daemon, whose subscription lives on monitor 0. 25 reports are
+  // pending on monitor 0 when the first one times out.
+  const sim::Time lost_at = simulator.Now();
+  monitors[0]->Crash();
+  TestDaemon admin(&simulator, &network, 1, {1, 2});
+  admin.mon_client.SetServiceMetadata(MapKind::kOsdMap, "k", "v2", [](mal::Status) {});
+  simulator.RunUntil(simulator.Now() + 8 * sim::kSecond);
+  EXPECT_EQ(daemon->mon_client.session(), 1u);
+  EXPECT_EQ(daemon->mon_client.session_moves(), 1u);
+  // The one re-subscription drew the one push of the missed epoch.
+  ASSERT_EQ(daemon->osd_updates.size(), 1u);
+  EXPECT_EQ(daemon->osd_updates[0].service_metadata.at("k"), "v2");
+  EXPECT_GT(monitors[1]->perf_reports().at("client.0").time_ns, lost_at);
+
+  const sim::Time recovered_at = simulator.Now();
+  monitors[0]->Recover();
+  simulator.RunUntil(simulator.Now() + 5 * sim::kSecond);
+  EXPECT_EQ(daemon->mon_client.session(), 1u);
+  EXPECT_EQ(daemon->mon_client.session_moves(), 1u);
+  // Monitor 0 keeps its subscriber set, so its catch-up may push the same
+  // epoch once more; it never moves the session back.
+  EXPECT_EQ(daemon->osd_epoch, monitors[1]->osd_map().epoch);
+  EXPECT_GT(monitors[1]->perf_reports().at("client.0").time_ns, recovered_at);
+  EXPECT_LT(monitors[0]->perf_reports().at("client.0").time_ns, lost_at);
+  daemon->mon_client.Log("INFO", "after recovery");
+  simulator.RunUntil(simulator.Now() + 1 * sim::kSecond);
+  EXPECT_EQ(monitors[1]->cluster_log().back().message, "after recovery");
 }
 
 TEST_F(MonFixture, OsdBootAndFailUpdateMap) {

@@ -727,9 +727,8 @@ TEST_F(OsdClusterFixture, PullSweepWaitsOutCrashedCandidateOnce) {
   ASSERT_TRUE(read.has_value());
   ASSERT_TRUE(read->ok()) << read->status();
   EXPECT_EQ(read->value(), "survivor-copy");
-  sim::Time pull_timeout = primary.config().pull_timeout;
-  EXPECT_GE(read_at - start, pull_timeout);
-  EXPECT_LT(read_at - start, pull_timeout + 10 * sim::kMillisecond);
+  EXPECT_GE(read_at - start, osd::kPullTimeout);
+  EXPECT_LT(read_at - start, osd::kPullTimeout + 10 * sim::kMillisecond);
   EXPECT_EQ(primary.ops_served(), served_before + 1);
   EXPECT_EQ(primary.perf().counter("osd.pull.sweeps"), 1u);
   EXPECT_EQ(primary.perf().counter("osd.pull.adopted"), 1u);
@@ -741,7 +740,7 @@ TEST_F(OsdClusterFixture, PullSweepKeepsWriteThatLandedMidSweep) {
   auto acting = ActingAndOthers("race.obj", &others);
   ASSERT_EQ(others.size(), 2u);
   PlantCopy(others.back(), "race.obj", "stale-copy", /*version=*/1);
-  // The crashed peer holds the sweep open for pull_timeout; a write
+  // The crashed peer holds the sweep open for kPullTimeout; a write
   // commits on the primary meanwhile.
   osds[acting[1]]->Crash();
   std::optional<Result<std::string>> read;

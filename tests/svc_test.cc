@@ -441,13 +441,13 @@ TEST(RetryLoopTest, MonClientRotatesFromThePreferredMonitorThenGivesUp) {
 TEST(RetryLoopTest, GetMapAboveFallsBackToTheFreshestStaleReply) {
   sim::Simulator simulator;
   sim::Network network(&simulator);
-  const std::vector<uint64_t> epochs = {3, 5, 4};
+  std::vector<uint64_t> epochs = {3, 5, 4};
   std::vector<std::unique_ptr<ScriptedServer>> mons;
   for (uint32_t id = 0; id < 3; ++id) {
     mons.push_back(std::make_unique<ScriptedServer>(
         &simulator, &network, sim::EntityName::Mon(id),
-        [epoch = epochs[id]](ScriptedServer* self, const sim::Envelope& request) {
-          self->Reply(request, EncodeMapUpdate(epoch));
+        [&epochs, id](ScriptedServer* self, const sim::Envelope& request) {
+          self->Reply(request, EncodeMapUpdate(epochs[id]));
         }));
   }
   TestClient client(&simulator, &network, 1);
@@ -480,6 +480,24 @@ TEST(RetryLoopTest, GetMapAboveFallsBackToTheFreshestStaleReply) {
   EXPECT_TRUE(status->ok()) << status->ToString();
   EXPECT_EQ(got, 5u);
   EXPECT_EQ(mons[0]->seen + mons[1]->seen + mons[2]->seen, 8u);
+
+  // The session monitor dies, and the member the session moves to is a
+  // stale follower that recovered with old state: it is still skipped.
+  mons[0]->Crash();
+  epochs = {7, 2, 6};
+  status.reset();
+  mon_client.GetMapAbove(mon::MapKind::kOsdMap, 5,
+                         [&](mal::Status s, const mon::MapUpdate& update) {
+                           status = s;
+                           got = EpochOf(update);
+                         });
+  simulator.Run();
+  ASSERT_TRUE(status.has_value());
+  EXPECT_TRUE(status->ok()) << status->ToString();
+  EXPECT_EQ(got, 6u);
+  EXPECT_EQ(mon_client.session(), 1u);
+  EXPECT_EQ(mon_client.session_moves(), 1u);
+  EXPECT_EQ(mons[1]->seen + mons[2]->seen, 7u);
 }
 
 TEST(RetryLoopTest, RadosExecuteGivesUpAfterFiveAttempts) {
@@ -591,8 +609,9 @@ TEST(RetryLoopTest, UnansweredHopUnderDeadlineRefreshesTheMap) {
   auto* admin = cluster.NewClient();
   const mon::OsdMap before = client->rados.osd_map();
 
-  // The client's map pushes come from the monitor it subscribed through:
-  // with that monitor gone, it misses every later epoch.
+  // The client's map pushes come from its session monitor: with that
+  // monitor gone, and no monitor traffic of its own to find out, it misses
+  // the next epoch.
   cluster.monitor(0).Crash();
   const std::string oid = "routed";
   const uint32_t victim = osd::ActingSetForOid(oid, before, 3).front();
@@ -621,26 +640,6 @@ TEST(RetryLoopTest, UnansweredHopUnderDeadlineRefreshesTheMap) {
   EXPECT_GT(client->rados.osd_map().epoch, before.epoch);
   EXPECT_FALSE(client->rados.osd_map().osds.at(victim).up);
 
-  // The OSDs' own pushes died with the same monitor, so a survivor would
-  // still turn the op away as "not primary"; a restart makes each one
-  // catch up on the map from a live monitor.
-  for (uint32_t id = 0; id < cluster.num_osds(); ++id) {
-    if (id != victim) {
-      cluster.osd(id).Crash();
-      cluster.osd(id).Recover();
-    }
-  }
-  ASSERT_TRUE(cluster.RunUntil(
-      [&] {
-        for (uint32_t id = 0; id < cluster.num_osds(); ++id) {
-          if (id != victim && cluster.osd(id).rejoining()) {
-            return false;
-          }
-        }
-        return true;
-      },
-      60 * sim::kSecond));
-
   // The next op routes by the new map and lands within its budget.
   std::optional<mal::Status> second;
   {
@@ -649,6 +648,86 @@ TEST(RetryLoopTest, UnansweredHopUnderDeadlineRefreshesTheMap) {
   }
   ASSERT_TRUE(cluster.RunUntil([&] { return second.has_value(); }));
   EXPECT_TRUE(second->ok()) << second->ToString();
+}
+
+// Monitor 0 is lost for good while an OSD fails: every survivor's session
+// moves to a live monitor, so the survivors learn the failure commit, and
+// their perf reports and cluster-log entries keep reaching a live monitor.
+TEST(MonSessionTest, SurvivorsFollowTheMapsAfterMonitorZeroIsLost) {
+  cluster::ClusterOptions options;
+  options.num_mons = 3;
+  options.num_osds = 6;
+  cluster::Cluster cluster(options);
+  cluster.Boot();
+  auto* admin = cluster.NewClient();
+  const uint32_t victim = 2;
+  auto survivors = [&] {
+    std::vector<uint32_t> ids;
+    for (uint32_t id = 0; id < cluster.num_osds(); ++id) {
+      if (id != victim) {
+        ids.push_back(id);
+      }
+    }
+    return ids;
+  };
+
+  const sim::Time lost_at = cluster.simulator().Now();
+  cluster.monitor(0).Crash();
+  cluster.osd(victim).Crash();
+  mon::Transaction fail;
+  fail.op = mon::Transaction::Op::kOsdFail;
+  fail.daemon_id = victim;
+  std::optional<mal::Status> failed;
+  admin->rados.mon_client().SubmitTransaction(fail, [&](mal::Status s) { failed = s; });
+  ASSERT_TRUE(cluster.RunUntil([&] { return failed.has_value(); }, 60 * sim::kSecond));
+  ASSERT_TRUE(failed->ok()) << failed->ToString();
+
+  auto leader_epoch = [&]() -> mon::Epoch {
+    for (size_t i = 1; i < cluster.num_mons(); ++i) {
+      if (cluster.monitor(i).IsLeader()) {
+        return cluster.monitor(i).osd_map().epoch;
+      }
+    }
+    return 0;
+  };
+  ASSERT_TRUE(cluster.RunUntil(
+      [&] {
+        const mon::Epoch epoch = leader_epoch();
+        for (uint32_t id : survivors()) {
+          if (epoch == 0 || cluster.osd(id).osd_map().epoch != epoch) {
+            return false;
+          }
+        }
+        return true;
+      },
+      2 * sim::kSecond))
+      << "leader at epoch " << leader_epoch() << ", osd.0 at "
+      << cluster.osd(0).osd_map().epoch;
+  for (uint32_t id : survivors()) {
+    EXPECT_FALSE(cluster.osd(id).osd_map().osds.at(victim).up) << id;
+  }
+
+  // An interface that does not compile makes every survivor log an error.
+  std::optional<mal::Status> published;
+  admin->rados.InstallScriptInterface("broken", "v1", "function (",
+                                      [&](mal::Status s) { published = s; });
+  ASSERT_TRUE(cluster.RunUntil([&] { return published.has_value(); }, 10 * sim::kSecond));
+  cluster.RunFor(2 * sim::kSecond);
+  for (uint32_t id : survivors()) {
+    const std::string entity = "osd." + std::to_string(id);
+    bool reported = false;
+    bool logged = false;
+    for (size_t i = 1; i < cluster.num_mons(); ++i) {
+      const auto& reports = cluster.monitor(i).perf_reports();
+      auto it = reports.find(entity);
+      reported = reported || (it != reports.end() && it->second.time_ns > lost_at);
+      for (const mon::ClusterLogEntry& entry : cluster.monitor(i).cluster_log()) {
+        logged = logged || (entry.source == entity && entry.time_ns > lost_at);
+      }
+    }
+    EXPECT_TRUE(reported) << entity;
+    EXPECT_TRUE(logged) << entity;
+  }
 }
 
 // ---------------------------------------------------------------------------

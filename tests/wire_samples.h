@@ -196,6 +196,7 @@ void ForEachWireSample(Visit&& visit) {
   mds::LoadReport load_report{1, load};
   mon::ProposalValue proposal{8, 1, {txn, boot}};
   mon::GetMapRequest get_map{mon::MapKind::kMdsMap};
+  mon::KeepaliveAck keepalive_ack{12, 7};
   mon::QuerySeriesReply series{{window, later}};
   std::vector<mon::ClusterLogEntry> cluster_log{log_entry, log_entry};
   cls::ZlogEntry zlog_entry{cls::ZlogEntryState::kWritten, Buffer::FromString("entry")};
@@ -248,6 +249,7 @@ void ForEachWireSample(Visit&& visit) {
         "0100050000000000");
   visit("mon::GetMapRequest", get_map, "01");
   visit("mon::SubscribeRequest", subscribe, "0111000000000000000104000000");
+  visit("mon::KeepaliveAck", keepalive_ack, "0c000000000000000700000000000000");
   visit("mon::MapUpdate", map_update,
         "008c020c0000000000000040000000020000000001000000000000f03f0100000000000000000000e0"
         "3f020c636c732e7372632e64656d6fc801[73*200]07706f6f6c2e65630465633a33");
